@@ -106,10 +106,14 @@ let parallel_leg = [ [ "montecarlo"; "par_trials_per_sec" ]; [ "montecarlo"; "sp
    warning or a regression.  The soak/chaos-driven resilience counters
    (shed queries, supervised worker restarts) vary with host timing by
    design — a noisy soak must not be able to flake the bench gate — but a
-   drift between snapshots is still worth a glance. *)
+   drift between snapshots is still worth a glance.  The search leg's
+   spend is deterministic in (budget, seed), so any drift there is a
+   change in the racer; its wall time is a single run. *)
 let informational_fields =
   [ [ "service"; "counters"; "service.sched.shed" ];
-    [ "service"; "counters"; "service.sched.restarts" ] ]
+    [ "service"; "counters"; "service.sched.restarts" ];
+    [ "search"; "paired"; "spent" ];
+    [ "search"; "paired"; "seconds" ] ]
 
 let info ~label old_v new_v =
   Printf.printf "info       %-52s %14.4g -> %-14.4g (informational)\n" label old_v new_v

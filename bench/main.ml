@@ -167,78 +167,30 @@ let run_parallel_comparison () =
     stats_delta s_before (Pl.pool_stats ()) )
 
 (* ------------------------------------------------------------------ *)
-(* Part 1b': best-response search — paired vs unpaired racer            *)
+(* Part 1b': best-response search                                      *)
 (* ------------------------------------------------------------------ *)
 
 (* The search kernel the service actually serves: a budgeted E2 race with
-   the zoo aboard.  The paired racer runs at HALF the unpaired budget —
-   the claim under test is that CRN-paired elimination reaches an
-   incumbent of the same utility with ≤ half the engine executions.  Run
-   inside the metrics window so the race.* counters finally appear in
-   BENCH_mc.json with real traffic behind them. *)
-type search_bench = {
-  sb_experiment : string;
-  sb_unpaired_budget : int;
-  sb_unpaired_spent : int;
-  sb_unpaired_seconds : float;
-  sb_unpaired_utility : float;
-  sb_unpaired_std_err : float;
-  sb_unpaired_best : string;
-  sb_paired_budget : int;
-  sb_paired_spent : int;
-  sb_paired_seconds : float;
-  sb_paired_utility : float;
-  sb_paired_std_err : float;
-  sb_paired_best : string;
-  sb_half_executions : bool;  (* paired spent ≤ ½ unpaired spent *)
-  sb_same_value : bool;  (* winners' utilities within 3σ of each other *)
-}
-
+   the zoo aboard, on the paired racer.  Its comparison is the committed
+   snapshot: spend, winner and utility are deterministic in (budget, seed),
+   so any drift against BENCH_mc.json is a change in the racer.  Run inside
+   the metrics window so the race.* counters appear in BENCH_mc.json with
+   real traffic behind them.  Returns the certificate and its wall time. *)
 let run_search_bench () =
   let module C = Fair_search.Certificate in
-  print_endline "=== Best-response search: paired vs unpaired racer (E2) ===\n";
+  print_endline "=== Best-response search: paired racer (E2) ===\n";
   let spec = match E.find "E2" with Some s -> s | None -> assert false in
   let jobs = Fairness.Parallel.default_jobs in
-  let wall f =
-    let t0 = Fair_obs.Clock.now_ns () in
-    let r = f () in
-    (r, Fair_obs.Clock.elapsed_s ~since_ns:t0)
-  in
-  let search mode budget =
-    match E.searched ~budget ~zoo:true ~mode ~seed:42 ~jobs spec with
+  let t0 = Fair_obs.Clock.now_ns () in
+  let c =
+    match E.searched ~budget:3000 ~zoo:true ~seed:42 ~jobs spec with
     | Some c -> c
     | None -> assert false
   in
-  let unpaired_budget = 6000 in
-  let paired_budget = unpaired_budget / 2 in
-  let u, t_u = wall (fun () -> search Fair_search.Racing.Unpaired unpaired_budget) in
-  let p, t_p = wall (fun () -> search Fair_search.Racing.Paired paired_budget) in
-  let half = 2 * p.C.spent <= u.C.spent in
-  let same_value =
-    Float.abs (p.C.utility -. u.C.utility) <= 3.0 *. (p.C.std_err +. u.C.std_err)
-  in
-  let line tag (c : C.t) t =
-    Printf.printf "  %-9s budget %5d  spent %5d  %6.2f s  best %-22s u = %.4f ±%.4f\n" tag
-      c.C.budget c.C.spent t c.C.best_arm c.C.utility c.C.std_err
-  in
-  line "unpaired" u t_u;
-  line "paired" p t_p;
-  Printf.printf "  half-executions: %b   same-value incumbent (3σ): %b\n\n" half same_value;
-  { sb_experiment = "E2";
-    sb_unpaired_budget = unpaired_budget;
-    sb_unpaired_spent = u.C.spent;
-    sb_unpaired_seconds = t_u;
-    sb_unpaired_utility = u.C.utility;
-    sb_unpaired_std_err = u.C.std_err;
-    sb_unpaired_best = u.C.best_arm;
-    sb_paired_budget = paired_budget;
-    sb_paired_spent = p.C.spent;
-    sb_paired_seconds = t_p;
-    sb_paired_utility = p.C.utility;
-    sb_paired_std_err = p.C.std_err;
-    sb_paired_best = p.C.best_arm;
-    sb_half_executions = half;
-    sb_same_value = same_value }
+  let seconds = Fair_obs.Clock.elapsed_s ~since_ns:t0 in
+  Printf.printf "  budget %5d  spent %5d  %6.2f s  best %-22s u = %.4f ±%.4f\n\n" c.C.budget
+    c.C.spent seconds c.C.best_arm c.C.utility c.C.std_err;
+  (c, seconds)
 
 (* ------------------------------------------------------------------ *)
 (* Part 1c: the certificate service — cold vs cached query latency     *)
@@ -622,7 +574,8 @@ let run_timings () =
    reported was a zero that looked like data — the bench now keeps the
    registry on through the service run and embeds the window's counter
    {e deltas} in the service section, mirroring how the pool section
-   reports the Monte-Carlo window. *)
+   reports the Monte-Carlo window.  Schema 6 drops the search section's
+   unpaired leg (the unpaired racer is gone) and its two comparison flags. *)
 
 (* Counter deltas over one bench window, filtered to [prefix] — what the
    service section embeds, so the reported traffic is the bench's own and
@@ -646,8 +599,10 @@ let kernel_ns kernels suffix =
       else None)
     kernels
 
-let write_json ~path mc ~sb ~svc ~svc_counters ~obs_metrics ~obs_pool kernels =
+let write_json ~path mc ~sb:((sb : Fair_search.Certificate.t), sb_seconds) ~svc ~svc_counters
+    ~obs_metrics ~obs_pool kernels =
   let module J = Fairness.Json in
+  let module C = Fair_search.Certificate in
   let overhead =
     match (kernel_ns kernels "crypto/sha256-256B", kernel_ns kernels "obs/sha256-256B-span-disabled") with
     | Some base, Some span when base > 0.0 ->
@@ -656,7 +611,7 @@ let write_json ~path mc ~sb ~svc ~svc_counters ~obs_metrics ~obs_pool kernels =
   in
   let json =
     J.Obj
-      [ ("schema", J.Str "fairness-bench/5");
+      [ ("schema", J.Str "fairness-bench/6");
         ( "montecarlo",
           J.Obj
             [ ("kernel", J.Str "optn-n5-vs-greedy-t4");
@@ -677,25 +632,15 @@ let write_json ~path mc ~sb ~svc ~svc_counters ~obs_metrics ~obs_pool kernels =
               ("par_inline_batches", J.num_int mc.par_inline_batches) ] );
         ( "search",
           J.Obj
-            [ ("kernel", J.Str (sb.sb_experiment ^ "-best-response"));
-              ( "unpaired",
-                J.Obj
-                  [ ("budget", J.num_int sb.sb_unpaired_budget);
-                    ("spent", J.num_int sb.sb_unpaired_spent);
-                    ("seconds", J.Num sb.sb_unpaired_seconds);
-                    ("best_arm", J.Str sb.sb_unpaired_best);
-                    ("utility", J.Num sb.sb_unpaired_utility);
-                    ("std_err", J.Num sb.sb_unpaired_std_err) ] );
+            [ ("kernel", J.Str (sb.C.experiment ^ "-best-response"));
               ( "paired",
                 J.Obj
-                  [ ("budget", J.num_int sb.sb_paired_budget);
-                    ("spent", J.num_int sb.sb_paired_spent);
-                    ("seconds", J.Num sb.sb_paired_seconds);
-                    ("best_arm", J.Str sb.sb_paired_best);
-                    ("utility", J.Num sb.sb_paired_utility);
-                    ("std_err", J.Num sb.sb_paired_std_err) ] );
-              ("half_executions", J.Bool sb.sb_half_executions);
-              ("same_value", J.Bool sb.sb_same_value) ] );
+                  [ ("budget", J.num_int sb.C.budget);
+                    ("spent", J.num_int sb.C.spent);
+                    ("seconds", J.Num sb_seconds);
+                    ("best_arm", J.Str sb.C.best_arm);
+                    ("utility", J.Num sb.C.utility);
+                    ("std_err", J.Num sb.C.std_err) ] ) ] );
         ( "service",
           J.Obj
             [ ("kernel", J.Str "E1-search");

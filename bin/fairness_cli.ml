@@ -129,16 +129,18 @@ let sweep_cmd =
   let kind_arg =
     Arg.(
       required
-      & pos 0 (some (enum [ ("gamma", `Gamma); ("n", `N); ("q", `Q) ])) None
-      & info [] ~docv:"KIND" ~doc:"Sweep kind: gamma, n, or q.")
+      & pos 0 (some (enum [ ("q", ()) ])) None
+      & info [] ~docv:"KIND"
+          ~doc:
+            "Sweep kind: q (the designer's bias).  The gamma and n landscapes are raced by \
+             `search --grid'.")
   in
-  let run kind trials seed jobs markdown trace metrics =
+  let run () trials seed jobs markdown trace metrics =
     with_obs ~trace ~metrics (fun () ->
         let table =
-          match kind with
-          | `Gamma -> Fair_analysis.Sweep.gamma_sweep ~jobs ~trials ~seed ()
-          | `N -> Fair_analysis.Sweep.n_sweep ~jobs ~ns:[ 2; 3; 4; 5; 6; 7 ] ~trials ~seed ()
-          | `Q -> Fair_analysis.Sweep.q_sweep ~jobs ~qs:[ 0.0; 0.125; 0.25; 0.375; 0.5; 0.625; 0.75; 0.875; 1.0 ] ~trials ~seed ()
+          Fair_analysis.Sweep.q_sweep ~jobs
+            ~qs:[ 0.0; 0.125; 0.25; 0.375; 0.5; 0.625; 0.75; 0.875; 1.0 ]
+            ~trials ~seed ()
         in
         print_endline (Fair_analysis.Sweep.render ~markdown table);
         0)
@@ -146,8 +148,8 @@ let sweep_cmd =
   Cmd.v
     (Cmd.info "sweep"
        ~doc:
-         "Sweep a parameter (preference vector, party count, or designer bias) and tabulate \
-          the measured fairness landscape.")
+         "Sweep the designer's bias q = Pr[p1 first] in ΠOpt-2SFE and tabulate the measured \
+          attack value (E13's minimax curve).")
     Term.(
       const run $ kind_arg $ trials_arg $ seed_arg $ jobs_arg $ markdown_arg $ trace_arg
       $ metrics_arg)
@@ -177,13 +179,6 @@ let search_cmd =
     in
     Arg.(value & flag & info [ "zoo" ] ~doc)
   in
-  let unpaired_arg =
-    let doc =
-      "Use the unpaired racer (independent per-arm trial streams, full-budget discipline) \
-       instead of the default CRN-paired fast path.  Certificates record the mode either way."
-    in
-    Arg.(value & flag & info [ "unpaired" ] ~doc)
-  in
   let out_arg =
     let doc = "Directory to write one certificate JSON per search (created if missing)." in
     Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"DIR" ~doc)
@@ -201,15 +196,23 @@ let search_cmd =
     Certificate.save ~path c;
     Printf.eprintf "wrote %s\n%!" path
   in
-  let run id budget grid zoo unpaired out seed jobs markdown trace metrics =
+  (* The racer rejects a budget below the arm count before any trial runs:
+     a usage error, reported with both numbers. *)
+  let usage_guard f =
+    try f ()
+    with Invalid_argument msg ->
+      prerr_endline msg;
+      exit 2
+  in
+  let run id budget grid zoo out seed jobs markdown trace metrics =
     with_obs ~trace ~metrics @@ fun () ->
-    let mode = if unpaired then Fair_search.Racing.Unpaired else Fair_search.Racing.Paired in
     match grid with
     | Some kind ->
         let table =
-          match kind with
-          | `Gamma -> Landscape.gamma_grid ~jobs ~budget ~seed ()
-          | `N -> Landscape.n_grid ~jobs ~budget ~seed ()
+          usage_guard (fun () ->
+              match kind with
+              | `Gamma -> Landscape.gamma_grid ~jobs ~budget ~seed ()
+              | `N -> Landscape.n_grid ~jobs ~budget ~seed ())
         in
         print_endline (Landscape.render ~markdown table);
         Option.iter
@@ -227,7 +230,9 @@ let search_cmd =
                 Printf.eprintf "unknown experiment %S; try `fairness list`\n" id;
                 exit 2
         in
-        let certs = List.filter_map (E.searched ~budget ~zoo ~mode ~seed ~jobs) specs in
+        let certs =
+          usage_guard (fun () -> List.filter_map (E.searched ~budget ~zoo ~seed ~jobs) specs)
+        in
         if certs = [] then begin
           Printf.eprintf
             "%s has no search target (its number is not a supremum over adversaries)\n" id;
@@ -245,8 +250,8 @@ let search_cmd =
           trial budget (successive halving) and certify the searched best response against the \
           paper bound.")
     Term.(
-      const run $ id_arg $ budget_arg $ grid_arg $ zoo_arg $ unpaired_arg $ out_arg $ seed_arg
-      $ jobs_arg $ markdown_arg $ trace_arg $ metrics_arg)
+      const run $ id_arg $ budget_arg $ grid_arg $ zoo_arg $ out_arg $ seed_arg $ jobs_arg
+      $ markdown_arg $ trace_arg $ metrics_arg)
 
 let chaos_cmd =
   let faults_arg =
@@ -873,8 +878,8 @@ let main =
         "Every subcommand follows one convention: $(b,0) — success (all paper bounds hold, \
          the query was answered); $(b,1) — a fairness bound violation, a failed check, or an \
          operational failure (server overloaded, unreachable, or lost mid-stream); $(b,2) — \
-         usage error (unknown experiment id, malformed --faults spec, a query kind the \
-         experiment does not support).";
+         usage error (unknown experiment id or option, malformed --faults spec, a query kind \
+         the experiment does not support, a search budget below the arm count).";
     ]
   in
   Cmd.group (Cmd.info "fairness" ~version:"1.0.0" ~doc ~man)
@@ -883,4 +888,8 @@ let main =
       serve_cmd; query_cmd; stat_cmd;
     ]
 
-let () = exit (Cmd.eval' main)
+(* cmdliner reports a command-line parse error as 124; the table above
+   calls that a usage error. *)
+let () =
+  let code = Cmd.eval' main in
+  exit (if code = Cmd.Exit.cli_error then 2 else code)

@@ -1209,7 +1209,7 @@ let find id =
 
 (* When the zoo comparison is requested the fixed-zoo strategies join the
    race as extra arms: every arm (declarative point or zoo member) then
-   draws from the same seed derivation under the same budget discipline,
+   pulls the same shared trial grid under the same budget discipline,
    so "searched best ≥ zoo best" is exact by construction — the searched
    max is a max over a superset of the zoo arms — instead of a comparison
    between two independently-noisy estimates.  (For most experiments the
@@ -1217,69 +1217,31 @@ let find id =
    Gordon–Katz target the zoo carries protocol-specific attacks the
    generic parameterization lacks, and racing them keeps the certificate
    honest about which family the best response came from.) *)
-(* [mode] picks the racer: [Paired] (the default fast path) drives every
-   arm over one shared trial grid ([Mc.Trial.seed_prefix seed]) so
-   elimination can read CRN-paired differences and settle early;
-   [Unpaired] is the independent-streams fallback (per-arm seed
-   [seed + 7919·(i+1)], full-budget discipline) — byte-for-byte the
-   pre-paired behaviour.  Either way the zoo arms race in the same pool,
-   so "searched ≥ zoo" stays a max over a superset. *)
-let searched ?(budget = 20_000) ?(zoo = false) ?(mode = Racing.Paired) ~seed ~jobs (s : spec)
-    =
+let searched ?(budget = 20_000) ?(zoo = false) ~seed ~jobs (s : spec) =
   match s.target with
   | None -> None
   | Some mk ->
       let t = mk () in
-      let pts = Array.of_list (Space.points t.s_space) in
-      let zoo_arms = if zoo then Array.of_list t.s_zoo else [||] in
-      let np = Array.length pts in
-      let adversary i = if i < np then Space.compile t.s_space pts.(i) else zoo_arms.(i - np) in
-      let arm_name i = (adversary i).Adversary.name in
-      let arms = List.init (np + Array.length zoo_arms) Fun.id in
-      let outcome =
-        match mode with
-        | Racing.Unpaired ->
-            let pull i ~lo ~hi =
-              Mc.sample ~overrides:t.s_target.Racing.overrides ~jobs:1
-                ~protocol:t.s_target.Racing.protocol ~adversary:(adversary i)
-                ~func:t.s_target.Racing.func ~gamma:t.s_target.Racing.gamma
-                ~env:t.s_target.Racing.env
-                ~seed:(seed + (7919 * (i + 1)))
-                ~lo ~hi (Mc.Acc.create ())
-            in
-            Racing.race ~jobs ~arms ~pull ~budget ()
-        | Racing.Paired ->
-            (* One seed prefix for the whole race: trial [t] of every arm
-               shares its environment draws and per-trial randomness. *)
-            let prefix = Mc.Trial.seed_prefix seed in
-            let pull i ~lo ~hi =
-              Array.init (hi - lo) (fun d ->
-                  Mc.Trial.run ~overrides:t.s_target.Racing.overrides
-                    ~protocol:t.s_target.Racing.protocol ~adversary:(adversary i)
-                    ~func:t.s_target.Racing.func ~gamma:t.s_target.Racing.gamma
-                    ~env:t.s_target.Racing.env ~prefix (lo + d))
-            in
-            Racing.race_paired ~jobs ~arms ~pull ~budget ()
-      in
+      let space_arms = List.map (Space.compile t.s_space) (Space.points t.s_space) in
+      let np = List.length space_arms in
+      let arms = if zoo then space_arms @ t.s_zoo else space_arms in
+      let outcome = Racing.race_target ~jobs ~target:t.s_target ~arms ~budget ~seed in
       let zoo_best =
         if not zoo then None
         else
           List.fold_left
-            (fun best (st : int Racing.standing) ->
-              if st.Racing.arm < np then best
-              else
-                let u = st.Racing.estimate.Mc.utility in
-                match best with
-                | Some (_, u') when u' >= u -> best
-                | _ -> Some (arm_name st.Racing.arm, u))
-            None outcome.Racing.standings
+            (fun best (st : Adversary.t Racing.standing) ->
+              let u = st.Racing.estimate.Mc.utility in
+              match best with
+              | Some (_, u') when u' >= u -> best
+              | _ -> Some (st.Racing.arm.Adversary.name, u))
+            None
+            (List.filteri (fun i _ -> i >= np) outcome.Racing.standings)
       in
       Some
-        (Certificate.make ~experiment:s.eid ~seed ~budget ~mode:(Racing.mode_name mode)
-           ?zoo_best ~bound:t.s_bound ~bound_label:t.s_bound_label ~outcome ~arm_name ())
-
-let search_summary ?budget ?zoo ?mode ~seed ~jobs () =
-  List.filter_map (searched ?budget ?zoo ?mode ~seed ~jobs) registry
+        (Certificate.make ~experiment:s.eid ~seed ~budget ?zoo_best ~bound:t.s_bound
+           ~bound_label:t.s_bound_label ~outcome
+           ~arm_name:(fun (a : Adversary.t) -> a.Adversary.name) ())
 
 let search_table ?(markdown = false) certs =
   Report.render ~markdown ~header:Certificate.header (List.map Certificate.row certs)

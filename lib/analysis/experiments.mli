@@ -77,35 +77,20 @@ val find : string -> spec option
 val searched :
   ?budget:int ->
   ?zoo:bool ->
-  ?mode:Fair_search.Racing.mode ->
   seed:int ->
   jobs:int ->
   spec ->
   Fair_search.Certificate.t option
 (** Race the experiment's strategy space under [budget] total trials
-    (default 20k) and certify the result against the paper bound.  With
-    [~zoo:true] the fixed adversary zoo joins the race as extra arms
-    (same seed derivation, same budget), and the certificate records the
-    zoo's best raced estimate — so the searched best is a max over a
-    superset of the zoo arms and dominates it by construction.  [None]
-    iff the spec has no target.  Deterministic in ([budget], [seed]) —
-    [jobs] never changes the numbers.
-
-    [mode] (default [Paired]) picks the racer: the CRN shared-grid racer
-    ({!Fair_search.Racing.race_paired}) reaches the same incumbent at a
-    fraction of the engine executions and may stop early once only exact
-    ties survive; [Unpaired] restores independent per-arm streams with
-    full-budget discipline — byte-for-byte the pre-paired certificates. *)
-
-val search_summary :
-  ?budget:int ->
-  ?zoo:bool ->
-  ?mode:Fair_search.Racing.mode ->
-  seed:int ->
-  jobs:int ->
-  unit ->
-  Fair_search.Certificate.t list
-(** {!searched} over the whole registry (targeted experiments only). *)
+    (default 20k) with {!Fair_search.Racing.race_target} and certify the
+    result against the paper bound.  With [~zoo:true] the fixed adversary
+    zoo joins the race as extra arms after the space points (same shared
+    trial grid, same budget), and the certificate records the zoo's best
+    raced estimate — so the searched best is a max over a superset of the
+    zoo arms and dominates it by construction.  [None] iff the spec has no
+    target.  Deterministic in ([budget], [seed]) — [jobs] never changes
+    the numbers.
+    @raise Invalid_argument if [budget] is below the arm count. *)
 
 val search_table : ?markdown:bool -> Fair_search.Certificate.t list -> string
 (** The "searched" summary table (one row per experiment). *)

@@ -50,58 +50,6 @@ let stable_data pairs = List.stable_sort (fun (a, _) (b, _) -> natural_compare a
 
 let render ?markdown t = Report.render ?markdown ~header:t.header t.rows
 
-let gamma_sweep ?(gammas = Payoff.sweep) ?(jobs = Parallel.default_jobs) ~trials ~seed () =
-  let swap = Func.swap in
-  let proto = Fair_protocols.Opt2.hybrid swap in
-  let zoo = Adv.standard_zoo ~func:swap ~n:2 ~max_round:Fair_protocols.Opt2.hybrid_rounds () in
-  let results =
-    List.mapi
-      (fun i gamma ->
-        let _, e =
-          Mc.best_response ~jobs ~protocol:proto ~adversaries:zoo ~func:swap ~gamma
-            ~env:(Mc.uniform_field_inputs ~n:2) ~trials ~seed:(seed + i) ()
-        in
-        (gamma, e))
-      gammas
-  in
-  { header = [ "gamma"; "sup_A u"; "(g10+g11)/2"; "optimal?" ];
-    rows =
-      List.map
-        (fun (gamma, (e : Mc.estimate)) ->
-          [ Payoff.to_string gamma;
-            Report.fmt_pm e.Mc.utility e.Mc.std_err;
-            Report.fmt_float (Bounds.opt2 gamma);
-            string_of_bool (Relation.is_optimal ~best:e ~bound:(Bounds.opt2 gamma)) ])
-        results;
-    data = stable_data (List.map (fun (g, (e : Mc.estimate)) -> (Payoff.to_string g, e.Mc.utility)) results) }
-
-let n_sweep ?(jobs = Parallel.default_jobs) ~ns ~trials ~seed () =
-  let gamma = Payoff.default in
-  let results =
-    List.map
-      (fun n ->
-        let func = Func.concat ~n in
-        let proto = Fair_protocols.Optn.hybrid func in
-        let e =
-          Mc.estimate ~jobs ~protocol:proto
-            ~adversary:(Adv.greedy ~func (Adv.Random_subset (n - 1)))
-            ~func ~gamma
-            ~env:(Mc.uniform_field_inputs ~n)
-            ~trials ~seed:(seed + n) ()
-        in
-        (n, e))
-      ns
-  in
-  { header = [ "n"; "best (n-1)-coalition"; "((n-1)g10+g11)/n" ];
-    rows =
-      List.map
-        (fun (n, (e : Mc.estimate)) ->
-          [ string_of_int n;
-            Report.fmt_pm e.Mc.utility e.Mc.std_err;
-            Report.fmt_float (Bounds.optn_best gamma ~n) ])
-        results;
-    data = stable_data (List.map (fun (n, (e : Mc.estimate)) -> (string_of_int n, e.Mc.utility)) results) }
-
 let q_sweep ?(jobs = Parallel.default_jobs) ~qs ~trials ~seed () =
   let gamma = Payoff.default in
   let swap = Func.swap in

@@ -1,7 +1,9 @@
-(** Parameter sweeps: how the measured fairness landscape moves with the
-    preference vector γ, the party count n, and the designer's bias q.
+(** The designer-bias sweep: how the measured attack value moves with the
+    probability q that ΠOpt-2SFE's first release goes to p1 (E13).  The
+    landscapes over the preference vector γ and the party count n are
+    raced by [Fair_search.Landscape] instead.
 
-    Each sweep returns a rendered table (and the raw numbers) so both the
+    The sweep returns a rendered table (and the raw numbers) so both the
     CLI and downstream code can consume it. *)
 
 type table = {
@@ -19,16 +21,6 @@ val natural_compare : string -> string -> int
 (** The label order used for [data]: "n=2" < "n=10". *)
 
 val render : ?markdown:bool -> table -> string
-
-val gamma_sweep :
-  ?gammas:Fairness.Payoff.t list -> ?jobs:int -> trials:int -> seed:int -> unit -> table
-(** Best attacker against ΠOpt-2SFE (swap) per preference vector, against
-    the Theorem 3 value (γ10+γ11)/2. *)
-
-val n_sweep : ?jobs:int -> ns:int list -> trials:int -> seed:int -> unit -> table
-(** ΠOpt-nSFE's best (n−1)-coalition utility versus Lemma 13's
-    ((n−1)γ10+γ11)/n as the party count grows: the multi-party fairness
-    decay curve. *)
 
 val q_sweep : ?jobs:int -> qs:float list -> trials:int -> seed:int -> unit -> table
 (** The E13 designer sweep: sup_A u against opt2(q) per bias q — the attack

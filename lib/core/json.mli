@@ -4,11 +4,7 @@
     image carries no JSON library, so this is deliberately the smallest
     dialect that round-trips our records: UTF-8 passes through opaquely,
     numbers are OCaml floats printed with enough digits ([%.17g]) to
-    round-trip exactly.
-
-    (Historical note: this lived in [lib/search] until the observability
-    layer needed it too; [Fair_search.Json] remains as a deprecated
-    alias.) *)
+    round-trip exactly. *)
 
 type t =
   | Null

@@ -169,12 +169,10 @@ let fatal = function
    an estimate runs.  Strictly output-side: the hook is consulted only
    after a range has been accumulated, never touches an RNG, and never
    influences chunking or stopping — estimates are bit-identical with any
-   hook installed (the same invariant the obs layer keeps).  [sample] fires
-   it too, so racing-based searches report per-pull progress.  The hook may
-   fire from a pool worker domain (racing pulls arms through the pool);
-   implementations must be domain-safe.  A raising hook is contained: the
-   exception is swallowed (fatal ones still propagate) so telemetry can
-   never kill an estimate. *)
+   hook installed (the same invariant the obs layer keeps).  The hook may
+   fire from a pool worker domain; implementations must be domain-safe.
+   A raising hook is contained: the exception is swallowed (fatal ones
+   still propagate) so telemetry can never kill an estimate. *)
 let progress_hook : (convergence_point -> unit) option Atomic.t = Atomic.make None
 
 let set_progress_hook h = Atomic.set progress_hook h
@@ -185,8 +183,8 @@ let fire_progress p =
   | Some f -> ( try f p with e when not (fatal e) -> ())
 
 (* Public face of [fire_progress]: callers that drive their own trial
-   loops through {!Trial.run} (the paired racer) bypass [estimate]/[sample]
-   and so must feed the progress stream themselves. *)
+   loops through {!Trial.run} (the paired racer) bypass [estimate] and so
+   must feed the progress stream themselves. *)
 let notify_progress = fire_progress
 
 (* One classified trial, decoupled from any accumulator so paired designs
@@ -339,12 +337,8 @@ let estimate ?(overrides = Events.no_overrides) ?(jobs = Parallel.default_jobs)
       go (acc_create ()) (min cap trials) []
 
 (* ------------------------------------------------------------------ *)
-(* Public incremental accumulation: the racing scheduler (Fair_search)
-   pulls arms in budgeted batches, so it needs to extend an estimate by a
-   trial range without recomputing the prefix.  Because trial [i] depends
-   only on (seed, i) and chunk boundaries depend only on [lo, hi), growing
-   an accumulator over [0, a) by [a, b) in [chunk_size]-aligned steps is
-   bit-identical to a one-shot run over [0, b). *)
+(* Public incremental accumulation: the racer (Fair_search) grows per-arm
+   accumulators trial by trial through [Trial.observe]. *)
 
 module Acc = struct
   type t = acc
@@ -353,33 +347,13 @@ module Acc = struct
   let count a = a.count
   let mean a = a.mean
   let std_err = acc_std_err
-  let merge = acc_merge
   let finalize a = acc_finalize a
-
-  (* Event-free observation for synthetic workloads (scheduler tests,
-     generic bandit arms): the payoff stream drives mean/std_err, the
-     event bookkeeping stays at its E00 default. *)
-  let observe a payoff =
-    acc_observe a ~payoff ~event:Events.E00 ~n_corrupted:0 ~breach:false
 
   (* Same bookkeeping [estimate]'s inner loop applies to a faulted trial:
      callers that drive trials themselves (the paired racer) use this so
      their finalized estimates carry honest [trial_faults]. *)
   let record_fault a = a.faulted <- a.faulted + 1
 end
-
-let sample ?(overrides = Events.no_overrides) ?(jobs = Parallel.default_jobs) ?inject
-    ~protocol ~adversary ~func ~gamma ~env ~seed ~lo ~hi acc =
-  if lo < 0 || hi < lo then invalid_arg "Montecarlo.sample: bad range";
-  let acc =
-    run_range ~overrides ~inject ~protocol ~adversary ~func ~gamma ~env ~seed ~jobs ~lo ~hi acc
-  in
-  fire_progress
-    { after = acc.count;
-      batch = hi - lo;
-      running_mean = acc.mean;
-      running_std_err = acc_std_err acc };
-  acc
 
 (* Public face of the trial hook, used by {!Crn} to drive paired designs
    through the exact per-trial stream [estimate] uses. *)

@@ -115,12 +115,12 @@ val estimate :
 val set_progress_hook : (convergence_point -> unit) option -> unit
 (** Install (or clear) a process-wide observation tap on the convergence
     stream: {!estimate} fires it once per batch (once total for fixed-size
-    runs) and {!sample} once per range, with the running mean/std-err of
-    the deterministically-merged accumulator.  Strictly output-side — the
-    hook sees state only {e after} it is computed, so installing one cannot
-    perturb any estimate (same invariant as {!Fair_obs}).  The hook may be
-    invoked from a pool worker domain (racing pulls arms through the pool);
-    it must be domain-safe.  Non-fatal exceptions raised by the hook are
+    runs) with the running mean/std-err of the deterministically-merged
+    accumulator.  Strictly output-side — the hook sees state only {e after}
+    it is computed, so installing one cannot perturb any estimate (same
+    invariant as {!Fair_obs}).  The hook may be invoked from a pool worker
+    domain ({!best_response} scores zoo members through the pool); it must
+    be domain-safe.  Non-fatal exceptions raised by the hook are
     swallowed.  Used by the certificate service ({!Fair_service}) to stream
     progress frames; defaults to [None]. *)
 
@@ -128,18 +128,15 @@ val notify_progress : convergence_point -> unit
 (** Fire the installed progress hook (no-op when none is installed).  For
     callers that drive their own trial loops through {!Trial.run} — e.g.
     the paired racer in [Fair_search.Racing] — and therefore bypass the
-    firing points inside {!estimate}/{!sample}.  Non-fatal hook exceptions
-    are swallowed, exactly as for the internal firing points. *)
+    firing points inside {!estimate}.  Non-fatal hook exceptions are
+    swallowed, exactly as for the internal firing points. *)
 
 (** {2 Incremental accumulation}
 
-    The best-response racing scheduler ({!Fair_search.Racing}) grows
-    per-arm estimates in budgeted batches.  {!Acc.t} is the same
-    Welford/Chan accumulator {!estimate} uses internally; {!sample} extends
-    one by a trial range.  Growing over [\[0, a)] then [\[a, b)] in
-    64-aligned steps is bit-identical to a one-shot run over [\[0, b)]
-    (same chunk boundaries, same merge order), and remains independent of
-    [jobs]. *)
+    The best-response racer ([Fair_search.Racing]) grows per-arm
+    estimates trial by trial.  {!Acc.t} is the same Welford/Chan
+    accumulator {!estimate} uses internally; {!Trial.observe} folds one
+    trial into it. *)
 
 module Acc : sig
   type t
@@ -152,38 +149,12 @@ module Acc : sig
   (** Bessel-corrected standard error of the running mean (0 below 2
       observations). *)
 
-  val merge : t -> t -> t
-  (** [merge a b] folds [b] into [a] (Chan et al.) and returns [a]. *)
-
-  val observe : t -> float -> unit
-  (** Record a bare payoff — for synthetic workloads (scheduler tests,
-      generic bandit arms) that have no protocol execution behind them. *)
-
   val record_fault : t -> unit
   (** Count one faulted (excluded) trial, as {!estimate}'s inner loop does
       — callers that drive trials themselves keep [trial_faults] honest. *)
 
   val finalize : t -> estimate
 end
-
-val sample :
-  ?overrides:Events.overrides ->
-  ?jobs:int ->
-  ?inject:(Rng.t -> Engine.injector) ->
-  protocol:Protocol.t ->
-  adversary:Adversary.t ->
-  func:Func.t ->
-  gamma:Payoff.t ->
-  env:environment ->
-  seed:int ->
-  lo:int ->
-  hi:int ->
-  Acc.t ->
-  Acc.t
-(** Run trials [\[lo, hi)] of the [(seed, i)]-derived stream into the
-    accumulator (in place; also returned).  Chunking and determinism are
-    exactly {!estimate}'s.
-    @raise Invalid_argument if [lo < 0] or [hi < lo]. *)
 
 (** {2 Single-trial hook}
 
@@ -224,8 +195,8 @@ module Trial : sig
   (** Fold one observation into an accumulator with the full event
       bookkeeping {!estimate}'s inner loop applies, so an accumulator grown
       trial-by-trial finalizes to the same estimate a batched run yields
-      (observations must be fed, or accumulators merged, in trial order for
-      bit-identical results). *)
+      (observations must be fed in trial order for bit-identical
+      results). *)
 end
 
 val estimate_with_cost : estimate -> cost:(int -> float) -> float

@@ -22,7 +22,7 @@ type t = {
   within_bound : bool;
 }
 
-let make ~experiment ~seed ~budget ?(mode = "unpaired") ?zoo_best ~bound ~bound_label
+let make ~experiment ~seed ~budget ?zoo_best ~bound ~bound_label
     ~(outcome : 'a Racing.outcome) ~arm_name () =
   let e = outcome.Racing.best_estimate in
   let surviving =
@@ -34,7 +34,7 @@ let make ~experiment ~seed ~budget ?(mode = "unpaired") ?zoo_best ~bound ~bound_
     budget;
     spent = outcome.Racing.spent;
     rounds = outcome.Racing.rounds;
-    mode;
+    mode = "paired";
     arms_total = List.length outcome.Racing.standings;
     arms_surviving = surviving;
     best_arm = arm_name outcome.Racing.best;
@@ -78,7 +78,7 @@ let of_json j =
   let* spent = Result.bind (member "spent" j) to_int in
   let* rounds = Result.bind (member "rounds" j) to_int in
   (* Tolerant default: certificates written before the paired racer carry
-     no mode tag; they were all unpaired. *)
+     no mode tag; they were all raced unpaired. *)
   let mode =
     match Result.bind (member "mode" j) to_str with Ok m -> m | Error _ -> "unpaired"
   in

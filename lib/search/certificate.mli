@@ -16,9 +16,9 @@ type t = {
   spent : int;  (** trials actually consumed (≤ budget) *)
   rounds : int;  (** racing rounds run *)
   mode : string;
-      (** ["paired"] (CRN shared-grid racer) or ["unpaired"] (independent
-          per-arm streams); certificates predating the tag parse as
-          ["unpaired"] *)
+      (** always ["paired"] (the CRN shared-grid racer) for new
+          certificates; older ones may read ["unpaired"], and those
+          predating the tag parse as ["unpaired"] *)
   arms_total : int;
   arms_surviving : int;
   best_arm : string;  (** winning strategy's name *)
@@ -37,7 +37,6 @@ val make :
   experiment:string ->
   seed:int ->
   budget:int ->
-  ?mode:string ->
   ?zoo_best:string * float ->
   bound:float ->
   bound_label:string ->
@@ -46,8 +45,8 @@ val make :
   unit ->
   t
 
-val to_json : t -> Json.t
-val of_json : Json.t -> (t, string) result
+val to_json : t -> Fairness.Json.t
+val of_json : Fairness.Json.t -> (t, string) result
 
 val to_string : t -> string
 (** Pretty-printed JSON; [of_string] inverts it exactly. *)

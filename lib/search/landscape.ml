@@ -11,9 +11,10 @@ type table = {
 let render ?markdown t = Report.render ?markdown ~header:t.header t.rows
 
 let certify ~label ~space ~target ~bound ~bound_label ~budget ~seed ~jobs =
-  let outcome = Racing.race_space ~jobs ~target ~space ~budget ~seed () in
+  let arms = List.map (Strategy_space.compile space) (Strategy_space.points space) in
+  let outcome = Racing.race_target ~jobs ~target ~arms ~budget ~seed in
   Certificate.make ~experiment:label ~seed ~budget ~bound ~bound_label ~outcome
-    ~arm_name:(Strategy_space.point_name space) ()
+    ~arm_name:(fun (a : Fair_exec.Adversary.t) -> a.name) ()
 
 let grid_rows points =
   List.map

@@ -14,10 +14,6 @@ let c_trials = Metrics.counter "race.trials"
 let c_eliminations = Metrics.counter "race.eliminations"
 let c_settled = Metrics.counter "race.settled"
 
-type mode = Paired | Unpaired
-
-let mode_name = function Paired -> "paired" | Unpaired -> "unpaired"
-
 type arm_status = {
   arm_ix : int;
   pulls : int;
@@ -49,109 +45,6 @@ type 'a outcome = {
   log : round_log list;
 }
 
-let race ?(batch0 = 64) ?(z = 3.0) ?(jobs = Parallel.default_jobs) ~arms ~pull ~budget () =
-  if arms = [] then invalid_arg "Racing.race: no arms";
-  if budget < 1 then invalid_arg "Racing.race: budget < 1";
-  if batch0 < 1 then invalid_arg "Racing.race: batch0 < 1";
-  if z < 0.0 then invalid_arg "Racing.race: z < 0";
-  let arms = Array.of_list arms in
-  let k = Array.length arms in
-  let accs = Array.init k (fun _ -> Mc.Acc.create ()) in
-  let eliminated = Array.make k None in
-  let live () =
-    List.filter (fun i -> eliminated.(i) = None) (List.init k (fun i -> i))
-  in
-  let lcb i = Mc.Acc.mean accs.(i) -. (z *. Mc.Acc.std_err accs.(i)) in
-  let ucb i = Mc.Acc.mean accs.(i) +. (z *. Mc.Acc.std_err accs.(i)) in
-  let spent = ref 0 in
-  let round = ref 0 in
-  let log = ref [] in
-  let continue = ref true in
-  while !continue do
-    let s = live () in
-    let survivors = List.length s in
-    (* Doubling batches, capped so the round fits the remaining budget.
-       [2^round] is computed with care only up to the budget's magnitude. *)
-    let want = if !round >= 30 then max_int else batch0 * (1 lsl !round) in
-    let b = min want ((budget - !spent) / survivors) in
-    if b < 1 then continue := false
-    else begin
-      incr round;
-      Otrace.with_span ~cat:"race"
-        ~args:[ ("round", string_of_int !round); ("survivors", string_of_int survivors) ]
-        "race.round"
-        (fun () ->
-          (* Arm-level parallelism: each surviving arm's batch is an
-             independent deterministic computation; merge back in arm
-             order. *)
-          let batches =
-            Parallel.map_list ~jobs
-              (fun i ->
-                let lo = Mc.Acc.count accs.(i) in
-                Otrace.with_span ~cat:"race"
-                  ~args:[ ("arm", string_of_int i); ("lo", string_of_int lo);
-                          ("hi", string_of_int (lo + b)) ]
-                  "race.pull"
-                  (fun () -> pull arms.(i) ~lo ~hi:(lo + b)))
-              s
-          in
-          List.iter2 (fun i batch -> ignore (Mc.Acc.merge accs.(i) batch)) s batches;
-          spent := !spent + (b * survivors);
-          (* The incumbent is the highest lower confidence bound (ties to the
-             lower index); an arm dies when its whole interval sits below
-             it. *)
-          let incumbent =
-            List.fold_left
-              (fun best i -> if lcb i > lcb best then i else best)
-              (List.hd s) (List.tl s)
-          in
-          let killed = ref [] in
-          List.iter
-            (fun i ->
-              if i <> incumbent && ucb i < lcb incumbent then begin
-                eliminated.(i) <- Some !round;
-                killed := i :: !killed
-              end)
-            s;
-          let statuses =
-            List.map
-              (fun i ->
-                { arm_ix = i;
-                  pulls = Mc.Acc.count accs.(i);
-                  mean = Mc.Acc.mean accs.(i);
-                  lcb = lcb i;
-                  ucb = ucb i })
-              s
-          in
-          log :=
-            { index = !round;
-              batch = b;
-              statuses;
-              incumbent;
-              eliminated = List.rev !killed }
-            :: !log;
-          Metrics.incr c_rounds;
-          Metrics.add c_trials (b * survivors);
-          Metrics.add c_eliminations (List.length !killed))
-    end
-  done;
-  let s = live () in
-  let best =
-    List.fold_left
-      (fun best i -> if Mc.Acc.mean accs.(i) > Mc.Acc.mean accs.(best) then i else best)
-      (List.hd s) (List.tl s)
-  in
-  { best = arms.(best);
-    best_estimate = Mc.Acc.finalize accs.(best);
-    spent = !spent;
-    rounds = !round;
-    standings =
-      List.init k (fun i ->
-          { arm = arms.(i);
-            estimate = Mc.Acc.finalize accs.(i);
-            eliminated_in = eliminated.(i) });
-    log = List.rev !log }
-
 (* ------------------------------------------------------------------ *)
 (* CRN-paired racing.  All surviving arms pull the *same* trial indices of
    a shared seed grid (the caller's [pull] contract), so trial [t] of arm
@@ -172,20 +65,27 @@ let race ?(batch0 = 64) ?(z = 3.0) ?(jobs = Parallel.default_jobs) ~arms ~pull ~
    fresh trials can no longer change the argmax — the race *settles* and
    stops, rather than burning the rest of the budget re-measuring one
    strategy.  That settle rule (plus the tighter eliminations) is where
-   the paired racer's ≤½-budget savings come from: the unpaired racer
-   always spends its full budget, even on a sole survivor. *)
+   the racer's savings come from on clean separations: a sole survivor
+   stops at [min_pulls] instead of absorbing the rest of the budget. *)
 
 let exact_tie (p : Crn.paired) = p.trials > 0 && p.diff = 0.0 && p.diff_std_err = 0.0
 
-let race_paired ?(batch0 = 64) ?(z = 3.0) ?(jobs = Parallel.default_jobs) ?(min_pulls = 256)
-    ~arms ~pull ~budget () =
-  if arms = [] then invalid_arg "Racing.race_paired: no arms";
-  if budget < 1 then invalid_arg "Racing.race_paired: budget < 1";
-  if batch0 < 1 then invalid_arg "Racing.race_paired: batch0 < 1";
-  if z < 0.0 then invalid_arg "Racing.race_paired: z < 0";
-  if min_pulls < 1 then invalid_arg "Racing.race_paired: min_pulls < 1";
+(* First batch (the Monte-Carlo chunk size), confidence multiplier, and the
+   incumbent's trial floor before a race of exact ties may settle. *)
+let batch0 = 64
+let z = 3.0
+let min_pulls = 256
+
+let race_paired ?(jobs = Parallel.default_jobs) ~arms ~pull ~budget () =
   let arms = Array.of_list arms in
   let k = Array.length arms in
+  if k = 0 then invalid_arg "Racing.race_paired: no arms";
+  if budget < k then
+    invalid_arg
+      (Printf.sprintf
+         "Racing.race_paired: budget %d is below the arm count %d (every arm needs at least \
+          one trial)"
+         budget k);
   let accs = Array.init k (fun _ -> Mc.Acc.create ()) in
   (* Per-arm payoff history on the shared grid (NaN = faulted trial).
      Every survivor covers exactly [0, covered): arms only ever pull the
@@ -200,7 +100,7 @@ let race_paired ?(batch0 = 64) ?(z = 3.0) ?(jobs = Parallel.default_jobs) ?(min_
   (* The first batch shrinks when the space is wide relative to the
      budget, so several elimination rounds always fit — a constant 64 would
      let round 1 alone swallow a 200-arm budget.  Deterministic in
-     (batch0, budget, k) only. *)
+     (budget, k) only. *)
   let b0 = min batch0 (max 16 (budget / (4 * k))) in
   let spent = ref 0 in
   let covered = ref 0 in
@@ -252,10 +152,9 @@ let race_paired ?(batch0 = 64) ?(z = 3.0) ?(jobs = Parallel.default_jobs) ?(min_
             s batches;
           covered := hi;
           spent := !spent + (b * survivors);
-          (* The incumbent is still the best marginal lower bound (ties to
-             the lower index) — identical rule to the unpaired racer, on
-             marginals that are bit-identical to what unpaired pulls of the
-             same per-arm stream would accumulate. *)
+          (* The incumbent is the best marginal lower bound (ties to the
+             lower index); marginals are bit-identical to a plain estimate
+             of the arm over the same trial indices. *)
           let incumbent =
             List.fold_left
               (fun best i -> if lcb i > lcb best then i else best)
@@ -308,8 +207,8 @@ let race_paired ?(batch0 = 64) ?(z = 3.0) ?(jobs = Parallel.default_jobs) ?(min_
           Metrics.incr c_rounds;
           Metrics.add c_trials (b * survivors);
           Metrics.add c_eliminations (List.length !killed);
-          (* The racer drives trials itself (Trial.run, not sample), so it
-             must feed the progress stream the service taps. *)
+          (* The racer drives trials itself through [Trial.run], so it must
+             feed the progress stream the service taps. *)
           Mc.notify_progress
             { Mc.after = Mc.Acc.count accs.(incumbent);
               batch = b;
@@ -352,29 +251,15 @@ type target = {
   overrides : Fairness.Events.overrides;
 }
 
-let arm_seed ~seed i = seed + (7919 * (i + 1))
-
-let race_space ?batch0 ?z ?jobs ~target ~space ~budget ~seed () =
-  let points = Array.of_list (Strategy_space.points space) in
-  let arms = List.init (Array.length points) (fun i -> i) in
-  (* Arm pulls get the full job budget: while many arms survive, the pool
-     is busy with the arm-level fan-out and the inner sample degrades to
-     the calling domain (exactly the old [~jobs:1] behaviour); once the
-     race narrows to a single arm, its batches are chunk-parallel through
-     the pool instead of pinning one core.  Either way [sample] is
-     jobs-invariant, so certificates are unchanged. *)
-  let pull_jobs = match jobs with Some j -> j | None -> Parallel.default_jobs in
-  let pull i ~lo ~hi =
-    Mc.sample ~overrides:target.overrides ~jobs:pull_jobs ~protocol:target.protocol
-      ~adversary:(Strategy_space.compile space points.(i))
-      ~func:target.func ~gamma:target.gamma ~env:target.env ~seed:(arm_seed ~seed i) ~lo ~hi
-      (Mc.Acc.create ())
+(* One seed prefix for the whole race: trial [t] of every arm shares its
+   environment draws and per-trial randomness, which is the grid contract
+   [race_paired] needs.  Each arm's batch runs on one domain; parallelism
+   lives at the arm level. *)
+let race_target ~jobs ~target ~arms ~budget ~seed =
+  let prefix = Mc.Trial.seed_prefix seed in
+  let pull adversary ~lo ~hi =
+    Array.init (hi - lo) (fun d ->
+        Mc.Trial.run ~overrides:target.overrides ~protocol:target.protocol ~adversary
+          ~func:target.func ~gamma:target.gamma ~env:target.env ~prefix (lo + d))
   in
-  let o = race ?batch0 ?z ?jobs ~arms ~pull ~budget () in
-  { best = points.(o.best);
-    best_estimate = o.best_estimate;
-    spent = o.spent;
-    rounds = o.rounds;
-    standings =
-      List.map (fun s -> { arm = points.(s.arm); estimate = s.estimate; eliminated_in = s.eliminated_in }) o.standings;
-    log = o.log }
+  race_paired ~jobs ~arms ~pull ~budget ()

@@ -2,38 +2,28 @@
 
     Candidate adversaries are arms; the supremum in [sup_A u(Π, A)] is found
     by {e racing} the arms under a shared trial budget instead of giving
-    every strategy the same (mostly wasted) sample size.  The schedule is a
-    successive-halving / LUCB hybrid:
+    every strategy the same (mostly wasted) sample size.  All surviving
+    arms pull the {e same} trial indices of one shared seed grid, so
+    elimination reads the common-random-numbers paired difference against
+    the incumbent ({!Fairness.Crn}) rather than two independent intervals:
+    correlated arms get far tighter gaps per trial, and the race can
+    {e settle} (stop early) once only exact ties of the incumbent survive.
 
-    - every surviving arm receives the same batch of fresh trials per round
-      (batches double, starting at [batch0]);
-    - after each round the {e incumbent} is the arm with the highest lower
-      confidence bound [mean − z·std_err] (ties to the lower arm index),
-      and every arm whose upper confidence bound [mean + z·std_err] falls
-      strictly below the incumbent's lower bound is eliminated;
+    - every surviving arm receives the same batch of fresh shared trials
+      per round (batches double);
+    - after each round the {e incumbent} is the arm with the highest
+      marginal lower confidence bound [mean − 3·std_err] (ties to the lower
+      arm index), and a rival dies when its paired difference against the
+      incumbent is bounded below zero;
     - surviving arms split the remaining budget until it cannot fund one
       more trial per survivor.
 
-    With [z = 3] an arm is only eliminated when its confidence interval is
-    disjoint from the incumbent's, so the true argmax survives with
-    overwhelming probability while hopeless arms stop burning trials after
-    one cheap batch — the budget concentrates on the contenders.
-
-    {b Determinism.} Arm pulls are derived from [(seed, arm index, trial
-    index)] only, batches are merged in arm order on the scheduling domain,
-    and elimination reads the merged accumulators — so the whole race (and
-    any certificate derived from it) is bit-identical for every [jobs]
-    value; parallelism only decides which domain evaluates which arm
-    ({!Fairness.Parallel.map_list}).
-
-    {b Paired racing.} {!race_paired} is the fast path: all surviving arms
-    pull the {e same} trial indices of a shared seed grid, and elimination
-    reads the common-random-numbers paired difference against the incumbent
-    ({!Fairness.Crn}) instead of two independent intervals — correlated
-    arms get dramatically tighter gaps per trial, and the race can {e
-    settle} (stop early) once only exact ties of the incumbent survive.
-    {!race} remains the unpaired fallback with independent per-arm streams,
-    which is what makes "searched ≥ zoo" an exact structural comparison. *)
+    {b Determinism.} Trial [t] depends on [(seed, t)] only, batches are
+    merged in arm order on the scheduling domain, and every decision reads
+    the merged accumulators — so the whole race (and any certificate
+    derived from it) is bit-identical for every [jobs] value; parallelism
+    only decides which domain evaluates which arm
+    ({!Fairness.Parallel.map_list}). *)
 
 module Mc = Fairness.Montecarlo
 
@@ -41,8 +31,8 @@ type arm_status = {
   arm_ix : int;  (** index into the race's arm array *)
   pulls : int;  (** total trials accumulated so far *)
   mean : float;
-  lcb : float;  (** [mean − z·std_err] *)
-  ucb : float;  (** [mean + z·std_err] *)
+  lcb : float;  (** [mean − 3·std_err] *)
+  ucb : float;  (** [mean + 3·std_err] *)
 }
 (** One surviving arm's confidence state at the end of a round. *)
 
@@ -73,35 +63,8 @@ type 'a outcome = {
   log : round_log list;  (** chronological; one entry per round *)
 }
 
-val race :
-  ?batch0:int ->
-  ?z:float ->
-  ?jobs:int ->
-  arms:'a list ->
-  pull:('a -> lo:int -> hi:int -> Mc.Acc.t) ->
-  budget:int ->
-  unit ->
-  'a outcome
-(** [pull arm ~lo ~hi] must return a fresh accumulator holding exactly the
-    trials [\[lo, hi)] of the arm's deterministic per-arm stream; it is
-    called with contiguous, increasing ranges and may run on any domain.
-    [batch0] defaults to 64 (the Monte-Carlo chunk size, keeping batch
-    boundaries chunk-aligned); [z] defaults to 3.
-    @raise Invalid_argument on an empty arm list, [budget < 1], [batch0 < 1]
-    or [z < 0]. *)
-
-(** {2 Paired racing} *)
-
-type mode = Paired | Unpaired
-
-val mode_name : mode -> string
-(** ["paired"] / ["unpaired"] — the tag certificates carry. *)
-
 val race_paired :
-  ?batch0:int ->
-  ?z:float ->
   ?jobs:int ->
-  ?min_pulls:int ->
   arms:'a list ->
   pull:('a -> lo:int -> hi:int -> Mc.Trial.obs option array) ->
   budget:int ->
@@ -119,10 +82,10 @@ val race_paired :
     grid prefix.
 
     Scheduling: doubling batches from a first batch of
-    [min batch0 (max 16 (budget / 4k))] (shrunk so wide spaces get several
-    elimination rounds); the incumbent is the best {e marginal} lower bound
-    exactly as in {!race}.  A rival dies when its paired difference against
-    the incumbent is bounded below zero: [diff + z·diff_std_err < 0], with
+    [min 64 (max 16 (budget / 4k))] for [k] arms (shrunk so wide spaces get
+    several elimination rounds); the incumbent is the best {e marginal}
+    lower bound.  A rival dies when its paired difference against the
+    incumbent is bounded below zero: [diff + 3·diff_std_err < 0], with
     [diff]/[diff_std_err] from the bivariate Welford/Chan accumulator over
     the common trials ({!Fairness.Crn.Bacc}; pairs where either leg faulted
     are voided; at least 2 completed pairs are required).  A rival whose
@@ -130,19 +93,19 @@ val race_paired :
     ([diff = 0] and [diff_std_err = 0], exactly — identical recurrences
     cancel bitwise) and is never killed; it keeps pulling alongside the
     incumbent so its marginal stays bitwise-equal.  Once every surviving
-    rival is an exact tie and the incumbent holds at least [min_pulls]
-    (default 256) trials, the race {e settles}: fresh shared trials can
-    never separate bitwise-equal histories, so it stops instead of
-    spending the rest of the budget (metric [race.settled]).
+    rival is an exact tie and the incumbent holds at least 256 trials, the
+    race {e settles}: fresh shared trials can never separate
+    bitwise-equal histories, so it stops instead of spending the rest of
+    the budget (metric [race.settled]).
 
     Determinism: batches are merged in arm order on the scheduling domain
     and every decision reads merged accumulators/histories, so outcomes are
     bit-identical at any [jobs] value.  Fires the {!Mc.set_progress_hook}
     stream once per round with the incumbent's running marginal.
 
-    @raise Invalid_argument on an empty arm list, [budget < 1],
-    [batch0 < 1], [z < 0], [min_pulls < 1], or a [pull] returning a
-    wrong-sized batch. *)
+    @raise Invalid_argument on an empty arm list, a [budget] below the arm
+    count (every arm needs at least one trial; the message names both
+    numbers), or a [pull] returning a wrong-sized batch. *)
 
 (** {2 Monte-Carlo-backed racing} *)
 
@@ -154,17 +117,16 @@ type target = {
   overrides : Fairness.Events.overrides;
 }
 
-val race_space :
-  ?batch0:int ->
-  ?z:float ->
-  ?jobs:int ->
+val race_target :
+  jobs:int ->
   target:target ->
-  space:Strategy_space.space ->
+  arms:Fair_exec.Adversary.t list ->
   budget:int ->
   seed:int ->
-  unit ->
-  Strategy_space.point outcome
-(** Race the full enumeration of [space] against the target.  Arm [i]'s
-    stream is seeded with [seed + 7919·(i+1)] (so arms are independent and
-    the race is reproducible from [seed] alone); each pull evaluates with
-    [jobs:1] inside, parallelism lives at the arm level. *)
+  Fair_exec.Adversary.t outcome
+(** {!race_paired} of [arms] against [target] on the shared grid
+    [Mc.Trial.seed_prefix seed]: arm [a]'s trial [t] is
+    [Mc.Trial.run ~adversary:a ~prefix t], so the race is reproducible from
+    [seed] alone.  Used by the registry searches
+    ([Fair_analysis.Experiments.searched]) and the landscapes
+    ({!Landscape}). *)

@@ -99,8 +99,6 @@ let compile s { spec; tactic } =
   | Substitute input -> Adv.substitute_input ~input spec
   | Adaptive budget -> Adv.adaptive_hunter ?func:s.func ~budget ()
 
-let point_name s p = (compile s p).Adversary.name
-
 (* [Random_subset 1] and [Random_party] draw the same coalition. *)
 let equiv_spec a b =
   match (a, b) with

@@ -68,9 +68,6 @@ val sample : space -> Rng.t -> point
 val compile : space -> point -> Adversary.t
 (** The executable strategy at this point. *)
 
-val point_name : space -> point -> string
-(** Stable human-readable arm identity (the compiled adversary's name). *)
-
 val contains_zoo : space -> bool
 (** True when the space's tactic set covers [Adversaries.standard_zoo]'s
     generators (passive, silent, semi-honest, greedy, grab-and-abort,

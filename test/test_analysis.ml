@@ -51,16 +51,6 @@ let test_markdown_of_result () =
 
 (* ----------------------------- sweep -------------------------------- *)
 
-let test_n_sweep_shape () =
-  let module S = Fair_analysis.Sweep in
-  let t = S.n_sweep ~ns:[ 2; 4 ] ~trials:150 ~seed:5 () in
-  Alcotest.(check int) "two rows" 2 (List.length t.S.rows);
-  (* fairness decays with n: the n=4 coalition value exceeds the n=2 one *)
-  match List.map snd t.S.data with
-  | [ u2; u4 ] ->
-      if u4 <= u2 -. 0.1 then Alcotest.failf "decay violated: %.3f vs %.3f" u2 u4
-  | _ -> Alcotest.fail "unexpected data shape"
-
 let test_q_sweep_v_shape () =
   let module S = Fair_analysis.Sweep in
   let t = S.q_sweep ~qs:[ 0.0; 0.5; 1.0 ] ~trials:200 ~seed:6 () in
@@ -72,7 +62,7 @@ let test_q_sweep_v_shape () =
 
 let test_sweep_renders () =
   let module S = Fair_analysis.Sweep in
-  let t = S.gamma_sweep ~gammas:[ Fairness.Payoff.default ] ~trials:100 ~seed:7 () in
+  let t = S.q_sweep ~qs:[ 0.5 ] ~trials:100 ~seed:7 () in
   let s = S.render t in
   Alcotest.(check bool) "non-empty" true (String.length s > 20)
 
@@ -82,9 +72,10 @@ let test_sweep_data_label_order () =
   let module S = Fair_analysis.Sweep in
   Alcotest.(check bool) "digit runs compare numerically" true (S.natural_compare "n=2" "n=10" < 0);
   Alcotest.(check bool) "plain text still ordered" true (S.natural_compare "abort@3" "greedy" < 0);
-  let t = S.n_sweep ~ns:[ 4; 2 ] ~trials:120 ~seed:9 () in
-  Alcotest.(check (list string)) "data sorted" [ "2"; "4" ] (List.map fst t.S.data);
-  Alcotest.(check string) "rows keep sweep order" "4" (List.hd (List.hd t.S.rows))
+  let t = S.q_sweep ~qs:[ 1.0; 0.0 ] ~trials:120 ~seed:9 () in
+  Alcotest.(check (list string)) "data sorted" [ "0.00"; "1.00" ] (List.map fst t.S.data);
+  Alcotest.(check (list string)) "rows keep sweep order" [ "1.00"; "0.00" ]
+    (List.map List.hd t.S.rows)
 
 (* ------------------------------ demo --------------------------------- *)
 
@@ -149,8 +140,7 @@ let () =
           Alcotest.test_case "lookup" `Quick test_find;
           Alcotest.test_case "markdown output" `Slow test_markdown_of_result ] );
       ( "sweep",
-        [ Alcotest.test_case "n-sweep decay" `Slow test_n_sweep_shape;
-          Alcotest.test_case "q-sweep V shape" `Slow test_q_sweep_v_shape;
+        [ Alcotest.test_case "q-sweep V shape" `Slow test_q_sweep_v_shape;
           Alcotest.test_case "render" `Slow test_sweep_renders;
           Alcotest.test_case "data label order" `Slow test_sweep_data_label_order ] );
       ( "demo",

@@ -424,19 +424,21 @@ let test_zero_perturbation () =
 
 (* ---------------------- racing round log ---------------------------- *)
 
-(* Synthetic deterministic arms: arm i's trials are a constant stream at
+(* Synthetic deterministic arms: arm i's trials are a shared-grid stream at
    level i/10, so the race must keep the top arm and the log must narrate
    every round. *)
 let test_racing_round_log () =
   quiesce ();
   let pull i ~lo ~hi =
-    let a = Mc.Acc.create () in
-    for t = lo to hi - 1 do
-      Mc.Acc.observe a ((float_of_int i /. 10.0) +. (0.001 *. float_of_int (t mod 7)))
-    done;
-    a
+    Array.init (hi - lo) (fun d ->
+        let t = lo + d in
+        Some
+          { Mc.Trial.t_payoff = (float_of_int i /. 10.0) +. (0.001 *. float_of_int (t mod 7));
+            t_event = Fairness.Events.E11;
+            t_corrupted = 1;
+            t_breach = false })
   in
-  let run () = Racing.race ~arms:[ 0; 1; 2; 3 ] ~pull ~budget:2_000 () in
+  let run () = Racing.race_paired ~arms:[ 0; 1; 2; 3 ] ~pull ~budget:2_000 () in
   let o = run () in
   Alcotest.(check int) "one log entry per round" o.Racing.rounds
     (List.length o.Racing.log);
