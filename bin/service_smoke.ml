@@ -17,10 +17,14 @@
         metrics and the query log switched ON; afterwards the exported
         Chrome trace must contain client.query, service.queue and
         service.exec spans all tagged with the cold query's trace id (one
-        lane set per query in Perfetto), the qlog JSONL must hold a "cold"
-        line with queue latency and engine counter deltas plus a "mem"
-        line for the warm hit, and a final obs-OFF inline recompute must
-        reproduce the served bytes exactly (zero perturbation).
+        lane set per query in Perfetto), and race.pull spans tagged with
+        it on more than one domain (the server runs -j 2, so the request
+        scope must follow the racer onto pool domains); the qlog JSONL
+        must hold a "cold" line with queue latency, the request's own
+        engine counters and a trial count equal to the certificate's
+        spent budget, plus a "mem" line for the warm hit; and a final
+        obs-OFF inline recompute must reproduce the served bytes exactly
+        (zero perturbation).
 
    Exit 0 only if every assertion holds. *)
 
@@ -211,6 +215,20 @@ let () =
       if not (tagged name) then
         fail "trace export has no %S span carrying trace id %s" name tid)
     [ "client.query"; "service.queue"; "service.exec" ];
+  let pull_domains =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (e : Fair_obs.Trace.event) ->
+           if
+             e.Fair_obs.Trace.name = "race.pull"
+             && List.assoc_opt "trace_id" e.Fair_obs.Trace.args = Some tid
+           then Some e.Fair_obs.Trace.tid
+           else None)
+         events)
+  in
+  if List.length pull_domains < 2 then
+    fail "race.pull spans carry trace id %s on %d domain(s); the -j 2 pool must give 2"
+      tid (List.length pull_domains);
   (match Fairness.Json.of_string (In_channel.with_open_bin trace_path In_channel.input_all) with
   | Ok _ -> ()
   | Result.Error e -> fail "written trace file does not parse: %s" e);
@@ -247,6 +265,14 @@ let () =
                [ "engine."; "mc."; "race." ])
            kv -> ()
   | _ -> fail "cold qlog line carries no engine counter deltas");
+  let spent =
+    match Result.bind (Json.of_string r1.S.Proto.r_body) (fun c -> Json.member "spent" c) with
+    | Ok v -> ( match Json.to_int v with Ok n -> n | Result.Error e -> fail "certificate spent: %s" e)
+    | Result.Error e -> fail "cold certificate: %s" e
+  in
+  if int_member "trials" cold_line <> spent then
+    fail "cold qlog line counts %d trials, the certificate spent %d"
+      (int_member "trials" cold_line) spent;
   if str "outcome" cold_line <> "ok" then
     fail "cold query's qlog outcome is %S, expected ok" (str "outcome" cold_line);
   if not (List.mem "mem" tiers) then fail "warm hit left no mem-tier qlog line";
@@ -260,6 +286,7 @@ let () =
     "service-smoke: OK — cold compute streamed %d progress frames; warm query was a cache hit \
      (+%d hits, pool frozen) with byte-identical certificate; inline bytes match at -j 1 and \
      -j 2; truncated frame and client crash stayed isolated to their connections; trace %s \
-     carries client/queue/exec lanes for trace id %s; qlog %s has cold+mem lines with queue \
-     latency and counter deltas; obs-off recompute byte-identical\n"
-    !progress hits_delta trace_path tid qlog_path
+     carries client/queue/exec lanes for trace id %s and its race.pull spans on %d domains; \
+     qlog %s has cold+mem lines with queue latency, counters and %d trials (= spent); obs-off \
+     recompute byte-identical\n"
+    !progress hits_delta trace_path tid (List.length pull_domains) qlog_path spent

@@ -15,7 +15,7 @@ let uniform_bit_inputs ~n rng = Array.init n (fun _ -> if Rng.bool rng then "1" 
 
 let uniform_mod_inputs ~m ~n rng = Array.init n (fun _ -> string_of_int (Rng.int rng m))
 
-type convergence_point = {
+type convergence_point = Fair_obs.Scope.progress = {
   after : int;
   batch : int;
   running_mean : float;
@@ -159,33 +159,12 @@ let acc_finalize ?(trajectory = []) a =
    table and certificate is preserved. *)
 let trial_seed_prefix seed = "mc:" ^ string_of_int seed ^ ":"
 
-(* Exceptions trial isolation must never swallow. *)
-let fatal = function
-  | Stack_overflow | Out_of_memory | Assert_failure _ -> true
-  | _ -> false
-
-(* Progress hook: an observation-only tap on the convergence stream, for
-   consumers (the certificate service) that want to surface liveness while
-   an estimate runs.  Strictly output-side: the hook is consulted only
-   after a range has been accumulated, never touches an RNG, and never
-   influences chunking or stopping — estimates are bit-identical with any
-   hook installed (the same invariant the obs layer keeps).  The hook may
-   fire from a pool worker domain; implementations must be domain-safe.
-   A raising hook is contained: the exception is swallowed (fatal ones
-   still propagate) so telemetry can never kill an estimate. *)
-let progress_hook : (convergence_point -> unit) option Atomic.t = Atomic.make None
-
-let set_progress_hook h = Atomic.set progress_hook h
-
-let fire_progress p =
-  match Atomic.get progress_hook with
-  | None -> ()
-  | Some f -> ( try f p with e when not (fatal e) -> ())
-
-(* Public face of [fire_progress]: callers that drive their own trial
-   loops through {!Trial.run} (the paired racer) bypass [estimate] and so
-   must feed the progress stream themselves. *)
-let notify_progress = fire_progress
+(* Progress goes to the current scope's sink, after a batch has been
+   accumulated: the sink never touches an RNG or influences chunking or
+   stopping, so estimates are bit-identical with or without one.  A
+   raising sink is contained (fatal exceptions still propagate) so
+   telemetry can never kill an estimate. *)
+let fire_progress p = try Fair_obs.Scope.progress p with e when not (Engine.fatal e) -> ()
 
 (* One classified trial, decoupled from any accumulator so paired designs
    ({!Crn}) can observe the same (seed, i) stream under several
@@ -195,7 +174,9 @@ let notify_progress = fire_progress
    instead of aborting the whole estimate; callers count it and
    {!estimate} enforces the fault budget on the total.  The classification
    is deterministic per (seed, i), so which trials fault — and hence the
-   estimate — is still jobs-invariant. *)
+   estimate — is still jobs-invariant.  Every trial (estimate, CRN pair
+   leg, racer pull) passes through here, so this is where [mc.trials]
+   counts them. *)
 type trial_obs = {
   t_payoff : float;
   t_event : Events.event;
@@ -204,6 +185,7 @@ type trial_obs = {
 }
 
 let observe_trial ~overrides ~inject ~protocol ~adversary ~func ~gamma ~env ~prefix i =
+  Metrics.incr c_trials;
   let master = Rng.create ~seed:(prefix ^ string_of_int i) in
   match
     let inputs = env (Rng.split master ~label:"env") in
@@ -234,7 +216,7 @@ let observe_trial ~overrides ~inject ~protocol ~adversary ~func ~gamma ~env ~pre
           t_event = cl.Events.event;
           t_corrupted = List.length (Events.corrupted_parties trial);
           t_breach = cl.Events.correctness_breach }
-  | exception e when not (fatal e) ->
+  | exception e when not (Engine.fatal e) ->
       Metrics.incr c_trial_faults;
       None
 
@@ -263,7 +245,6 @@ let run_range ~overrides ~inject ~protocol ~adversary ~func ~gamma ~env ~seed ~j
         Parallel.map_range ~jobs ~chunk_size ~lo ~hi (fun ~lo ~hi ->
             Otrace.with_span ~cat:"mc" "mc.chunk" (fun () ->
                 Metrics.incr c_chunks;
-                Metrics.add c_trials (hi - lo);
                 let a = acc_create () in
                 for i = lo to hi - 1 do
                   run_trial ~overrides ~inject ~protocol ~adversary ~func ~gamma ~env ~prefix

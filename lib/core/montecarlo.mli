@@ -34,7 +34,7 @@ val uniform_field_inputs : n:int -> environment
 val uniform_bit_inputs : n:int -> environment
 val uniform_mod_inputs : m:int -> n:int -> environment
 
-type convergence_point = {
+type convergence_point = Fair_obs.Scope.progress = {
   after : int;  (** total trials accumulated after this batch *)
   batch : int;  (** trials this batch added *)
   running_mean : float;
@@ -106,30 +106,13 @@ val estimate :
     the mean rather than aborting the estimate; which trials fault is a
     deterministic function of (seed, i), so faulted estimates remain
     jobs-invariant.  [fault_budget] (default [0.1]) is the tolerated
-    faulted fraction of attempted trials.
+    faulted fraction of attempted trials.  Each batch's convergence point
+    goes to the {!Fair_obs.Scope} sink once merged; a non-fatal raise
+    there is ignored.
 
     @raise Invalid_argument if [trials < 1], [target_std_err <= 0] or
     [fault_budget] is outside [0,1].
     @raise Fault_budget_exceeded past the budget. *)
-
-val set_progress_hook : (convergence_point -> unit) option -> unit
-(** Install (or clear) a process-wide observation tap on the convergence
-    stream: {!estimate} fires it once per batch (once total for fixed-size
-    runs) with the running mean/std-err of the deterministically-merged
-    accumulator.  Strictly output-side — the hook sees state only {e after}
-    it is computed, so installing one cannot perturb any estimate (same
-    invariant as {!Fair_obs}).  The hook may be invoked from a pool worker
-    domain ({!best_response} scores zoo members through the pool); it must
-    be domain-safe.  Non-fatal exceptions raised by the hook are
-    swallowed.  Used by the certificate service ({!Fair_service}) to stream
-    progress frames; defaults to [None]. *)
-
-val notify_progress : convergence_point -> unit
-(** Fire the installed progress hook (no-op when none is installed).  For
-    callers that drive their own trial loops through {!Trial.run} — e.g.
-    the paired racer in [Fair_search.Racing] — and therefore bypass the
-    firing points inside {!estimate}.  Non-fatal hook exceptions are
-    swallowed, exactly as for the internal firing points. *)
 
 (** {2 Incremental accumulation}
 
@@ -189,7 +172,8 @@ module Trial : sig
     obs option
   (** [None] when the trial raised (trial-level isolation; metric
       [mc.trial_faults] is bumped).  Callers own fault accounting and
-      budgets. *)
+      budgets.  Every trial, here or in {!estimate}, counts one
+      [mc.trials]. *)
 
   val observe : Acc.t -> obs -> unit
   (** Fold one observation into an accumulator with the full event

@@ -181,14 +181,18 @@ let collect results task =
              | exception _retry_failed -> raise e)
          | None -> assert false)
 
+(* The only place a computation changes domain: every task runs under the
+   caller's request scope, on whichever domain claims it. *)
 let run_pooled ~jobs ~n task =
   let t_start = Clock.now_ns () in
   let results = Array.make n None in
   let pending = Atomic.make n in
   let done_mutex = Mutex.create () in
   let done_cond = Condition.create () in
+  let scope = Fair_obs.Scope.current () in
   let run i =
-    results.(i) <- Some (try Ok (task i) with e -> Error e);
+    results.(i) <-
+      Some (try Ok (Fair_obs.Scope.within scope (fun () -> task i)) with e -> Error e);
     (* The last finisher (not necessarily the last claimer) wakes the
        caller, which may be parked below while a worker still runs. *)
     if Atomic.fetch_and_add pending (-1) = 1 then begin

@@ -49,6 +49,10 @@ exception Fail of failure
 val failure_to_string : failure -> string
 val pp_failure : Format.formatter -> failure -> unit
 
+val fatal : exn -> bool
+(** [Stack_overflow], [Out_of_memory], [Assert_failure]: what no
+    containment layer in the repo may swallow. *)
+
 (** {2 Fault injection}
 
     The engine exposes two interposition points; {!Fair_faults} compiles

@@ -292,10 +292,6 @@ let instantiate plan ~rng =
 
 (* ------------------------------------------------------------------ *)
 
-let fatal = function
-  | Stack_overflow | Out_of_memory | Assert_failure _ -> true
-  | _ -> false
-
 let harden_adversary (a : Adversary.t) =
   { a with
     Adversary.make =
@@ -306,6 +302,6 @@ let harden_adversary (a : Adversary.t) =
             (fun view ->
               match inst.Adversary.step view with
               | d -> d
-              | exception e when not (fatal e) ->
+              | exception e when not (Engine.fatal e) ->
                   Metrics.incr c_adv_contained;
                   Adversary.silent_decision) }) }

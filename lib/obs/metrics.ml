@@ -22,6 +22,7 @@ type ccell = { c_domain : int; mutable c_count : int }
 
 type counter = {
   c_name : string;
+  c_ix : int;  (* registration index: this counter's cell in a [Scope] *)
   c_cells : ccell list ref;  (* guarded by [lock]; newest first *)
   c_key : ccell Dls.key;  (* this domain's cell, allocated on first use *)
 }
@@ -42,14 +43,15 @@ let counter name =
                 Mutex.unlock lock;
                 cell)
           in
-          let c = { c_name = name; c_cells = cells; c_key = key } in
+          let c = { c_name = name; c_ix = Scope.slot (); c_cells = cells; c_key = key } in
           Hashtbl.add counters name c;
           c)
 
 let add c n =
   if Atomic.get on then begin
     let cell = Dls.get c.c_key in
-    cell.c_count <- cell.c_count + n
+    cell.c_count <- cell.c_count + n;
+    Scope.add c.c_ix n
   end
 
 let incr c = add c 1
@@ -163,6 +165,10 @@ let by_domain f cells = List.sort (fun a b -> compare (f a) (f b)) cells
 let sorted_by_name tbl read =
   Hashtbl.fold (fun name v acc -> (name, read v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+let scoped s =
+  locked (fun () -> sorted_by_name counters (fun c -> Scope.count s c.c_ix))
+  |> List.filter (fun (_, n) -> n <> 0)
 
 let snapshot () =
   locked (fun () ->

@@ -45,7 +45,11 @@ type counter
 val counter : string -> counter
 val incr : counter -> unit
 val add : counter -> int -> unit
-(** No-ops (one atomic load) while the registry is disabled. *)
+(** No-ops (one atomic load) while the registry is disabled; otherwise
+    also adds to the calling domain's {!Scope}. *)
+
+val scoped : Scope.t -> (string * int) list
+(** A scope's non-zero counters, sorted by name. *)
 
 type gauge
 

@@ -33,8 +33,8 @@ type event = {
       (** the query's relative deadline in seconds; [0.] = the client set
           none *)
   attempt : int;  (** the client's retry attempt number ([0] = first try) *)
-  trials : int;  (** [mc.trials] delta over the compute window *)
-  counters : (string * int) list;  (** [engine.*]/[mc.*]/[race.*] deltas *)
+  trials : int;  (** this request's [mc.trials]: a search's [spent] *)
+  counters : (string * int) list;  (** its {!Scope}'s [engine.*]/[mc.*]/[race.*] *)
   outcome : string;
       (** ["ok" | "bound-violation"], a {!Failure} code, or a resilience
           verdict: ["shed"] (deadline expired while queued), ["drained"]

@@ -70,24 +70,12 @@ let clear () =
     !bufs;
   Mutex.unlock lock
 
-(* Ambient args: extra key/value pairs attached to every event the calling
-   domain records while [with_ambient] is active — how a request's trace
-   id reaches spans recorded deep inside the engine without threading an
-   argument through every layer.  Per-domain (DLS), so a service executor
-   worker tags only its own request's spans; restored on exit even when
-   the wrapped function raises. *)
-let ambient_key = Dls.new_key (fun () -> ref [])
-
-let with_ambient args fn =
-  let cell = Dls.get ambient_key in
-  let saved = !cell in
-  cell := args @ saved;
-  Fun.protect ~finally:(fun () -> cell := saved) fn
-
+(* A request's trace args reach spans recorded deep inside the engine, on
+   any domain, through its {!Scope}. *)
 let record e =
   let b = Dls.get buf_key in
-  let ambient = !(Dls.get ambient_key) in
-  let e = if ambient = [] then e else { e with args = e.args @ ambient } in
+  let scoped = Scope.args () in
+  let e = if scoped = [] then e else { e with args = e.args @ scoped } in
   Mutex.lock b.b_lock;
   if b.b_len >= Atomic.get max_events then b.b_dropped <- b.b_dropped + 1
   else begin

@@ -22,7 +22,11 @@
     Buffers are additionally safe against {e systhreads}: every thread of a
     domain shares that domain's buffer, so recording takes a per-buffer
     mutex — only while tracing is enabled (the disabled path is still an
-    atomic load and a branch), and per-buffer, so domains never contend. *)
+    atomic load and a branch), and per-buffer, so domains never contend.
+
+    Every event recorded under a {!Scope} carries the scope's args after
+    its own — how a request's trace id reaches the engine and Monte-Carlo
+    spans it causes, on whichever domain they run. *)
 
 type phase =
   | Span of int  (** complete span; payload = duration in ns *)
@@ -60,15 +64,6 @@ val emit_span : ?cat:string -> ?args:(string * string) list -> string -> ts_ns:i
 
 val instant : ?cat:string -> ?args:(string * string) list -> string -> unit
 (** A zero-duration marker. *)
-
-val with_ambient : (string * string) list -> (unit -> 'a) -> 'a
-(** Attach [args] to every event the {e calling domain} records while the
-    function runs (appended after the event's own args) — how a request's
-    trace id reaches spans recorded deep inside the engine or Monte-Carlo
-    stack without threading a parameter through every layer.  Nests
-    (inner contexts prepend); restored on exit even on exception.  Note
-    the per-domain scope: work fanned out to {e other} pool domains does
-    not inherit the ambient args. *)
 
 val export : unit -> event list
 (** All buffered events, buffers merged in domain-index order (within one

@@ -207,13 +207,15 @@ let race_paired ?(jobs = Parallel.default_jobs) ~arms ~pull ~budget () =
           Metrics.incr c_rounds;
           Metrics.add c_trials (b * survivors);
           Metrics.add c_eliminations (List.length !killed);
-          (* The racer drives trials itself through [Trial.run], so it must
-             feed the progress stream the service taps. *)
-          Mc.notify_progress
-            { Mc.after = Mc.Acc.count accs.(incumbent);
-              batch = b;
-              running_mean = Mc.Acc.mean accs.(incumbent);
-              running_std_err = Mc.Acc.std_err accs.(incumbent) };
+          (* The racer drives trials itself, so it sends its own progress
+             point, contained as in [Mc.estimate]. *)
+          (try
+             Fair_obs.Scope.progress
+               { Mc.after = Mc.Acc.count accs.(incumbent);
+                 batch = b;
+                 running_mean = Mc.Acc.mean accs.(incumbent);
+                 running_std_err = Mc.Acc.std_err accs.(incumbent) }
+           with e when not (Fair_exec.Engine.fatal e) -> ());
           (* Settle: every surviving rival is an exact CRN tie of the
              incumbent — fresh shared trials can never separate bitwise-
              equal histories — and the incumbent is measured well enough.

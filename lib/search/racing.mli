@@ -100,8 +100,9 @@ val race_paired :
 
     Determinism: batches are merged in arm order on the scheduling domain
     and every decision reads merged accumulators/histories, so outcomes are
-    bit-identical at any [jobs] value.  Fires the {!Mc.set_progress_hook}
-    stream once per round with the incumbent's running marginal.
+    bit-identical at any [jobs] value.  Sends one progress point per round,
+    the incumbent's running marginal, to the calling domain's
+    {!Fair_obs.Scope}.
 
     @raise Invalid_argument on an empty arm list, a [budget] below the arm
     count (every arm needs at least one trial; the message names both

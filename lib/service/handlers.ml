@@ -1,8 +1,7 @@
 module E = Fair_analysis.Experiments
 module Certificate = Fair_search.Certificate
 module Json = Fairness.Json
-
-let fatal = function Stack_overflow | Out_of_memory | Assert_failure _ -> true | _ -> false
+module Engine = Fair_exec.Engine
 
 let answer ~jobs (q : Proto.query) =
   match E.find q.Proto.q_experiment with
@@ -25,10 +24,10 @@ let answer ~jobs (q : Proto.query) =
                        Printf.sprintf
                          "%s has no search target (its number is not a supremum over adversaries)"
                          spec.E.eid })
-          | exception e when not (fatal e) ->
+          | exception e when not (Engine.fatal e) ->
               Error (Failure.Query_failed { reason = Printexc.to_string e }))
       | Proto.Run -> (
           match spec.E.run ~trials:q.Proto.q_budget ~seed:q.Proto.q_seed ~jobs with
           | r -> Ok (Json.to_string (E.result_to_json r) ^ "\n", E.all_ok r)
-          | exception e when not (fatal e) ->
+          | exception e when not (Engine.fatal e) ->
               Error (Failure.Query_failed { reason = Printexc.to_string e })))

@@ -52,8 +52,8 @@ type query = {
 type request = Query of query | Stats | Ping
 
 type progress = { p_after : int; p_batch : int; p_mean : float; p_std_err : float }
-(** One Monte-Carlo convergence point, relayed from
-    {!Fairness.Montecarlo.set_progress_hook} while the query computes. *)
+(** One Monte-Carlo convergence point of this query's own computation,
+    relayed from its {!Fair_obs.Scope} sink while it computes. *)
 
 type result = {
   r_cached : bool;  (** answered from the certificate cache *)

@@ -1,6 +1,7 @@
 module Metrics = Fair_obs.Metrics
 module Clock = Fair_obs.Clock
 module Trace = Fair_obs.Trace
+module Engine = Fair_exec.Engine
 
 let c_admitted = Metrics.counter "service.sched.admitted"
 let c_rejected = Metrics.counter "service.sched.rejected"
@@ -67,11 +68,6 @@ type 'a t = {
 let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-(* Fatal exceptions must still kill the process; everything else raised by
-   [exec] is a worker death the supervisor absorbs: the dying domain is
-   replaced and the batch in hand is answered through [on_crash]. *)
-let fatal = function Stack_overflow | Out_of_memory | Assert_failure _ -> true | _ -> false
 
 (* Caller holds the lock; bookkeeping for removing one queued entry. *)
 let unqueue t (e : 'a entry) =
@@ -201,7 +197,7 @@ let rec worker t () =
     | `Stop -> loop := false
     | `Shed job ->
         Metrics.incr c_shed;
-        (try t.on_shed job with e when not (fatal e) -> ());
+        (try t.on_shed job with e when not (Engine.fatal e) -> ());
         (* Shedding freed no inflight key, but it did consume queue slots:
            admission headroom changed, and a parked submitter's view of
            the world is stale.  No broadcast needed — only workers wait on
@@ -221,12 +217,13 @@ let rec worker t () =
                    new work may have queued while we computed: wake
                    everyone. *)
                 Condition.broadcast t.work)
-        | exception e when not (fatal e) ->
-            (* Worker death.  Release what the dead worker held, put a
-               replacement domain in the pool, and only then (outside the
-               lock) let the server answer the orphaned batch — the same
-               order a crashed process's supervisor would use: restore
-               capacity first, apologize second. *)
+        | exception e when not (Engine.fatal e) ->
+            (* Worker death (fatal exceptions still kill the process).
+               Release what the dead worker held, put a replacement domain
+               in the pool, and only then (outside the lock) let the server
+               answer the orphaned batch — the same order a crashed
+               process's supervisor would use: restore capacity first,
+               apologize second. *)
             Metrics.incr c_exec_failures;
             Metrics.incr c_restarts;
             with_lock t (fun () ->
@@ -236,7 +233,7 @@ let rec worker t () =
                 Metrics.set_gauge g_concurrency (float_of_int t.active);
                 if not t.stopped then t.domains <- Domain.spawn (worker t) :: t.domains;
                 Condition.broadcast t.work);
-            (try t.on_crash leader ~followers e with e' when not (fatal e') -> ());
+            (try t.on_crash leader ~followers e with e' when not (Engine.fatal e') -> ());
             loop := false (* this domain is dead; its replacement runs on *))
   done
 

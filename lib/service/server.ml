@@ -198,40 +198,9 @@ let log_malformed conn ~recv_ns =
         outcome = "malformed-frame";
       }
 
-(* Engine-side counter deltas attributed to one compute window.  Both
-   snapshots are name-sorted and registration only ever grows, so a single
-   pass over [after] with a lookup into [before] is exact.  Attribution is
-   process-wide: two cold queries computing concurrently each see the sum
-   of both computations — documented honestly rather than papered over,
-   because per-domain attribution would have to thread request identity
-   through the engine, which the zero-perturbation rule forbids. *)
-let counter_prefixes = [ "engine."; "mc."; "race." ]
-
-let interesting name =
-  List.exists
-    (fun p ->
-      String.length name >= String.length p && String.sub name 0 (String.length p) = p)
-    counter_prefixes
-
-let counter_deltas (before : Metrics.snapshot) (after : Metrics.snapshot) =
-  let base = Hashtbl.create 32 in
-  List.iter (fun (n, v) -> Hashtbl.replace base n v) before.Metrics.counters;
-  List.filter_map
-    (fun (n, v) ->
-      if not (interesting n) then None
-      else
-        let b = Option.value ~default:0 (Hashtbl.find_opt base n) in
-        if v > b then Some (n, v - b) else None)
-    after.Metrics.counters
-
-(* The Monte-Carlo progress hook is process-wide state, but the executor
-   pool can run several cold queries at once.  A boolean lease arbitrates:
-   the first worker to claim it streams progress frames to its recipients
-   and clears the hook when done; the others compute silently (their
-   clients still get the final Result).  Losing frames is strictly a
-   telemetry concession — never letting worker B clobber (or clear) worker
-   A's installed hook is what keeps frames correctly routed. *)
-let progress_lease = Atomic.make false
+(* The counters a qlog line carries from its request's scope. *)
+let interesting (name, _) =
+  List.exists (fun prefix -> String.starts_with ~prefix name) [ "engine."; "mc."; "race." ]
 
 (* The executor: computes one coalesced batch and answers everyone in it.
    Recipients are dead-skipped at each step, so a client that vanished
@@ -361,10 +330,21 @@ let exec t (leader : pending Sched.job) ~followers =
       | None -> false
   in
   if not already then
-    (* Ambient trace context: every span the engine or Monte-Carlo stack
-       records on this domain during the computation inherits the
-       request's trace id without any parameter threading. *)
-    Trace.with_ambient targs (fun () ->
+    (* The request scope: the computation's spans, counters and progress,
+       on any domain, are this request's and this batch's alone. *)
+    let scope =
+      Fair_obs.Scope.create ~args:targs
+        ~sink:(fun { Fair_obs.Scope.after; batch; running_mean; running_std_err } ->
+          deliver_progress
+            (Proto.Progress
+               {
+                 Proto.p_after = after;
+                 p_batch = batch;
+                 p_mean = running_mean;
+                 p_std_err = running_std_err;
+               }))
+    in
+    Fair_obs.Scope.within (Some scope) (fun () ->
         Trace.with_span ~cat:"service"
           ~args:
             [
@@ -373,41 +353,8 @@ let exec t (leader : pending Sched.job) ~followers =
             ]
           "service.exec"
           (fun () ->
-            let leased = Atomic.compare_and_set progress_lease false true in
-            let release () =
-              if leased then begin
-                Fairness.Montecarlo.set_progress_hook None;
-                Atomic.set progress_lease false
-              end
-            in
-            if leased then
-              Fairness.Montecarlo.set_progress_hook
-                (Some
-                   (fun (p : Fairness.Montecarlo.convergence_point) ->
-                     let pr =
-                       Proto.Progress
-                         {
-                           Proto.p_after = p.Fairness.Montecarlo.after;
-                           p_batch = p.Fairness.Montecarlo.batch;
-                           p_mean = p.Fairness.Montecarlo.running_mean;
-                           p_std_err = p.Fairness.Montecarlo.running_std_err;
-                         }
-                     in
-                     deliver_progress pr));
-            (* Engine counter deltas cost a registry snapshot on each side
-               of the compute — taken only when a query log is actually
-               listening (and the registry is on at all). *)
-            let want_counters = Qlog.enabled () && Metrics.enabled () in
-            let before = if want_counters then Some (Metrics.snapshot ()) else None in
             let t0 = Clock.now_ns () in
-            let answer =
-              match Handlers.answer ~jobs:t.jobs q with
-              | r -> r
-              | exception e ->
-                  release ();
-                  raise e
-            in
-            release ();
+            let answer = Handlers.answer ~jobs:t.jobs q in
             (* Feed the cost model with the measured compute time (success
                or failure — a failing query burned the time all the same).
                Read only at admission, so this can never move a byte. *)
@@ -416,9 +363,7 @@ let exec t (leader : pending Sched.job) ~followers =
               ~experiment:q.Proto.q_experiment
               ~wall_s:(Clock.elapsed_s ~since_ns:t0);
             let counters =
-              match before with
-              | Some b -> counter_deltas b (Metrics.snapshot ())
-              | None -> []
+              if Qlog.enabled () then List.filter interesting (Metrics.scoped scope) else []
             in
             let trials = Option.value ~default:0 (List.assoc_opt "mc.trials" counters) in
             match answer with

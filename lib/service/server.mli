@@ -11,9 +11,9 @@
     queries overlap on multi-core hosts, while per-key ordering and
     single-flight coalescing are preserved by the scheduler — streaming
     Monte-Carlo progress frames to every connection waiting on that
-    computation (coalesced same-key requests share one compute; with
-    several computations in flight a lease routes the process-wide
-    progress stream to exactly one of them), stores the bytes in the
+    computation (coalesced same-key requests share one compute; each
+    computation runs under its own {!Fair_obs.Scope}, so concurrent
+    computations stream only their own frames), stores the bytes in the
     content-addressed cache ({!Cache}) and delivers the result.
 
     Failure isolation: anything that goes wrong on one connection — gibberish
@@ -68,11 +68,11 @@ val start :
     server records [service.cache.probe] spans on reader threads,
     [service.queue] spans at dispatch, [service.exec] spans (plus
     [service.coalesced] handoff instants) on executor workers — each
-    tagged with the query's trace id, and the executor additionally sets
-    the trace id as {e ambient} so engine/Monte-Carlo spans inherit it;
-    when {!Fair_obs.Qlog} is enabled every completed request logs one wide
-    event (cache tier, queue latency, worker id, engine counter deltas,
-    outcome).  Certificates are bit-identical with everything on or off
+    tagged with the query's trace id, which the request scope also puts on
+    every engine/Monte-Carlo span the computation records, on any pool
+    domain; when {!Fair_obs.Qlog} is enabled every completed request logs
+    one wide event (cache tier, queue latency, worker id, the counters its
+    scope recorded, outcome).  Certificates are bit-identical with everything on or off
     (enforced by [test/test_service.ml]).
     @raise Unix.Unix_error if the socket cannot be bound. *)
 

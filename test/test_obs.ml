@@ -6,6 +6,7 @@
 
 module Metrics = Fair_obs.Metrics
 module Trace = Fair_obs.Trace
+module Scope = Fair_obs.Scope
 module Clock = Fair_obs.Clock
 module Parallel = Fairness.Parallel
 module Json = Fairness.Json
@@ -169,28 +170,28 @@ let test_trace_buffer_bound () =
   Alcotest.(check int) "bounded buffer keeps max" 4 (List.length (Trace.export ()));
   Alcotest.(check int) "excess counted as dropped" 6 (Trace.dropped ())
 
-let test_trace_recent_and_ambient () =
+let test_trace_recent_and_scope () =
   quiesce ();
   Trace.enable ();
-  Trace.with_ambient [ ("trace_id", "abc123") ] (fun () ->
-      Trace.with_span ~cat:"t" "ambient-span" (fun () -> ());
-      Trace.instant ~cat:"t" "ambient-mark");
+  Scope.within (Some (Scope.create ~args:[ ("trace_id", "abc123") ] ~sink:ignore)) (fun () ->
+      Trace.with_span ~cat:"t" "scoped-span" (fun () -> ());
+      Trace.instant ~cat:"t" "scoped-mark");
   Trace.with_span ~cat:"t" "plain-span" (fun () -> ());
   Trace.disable ();
   let evs = Trace.export () in
   let args name =
     (List.find (fun (e : Trace.event) -> e.Trace.name = name) evs).Trace.args
   in
-  Alcotest.(check (option string)) "span inherits ambient args" (Some "abc123")
-    (List.assoc_opt "trace_id" (args "ambient-span"));
-  Alcotest.(check (option string)) "instant inherits ambient args" (Some "abc123")
-    (List.assoc_opt "trace_id" (args "ambient-mark"));
-  Alcotest.(check (option string)) "ambient scope ends with the callback" None
+  Alcotest.(check (option string)) "span carries the scope's args" (Some "abc123")
+    (List.assoc_opt "trace_id" (args "scoped-span"));
+  Alcotest.(check (option string)) "instant carries the scope's args" (Some "abc123")
+    (List.assoc_opt "trace_id" (args "scoped-mark"));
+  Alcotest.(check (option string)) "the scope ends with the callback" None
     (List.assoc_opt "trace_id" (args "plain-span"));
   (* recent: newest events, still in recording order *)
   let last_two = Trace.recent ~limit:2 () in
   Alcotest.(check (list string)) "recent keeps the tail, in order"
-    [ "ambient-mark"; "plain-span" ]
+    [ "scoped-mark"; "plain-span" ]
     (List.map (fun (e : Trace.event) -> e.Trace.name) last_two)
 
 (* --------------------------- ids ------------------------------------- *)
@@ -422,23 +423,90 @@ let test_zero_perturbation () =
       Alcotest.(check bool) (name "trajectory") true (off.Mc.trajectory = on.Mc.trajectory))
     [ 1; 4 ]
 
+(* Synthetic deterministic arms: arm i's trials are a shared-grid stream at
+   level i/10. *)
+let level_pull i ~lo ~hi =
+  Array.init (hi - lo) (fun d ->
+      let t = lo + d in
+      Some
+        { Mc.Trial.t_payoff = (float_of_int i /. 10.0) +. (0.001 *. float_of_int (t mod 7));
+          t_event = Fairness.Events.E11;
+          t_corrupted = 1;
+          t_breach = false })
+
+(* ------------------------- request scope ---------------------------- *)
+
+(* A scope must follow its computation onto pool domains.  The two tasks
+   meet at a barrier, so the caller (blocked in one) cannot claim the
+   other: a pool worker must run it.  Each task records a span, bumps a
+   counter and fires a progress point; all three must reach the scope,
+   and nothing may reach it once it has ended. *)
+let test_scope_follows_pool_tasks () =
+  quiesce ();
+  Metrics.enable ();
+  Trace.enable ();
+  let points = Atomic.make 0 in
+  let scope =
+    Scope.create ~args:[ ("trace_id", "pooled") ] ~sink:(fun _ -> Atomic.incr points)
+  in
+  let started = Atomic.make 0 in
+  let task _ =
+    Atomic.incr started;
+    let t0 = Clock.now_ns () in
+    while Atomic.get started < 2 && Clock.now_ns () - t0 < 10_000_000_000 do
+      Domain.cpu_relax ()
+    done;
+    Trace.with_span ~cat:"t" "scoped-task" (fun () -> Metrics.incr c_items);
+    Scope.progress { Scope.after = 1; batch = 1; running_mean = 0.; running_std_err = 0. }
+  in
+  Scope.within (Some scope) (fun () -> ignore (Parallel.map_list ~jobs:2 task [ 0; 1 ]));
+  let in_scope = Metrics.scoped scope in
+  (* the same work again, after the scope ended *)
+  Atomic.set started 0;
+  ignore (Parallel.map_list ~jobs:2 task [ 0; 1 ]);
+  let evs = Trace.export () in
+  quiesce ();
+  let tasks = List.filter (fun (e : Trace.event) -> e.Trace.name = "scoped-task") evs in
+  let scoped, unscoped =
+    List.partition (fun (e : Trace.event) -> List.mem_assoc "trace_id" e.Trace.args) tasks
+  in
+  Alcotest.(check int) "both in-scope task spans carry the trace id" 2 (List.length scoped);
+  Alcotest.(check int) "spans after the scope carry none" 2 (List.length unscoped);
+  Alcotest.(check bool) "the in-scope tasks ran on two domains" true
+    (match scoped with
+    | [ a; b ] -> a.Trace.tid <> b.Trace.tid
+    | _ -> false);
+  Alcotest.(check (list (pair string int))) "every task's increment, and only those"
+    [ ("test.items", 2) ] in_scope;
+  Alcotest.(check (list (pair string int))) "nothing attributed after the scope ended"
+    in_scope (Metrics.scoped scope);
+  Alcotest.(check int) "every task's progress point reached the sink, none after" 2
+    (Atomic.get points)
+
+exception Sink_failed
+
+(* Telemetry can never kill a computation: an estimate and a race under a
+   scope whose sink raises complete, bit-identical to runs with no scope. *)
+let test_raising_sink_is_contained () =
+  quiesce ();
+  let raising = Some (Scope.create ~args:[] ~sink:(fun _ -> raise Sink_failed)) in
+  let plain = estimate ~jobs:2 () in
+  let scoped = Scope.within raising (estimate ~jobs:2) in
+  Alcotest.(check (float 0.0)) "utility" plain.Mc.utility scoped.Mc.utility;
+  Alcotest.(check (float 0.0)) "std_err" plain.Mc.std_err scoped.Mc.std_err;
+  Alcotest.(check bool) "counts and trajectory" true
+    (plain.Mc.counts = scoped.Mc.counts && plain.Mc.trajectory = scoped.Mc.trajectory);
+  let race () = Racing.race_paired ~arms:[ 0; 1; 2; 3 ] ~pull:level_pull ~budget:2_000 () in
+  let o = race () in
+  let o' = Scope.within raising race in
+  Alcotest.(check bool) "race log identical" true (o.Racing.log = o'.Racing.log)
+
 (* ---------------------- racing round log ---------------------------- *)
 
-(* Synthetic deterministic arms: arm i's trials are a shared-grid stream at
-   level i/10, so the race must keep the top arm and the log must narrate
-   every round. *)
+(* The race must keep the top arm and the log must narrate every round. *)
 let test_racing_round_log () =
   quiesce ();
-  let pull i ~lo ~hi =
-    Array.init (hi - lo) (fun d ->
-        let t = lo + d in
-        Some
-          { Mc.Trial.t_payoff = (float_of_int i /. 10.0) +. (0.001 *. float_of_int (t mod 7));
-            t_event = Fairness.Events.E11;
-            t_corrupted = 1;
-            t_breach = false })
-  in
-  let run () = Racing.race_paired ~arms:[ 0; 1; 2; 3 ] ~pull ~budget:2_000 () in
+  let run () = Racing.race_paired ~arms:[ 0; 1; 2; 3 ] ~pull:level_pull ~budget:2_000 () in
   let o = run () in
   Alcotest.(check int) "one log entry per round" o.Racing.rounds
     (List.length o.Racing.log);
@@ -570,8 +638,8 @@ let () =
         [ Alcotest.test_case "nested spans" `Quick test_trace_nested_spans;
           Alcotest.test_case "chrome JSON round-trips" `Quick test_trace_json_roundtrip;
           Alcotest.test_case "buffer bound counts drops" `Quick test_trace_buffer_bound;
-          Alcotest.test_case "recent window + ambient args" `Quick
-            test_trace_recent_and_ambient;
+          Alcotest.test_case "recent window + scope args" `Quick
+            test_trace_recent_and_scope;
           Alcotest.test_case "trace/span id shape" `Quick test_ids_shape ] );
       ( "percentiles",
         [ Alcotest.test_case "bucket-upper-bound estimator" `Quick test_percentile_estimator;
@@ -585,6 +653,11 @@ let () =
             test_qlog_jsonl_roundtrip;
           Alcotest.test_case "resilience outcomes and fields round trip" `Quick
             test_qlog_resilience_fields ] );
+      ( "scope",
+        [ Alcotest.test_case "pooled tasks run under the caller's scope" `Quick
+            test_scope_follows_pool_tasks;
+          Alcotest.test_case "a raising sink aborts no estimate or race" `Quick
+            test_raising_sink_is_contained ] );
       ( "invariants",
         [ Alcotest.test_case "zero perturbation at jobs=1 and jobs=4" `Quick
             test_zero_perturbation;

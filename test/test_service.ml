@@ -1173,6 +1173,120 @@ let server_obs_byte_identity () =
         (run ~obs:true ~jobs ~workers))
     [ (1, 1); (4, 4) ]
 
+(* Two cold searches computing at once on one server: each connection
+   must get exactly the progress frames, and each qlog line exactly the
+   counters, that the same query produces through a scope of its own run
+   alone — no frames lost to the other computation or routed to the wrong
+   connection, no counts from the other computation mixed in. *)
+let server_concurrent_scopes () =
+  let query seed =
+    S.Client.with_trace
+      { Proto.q_kind = Proto.Search; q_experiment = "E2"; q_budget = 8000; q_seed = seed;
+        q_zoo = false; q_fresh = false; q_trace_id = ""; q_span_id = ""; q_deadline = 0.;
+        q_attempt = 0 }
+  in
+  let qs = [ query 21; query 22 ] in
+  let interesting (name, _) =
+    List.exists (fun p -> String.starts_with ~prefix:p name) [ "engine."; "mc."; "race." ]
+  in
+  let frame { Fair_obs.Scope.after; batch; running_mean; running_std_err } =
+    { Proto.p_after = after; p_batch = batch; p_mean = running_mean; p_std_err = running_std_err }
+  in
+  Fair_obs.Metrics.enable ();
+  Fair_obs.Qlog.enable ();
+  let socket = Printf.sprintf "test-svc-scopes-%d.sock" (Unix.getpid ()) in
+  let server = S.Server.start ~socket ~jobs:2 ~workers:2 () in
+  Fun.protect
+    ~finally:(fun () ->
+      S.Server.stop server;
+      Fair_obs.Metrics.disable ();
+      Fair_obs.Qlog.disable ();
+      Fair_obs.Qlog.clear ())
+    (fun () ->
+      (* the solo references, one scope each, before the server computes *)
+      let solo =
+        List.map
+          (fun q ->
+            let frames = ref [] in
+            let scope =
+              Fair_obs.Scope.create ~args:[] ~sink:(fun p -> frames := frame p :: !frames)
+            in
+            match Fair_obs.Scope.within (Some scope) (fun () -> S.Handlers.answer ~jobs:2 q) with
+            | Ok (body, _) ->
+                (body, List.rev !frames, List.filter interesting (Fair_obs.Metrics.scoped scope))
+            | Error f -> Alcotest.failf "solo compute: %s" (Failure.to_string f))
+          qs
+      in
+      (* both connections open first, then both queries leave at once *)
+      let conns = List.map (fun _ -> connect socket) qs in
+      let go = gate () in
+      let served =
+        List.map2
+          (fun c q ->
+            let frames = ref [] and result = ref None in
+            let th =
+              Thread.create
+                (fun () ->
+                  gate_wait go;
+                  result :=
+                    Some (S.Client.query c ~on_progress:(fun p -> frames := p :: !frames) q))
+                ()
+            in
+            (th, frames, result))
+          conns qs
+      in
+      gate_open go;
+      let served =
+        List.map
+          (fun (th, frames, result) ->
+            Thread.join th;
+            match !result with
+            | Some (Ok r) -> (r, List.rev !frames)
+            | Some (Error f) -> Alcotest.failf "served query: %s" (Failure.to_string f)
+            | None -> Alcotest.fail "query thread left no result")
+          served
+      in
+      List.iter S.Client.close conns;
+      (* a qlog line is recorded just after its result is delivered *)
+      let lines (q : Proto.query) =
+        List.filter
+          (fun (e : Fair_obs.Qlog.event) -> e.Fair_obs.Qlog.trace_id = q.Proto.q_trace_id)
+          (Fair_obs.Qlog.recent ())
+      in
+      wait_until "both qlog lines" (fun () -> List.for_all (fun q -> lines q <> []) qs);
+      let evs =
+        List.map
+          (fun q ->
+            match lines q with
+            | [ e ] -> e
+            | es -> Alcotest.failf "expected one qlog line per query, got %d" (List.length es))
+          qs
+      in
+      (* compute window on the monotonic clock: dispatch to completion *)
+      let window (e : Fair_obs.Qlog.event) =
+        let busy = e.Fair_obs.Qlog.wall_s -. e.Fair_obs.Qlog.queue_s in
+        (float_of_int e.Fair_obs.Qlog.ts_ns -. (busy *. 1e9), float_of_int e.Fair_obs.Qlog.ts_ns)
+      in
+      (match List.map window evs with
+      | [ (a0, a1); (b0, b1) ] ->
+          Alcotest.(check bool) "the two computations overlapped" true (a0 < b1 && b0 < a1)
+      | _ -> assert false);
+      List.iteri
+        (fun i (((body, frames, counters), (r, got)), (e : Fair_obs.Qlog.event)) ->
+          let name s = Printf.sprintf "seed %d: %s" (21 + i) s in
+          Alcotest.(check bool) (name "computed, not cached") false r.Proto.r_cached;
+          Alcotest.(check string) (name "served bytes = solo bytes") body r.Proto.r_body;
+          Alcotest.(check int) (name "solo run streams 6 frames") 6 (List.length frames);
+          Alcotest.(check bool) (name "progress frames = solo frames, in order") true (got = frames);
+          Alcotest.(check (list (pair string int))) (name "qlog counters = solo counters")
+            counters e.Fair_obs.Qlog.counters;
+          match Fair_search.Certificate.of_string r.Proto.r_body with
+          | Ok c ->
+              Alcotest.(check int) (name "qlog trials = certificate spent")
+                c.Fair_search.Certificate.spent e.Fair_obs.Qlog.trials
+          | Error err -> Alcotest.failf "certificate does not parse: %s" err)
+        (List.combine (List.combine solo served) evs))
+
 (* The resilience analogue of the obs pairing: a server with the whole
    resilience layer engaged (cost-aware admission, a pre-seeded cost
    model, a generous deadline and a retry wrapper on the client) must
@@ -1370,6 +1484,8 @@ let () =
       ( "observability",
         [ Alcotest.test_case "certificates bit-identical with obs on/off, -j1/-j4" `Quick
             server_obs_byte_identity;
+          Alcotest.test_case "concurrent queries: own progress and counters" `Quick
+            server_concurrent_scopes;
           Alcotest.test_case "certificates bit-identical with resilience on/off, (1,1)/(4,4)"
             `Quick server_resilience_byte_identity;
           Alcotest.test_case "stop flushes qlog and dumps the flight recorder" `Quick
