@@ -9,10 +9,11 @@
      3. byte identity → the same query computed inline (`query
         --no-daemon` path) at two different -j values matches the served
         bytes exactly;
-     4. chaos isolation → a connection feeding the server a truncated
-        frame gets a structured `malformed-frame` error while a
-        concurrent clean connection's cold query completes correctly, and
-        a scripted client crash mid-stream leaves the server serving;
+     4. fault isolation → a raw-socket peer sending a query frame whose
+        payload is cut short gets a structured `malformed-frame` error
+        while a concurrent clean connection's cold query completes
+        correctly, and a peer that dies mid-frame (a ping, then half a
+        query frame, then close) leaves the server serving;
      5. observability acceptance → the whole run happens with tracing,
         metrics and the query log switched ON; afterwards the exported
         Chrome trace must contain client.query, service.queue and
@@ -69,10 +70,18 @@ let connect ~socket () =
   | Ok c -> c
   | Result.Error e -> fail "%s" e
 
-let plan_of spec =
-  match Fair_faults.Faults.parse spec with
-  | Ok p -> p
-  | Result.Error e -> fail "bad fault spec %S: %s" spec e
+(* A misbehaving peer: a bare socket that writes whatever it likes. *)
+let raw_peer ~socket =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 120.0;
+  fd
+
+(* The next reply on a raw peer's socket; [None] once the server hung up. *)
+let read_reply fd =
+  match S.Frame.read fd (S.Frame.Decoder.create ()) with
+  | Ok (Some payload) -> Some (S.Proto.decode_response payload)
+  | Ok None | Result.Error _ -> None
 
 let () =
   let socket =
@@ -146,8 +155,9 @@ let () =
   if inline 2 <> r1.S.Proto.r_body then fail "socket and inline bytes differ";
   if inline 1 <> r1.S.Proto.r_body then fail "inline bytes depend on -j";
 
-  (* 4a — truncated frame: structured error on that connection, while a
-     concurrent clean connection's cold query completes. *)
+  (* 4a — a query frame whose payload is cut short: structured error on
+     that connection, while a concurrent clean connection's cold query
+     completes. *)
   let clean_result = ref None in
   let clean_thread =
     Thread.create
@@ -158,14 +168,17 @@ let () =
         S.Client.close c)
       ()
   in
-  let cbad = connect ~socket () in
-  S.Client.set_chaos cbad (S.Chaos.create (plan_of "trunc@1") ~rng:(Fair_crypto.Rng.of_int_seed 7));
-  (match S.Client.query cbad query with
-  | Ok _ -> fail "a truncated frame was still answered with a result"
-  | Result.Error (S.Failure.Malformed_frame _) -> ()
-  | Result.Error (S.Failure.Connection_lost _) -> ()  (* teardown raced the error frame *)
-  | Result.Error f -> fail "truncated frame: unexpected failure %s" (S.Failure.to_string f));
-  S.Client.close cbad;
+  let payload = S.Proto.encode_request (S.Proto.Query query) in
+  let bad = raw_peer ~socket in
+  S.Frame.write bad (String.sub payload 0 (String.length payload / 2));
+  (match read_reply bad with
+  | Some (Ok (S.Proto.Error (S.Failure.Malformed_frame _))) -> ()
+  | None -> ()  (* teardown raced the error frame *)
+  | Some (Ok (S.Proto.Error f)) ->
+      fail "truncated frame: unexpected failure %s" (S.Failure.to_string f)
+  | Some (Ok _) -> fail "a truncated frame was still answered"
+  | Some (Result.Error e) -> fail "truncated frame: undecodable reply: %s" e);
+  Unix.close bad;
   Thread.join clean_thread;
   (match !clean_result with
   | Some (Ok r) when not r.S.Proto.r_cached -> ()
@@ -174,16 +187,18 @@ let () =
       fail "clean connection failed alongside the faulty one: %s" (S.Failure.to_string f)
   | None -> fail "clean connection never answered");
 
-  (* 4b — scripted client crash mid-stream; the server must keep serving. *)
-  let ccrash = connect ~socket () in
-  S.Client.set_chaos ccrash (S.Chaos.create (plan_of "crash@2:p1") ~rng:(Fair_crypto.Rng.of_int_seed 9));
-  (match S.Client.ping ccrash with
-  | Ok () -> ()
-  | Result.Error f -> fail "pre-crash ping: %s" (S.Failure.to_string f));
-  (match S.Client.query ccrash query with
-  | Result.Error (S.Failure.Connection_lost _) -> ()
-  | Ok _ -> fail "crashed client still got an answer"
-  | Result.Error f -> fail "client crash: unexpected failure %s" (S.Failure.to_string f));
+  (* 4b — a client that dies mid-frame: a ping, then half a query frame,
+     then gone.  The server must keep serving. *)
+  let crash = raw_peer ~socket in
+  S.Frame.write crash (S.Proto.encode_request S.Proto.Ping);
+  (match read_reply crash with
+  | Some (Ok S.Proto.Pong) -> ()
+  | _ -> fail "pre-crash ping was not answered");
+  let header = Bytes.create 4 in
+  Bytes.set_int32_be header 0 (Int32.of_int (String.length payload));
+  let half = Bytes.to_string header ^ String.sub payload 0 (String.length payload / 2) in
+  ignore (Unix.write_substring crash half 0 (String.length half));
+  Unix.close crash;
   (match S.Client.ping c1 with
   | Ok () -> ()
   | Result.Error f -> fail "server down after client crash: %s" (S.Failure.to_string f));
@@ -285,8 +300,8 @@ let () =
   Printf.printf
     "service-smoke: OK — cold compute streamed %d progress frames; warm query was a cache hit \
      (+%d hits, pool frozen) with byte-identical certificate; inline bytes match at -j 1 and \
-     -j 2; truncated frame and client crash stayed isolated to their connections; trace %s \
-     carries client/queue/exec lanes for trace id %s and its race.pull spans on %d domains; \
-     qlog %s has cold+mem lines with queue latency, counters and %d trials (= spent); obs-off \
-     recompute byte-identical\n"
+     -j 2; truncated frame and mid-frame client death stayed isolated to their connections; \
+     trace %s carries client/queue/exec lanes for trace id %s and its race.pull spans on %d \
+     domains; qlog %s has cold+mem lines with queue latency, counters and %d trials (= spent); \
+     obs-off recompute byte-identical\n"
     !progress hits_delta trace_path tid (List.length pull_domains) qlog_path spent

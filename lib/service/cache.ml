@@ -52,8 +52,6 @@ let create ?(capacity = 256) ?dir () =
     s_disk_hits = 0;
     lock = Mutex.create () }
 
-let dir t = t.sdir
-
 let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
@@ -166,7 +164,7 @@ let disk_write t key value =
 
 (* ------------------------------ public ------------------------------- *)
 
-let find_tagged t key =
+let find t key =
   with_lock t (fun () ->
       match Hashtbl.find_opt t.tbl key with
       | Some n ->
@@ -188,8 +186,6 @@ let find_tagged t key =
               t.s_misses <- t.s_misses + 1;
               Metrics.incr c_misses;
               None))
-
-let find t key = Option.map fst (find_tagged t key)
 
 let store t ~key value =
   with_lock t (fun () ->

@@ -40,16 +40,13 @@ val create : ?capacity:int -> ?dir:string -> unit -> t
     spill (created, with parents, if missing).
     @raise Invalid_argument if [capacity < 1]. *)
 
-val find : t -> string -> string option
-(** Lookup by content address; promotes to most-recently-used. *)
-
-val find_tagged : t -> string -> (string * [ `Mem | `Disk ]) option
-(** {!find}, plus which tier answered — what the wide query log reports as
-    the request's cache tier.  Identical counter/LRU effects. *)
+val find : t -> string -> (string * [ `Mem | `Disk ]) option
+(** Lookup by content address, with the tier that answered (what the wide
+    query log reports as the request's cache tier); promotes to
+    most-recently-used. *)
 
 val store : t -> key:string -> string -> unit
 (** Insert (or overwrite) an entry; may evict the least-recently-used
     in-memory entry.  Write-through to [dir] when spill is enabled. *)
 
 val stats : t -> stats
-val dir : t -> string option

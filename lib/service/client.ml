@@ -3,7 +3,6 @@ module Rng = Fair_crypto.Rng
 type t = {
   fd : Unix.file_descr;
   dec : Frame.Decoder.t;
-  mutable chaos : Chaos.t option;
   mutable closed : bool;
 }
 
@@ -68,26 +67,13 @@ let connect ~socket ?timeout () =
         | Some s -> Unix.setsockopt_float fd Unix.SO_RCVTIMEO s
         | None -> ()
       with
-      | () -> Ok { fd; dec = Frame.Decoder.create (); chaos = None; closed = false }
+      | () -> Ok { fd; dec = Frame.Decoder.create (); closed = false }
       | exception Unix.Unix_error (e, _, _) -> fail (Unix.error_message e))
-
-let set_chaos t ch = t.chaos <- Some ch
-
-let hard_close t =
-  if not t.closed then begin
-    t.closed <- true;
-    try Unix.close t.fd with Unix.Unix_error _ -> ()
-  end
 
 let close t =
   if not t.closed then begin
-    (match t.chaos with
-    | Some ch when not (Chaos.crashed ch) ->
-        List.iter
-          (fun p -> try Frame.write t.fd p with Unix.Unix_error _ | Invalid_argument _ -> ())
-          (Chaos.flush ch)
-    | _ -> ());
-    hard_close t
+    t.closed <- true;
+    try Unix.close t.fd with Unix.Unix_error _ -> ()
   end
 
 let lost reason = Result.Error (Failure.Connection_lost { reason })
@@ -95,24 +81,10 @@ let lost reason = Result.Error (Failure.Connection_lost { reason })
 let send_request t req =
   if t.closed then lost "connection already closed"
   else
-    let payload = Proto.encode_request req in
-    match t.chaos with
-    | None -> (
-        try
-          Frame.write t.fd payload;
-          Ok ()
-        with Unix.Unix_error (e, _, _) -> lost (Unix.error_message e))
-    | Some ch -> (
-        let outs = Chaos.send ch payload in
-        match List.iter (fun p -> Frame.write t.fd p) outs with
-        | () ->
-            if Chaos.crashed ch then begin
-              (* The scripted client crash: vanish abruptly, mid-stream. *)
-              hard_close t;
-              lost "chaos: client crashed"
-            end
-            else Ok ()
-        | exception Unix.Unix_error (e, _, _) -> lost (Unix.error_message e))
+    try
+      Frame.write t.fd (Proto.encode_request req);
+      Ok ()
+    with Unix.Unix_error (e, _, _) -> lost (Unix.error_message e)
 
 let read_response t =
   if t.closed then lost "connection already closed"
@@ -125,13 +97,13 @@ let read_response t =
            holding a poisoned fd open only delays the EOF the server will
            force anyway, and a retry loop must start from a fresh
            connection, not this one. *)
-        hard_close t;
+        close t;
         lost reason
     | Ok (Some payload) -> (
         match Proto.decode_response payload with
         | Ok r -> Ok r
         | Result.Error e ->
-            hard_close t;
+            close t;
             lost (Printf.sprintf "undecodable response: %s" e))
 
 (* Stamp a fresh trace context on a query — the client half of end-to-end

@@ -1,5 +1,4 @@
-(** The service client: connect, query, stream progress, and (for chaos
-    tests) misbehave on purpose.
+(** The service client: connect, query, stream progress.
 
     Every operation is total over the connection's fate: a dead socket, a
     timeout, a server that hangs up mid-stream all come back as
@@ -19,17 +18,11 @@ val connect : socket:string -> ?timeout:float -> unit -> (t, string) Stdlib.resu
     ("cannot connect to ...: No such file or directory"). *)
 
 val close : t -> unit
-(** Clean close: flushes any chaos-delayed frames first ({!Chaos.flush}).
-    Idempotent. *)
-
-val set_chaos : t -> Chaos.t -> unit
-(** Route all subsequent outbound frames through a faulty channel.  When a
-    crash rule fires the socket is closed {e abruptly} mid-stream — exactly
-    the client misbehaviour the server must isolate. *)
+(** Idempotent. *)
 
 val send_request : t -> Proto.request -> (unit, Failure.t) Stdlib.result
 val read_response : t -> (Proto.response, Failure.t) Stdlib.result
-(** The raw halves, exposed for tests that need to interleave or mangle;
+(** The raw halves, exposed for tests that need to interleave requests;
     [read_response] returns [Error Connection_lost] on EOF, timeout, or an
     undecodable reply.  A framing error or undecodable reply also closes
     the fd {e eagerly}: the decoder is sticky-poisoned at that point, so

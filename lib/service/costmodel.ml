@@ -13,7 +13,6 @@
    throughput but can never move a certified byte. *)
 
 module Json = Fairness.Json
-module Qlog = Fair_obs.Qlog
 
 type t = {
   alpha : float;
@@ -64,17 +63,10 @@ let snapshot t =
 
 (* ---------------------------- qlog seeding ---------------------------- *)
 
-(* Only cold-tier events carry a real compute time; cache hits and
-   coalesced riders would teach the model that searches are free. *)
-let seed_from_events t events =
-  List.iter
-    (fun (e : Qlog.event) ->
-      if e.Qlog.tier = "cold" && e.Qlog.kind <> "" && e.Qlog.experiment <> "" then
-        observe t ~kind:e.Qlog.kind ~experiment:e.Qlog.experiment ~wall_s:e.Qlog.wall_s)
-    events
-
 (* Warm-start from a previous run's `serve --qlog` JSONL file, so a
-   restarted daemon does not relearn every cost from the default.  Wholly
+   restarted daemon does not relearn every cost from the default.  Only
+   cold-tier lines carry a real compute time: cache hits and coalesced
+   riders would teach the model that searches are free.  Wholly
    best-effort: a missing file, a truncated tail line (the previous
    process died mid-write), or foreign JSON all just contribute nothing.
    Returns the number of events actually folded in. *)

@@ -32,12 +32,9 @@ val snapshot : t -> (string * float) list
 (** Every ["kind/EXPERIMENT"] key with its current estimate, name-sorted —
     surfaced under [resilience.cost_estimates] in {!Server.stats_json}. *)
 
-val seed_from_events : t -> Fair_obs.Qlog.event list -> unit
-(** Warm-start from in-memory qlog history: folds the [wall_s] of every
-    cold-tier event in (cache hits and coalesced riders are skipped —
-    they would teach the model that searches are free). *)
-
 val seed_from_file : t -> string -> int
-(** Warm-start from a previous run's [serve --qlog] JSONL file; returns
-    the number of cold-tier events folded in.  Best-effort by design: a
-    missing file, truncated tail line or foreign JSON contribute 0. *)
+(** Warm-start from a previous run's [serve --qlog] JSONL file: folds the
+    [wall_s] of every cold-tier line in (cache hits and coalesced riders
+    are skipped — they would teach the model that searches are free) and
+    returns their number.  Best-effort by design: a missing file,
+    truncated tail line or foreign JSON contribute 0. *)

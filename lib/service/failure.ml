@@ -31,8 +31,6 @@ let to_string = function
         deadline_s
   | Draining { reason } -> Printf.sprintf "draining: %s" reason
 
-let closes_connection = function Malformed_frame _ -> true | _ -> false
-
 let to_json f =
   let fields =
     match f with

@@ -53,9 +53,5 @@ val code : t -> string
 val to_string : t -> string
 (** One human-readable line. *)
 
-val closes_connection : t -> bool
-(** Whether the server tears the connection down after sending this
-    failure (true only for {!Malformed_frame}). *)
-
 val to_json : t -> Fairness.Json.t
 val of_json : Fairness.Json.t -> (t, string) result

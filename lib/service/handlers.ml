@@ -3,13 +3,21 @@ module Certificate = Fair_search.Certificate
 module Json = Fairness.Json
 module Engine = Fair_exec.Engine
 
-let answer ~jobs (q : Proto.query) =
+let unknown fmt = Printf.ksprintf (fun reason -> Error (Failure.Unknown_query { reason })) fmt
+
+let no_target (spec : E.spec) =
+  unknown "%s has no search target (its number is not a supremum over adversaries)" spec.E.eid
+
+let resolve (q : Proto.query) =
   match E.find q.Proto.q_experiment with
-  | None ->
-      Error
-        (Failure.Unknown_query
-           { reason = Printf.sprintf "unknown experiment %S; try `fairness list`" q.Proto.q_experiment })
-  | Some spec -> (
+  | None -> unknown "unknown experiment %S; try `fairness list`" q.Proto.q_experiment
+  | Some spec when q.Proto.q_kind = Proto.Search && spec.E.target = None -> no_target spec
+  | Some spec -> Ok spec
+
+let answer ~jobs (q : Proto.query) =
+  match resolve q with
+  | Error _ as e -> e
+  | Ok spec -> (
       match q.Proto.q_kind with
       | Proto.Search -> (
           match
@@ -17,13 +25,7 @@ let answer ~jobs (q : Proto.query) =
               spec
           with
           | Some c -> Ok (Certificate.to_string c, c.Certificate.within_bound)
-          | None ->
-              Error
-                (Failure.Unknown_query
-                   { reason =
-                       Printf.sprintf
-                         "%s has no search target (its number is not a supremum over adversaries)"
-                         spec.E.eid })
+          | None -> no_target spec (* [resolve] already refused it *)
           | exception e when not (Engine.fatal e) ->
               Error (Failure.Query_failed { reason = Printexc.to_string e }))
       | Proto.Run -> (

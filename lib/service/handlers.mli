@@ -13,9 +13,16 @@
     New certificate shapes plug in as new kinds without touching cache,
     scheduler or protocol. *)
 
+val resolve : Proto.query -> (Fair_analysis.Experiments.spec, Failure.t) result
+(** The registry check: the query's experiment, or {!Failure.Unknown_query}
+    for an unknown id or a [Search] against an experiment with no search
+    target (E12, E15, E16).  The server calls it before the cache probe,
+    so a usage error never takes a queue slot. *)
+
 val answer : jobs:int -> Proto.query -> (string * bool, Failure.t) result
 (** [(body, ok)] — the certificate bytes and their verdict (within bound /
     all checks pass).  [jobs] bounds the domain pool and never changes the
     bytes (the determinism guarantee of the whole estimation stack).
-    Total: unknown ids are {!Failure.Unknown_query}, a raising computation
-    is {!Failure.Query_failed}; only fatal exceptions propagate. *)
+    Total: a query {!resolve} refuses is its [Unknown_query], a raising
+    computation is {!Failure.Query_failed}; only fatal exceptions
+    propagate. *)

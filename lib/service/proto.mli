@@ -83,7 +83,6 @@ val cache_key : query -> string
     an answer no matter who asked or how it was traced. *)
 
 val kind_to_string : kind -> string
-val kind_of_string : string -> (kind, string) Stdlib.result
 
 val encode_request : request -> string
 val decode_request : string -> (request, string) Stdlib.result

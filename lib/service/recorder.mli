@@ -26,10 +26,7 @@ val create : path:string -> ?span_limit:int -> unit -> t
 val path : t -> string
 
 val dump : t -> reason:string -> unit
-(** Write the document now.  Thread- and domain-safe; never raises. *)
-
-val document : t -> reason:string -> seq:int -> Fairness.Json.t
-(** The document {!dump} would write (exposed for tests): schema/version
-    header, the qlog window ({!Fairness.Obs_json.qlog_event} per entry),
-    recent spans as a Chrome-trace object, and the metrics snapshot with
-    derived percentiles. *)
+(** Write the document now: schema/version header, the qlog window
+    ({!Fairness.Obs_json.qlog_event} per entry), recent spans as a
+    Chrome-trace object, and the metrics snapshot with derived
+    percentiles.  Thread- and domain-safe; never raises. *)

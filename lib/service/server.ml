@@ -16,8 +16,8 @@ let entry_decode entry =
   if String.length entry = 0 then None
   else
     match entry.[0] with
-    | '1' -> Some (true, String.sub entry 1 (String.length entry - 1))
-    | '0' -> Some (false, String.sub entry 1 (String.length entry - 1))
+    | '1' -> Some (String.sub entry 1 (String.length entry - 1), true)
+    | '0' -> Some (String.sub entry 1 (String.length entry - 1), false)
     | _ -> None
 
 type conn = {
@@ -27,11 +27,10 @@ type conn = {
   mutable alive : bool;
 }
 
-(* What a queued query carries besides the query itself: its connection,
-   its receipt timestamp (so the executor can report end-to-end wall time
-   per request), and its absolute deadline on the monotonic clock
-   (receipt + the query's relative deadline; 0 = none). *)
-type pending = { pq : Proto.query; pconn : conn; p_recv_ns : int; p_deadline_ns : int }
+(* What a queued query carries besides the query itself: its connection
+   and its receipt timestamp (so the executor can report end-to-end wall
+   time per request).  Its deadline is the job's [Sched.j_deadline_ns]. *)
+type pending = { pq : Proto.query; pconn : conn; p_recv_ns : int }
 
 type t = {
   sock_path : string;
@@ -51,9 +50,6 @@ type t = {
   mutable stopped : bool;
   mutable accept_thread : Thread.t;
 }
-
-let socket t = t.sock_path
-let cache t = t.cch
 
 let stats_json t =
   let cs = Cache.stats t.cch in
@@ -109,20 +105,23 @@ let stats_json t =
           ] );
     ]
 
-(* A write failure means the peer is gone: mark the connection dead so the
-   executor stops streaming to it; the reader notices on its next read. *)
+(* Whether the frame was written.  A write failure means the peer is gone:
+   mark the connection dead so the executor stops streaming to it; the
+   reader notices on its next read. *)
 let send_response conn resp =
   Mutex.lock conn.wlock;
-  let r =
+  let sent =
+    conn.alive
+    &&
     try
-      if conn.alive then Frame.write conn.fd (Proto.encode_response resp);
+      Frame.write conn.fd (Proto.encode_response resp);
       true
     with Unix.Unix_error _ | Invalid_argument _ ->
       conn.alive <- false;
       false
   in
   Mutex.unlock conn.wlock;
-  r
+  sent
 
 let teardown t conn =
   Mutex.lock t.lock;
@@ -145,132 +144,98 @@ let trace_args (q : Proto.query) =
     ("trace_id", q.Proto.q_trace_id)
     :: (if q.Proto.q_span_id = "" then [] else [ ("parent_span", q.Proto.q_span_id) ])
 
-let tier_name = function `Mem -> "mem" | `Disk -> "disk"
-
 let dump_on t reason =
   match t.recorder with Some r -> Recorder.dump r ~reason | None -> ()
 
-(* One wide query-log event.  [worker = -1] marks the reader-thread fast
-   path; [queue_ns]/[trials]/[counters] are zero/empty wherever the request
-   never reached the scheduler or the engine. *)
-let log_event ~(q : Proto.query) ~key ~tier ~client ~worker ~queue_ns ~recv_ns ~trials
-    ~counters ~outcome =
+(* Every answer that ends a request goes through here: write the final
+   frame if the peer is still there, then record the request's one wide
+   query-log event.  The outcome follows from the reply — a written
+   result's verdict; ["retried_by_client"] for a result whose peer was
+   gone (the answer is content-addressed, so a retrying client re-asks
+   safely); a failure's code — unless the caller names a resilience
+   verdict (["shed"], ["drained"]).  [q] is absent only for a frame that
+   never decoded.  [worker = -1] marks the reader thread; [queue_ns],
+   [trials] and [counters] stay zero/empty wherever the request never
+   reached the scheduler or the engine. *)
+let finish ?q ?outcome ?(key = "") ?(tier = "") ?(worker = -1) ?(queue_ns = 0) ?(trials = 0)
+    ?(counters = []) conn ~recv_ns reply =
+  let sent =
+    send_response conn (match reply with Ok r -> Proto.Result r | Error f -> Proto.Error f)
+  in
   if Qlog.enabled () then
+    let field f default = match q with Some q -> f q | None -> default in
     Qlog.record
       {
         Qlog.ts_ns = Clock.now_ns ();
-        trace_id = q.Proto.q_trace_id;
-        span_id = q.Proto.q_span_id;
-        kind = Proto.kind_to_string q.Proto.q_kind;
-        experiment = q.Proto.q_experiment;
+        trace_id = field (fun q -> q.Proto.q_trace_id) "";
+        span_id = field (fun q -> q.Proto.q_span_id) "";
+        kind = field (fun q -> Proto.kind_to_string q.Proto.q_kind) "malformed";
+        experiment = field (fun q -> q.Proto.q_experiment) "";
         key;
         tier;
-        client;
+        client = conn.cid;
         worker;
         queue_s = float_of_int queue_ns /. 1e9;
         wall_s = float_of_int (Clock.now_ns () - recv_ns) /. 1e9;
-        deadline_s = q.Proto.q_deadline;
-        attempt = q.Proto.q_attempt;
+        deadline_s = field (fun q -> q.Proto.q_deadline) 0.;
+        attempt = field (fun q -> q.Proto.q_attempt) 0;
         trials;
         counters;
-        outcome;
+        outcome =
+          (match (outcome, reply) with
+          | Some o, _ -> o
+          | None, Ok _ when not sent -> "retried_by_client"
+          | None, Ok r -> if r.Proto.r_ok then "ok" else "bound-violation"
+          | None, Error f -> Failure.code f);
       }
 
-let log_malformed conn ~recv_ns =
-  if Qlog.enabled () then
-    Qlog.record
-      {
-        Qlog.ts_ns = Clock.now_ns ();
-        trace_id = "";
-        span_id = "";
-        kind = "malformed";
-        experiment = "";
-        key = "";
-        tier = "";
-        client = conn.cid;
-        worker = -1;
-        queue_s = 0.;
-        wall_s = float_of_int (Clock.now_ns () - recv_ns) /. 1e9;
-        deadline_s = 0.;
-        attempt = 0;
-        trials = 0;
-        counters = [];
-        outcome = "malformed-frame";
-      }
+(* [finish] for a job the scheduler dispatched or shed: it runs on an
+   executor domain, which the line names. *)
+let finish_job ?outcome ?tier ?trials ?counters (j : pending Sched.job) reply =
+  let p = j.Sched.j_payload in
+  finish ~q:p.pq ?outcome ~key:j.Sched.j_key ?tier ~worker:(Fair_obs.Domain_id.get ())
+    ~queue_ns:j.Sched.j_queue_ns ?trials ?counters p.pconn ~recv_ns:p.p_recv_ns reply
+
+(* A stored or computed (body, verdict) as [q]'s result frame, echoing
+   the requester's own trace id. *)
+let result (q : Proto.query) ~key ~cached (body, ok) =
+  Ok
+    {
+      Proto.r_cached = cached;
+      r_key = key;
+      r_ok = ok;
+      r_body = body;
+      r_trace_id = q.Proto.q_trace_id;
+    }
+
+(* The cache as an answer: the stored (body, verdict) and the tier that
+   held it.  A [q_fresh] query never probes; an undecodable entry reads
+   as a miss, and the recompute heals it. *)
+let probe t (q : Proto.query) ~key =
+  if q.Proto.q_fresh then None
+  else
+    Option.bind
+      (Trace.with_span ~cat:"service" ~args:(trace_args q) "service.cache.probe" (fun () ->
+           Cache.find t.cch key))
+      (fun (entry, tier) ->
+        Option.map
+          (fun verdict -> (verdict, match tier with `Mem -> "mem" | `Disk -> "disk"))
+          (entry_decode entry))
 
 (* The counters a qlog line carries from its request's scope. *)
 let interesting (name, _) =
   List.exists (fun prefix -> String.starts_with ~prefix name) [ "engine."; "mc."; "race." ]
 
+let past_due (j : pending Sched.job) =
+  j.Sched.j_deadline_ns > 0 && Clock.now_ns () >= j.Sched.j_deadline_ns
+
 (* The executor: computes one coalesced batch and answers everyone in it.
-   Recipients are dead-skipped at each step, so a client that vanished
-   mid-computation costs nothing and poisons nobody. *)
+   A recipient whose connection died costs nothing and poisons nobody. *)
 let exec t (leader : pending Sched.job) ~followers =
   let jobs = leader :: followers in
   let q = leader.Sched.j_payload.pq in
   let key = leader.Sched.j_key in
-  let worker_id = Fair_obs.Domain_id.get () in
   let targs = trace_args q in
-  let now_expired (p : pending) =
-    p.p_deadline_ns > 0 && Clock.now_ns () >= p.p_deadline_ns
-  in
-  let deliver resp =
-    List.iter
-      (fun (j : pending Sched.job) ->
-        let conn = j.Sched.j_payload.pconn in
-        if conn.alive then ignore (send_response conn resp))
-      jobs
-  in
-  (* Progress is best-effort telemetry: a waiter whose deadline has passed
-     gets no more convergence frames (it is about to be answered
-     Deadline_exceeded, and streaming to it would only delay that). *)
-  let deliver_progress resp =
-    List.iter
-      (fun (j : pending Sched.job) ->
-        let p = j.Sched.j_payload in
-        if p.pconn.alive && not (now_expired p) then ignore (send_response p.pconn resp))
-      jobs
-  in
-  (* Results echo each requester's own trace id, so responses are built
-     per recipient; progress frames (no trace field) stay broadcast.
-     Delivery is deadline-checked per recipient: a waiter past its
-     deadline receives Deadline_exceeded instead of a result it said it
-     no longer wants (the result itself is still cached — the client's
-     re-ask with a fresh budget is a hit).  The per-job delivery status
-     feeds the query log: ["deadline-exceeded"], or ["retried_by_client"]
-     when the connection was already gone at delivery time (the answer is
-     content-addressed, so a retrying client re-asks safely). *)
-  let deliver_result ~cached ~ok ~body =
-    List.map
-      (fun (j : pending Sched.job) ->
-        let p = j.Sched.j_payload in
-        if now_expired p then begin
-          if p.pconn.alive then
-            ignore
-              (send_response p.pconn
-                 (Proto.Error
-                    (Failure.Deadline_exceeded
-                       {
-                         waited_s = float_of_int (Clock.now_ns () - p.p_recv_ns) /. 1e9;
-                         deadline_s = p.pq.Proto.q_deadline;
-                       })));
-          (j, `Expired)
-        end
-        else if
-          p.pconn.alive
-          && send_response p.pconn
-               (Proto.Result
-                  {
-                    Proto.r_cached = cached;
-                    r_key = key;
-                    r_ok = ok;
-                    r_body = body;
-                    r_trace_id = p.pq.Proto.q_trace_id;
-                  })
-        then (j, `Delivered)
-        else (j, `Gone))
-      jobs
-  in
   (* Single-flight handoff markers: a traced follower's id shows up in the
      worker lane even though the leader's computation answers it. *)
   List.iter
@@ -281,214 +246,141 @@ let exec t (leader : pending Sched.job) ~followers =
           ~args:(trace_args fq @ [ ("leader_trace", q.Proto.q_trace_id) ])
           "service.coalesced")
     followers;
-  let log_all ~tier ?(trials = 0) ?(counters = []) outcome =
+  (* Delivery is deadline-checked per recipient: a waiter past its
+     deadline receives Deadline_exceeded instead of a result it said it no
+     longer wants (the result itself is still cached — the client's re-ask
+     with a fresh budget is a hit).  The leader's line names the tier that
+     answered; its followers' read "coalesced". *)
+  let answer_all ~cached ~tier ?trials ?counters answer =
     List.iteri
       (fun i (j : pending Sched.job) ->
         let p = j.Sched.j_payload in
-        log_event ~q:p.pq ~key
-          ~tier:(if i = 0 then tier else "coalesced")
-          ~client:j.Sched.j_client ~worker:worker_id ~queue_ns:j.Sched.j_queue_ns
-          ~recv_ns:p.p_recv_ns ~trials ~counters ~outcome)
+        finish_job ~tier:(if i = 0 then tier else "coalesced") ?trials ?counters j
+          (match answer with
+          | Ok _ when past_due j ->
+              Error
+                (Failure.Deadline_exceeded
+                   {
+                     waited_s = float_of_int (Clock.now_ns () - p.p_recv_ns) /. 1e9;
+                     deadline_s = p.pq.Proto.q_deadline;
+                   })
+          | Ok verdict -> result p.pq ~key ~cached verdict
+          | Error f -> Error f))
       jobs
-  in
-  (* Result paths log per delivery status; error paths keep the uniform
-     [log_all]. *)
-  let log_delivered ~tier ?(trials = 0) ?(counters = []) ~base statuses =
-    List.iteri
-      (fun i ((j : pending Sched.job), st) ->
-        let p = j.Sched.j_payload in
-        let outcome =
-          match st with
-          | `Expired -> "deadline-exceeded"
-          | `Gone -> "retried_by_client"
-          | `Delivered -> base
-        in
-        log_event ~q:p.pq ~key
-          ~tier:(if i = 0 then tier else "coalesced")
-          ~client:j.Sched.j_client ~worker:worker_id ~queue_ns:j.Sched.j_queue_ns
-          ~recv_ns:p.p_recv_ns ~trials ~counters ~outcome)
-      statuses
-  in
-  let serve_entry ~tier entry =
-    match entry_decode entry with
-    | Some (ok, body) ->
-        let sts = deliver_result ~cached:true ~ok ~body in
-        log_delivered ~tier ~base:(if ok then "ok" else "bound-violation") sts;
-        true
-    | None -> false
   in
   (* Single-flight double-check: an identical query may have been computed
      and stored while this one sat in the queue. *)
-  let already =
-    if q.Proto.q_fresh then false
-    else
-      match
-        Trace.with_span ~cat:"service" ~args:targs "service.cache.probe" (fun () ->
-            Cache.find_tagged t.cch key)
-      with
-      | Some (entry, tier) -> serve_entry ~tier:(tier_name tier) entry
-      | None -> false
-  in
-  if not already then
-    (* The request scope: the computation's spans, counters and progress,
-       on any domain, are this request's and this batch's alone. *)
-    let scope =
-      Fair_obs.Scope.create ~args:targs
-        ~sink:(fun { Fair_obs.Scope.after; batch; running_mean; running_std_err } ->
-          deliver_progress
-            (Proto.Progress
-               {
-                 Proto.p_after = after;
-                 p_batch = batch;
-                 p_mean = running_mean;
-                 p_std_err = running_std_err;
-               }))
-    in
-    Fair_obs.Scope.within (Some scope) (fun () ->
-        Trace.with_span ~cat:"service"
-          ~args:
-            [
-              ("kind", Proto.kind_to_string q.Proto.q_kind);
-              ("experiment", q.Proto.q_experiment);
-            ]
-          "service.exec"
-          (fun () ->
-            let t0 = Clock.now_ns () in
-            let answer = Handlers.answer ~jobs:t.jobs q in
-            (* Feed the cost model with the measured compute time (success
-               or failure — a failing query burned the time all the same).
-               Read only at admission, so this can never move a byte. *)
-            Costmodel.observe t.costs
-              ~kind:(Proto.kind_to_string q.Proto.q_kind)
-              ~experiment:q.Proto.q_experiment
-              ~wall_s:(Clock.elapsed_s ~since_ns:t0);
-            let counters =
-              if Qlog.enabled () then List.filter interesting (Metrics.scoped scope) else []
+  match probe t q ~key with
+  | Some (verdict, tier) -> answer_all ~cached:true ~tier (Ok verdict)
+  | None ->
+      (* The request scope: the computation's spans, counters and progress,
+         on any domain, are this request's and this batch's alone.
+         Progress is best-effort telemetry: a waiter past its deadline gets
+         no more frames (it is about to be answered Deadline_exceeded, and
+         streaming to it would only delay that). *)
+      let scope =
+        Fair_obs.Scope.create ~args:targs
+          ~sink:(fun { Fair_obs.Scope.after; batch; running_mean; running_std_err } ->
+            let frame =
+              Proto.Progress
+                {
+                  Proto.p_after = after;
+                  p_batch = batch;
+                  p_mean = running_mean;
+                  p_std_err = running_std_err;
+                }
             in
-            let trials = Option.value ~default:0 (List.assoc_opt "mc.trials" counters) in
-            match answer with
-            | Ok (body, ok) ->
-                Cache.store t.cch ~key (entry_encode ~ok body);
-                let sts = deliver_result ~cached:false ~ok ~body in
-                log_delivered ~tier:"cold" ~trials ~counters
-                  ~base:(if ok then "ok" else "bound-violation")
-                  sts
-            | Error f ->
-                deliver (Proto.Error f);
-                log_all ~tier:"cold" ~trials ~counters (Failure.code f);
-                (match f with
-                | Failure.Query_failed { reason } ->
-                    dump_on t ("query-failed: " ^ reason)
-                | _ -> ())))
+            List.iter
+              (fun j ->
+                if not (past_due j) then ignore (send_response j.Sched.j_payload.pconn frame))
+              jobs)
+      in
+      Fair_obs.Scope.within (Some scope) (fun () ->
+          Trace.with_span ~cat:"service"
+            ~args:
+              [
+                ("kind", Proto.kind_to_string q.Proto.q_kind);
+                ("experiment", q.Proto.q_experiment);
+              ]
+            "service.exec"
+            (fun () ->
+              let t0 = Clock.now_ns () in
+              let answer = Handlers.answer ~jobs:t.jobs q in
+              (* Feed the cost model with the measured compute time (success
+                 or failure — a failing query burned the time all the same).
+                 Read only at admission, so this can never move a byte. *)
+              Costmodel.observe t.costs
+                ~kind:(Proto.kind_to_string q.Proto.q_kind)
+                ~experiment:q.Proto.q_experiment
+                ~wall_s:(Clock.elapsed_s ~since_ns:t0);
+              let counters =
+                if Qlog.enabled () then List.filter interesting (Metrics.scoped scope) else []
+              in
+              let trials = Option.value ~default:0 (List.assoc_opt "mc.trials" counters) in
+              Result.iter (fun (body, ok) -> Cache.store t.cch ~key (entry_encode ~ok body)) answer;
+              answer_all ~cached:false ~tier:"cold" ~trials ~counters answer;
+              match answer with
+              | Error (Failure.Query_failed { reason }) -> dump_on t ("query-failed: " ^ reason)
+              | _ -> ()))
 
 let handle_query t conn ~recv_ns (q : Proto.query) =
-  let targs = trace_args q in
-  if t.draining then begin
+  if t.draining then
     (* Graceful drain: inflight work is finishing, but nothing new starts —
        not even cache probes (the process is going away; the client should
        talk to its replacement, and Draining tells it exactly that). *)
-    ignore
-      (send_response conn
-         (Proto.Error (Failure.Draining { reason = "server is draining; not accepting work" })));
-    log_event ~q ~key:"" ~tier:"" ~client:conn.cid ~worker:(-1) ~queue_ns:0 ~recv_ns
-      ~trials:0 ~counters:[] ~outcome:"drained"
-  end
+    finish ~q ~outcome:"drained" conn ~recv_ns
+      (Error (Failure.Draining { reason = "server is draining; not accepting work" }))
   else
-  match Fair_analysis.Experiments.find q.Proto.q_experiment with
-  | None ->
-      (* Bad ids answer immediately and never occupy a queue slot. *)
-      ignore
-        (send_response conn
-           (Proto.Error
-              (Failure.Unknown_query
-                 {
-                   reason =
-                     Printf.sprintf "unknown experiment %S; try `fairness list`"
-                       q.Proto.q_experiment;
-                 })));
-      log_event ~q ~key:"" ~tier:"" ~client:conn.cid ~worker:(-1) ~queue_ns:0 ~recv_ns
-        ~trials:0 ~counters:[] ~outcome:"unknown-query"
-  | Some _ -> (
-      let key = Proto.cache_key q in
-      let deadline_ns =
-        if q.Proto.q_deadline > 0. then
-          recv_ns + int_of_float (q.Proto.q_deadline *. 1e9)
-        else 0
-      in
-      let submit () =
-        match
-          Sched.submit t.sched
-            {
-              Sched.j_client = conn.cid;
-              j_key = key;
-              j_attrs = targs;
-              j_cost_s =
-                Costmodel.estimate t.costs
-                  ~kind:(Proto.kind_to_string q.Proto.q_kind)
-                  ~experiment:q.Proto.q_experiment;
-              j_deadline_ns = deadline_ns;
-              j_queue_ns = 0;
-              j_payload =
-                { pq = q; pconn = conn; p_recv_ns = recv_ns; p_deadline_ns = deadline_ns };
-            }
-        with
-        | `Admitted -> ()
-        | `Rejected (depth, limit) ->
-            ignore (send_response conn (Proto.Error (Failure.Overloaded { depth; limit })));
-            log_event ~q ~key ~tier:"" ~client:conn.cid ~worker:(-1) ~queue_ns:0 ~recv_ns
-              ~trials:0 ~counters:[] ~outcome:"overloaded"
-      in
-      let hit =
-        if q.Proto.q_fresh then None
-        else
-          Trace.with_span ~cat:"service" ~args:targs "service.cache.probe" (fun () ->
-              Cache.find_tagged t.cch key)
-      in
-      match hit with
-      | Some (entry, tier) -> (
-          match entry_decode entry with
-          | Some (ok, body) ->
-              (* The fast path: answered right here in the reader thread —
-                 the scheduler and the domain pool never hear about it. *)
-              ignore
-                (send_response conn
-                   (Proto.Result
-                      {
-                        Proto.r_cached = true;
-                        r_key = key;
-                        r_ok = ok;
-                        r_body = body;
-                        r_trace_id = q.Proto.q_trace_id;
-                      }));
-              log_event ~q ~key ~tier:(tier_name tier) ~client:conn.cid ~worker:(-1)
-                ~queue_ns:0 ~recv_ns ~trials:0 ~counters:[]
-                ~outcome:(if ok then "ok" else "bound-violation")
-          | None -> submit () (* undecodable entry: recompute heals it *))
-      | None -> submit ())
+    (* Usage errors answer immediately and never occupy a queue slot. *)
+    match Handlers.resolve q with
+    | Error f -> finish ~q conn ~recv_ns (Error f)
+    | Ok _ -> (
+        let key = Proto.cache_key q in
+        match probe t q ~key with
+        | Some (verdict, tier) ->
+            (* The fast path: answered right here in the reader thread —
+               the scheduler and the domain pool never hear about it. *)
+            finish ~q ~key ~tier conn ~recv_ns (result q ~key ~cached:true verdict)
+        | None -> (
+            match
+              Sched.submit t.sched
+                {
+                  Sched.j_client = conn.cid;
+                  j_key = key;
+                  j_attrs = trace_args q;
+                  j_cost_s =
+                    Costmodel.estimate t.costs
+                      ~kind:(Proto.kind_to_string q.Proto.q_kind)
+                      ~experiment:q.Proto.q_experiment;
+                  j_deadline_ns =
+                    (if q.Proto.q_deadline > 0. then
+                       recv_ns + int_of_float (q.Proto.q_deadline *. 1e9)
+                     else 0);
+                  j_queue_ns = 0;
+                  j_payload = { pq = q; pconn = conn; p_recv_ns = recv_ns };
+                }
+            with
+            | `Admitted -> ()
+            | `Rejected (depth, limit) ->
+                finish ~q ~key conn ~recv_ns (Error (Failure.Overloaded { depth; limit }))))
 
 let serve_conn t conn =
   let dec = Frame.Decoder.create () in
+  (* Garbage on the wire: name the frame, answer in-band, close.  The
+     decoder is poisoned, so closing is the only honest option. *)
+  let malformed ~seq ~recv_ns reason =
+    finish conn ~recv_ns (Error (Failure.Malformed_frame { seq; reason }));
+    dump_on t ("malformed-frame: " ^ reason)
+  in
   let rec loop seq =
     match Frame.read conn.fd dec with
     | Ok None -> ()  (* clean EOF *)
-    | Error reason ->
-        (* Garbage on the wire: name the frame, answer in-band, close.  The
-           decoder is poisoned, so closing is the only honest option. *)
-        ignore
-          (send_response conn
-             (Proto.Error (Failure.Malformed_frame { seq = seq + 1; reason })));
-        log_malformed conn ~recv_ns:(Clock.now_ns ());
-        dump_on t ("malformed-frame: " ^ reason)
+    | Error reason -> malformed ~seq:(seq + 1) ~recv_ns:(Clock.now_ns ()) reason
     | Ok (Some payload) -> (
         let recv_ns = Clock.now_ns () in
         let seq = seq + 1 in
         match Proto.decode_request payload with
-        | Result.Error reason ->
-            ignore
-              (send_response conn
-                 (Proto.Error (Failure.Malformed_frame { seq; reason })));
-            log_malformed conn ~recv_ns;
-            dump_on t ("malformed-frame: " ^ reason)
+        | Result.Error reason -> malformed ~seq ~recv_ns reason
         | Ok Proto.Ping ->
             ignore (send_response conn Proto.Pong);
             loop seq
@@ -525,22 +417,16 @@ let accept_loop t =
   go ()
 
 (* The scheduler shed a queued job whose deadline had passed: answer the
-   waiting client honestly and log the shed verdict.  Runs on a worker
-   domain, outside the scheduler lock. *)
-let on_shed _t (job : pending Sched.job) =
-  let p = job.Sched.j_payload in
-  if p.pconn.alive then
-    ignore
-      (send_response p.pconn
-         (Proto.Error
-            (Failure.Deadline_exceeded
-               {
-                 waited_s = float_of_int job.Sched.j_queue_ns /. 1e9;
-                 deadline_s = p.pq.Proto.q_deadline;
-               })));
-  log_event ~q:p.pq ~key:job.Sched.j_key ~tier:"" ~client:job.Sched.j_client ~worker:(-1)
-    ~queue_ns:job.Sched.j_queue_ns ~recv_ns:p.p_recv_ns ~trials:0 ~counters:[]
-    ~outcome:"shed"
+   waiting client honestly.  Runs on an executor domain, outside the
+   scheduler lock. *)
+let on_shed (job : pending Sched.job) =
+  finish_job ~outcome:"shed" job
+    (Error
+       (Failure.Deadline_exceeded
+          {
+            waited_s = float_of_int job.Sched.j_queue_ns /. 1e9;
+            deadline_s = job.Sched.j_payload.pq.Proto.q_deadline;
+          }))
 
 (* A worker domain died mid-batch.  The scheduler has already released the
    inflight key and spawned a replacement; what is left is the apology:
@@ -549,39 +435,13 @@ let on_shed _t (job : pending Sched.job) =
    led here. *)
 let on_crash t (leader : pending Sched.job) ~followers exn =
   let reason = Printf.sprintf "worker crashed: %s" (Printexc.to_string exn) in
-  List.iter
-    (fun (j : pending Sched.job) ->
-      let p = j.Sched.j_payload in
-      if p.pconn.alive then
-        ignore (send_response p.pconn (Proto.Error (Failure.Query_failed { reason })));
-      log_event ~q:p.pq ~key:j.Sched.j_key ~tier:"" ~client:j.Sched.j_client
-        ~worker:(Fair_obs.Domain_id.get ()) ~queue_ns:j.Sched.j_queue_ns
-        ~recv_ns:p.p_recv_ns ~trials:0 ~counters:[] ~outcome:"query-failed")
-    (leader :: followers);
+  List.iter (fun j -> finish_job j (Error (Failure.Query_failed { reason }))) (leader :: followers);
   dump_on t ("worker-restart: " ^ reason)
 
-let start ~socket ?cache ?(queue_limit = 64) ?(cost_budget = 0.) ?costs ?jobs ?workers
-    ?recorder () =
+let start ~socket ?(cache = Cache.create ()) ?(queue_limit = 64) ?(cost_budget = 0.)
+    ?(costs = Costmodel.create ()) ?(jobs = Fairness.Parallel.default_jobs)
+    ?(workers = min 4 (max 1 Fairness.Parallel.default_jobs)) ?recorder () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let jobs = match jobs with Some j -> j | None -> Fairness.Parallel.default_jobs in
-  let workers =
-    match workers with
-    | Some w -> w
-    | None -> min 4 (max 1 Fairness.Parallel.default_jobs)
-  in
-  let cch = match cache with Some c -> c | None -> Cache.create () in
-  let costs =
-    match costs with
-    | Some m -> m
-    | None ->
-        (* Warm-start from whatever qlog history this process already has:
-           after an in-process restart (soak, tests) the ring remembers
-           real cold wall times; on a fresh daemon it is empty and the
-           model starts from its default. *)
-        let m = Costmodel.create () in
-        Costmodel.seed_from_events m (Qlog.recent ());
-        m
-  in
   (try Unix.unlink socket with Unix.Unix_error _ -> ());
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try
@@ -595,8 +455,7 @@ let start ~socket ?cache ?(queue_limit = 64) ?(cost_budget = 0.) ?costs ?jobs ?w
   let t_ref = ref None in
   let with_t f = match !t_ref with None -> () | Some t -> f t in
   let sched =
-    Sched.create ~queue_limit ~cost_budget ~workers
-      ~on_shed:(fun job -> with_t (fun t -> on_shed t job))
+    Sched.create ~queue_limit ~cost_budget ~workers ~on_shed
       ~on_crash:(fun leader ~followers exn ->
         with_t (fun t -> on_crash t leader ~followers exn))
       ~exec:(fun leader ~followers -> with_t (fun t -> exec t leader ~followers))
@@ -606,7 +465,7 @@ let start ~socket ?cache ?(queue_limit = 64) ?(cost_budget = 0.) ?costs ?jobs ?w
     {
       sock_path = socket;
       listen_fd;
-      cch;
+      cch = cache;
       jobs;
       queue_limit;
       cost_budget;
@@ -628,7 +487,6 @@ let start ~socket ?cache ?(queue_limit = 64) ?(cost_budget = 0.) ?costs ?jobs ?w
 
 let chaos_kill_workers t n = Sched.chaos_kill_workers t.sched n
 let worker_restarts t = Sched.restarts t.sched
-let cost_model t = t.costs
 
 let stop t =
   if not t.stopped then begin

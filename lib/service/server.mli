@@ -16,12 +16,13 @@
     computations stream only their own frames), stores the bytes in the
     content-addressed cache ({!Cache}) and delivers the result.
 
-    Failure isolation: anything that goes wrong on one connection — gibberish
-    frames, a mid-stream crash, a peer that dies while its query runs —
-    collapses to that connection (a structured {!Failure.t} answer and/or a
-    teardown) and never perturbs another connection's bytes.  This is
-    chaos-tested by pointing {!Fair_faults} at the socket channel itself
-    ({!Chaos}, [@service-smoke]). *)
+    Failure isolation: a usage error ({!Handlers.resolve}) is answered by
+    the reader and never takes a queue slot; anything that goes wrong on
+    one connection — gibberish frames, a peer that dies mid-frame or while
+    its query runs — collapses to that connection (a structured
+    {!Failure.t} answer and/or a teardown) and never perturbs another
+    connection's bytes.  Raw-socket peers in [@service-smoke] and the soak
+    ({!Soak}) test this. *)
 
 type t
 
@@ -43,7 +44,7 @@ val start :
     queued work, default [0.] = disabled) enables {!Sched}'s cost-aware
     admission, with [queue_limit] as its depth floor; [costs] supplies a
     pre-seeded {!Costmodel} (e.g. warm-started from a previous run's qlog
-    file) — by default a fresh model seeded from the in-process qlog ring;
+    file) — by default a fresh {!Costmodel.create} model;
     [jobs] (default {!Fairness.Parallel.default_jobs}) bounds the domain
     pool per query — it never changes any served byte; [workers] (default
     [min 4 (max 1 default_jobs)]) sizes the executor pool — like [jobs] it
@@ -87,13 +88,6 @@ val drain : t -> timeout_s:float -> bool
     and executor pool to empty, then {!stop}.  Returns [true] when the
     drain completed before the bound ([false] = work was still in flight
     and stop proceeded anyway). *)
-
-val socket : t -> string
-val cache : t -> Cache.t
-
-val cost_model : t -> Costmodel.t
-(** The live cost model ({!Costmodel}) — exposed so the CLI can warm-start
-    it from a qlog file and tests can inspect learned estimates. *)
 
 val chaos_kill_workers : t -> int -> unit
 (** Inject [n] scripted worker deaths ({!Sched.chaos_kill_workers}) — the

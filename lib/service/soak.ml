@@ -90,11 +90,10 @@ let inline_reference () =
    time (a failed attempt's socket is poisoned or dead), connect failures
    folded into the taxonomy as [Connection_lost] — exactly the CLI's
    mapping, so the soak exercises the same retry matrix users get. *)
-let attempt_query ~socket ~chaos q ~attempt =
+let attempt_query ~socket q ~attempt =
   match Client.connect ~socket ~timeout:5.0 () with
   | Result.Error msg -> Result.Error (Failure.Connection_lost { reason = msg })
   | Ok c ->
-      (match chaos with Some plan_rng -> Client.set_chaos c plan_rng | None -> ());
       let res = Client.query c { q with Proto.q_attempt = attempt } in
       Client.close c;
       res
@@ -102,27 +101,49 @@ let attempt_query ~socket ~chaos q ~attempt =
 let retry_policy =
   { Client.Retry.retries = 8; budget_s = 2.0; base_s = 0.005; cap_s = 0.08 }
 
-(* A raw misbehaving peer: claims a 64-byte frame, delivers 7 bytes, holds
-   the connection open (the server's reader thread is mid-frame, blocked),
-   then vanishes.  The reader must classify the truncated stream and tear
-   down that connection only. *)
-let stall ~socket =
+(* A raw misbehaving peer on its own socket, reads bounded like a
+   client's: [act] returns the op's label, and a socket error reads as
+   ["connection-lost"]. *)
+let raw_peer ~socket act =
   match Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 with
-  | exception Unix.Unix_error _ -> "stalled"
+  | exception Unix.Unix_error _ -> "connection-lost"
   | fd ->
-      (try
-         Unix.connect fd (Unix.ADDR_UNIX socket);
-         let header = Bytes.create 4 in
-         Bytes.set_uint8 header 0 0;
-         Bytes.set_uint8 header 1 0;
-         Bytes.set_uint8 header 2 0;
-         Bytes.set_uint8 header 3 64;
-         ignore (Unix.write fd header 0 4);
-         ignore (Unix.write_substring fd "partial" 0 7);
-         Unix.sleepf 0.05
-       with Unix.Unix_error _ -> ());
+      let label =
+        try
+          Unix.connect fd (Unix.ADDR_UNIX socket);
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+          act fd
+        with Unix.Unix_error _ -> "connection-lost"
+      in
       (try Unix.close fd with Unix.Unix_error _ -> ());
-      "stalled"
+      label
+
+(* Claims a 64-byte frame, delivers 7 bytes, holds the connection open
+   (the server's reader thread is mid-frame, blocked), then vanishes.  The
+   reader must classify the truncated stream and tear down that connection
+   only; the op itself always reads "stalled". *)
+let stall ~socket =
+  ignore
+    (raw_peer ~socket (fun fd ->
+         ignore (Unix.write_substring fd "\000\000\000\064partial" 0 11);
+         Unix.sleepf 0.05;
+         "stalled"));
+  "stalled"
+
+(* Frame truncation: one well-framed query whose payload is cut short.  The
+   server answers [Malformed_frame] and closes; a race with the teardown
+   reads as [Connection_lost].  Both are classified. *)
+let truncated ~socket q =
+  raw_peer ~socket (fun fd ->
+      let payload = Proto.encode_request (Proto.Query q) in
+      Frame.write fd (String.sub payload 0 (String.length payload / 2));
+      match Frame.read fd (Frame.Decoder.create ()) with
+      | Ok (Some reply) -> (
+          match Proto.decode_response reply with
+          | Ok (Proto.Error f) -> Failure.code f
+          | Ok _ -> "answered"
+          | Result.Error _ -> "connection-lost")
+      | Ok None | Result.Error _ -> "connection-lost")
 
 (* One scripted client op → one taxonomy label.  Totality is the point:
    every arm below ends in a string, and the only way a label goes missing
@@ -150,20 +171,7 @@ let op_kind ~client ~op rng =
 let run_op ~socket ~seed ~client ~op rng =
   let q = base_query (List.nth experiments (op mod List.length experiments)) in
   match op_kind ~client ~op rng with
-  | `Trunc ->
-      (* Frame truncation: the query's own frame is cut mid-payload.  The
-         server answers [Malformed_frame] and closes; a race with the
-         teardown reads as [Connection_lost].  Both are classified. *)
-      let plan =
-        match Fair_faults.Faults.parse "trunc@1" with
-        | Ok p -> p
-        | Result.Error e -> invalid_arg ("soak: bad trunc spec: " ^ e)
-      in
-      let chaos = Chaos.create plan ~rng:(Rng.split rng ~label:"trunc") in
-      classify
-        (match attempt_query ~socket ~chaos:(Some chaos) q ~attempt:0 with
-        | Ok r -> Ok r
-        | Result.Error f -> Result.Error (`Failed f))
+  | `Trunc -> truncated ~socket q
   | `Stall -> stall ~socket
   | `Deadline ->
       (* A tight deadline on a cache-bypassing query: either it runs in
@@ -179,13 +187,13 @@ let run_op ~socket ~seed ~client ~op rng =
         }
       in
       classify
-        (match attempt_query ~socket ~chaos:None q ~attempt:0 with
+        (match attempt_query ~socket q ~attempt:0 with
         | Ok r -> Ok r
         | Result.Error f -> Result.Error (`Failed f))
   | `Normal ->
       let op_seed = seed + (client * 1_000) + op in
       classify
-        (Client.Retry.run ~policy:retry_policy ~seed:op_seed (attempt_query ~socket ~chaos:None q))
+        (Client.Retry.run ~policy:retry_policy ~seed:op_seed (attempt_query ~socket q))
 
 let run ?(config = default_config) ~socket () =
   let reference = inline_reference () in
@@ -228,7 +236,7 @@ let run ?(config = default_config) ~socket () =
         (Client.Retry.run
            ~policy:{ retry_policy with Client.Retry.retries = 4 }
            ~seed:(config.seed + 500 + k)
-           (attempt_query ~socket ~chaos:None q))
+           (attempt_query ~socket q))
     in
     driver_outcomes := label :: !driver_outcomes
   done;
@@ -250,7 +258,7 @@ let run ?(config = default_config) ~socket () =
   let problem fmt = Printf.ksprintf (fun m -> problems := m :: !problems) fmt in
   List.iter
     (fun ex ->
-      match attempt_query ~socket ~chaos:None (base_query ex) ~attempt:0 with
+      match attempt_query ~socket (base_query ex) ~attempt:0 with
       | Ok r ->
           if Some r.Proto.r_body <> List.assoc_opt ex reference then begin
             healed := false;

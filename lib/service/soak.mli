@@ -1,12 +1,14 @@
-(** The chaos soak harness: scripted clients vs. a live server under
-    injected faults, with classification totality as the acceptance bar.
+(** The chaos soak harness — the service's one fault driver: scripted
+    clients vs. a live server under injected faults, with classification
+    totality as the acceptance bar.
 
     {!run} starts a server, unleashes [clients] threads each running
     [ops_per_client] scripted operations drawn from a per-client
-    deterministic RNG child (clean retrying queries, frame truncation via
-    {!Chaos}, raw mid-frame read stalls, tight-deadline cache-bypassing
-    queries), while the driver thread injects [worker_kills] scripted
-    worker deaths ({!Server.chaos_kill_workers}) — each chased by a fresh
+    deterministic RNG child (clean retrying queries, tight-deadline
+    cache-bypassing queries, and two raw-socket peers: a query frame whose
+    payload is cut short, and a mid-frame read stall), while the driver
+    thread injects [worker_kills] scripted worker deaths
+    ({!Server.chaos_kill_workers}) — each chased by a fresh
     unique-key query so the supervision path definitely fires — and, when
     [restart_server] is set, one in-process daemon crash-restart on the
     same socket and cache mid-soak.

@@ -344,13 +344,6 @@ let failure_json_roundtrip () =
       | Ok f' when f = f' -> ()
       | Ok _ -> Alcotest.fail "failure changed across JSON"
       | Error e -> Alcotest.failf "failure did not decode: %s" e)
-    sample_failures;
-  List.iter
-    (fun f ->
-      let expect = match f with Failure.Malformed_frame _ -> true | _ -> false in
-      Alcotest.(check bool)
-        (Printf.sprintf "closes_connection %s" (Failure.code f))
-        expect (Failure.closes_connection f))
     sample_failures
 
 (* ---------------------------- cache --------------------------------- *)
@@ -363,13 +356,15 @@ let fresh_dir () =
     (Filename.get_temp_dir_name ())
     (Printf.sprintf "fair-cache-test-%d-%d" (Unix.getpid ()) !tmp_counter)
 
+let find c key = Option.map fst (Cache.find c key)
+
 let cache_memory_roundtrip () =
   let c = Cache.create ~capacity:4 () in
-  Alcotest.(check (option string)) "miss before store" None (Cache.find c "k1");
+  Alcotest.(check (option string)) "miss before store" None (find c "k1");
   Cache.store c ~key:"k1" "v1";
-  Alcotest.(check (option string)) "hit after store" (Some "v1") (Cache.find c "k1");
+  Alcotest.(check (option string)) "hit after store" (Some "v1") (find c "k1");
   Cache.store c ~key:"k1" "v1'";
-  Alcotest.(check (option string)) "overwrite wins" (Some "v1'") (Cache.find c "k1");
+  Alcotest.(check (option string)) "overwrite wins" (Some "v1'") (find c "k1");
   let s = Cache.stats c in
   Alcotest.(check int) "hits" 2 s.Cache.hits;
   Alcotest.(check int) "misses" 1 s.Cache.misses;
@@ -381,9 +376,9 @@ let cache_lru_eviction () =
   Cache.store c ~key:"b" "2";
   ignore (Cache.find c "a");  (* promote a: b is now least-recently-used *)
   Cache.store c ~key:"c" "3";
-  Alcotest.(check (option string)) "b evicted" None (Cache.find c "b");
-  Alcotest.(check (option string)) "a survived (promoted)" (Some "1") (Cache.find c "a");
-  Alcotest.(check (option string)) "c present" (Some "3") (Cache.find c "c");
+  Alcotest.(check (option string)) "b evicted" None (find c "b");
+  Alcotest.(check (option string)) "a survived (promoted)" (Some "1") (find c "a");
+  Alcotest.(check (option string)) "c present" (Some "3") (find c "c");
   Alcotest.(check int) "one eviction" 1 (Cache.stats c).Cache.evictions
 
 let cache_disk_spill () =
@@ -392,7 +387,7 @@ let cache_disk_spill () =
   Cache.store c ~key:"k" "spilled-value";
   (* a different cache instance over the same directory starts warm *)
   let c2 = Cache.create ~capacity:4 ~dir () in
-  Alcotest.(check (option string)) "found via disk" (Some "spilled-value") (Cache.find c2 "k");
+  Alcotest.(check (option string)) "found via disk" (Some "spilled-value") (find c2 "k");
   Alcotest.(check int) "counted as disk hit" 1 (Cache.stats c2).Cache.disk_hits;
   (* now in memory: the next hit is free *)
   ignore (Cache.find c2 "k");
@@ -404,7 +399,7 @@ let cache_eviction_keeps_disk () =
   Cache.store c ~key:"a" "va";
   Cache.store c ~key:"b" "vb";  (* evicts a from memory; disk still has it *)
   Alcotest.(check int) "a was evicted" 1 (Cache.stats c).Cache.evictions;
-  Alcotest.(check (option string)) "a still answerable" (Some "va") (Cache.find c "a");
+  Alcotest.(check (option string)) "a still answerable" (Some "va") (find c "a");
   Alcotest.(check int) "via the spill dir" 1 (Cache.stats c).Cache.disk_hits
 
 (* What the filesystem does to a spilled entry after we wrote it is not
@@ -422,13 +417,13 @@ let cache_corruption_heals corrupt () =
   (* A fresh instance over the same dir: memory tier empty, the poisoned
      spill is the only copy left. *)
   let c2 = Cache.create ~capacity:4 ~dir () in
-  Alcotest.(check (option string)) "corrupt entry reads as a miss" None (Cache.find c2 "k");
+  Alcotest.(check (option string)) "corrupt entry reads as a miss" None (find c2 "k");
   Alcotest.(check bool) "poisoned file deleted" false (Sys.file_exists path);
   (* the caller recomputes and stores: the slot heals on disk *)
   Cache.store c2 ~key:"k" "precious-value";
   let c3 = Cache.create ~capacity:4 ~dir () in
   Alcotest.(check (option string)) "re-spill heals the slot" (Some "precious-value")
-    (Cache.find c3 "k")
+    (find c3 "k")
 
 let rewrite path s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
 
@@ -490,21 +485,6 @@ let costmodel_floor_rejects_garbage () =
   Alcotest.check_raises "alpha outside (0,1] rejected"
     (Invalid_argument "Costmodel.create: alpha not in (0,1]") (fun () ->
       ignore (Costmodel.create ~alpha:1.5 ()))
-
-let costmodel_seeds_from_cold_events_only () =
-  let m = Costmodel.create ~alpha:1.0 () in
-  let ev ~tier ~wall_s =
-    { Fair_obs.Qlog.ts_ns = 1; trace_id = ""; span_id = ""; kind = "search";
-      experiment = "E1"; key = "k"; tier; client = 0; worker = 0; queue_s = 0.;
-      wall_s; deadline_s = 0.; attempt = 0; trials = 0; counters = []; outcome = "ok" }
-  in
-  Costmodel.seed_from_events m
-    [ ev ~tier:"cold" ~wall_s:0.3;
-      ev ~tier:"mem" ~wall_s:1e-6;
-      ev ~tier:"disk" ~wall_s:1e-6;
-      ev ~tier:"coalesced" ~wall_s:1e-6 ];
-  Alcotest.(check (float 1e-12)) "only the cold event taught the model" 0.3
-    (Costmodel.estimate m ~kind:"search" ~experiment:"E1")
 
 let costmodel_seed_from_file () =
   let path = fresh_dir () ^ ".jsonl" in
@@ -1106,7 +1086,7 @@ let server_malformed_frame_closes () =
   | Ok None -> Alcotest.fail "server closed without the structured error"
   | Error e -> Alcotest.failf "read: %s" e);
   (match Frame.read fd dec with
-  | Ok None -> ()  (* the connection is gone, as Failure.closes_connection says *)
+  | Ok None -> ()  (* the connection is gone *)
   | Ok (Some _) -> Alcotest.fail "server kept talking on a poisoned stream"
   | Error e -> Alcotest.failf "expected clean close, got %s" e);
   Unix.close fd
@@ -1126,6 +1106,162 @@ let server_hostile_length_prefix () =
   | Ok None -> Alcotest.fail "server closed without the structured error"
   | Error e -> Alcotest.failf "read: %s" e);
   Unix.close fd
+
+(* Every way a query can end, through a real server with the query log
+   on: the reply the client gets, and the outcome, cache tier and
+   answering thread (an executor domain or the connection's reader) of the
+   one qlog line the server writes for it. *)
+let server_outcome_table () =
+  let socket = Printf.sprintf "test-svc-table-%d.sock" (Unix.getpid ()) in
+  let server = S.Server.start ~socket ~jobs:1 ~workers:1 () in
+  let socket0 = Printf.sprintf "test-svc-table0-%d.sock" (Unix.getpid ()) in
+  let server0 = S.Server.start ~socket:socket0 ~queue_limit:0 ~jobs:1 ~workers:1 () in
+  Fair_obs.Qlog.clear ();
+  Fair_obs.Qlog.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      S.Server.stop server;
+      S.Server.stop server0;
+      Fair_obs.Qlog.disable ();
+      Fair_obs.Qlog.clear ())
+  @@ fun () ->
+  let search ?(experiment = "E1") ?(budget = 2000) ?(deadline = 0.) seed =
+    S.Client.with_trace
+      { Proto.q_kind = Proto.Search; q_experiment = experiment; q_budget = budget; q_seed = seed;
+        q_zoo = false; q_fresh = false; q_trace_id = ""; q_span_id = ""; q_deadline = deadline;
+        q_attempt = 0 }
+  in
+  let reply_name = function
+    | Ok (r : Proto.result) -> if r.Proto.r_cached then "cached result" else "result"
+    | Error f -> Failure.code f
+  in
+  (* the line is recorded just after the reply is written *)
+  let row name reply matches =
+    wait_until (name ^ "'s qlog line") (fun () -> List.exists matches (Fair_obs.Qlog.recent ()));
+    let e = List.find matches (Fair_obs.Qlog.recent ()) in
+    Printf.sprintf "%s: %s / %s / tier %S / %s" name (reply_name reply) e.Fair_obs.Qlog.outcome
+      e.Fair_obs.Qlog.tier
+      (if e.Fair_obs.Qlog.worker >= 0 then "executor" else "reader")
+  in
+  let traced (q : Proto.query) (e : Fair_obs.Qlog.event) =
+    e.Fair_obs.Qlog.trace_id = q.Proto.q_trace_id
+  in
+  let ask ?(socket = socket) name q =
+    let c = connect socket in
+    let r = S.Client.query c q in
+    S.Client.close c;
+    row name r (traced q)
+  in
+  (* A long E2 search on its own connection, returned once it is computing
+     on the one executor; the closure joins it. *)
+  let computing seed =
+    let started = gate () and result = ref None in
+    let th =
+      Thread.create
+        (fun () ->
+          let c = connect socket in
+          let q = search ~experiment:"E2" ~budget:8000 seed in
+          result := Some (S.Client.query c ~on_progress:(fun _ -> gate_open started) q);
+          S.Client.close c;
+          gate_open started)
+        ()
+    in
+    gate_wait started;
+    if !result <> None then Alcotest.fail "the long search ended before it streamed progress";
+    fun () ->
+      Thread.join th;
+      match !result with
+      | Some (Ok _) -> ()
+      | Some (Error f) -> Alcotest.failf "long search: %s" (Failure.to_string f)
+      | None -> Alcotest.fail "the long search left no result"
+  in
+  let raw () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX socket);
+    fd
+  in
+  let cold = ask "cold" (search 42) in
+  let hit = ask "repeated hit" (search 42) in
+  (* the asker shut its receiving side before asking, so the write fails *)
+  let gone =
+    let fd = raw () and q = search 42 in
+    Unix.shutdown fd Unix.SHUTDOWN_RECEIVE;
+    Frame.write fd (Proto.encode_request (Proto.Query q));
+    let r =
+      row "repeated hit, peer gone" (Error (Failure.Connection_lost { reason = "" })) (traced q)
+    in
+    Unix.close fd;
+    r
+  in
+  let unknown = ask "unknown id" (search ~experiment:"E99" 1) in
+  let malformed =
+    let fd = raw () in
+    Frame.write fd "this is|not a\\valid|request";
+    let reply =
+      match Frame.read fd (Frame.Decoder.create ()) with
+      | Ok (Some payload) -> (
+          match Proto.decode_response payload with
+          | Ok (Proto.Error f) -> Error f
+          | _ -> Alcotest.fail "expected an error reply to a malformed frame")
+      | _ -> Alcotest.fail "no reply to a malformed frame"
+    in
+    Unix.close fd;
+    row "malformed frame" reply (fun e -> e.Fair_obs.Qlog.kind = "malformed")
+  in
+  (* a 2 ms deadline queued behind a running search expires before dispatch *)
+  let shed =
+    let long = computing 31 in
+    let r = ask "shed" (search ~experiment:"E2" ~deadline:0.002 3) in
+    long ();
+    r
+  in
+  let crashed =
+    S.Server.chaos_kill_workers server 1;
+    ask "worker crash" (search 5)
+  in
+  (* a search without a search target is a usage error, refused before
+     admission: a full queue cannot turn it into a retryable Overloaded *)
+  let full =
+    List.map
+      (fun (name, q) -> ask ~socket:socket0 ("full queue, " ^ name) q)
+      [ ("E16 search", search ~experiment:"E16" 1);
+        ("E12 search", search ~experiment:"E12" 1);
+        ("E16 run", { (search ~experiment:"E16" 1) with Proto.q_kind = Proto.Run }) ]
+  in
+  (* last: the drain stops the server once the inflight search is done *)
+  let drained =
+    let long = computing 32 in
+    let c = connect socket in
+    let draining () =
+      match
+        Result.bind (Json.member "resilience" (S.Server.stats_json server)) (Json.member "draining")
+      with
+      | Ok (Json.Bool b) -> b
+      | _ -> false
+    in
+    let drainer = Thread.create (fun () -> ignore (S.Server.drain server ~timeout_s:60.)) () in
+    wait_until "the drain" draining;
+    let q = search 7 in
+    let r = S.Client.query c q in
+    S.Client.close c;
+    long ();
+    Thread.join drainer;
+    row "drained" r (traced q)
+  in
+  Alcotest.(check (list string))
+    "reply / qlog outcome / tier / answering thread"
+    [ "cold: result / ok / tier \"cold\" / executor";
+      "repeated hit: cached result / ok / tier \"mem\" / reader";
+      "repeated hit, peer gone: connection-lost / retried_by_client / tier \"mem\" / reader";
+      "unknown id: unknown-query / unknown-query / tier \"\" / reader";
+      "malformed frame: malformed-frame / malformed-frame / tier \"\" / reader";
+      "shed: deadline-exceeded / shed / tier \"\" / executor";
+      "worker crash: query-failed / query-failed / tier \"\" / executor";
+      "full queue, E16 search: unknown-query / unknown-query / tier \"\" / reader";
+      "full queue, E12 search: unknown-query / unknown-query / tier \"\" / reader";
+      "full queue, E16 run: overloaded / overloaded / tier \"\" / reader";
+      "drained: draining / drained / tier \"\" / reader" ]
+    ([ cold; hit; gone; unknown; malformed; shed; crashed ] @ full @ [ drained ])
 
 (* ---------------------- observability invariants --------------------- *)
 
@@ -1436,8 +1572,6 @@ let () =
         [ Alcotest.test_case "EWMA learning and key normalization" `Quick costmodel_learns;
           Alcotest.test_case "floor clamps garbage and free work" `Quick
             costmodel_floor_rejects_garbage;
-          Alcotest.test_case "seeding uses cold-tier events only" `Quick
-            costmodel_seeds_from_cold_events_only;
           Alcotest.test_case "warm-start from a qlog file is best-effort" `Quick
             costmodel_seed_from_file ] );
       ( "sched",
@@ -1480,7 +1614,8 @@ let () =
             server_unknown_query_keeps_conn;
           Alcotest.test_case "malformed frame: structured error, then close" `Quick
             server_malformed_frame_closes;
-          Alcotest.test_case "hostile length prefix refused" `Quick server_hostile_length_prefix ] );
+          Alcotest.test_case "hostile length prefix refused" `Quick server_hostile_length_prefix;
+          Alcotest.test_case "every ending: reply and qlog line" `Quick server_outcome_table ] );
       ( "observability",
         [ Alcotest.test_case "certificates bit-identical with obs on/off, -j1/-j4" `Quick
             server_obs_byte_identity;
