@@ -3,10 +3,9 @@
      dune exec bench/diff.exe -- OLD.json NEW.json
 
    For every Bechamel kernel present in both snapshots, and for the named
-   throughput fields (Monte-Carlo trials/s, service cached queries/s), a
-   change worse than 25% prints a WARN row and a change worse than 100%
-   (a 2x cliff) exits nonzero — slower for ns/op rows, lower for
-   throughput rows.  Fields that are missing from either side, or null
+   Monte-Carlo throughput fields (trials/s and speedup), a change worse
+   than 25% prints a WARN row and a change worse than 100% (a 2x cliff)
+   exits nonzero — slower for ns/op rows, lower for throughput rows.  Fields that are missing from either side, or null
    (e.g. the Monte-Carlo speedup on a degraded single-core host), are
    skipped with a note rather than treated as regressions: snapshots from
    different schema versions stay comparable on their common subset.
@@ -99,20 +98,15 @@ let degraded j =
    "parallel" timing is the sequential path racing itself.  Comparing one
    degraded and one real snapshot would report machine shape, not a code
    regression, so those rows are skipped whenever either side is degraded
-   (the sequential leg and the service rows stay comparable). *)
+   (the sequential leg stays comparable). *)
 let parallel_leg = [ [ "montecarlo"; "par_trials_per_sec" ]; [ "montecarlo"; "speedup" ] ]
 
 (* Purely informational rows: printed for visibility, never counted as a
-   warning or a regression.  The soak/chaos-driven resilience counters
-   (shed queries, supervised worker restarts) vary with host timing by
-   design — a noisy soak must not be able to flake the bench gate — but a
-   drift between snapshots is still worth a glance.  The search leg's
-   spend is deterministic in (budget, seed), so any drift there is a
-   change in the racer; its wall time is a single run. *)
+   warning or a regression.  The search leg's spend is deterministic in
+   (budget, seed), so any drift there is a change in the racer; its wall
+   time is a single run. *)
 let informational_fields =
-  [ [ "service"; "counters"; "service.sched.shed" ];
-    [ "service"; "counters"; "service.sched.restarts" ];
-    [ "search"; "paired"; "spent" ];
+  [ [ "search"; "paired"; "spent" ];
     [ "search"; "paired"; "seconds" ] ]
 
 let info ~label old_v new_v =
@@ -121,9 +115,7 @@ let info ~label old_v new_v =
 let throughput_fields =
   [ [ "montecarlo"; "seq_trials_per_sec" ];
     [ "montecarlo"; "par_trials_per_sec" ];
-    [ "montecarlo"; "speedup" ];
-    [ "service"; "cached_queries_per_sec" ];
-    [ "service"; "cached_queries_per_sec_4_clients" ] ]
+    [ "montecarlo"; "speedup" ] ]
 
 let () =
   let old_path, new_path =

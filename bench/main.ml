@@ -1,14 +1,14 @@
 (* The benchmark harness.
 
-   Part 1 regenerates every paper table: it runs the full experiment
-   registry (E1..E13, the per-theorem reproduction of DESIGN.md section 3)
-   and prints measured-vs-paper rows.
+   Part 1 races the sequential Monte-Carlo path against the pooled one on
+   the same seed, and Part 2 times one budgeted E2 search.  Part 3 times
+   the building blocks and one execution kernel per experiment with
+   Bechamel, so performance regressions in the substrate (field ops,
+   hashing, sharing, the engine, SPDZ rounds) are visible.  The paper
+   tables are [fairness all]'s job and the service is perfbench's, so
+   neither runs here.
 
-   Part 2 times the building blocks and one execution kernel per experiment
-   with Bechamel, so performance regressions in the substrate (field ops,
-   hashing, sharing, the engine, SPDZ rounds) are visible.
-
-     dune exec bench/main.exe *)
+     dune exec bench/main.exe -- [-o PATH] *)
 
 open Bechamel
 open Toolkit
@@ -21,25 +21,7 @@ module Func = Fair_mpc.Func
 module Adv = Fair_protocols.Adversaries
 
 (* ------------------------------------------------------------------ *)
-(* Part 1: regenerate the paper's numbers                              *)
-(* ------------------------------------------------------------------ *)
-
-let run_experiments () =
-  print_endline "=== Reproduction: every quantitative claim of the paper (E1..E15) ===";
-  print_endline "";
-  let failures = ref 0 in
-  List.iter
-    (fun (s : E.spec) ->
-      let r = s.E.run ~trials:400 ~seed:42 ~jobs:Fairness.Parallel.default_jobs in
-      Format.printf "%a@." E.pp r;
-      if not (E.all_ok r) then incr failures)
-    E.registry;
-  if !failures = 0 then print_endline "reproduction: ALL EXPERIMENTS PASS"
-  else Printf.printf "reproduction: %d EXPERIMENT(S) FAILED\n" !failures;
-  print_endline ""
-
-(* ------------------------------------------------------------------ *)
-(* Part 1b: sequential vs parallel Monte-Carlo throughput              *)
+(* Part 1: sequential vs parallel Monte-Carlo throughput               *)
 (* ------------------------------------------------------------------ *)
 
 (* The domain-parallel estimate kernel, head to head with the sequential
@@ -48,8 +30,7 @@ let run_experiments () =
    shrinks with the core count. *)
 type mc_comparison = {
   mc_jobs : int;
-  mc_trials : int;  (* requested *)
-  mc_trials_spent : int;  (* actually executed (= requested here: fixed-size run) *)
+  mc_trials : int;
   seq_seconds : float;
   par_seconds : float;
   seq_trials_per_s : float;
@@ -66,30 +47,6 @@ type mc_comparison = {
 }
 
 module Pl = Fairness.Parallel
-
-(* [b - a] for two pool-stats snapshots, so the JSON reports what the
-   comparison itself did rather than everything since process start (the
-   experiment registry above also uses the pool). *)
-let stats_delta (a : Pl.stats) (b : Pl.stats) =
-  let dw (x : Pl.worker_stats) (y : Pl.worker_stats) =
-    { Pl.tasks = y.Pl.tasks - x.Pl.tasks;
-      busy_ns = y.Pl.busy_ns - x.Pl.busy_ns;
-      idle_ns = y.Pl.idle_ns - x.Pl.idle_ns }
-  in
-  let zero = { Pl.tasks = 0; busy_ns = 0; idle_ns = 0 } in
-  let rec dws xs ys =
-    match (xs, ys) with
-    | _, [] -> []
-    | [], y :: ys -> dw zero y :: dws [] ys
-    | x :: xs, y :: ys -> dw x y :: dws xs ys
-  in
-  { Pl.spawned = b.Pl.spawned - a.Pl.spawned;
-    pooled_batches = b.Pl.pooled_batches - a.Pl.pooled_batches;
-    seq_batches = b.Pl.seq_batches - a.Pl.seq_batches;
-    inline_batches = b.Pl.inline_batches - a.Pl.inline_batches;
-    requeued = b.Pl.requeued - a.Pl.requeued;
-    caller = dw a.Pl.caller b.Pl.caller;
-    workers = dws a.Pl.workers b.Pl.workers }
 
 let run_parallel_comparison () =
   let module Mc = Fairness.Montecarlo in
@@ -122,52 +79,46 @@ let run_parallel_comparison () =
     avail
     (if avail = 1 then "" else "s")
     (if degraded then "; DEGRADED: single core, speedup not meaningful" else "");
-  let s_before = Pl.pool_stats () in
   ignore (estimate ~jobs:1);  (* warm up (Lamport key pool, allocator) *)
   let e_seq, t_seq = wall (fun () -> estimate ~jobs:1) in
-  let s_par0 = Pl.pool_stats () in
+  let s0 = Pl.pool_stats () in
   let e_par, t_par = wall (fun () -> estimate ~jobs) in
-  let s_par1 = Pl.pool_stats () in
-  let par_delta = stats_delta s_par0 s_par1 in
-  (* Throughput divides by [e.Mc.trials] — the trials the estimate actually
-     spent — not the requested count, so the number stays honest if this
-     kernel ever switches to adaptive sampling (where spent ≥ requested). *)
-  let throughput e t = float_of_int e.Mc.trials /. t in
+  let s1 = Pl.pool_stats () in
+  let pooled = s1.Pl.pooled_batches - s0.Pl.pooled_batches
+  and inline = s1.Pl.inline_batches - s0.Pl.inline_batches in
+  let throughput t = float_of_int trials /. t in
   let bit_identical =
     e_seq.Mc.utility = e_par.Mc.utility
     && e_seq.Mc.std_err = e_par.Mc.std_err
     && e_seq.Mc.counts = e_par.Mc.counts
     && e_seq.Mc.corrupted_counts = e_par.Mc.corrupted_counts
   in
-  Printf.printf "  jobs=1   %7.2f s   %8.0f trials/s   u = %.6f\n" t_seq (throughput e_seq t_seq)
+  Printf.printf "  jobs=1   %7.2f s   %8.0f trials/s   u = %.6f\n" t_seq (throughput t_seq)
     e_seq.Mc.utility;
   Printf.printf "  jobs=%-2d  %7.2f s   %8.0f trials/s   u = %.6f\n" jobs t_par
-    (throughput e_par t_par) e_par.Mc.utility;
+    (throughput t_par) e_par.Mc.utility;
   Printf.printf "  speedup: %.2fx   bit-identical: %b%s\n" (t_seq /. t_par) bit_identical
     (if degraded then "   (degraded: 1 core)" else "");
-  Printf.printf "  parallel leg: %d pooled batch(es), %d inline\n" par_delta.Pl.pooled_batches
-    par_delta.Pl.inline_batches;
-  if par_delta.Pl.pooled_batches = 0 then
+  Printf.printf "  parallel leg: %d pooled batch(es), %d inline\n" pooled inline;
+  if pooled = 0 then
     print_endline "  WARNING: parallel leg never reached the pool — timing is sequential";
-  if (not degraded) && par_delta.Pl.inline_batches > 0 then
+  if (not degraded) && inline > 0 then
     print_endline "  WARNING: parallel-leg batches degraded inline on a multi-core host";
   print_newline ();
-  ( { mc_jobs = jobs;
-      mc_trials = trials;
-      mc_trials_spent = e_seq.Mc.trials;
-      seq_seconds = t_seq;
-      par_seconds = t_par;
-      seq_trials_per_s = throughput e_seq t_seq;
-      par_trials_per_s = throughput e_par t_par;
-      speedup = t_seq /. t_par;
-      bit_identical;
-      degraded;
-      par_pooled_batches = par_delta.Pl.pooled_batches;
-      par_inline_batches = par_delta.Pl.inline_batches },
-    stats_delta s_before (Pl.pool_stats ()) )
+  { mc_jobs = jobs;
+    mc_trials = trials;
+    seq_seconds = t_seq;
+    par_seconds = t_par;
+    seq_trials_per_s = throughput t_seq;
+    par_trials_per_s = throughput t_par;
+    speedup = t_seq /. t_par;
+    bit_identical;
+    degraded;
+    par_pooled_batches = pooled;
+    par_inline_batches = inline }
 
 (* ------------------------------------------------------------------ *)
-(* Part 1b': best-response search                                      *)
+(* Part 2: best-response search                                        *)
 (* ------------------------------------------------------------------ *)
 
 (* The search kernel the service actually serves: a budgeted E2 race with
@@ -193,122 +144,7 @@ let run_search_bench () =
   (c, seconds)
 
 (* ------------------------------------------------------------------ *)
-(* Part 1c: the certificate service — cold vs cached query latency     *)
-(* ------------------------------------------------------------------ *)
-
-(* An in-process daemon on a temp socket, measured from the client side:
-   the cold query pays the full Monte-Carlo race, the cached query is a
-   content-address lookup plus two frames on a Unix socket — the gap
-   between those two numbers is the service's whole reason to exist.  The
-   4-client row stresses the connection layer: every query is a hit, so
-   throughput is limited by framing and scheduling, not by compute. *)
-type service_bench = {
-  svc_budget : int;
-  svc_workers : int;  (* executor-pool size the daemon ran with *)
-  svc_cold_seconds : float;
-  svc_cold_4concurrent_seconds : float;
-      (* 4 clients, 4 *distinct* cold queries at once: the executor-pool
-         overlap number — ≈ 4 × cold on one core, shrinking toward 1 ×
-         cold as workers get real cores *)
-  svc_cached_seconds : float;  (* one warm query, same connection *)
-  svc_cached_per_s : float;  (* sustained warm queries/s, 1 client *)
-  svc_qps_4clients : float;  (* sustained warm queries/s, 4 concurrent clients *)
-}
-
-let run_service_bench () =
-  let module S = Fair_service in
-  print_endline "=== Certificate service: cold vs cached query ===\n";
-  let socket =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fair-bench-%d.sock" (Unix.getpid ()))
-  in
-  let workers = min 4 (max 1 Fairness.Parallel.default_jobs) in
-  let server = S.Server.start ~socket ~jobs:Fairness.Parallel.default_jobs ~workers () in
-  let budget = 2000 in
-  let q =
-    { S.Proto.q_kind = S.Proto.Search; q_experiment = "E1"; q_budget = budget;
-      q_seed = 42; q_zoo = false; q_fresh = false; q_trace_id = ""; q_span_id = "";
-      q_deadline = 0.; q_attempt = 0 }
-  in
-  let connect () =
-    match S.Client.connect ~socket ~timeout:300.0 () with
-    | Ok c -> c
-    | Error e -> failwith ("service bench: " ^ e)
-  in
-  let query c =
-    match S.Client.query c q with
-    | Ok r -> r
-    | Error f -> failwith ("service bench: " ^ S.Failure.to_string f)
-  in
-  let wall f =
-    let t0 = Fair_obs.Clock.now_ns () in
-    let r = f () in
-    (r, Fair_obs.Clock.elapsed_s ~since_ns:t0)
-  in
-  let c = connect () in
-  let r_cold, t_cold = wall (fun () -> query c) in
-  assert (not r_cold.S.Proto.r_cached);
-  let r_warm, t_warm = wall (fun () -> query c) in
-  assert r_warm.S.Proto.r_cached;
-  (* Executor-pool overlap: 4 clients fire 4 *distinct* cold queries
-     (distinct seeds → distinct cache keys, so no coalescing) at once.
-     With one worker this is ≈ 4 × the single-cold time; with real cores
-     behind the pool it approaches 1 ×. *)
-  let (), t_cold4 =
-    wall (fun () ->
-        let threads =
-          List.init 4 (fun i ->
-              Thread.create
-                (fun () ->
-                  let c = connect () in
-                  let r =
-                    match S.Client.query c { q with S.Proto.q_seed = 101 + i } with
-                    | Ok r -> r
-                    | Error f -> failwith ("service bench: " ^ S.Failure.to_string f)
-                  in
-                  assert (not r.S.Proto.r_cached);
-                  S.Client.close c)
-                ())
-        in
-        List.iter Thread.join threads)
-  in
-  let reps = 200 in
-  let (), t_sustained = wall (fun () -> for _ = 1 to reps do ignore (query c) done) in
-  S.Client.close c;
-  let clients = 4 in
-  let (), t_conc =
-    wall (fun () ->
-        let threads =
-          List.init clients (fun _ ->
-              Thread.create
-                (fun () ->
-                  let c = connect () in
-                  for _ = 1 to reps do ignore (query c) done;
-                  S.Client.close c)
-                ())
-        in
-        List.iter Thread.join threads)
-  in
-  S.Server.stop server;
-  let cached_per_s = float_of_int reps /. t_sustained in
-  let qps4 = float_of_int (clients * reps) /. t_conc in
-  Printf.printf "  cold  (E1 search, budget %d)   %8.3f s   (workers=%d)\n" budget t_cold
-    workers;
-  Printf.printf "  cold x4 concurrent, distinct    %8.3f s\n" t_cold4;
-  Printf.printf "  cached                          %8.6f s   (%.0fx faster)\n" t_warm
-    (t_cold /. t_warm);
-  Printf.printf "  cached sustained, 1 client      %8.0f queries/s\n" cached_per_s;
-  Printf.printf "  cached sustained, %d clients     %8.0f queries/s\n\n" clients qps4;
-  { svc_budget = budget;
-    svc_workers = workers;
-    svc_cold_seconds = t_cold;
-    svc_cold_4concurrent_seconds = t_cold4;
-    svc_cached_seconds = t_warm;
-    svc_cached_per_s = cached_per_s;
-    svc_qps_4clients = qps4 }
-
-(* ------------------------------------------------------------------ *)
-(* Part 2: timing kernels                                              *)
+(* Part 3: timing kernels                                              *)
 (* ------------------------------------------------------------------ *)
 
 let counter = ref 0
@@ -561,34 +397,13 @@ let run_timings () =
 
 (* BENCH_mc.json: the numbers above in a stable, diffable shape, so perf
    regressions can be tracked across commits without scraping stdout.
-   Schema 2 adds the observability sections: the metrics-registry snapshot
-   of the Monte-Carlo comparison run (with per-worker pool utilization)
-   and the derived disabled-hook overhead of the obs/* kernels.  Schema 3
-   adds the service section: cold- vs cached-query latency and sustained
-   cached throughput at 1 and 4 concurrent clients.  Schema 4 adds the
-   search section (paired vs unpaired racer on E2), nulls the Monte-Carlo
-   speedup on degraded single-core hosts, and extends the service section
-   with the executor-pool numbers (workers, 4-way concurrent cold).
-   Schema 5 fixes the service counters: the service bench used to run
-   after [Metrics.disable], so every service.* counter the snapshot
-   reported was a zero that looked like data — the bench now keeps the
-   registry on through the service run and embeds the window's counter
-   {e deltas} in the service section, mirroring how the pool section
-   reports the Monte-Carlo window.  Schema 6 drops the search section's
-   unpaired leg (the unpaired racer is gone) and its two comparison flags. *)
+   Besides the three parts it holds the metrics-registry snapshot of
+   Parts 1 and 2, the pool's per-worker utilization over Part 1, and the
+   disabled-hook overhead derived from the obs/* kernels.  Schema 7 drops
+   the in-process service section (perfbench times the service from
+   outside), [montecarlo.trials_spent] (always the requested count) and
+   the pool's retry count (the pool runs each task once). *)
 
-(* Counter deltas over one bench window, filtered to [prefix] — what the
-   service section embeds, so the reported traffic is the bench's own and
-   not everything since process start. *)
-let counters_delta ~prefix (a : Fair_obs.Metrics.snapshot) (b : Fair_obs.Metrics.snapshot) =
-  let before = Hashtbl.create 32 in
-  List.iter (fun (n, v) -> Hashtbl.replace before n v) a.Fair_obs.Metrics.counters;
-  List.filter_map
-    (fun (n, v) ->
-      if String.starts_with ~prefix n then
-        Some (n, v - Option.value ~default:0 (Hashtbl.find_opt before n))
-      else None)
-    b.Fair_obs.Metrics.counters
 let kernel_ns kernels suffix =
   List.find_map
     (fun (name, ns) ->
@@ -599,8 +414,8 @@ let kernel_ns kernels suffix =
       else None)
     kernels
 
-let write_json ~path mc ~sb:((sb : Fair_search.Certificate.t), sb_seconds) ~svc ~svc_counters
-    ~obs_metrics ~obs_pool kernels =
+let write_json ~path mc ~sb:((sb : Fair_search.Certificate.t), sb_seconds) ~obs_metrics
+    ~obs_pool kernels =
   let module J = Fairness.Json in
   let module C = Fair_search.Certificate in
   let overhead =
@@ -611,12 +426,11 @@ let write_json ~path mc ~sb:((sb : Fair_search.Certificate.t), sb_seconds) ~svc 
   in
   let json =
     J.Obj
-      [ ("schema", J.Str "fairness-bench/6");
+      [ ("schema", J.Str "fairness-bench/7");
         ( "montecarlo",
           J.Obj
             [ ("kernel", J.Str "optn-n5-vs-greedy-t4");
               ("trials_requested", J.num_int mc.mc_trials);
-              ("trials_spent", J.num_int mc.mc_trials_spent);
               ("jobs", J.num_int mc.mc_jobs);
               ("seq_seconds", J.Num mc.seq_seconds);
               ("par_seconds", J.Num mc.par_seconds);
@@ -641,18 +455,6 @@ let write_json ~path mc ~sb:((sb : Fair_search.Certificate.t), sb_seconds) ~svc 
                     ("best_arm", J.Str sb.C.best_arm);
                     ("utility", J.Num sb.C.utility);
                     ("std_err", J.Num sb.C.std_err) ] ) ] );
-        ( "service",
-          J.Obj
-            [ ("kernel", J.Str "E1-search");
-              ("budget", J.num_int svc.svc_budget);
-              ("workers", J.num_int svc.svc_workers);
-              ("cold_query_seconds", J.Num svc.svc_cold_seconds);
-              ("cold_4concurrent_seconds", J.Num svc.svc_cold_4concurrent_seconds);
-              ("cached_query_seconds", J.Num svc.svc_cached_seconds);
-              ("cached_queries_per_sec", J.Num svc.svc_cached_per_s);
-              ("cached_queries_per_sec_4_clients", J.Num svc.svc_qps_4clients);
-              ( "counters",
-                J.Obj (List.map (fun (n, v) -> (n, J.num_int v)) svc_counters) ) ] );
         ("metrics", obs_metrics);
         ("pool", obs_pool);
         ( "kernels",
@@ -669,48 +471,31 @@ let write_json ~path mc ~sb:((sb : Fair_search.Certificate.t), sb_seconds) ~svc 
   close_out oc;
   Printf.printf "\nwrote %s (%d kernels)\n" path (List.length kernels)
 
-let usage = "usage: main.exe [-o PATH] [--skip-experiments]"
+let usage = "usage: main.exe [-o PATH]"
 
 let () =
   let out = ref "BENCH_mc.json" in
-  let skip_experiments = ref false in
   let rec parse = function
     | [] -> ()
     | "-o" :: path :: rest ->
         out := path;
-        parse rest
-    | "--skip-experiments" :: rest ->
-        skip_experiments := true;
         parse rest
     | arg :: _ ->
         Printf.eprintf "bench: unknown argument %S\n%s\n" arg usage;
         exit 2
   in
   parse (List.tl (Array.to_list Sys.argv));
-  if !skip_experiments then
-    print_endline "(paper-table reproduction skipped: --skip-experiments)\n"
-  else run_experiments ();
-  (* Metrics cover the Monte-Carlo comparison, the search bench and the
-     service bench; they are switched off again before the Bechamel kernels
-     so the obs/* rows measure the disabled fast path, which is what ships
-     by default. *)
+  (* Metrics cover Parts 1 and 2; they are switched off again before the
+     Bechamel kernels so the obs/* rows measure the disabled fast path,
+     which is what ships by default. *)
   Fair_obs.Metrics.enable ();
-  let mc, pool_delta = run_parallel_comparison () in
+  let mc = run_parallel_comparison () in
+  (* Part 1 is the process's first pool user, so the cumulative stats are
+     its own. *)
+  let obs_pool = Fairness.Obs_json.pool (Pl.pool_stats ()) in
   (* Inside the metrics window so the race.* counters carry real traffic. *)
   let sb = run_search_bench () in
   let obs_metrics = Fairness.Obs_json.metrics (Fair_obs.Metrics.snapshot ()) in
-  (* The pool section is the delta over the comparison run, not the
-     cumulative since-process-start counters (the experiment registry also
-     exercises the pool and would drown the numbers of interest). *)
-  let obs_pool = Fairness.Obs_json.pool pool_delta in
-  (* The service bench must also run inside the metrics window — it used to
-     run after [disable], which reported every service.* counter as zero.
-     Its section embeds the window's own deltas. *)
-  let svc_before = Fair_obs.Metrics.snapshot () in
-  let svc = run_service_bench () in
-  let svc_counters =
-    counters_delta ~prefix:"service." svc_before (Fair_obs.Metrics.snapshot ())
-  in
   Fair_obs.Metrics.disable ();
   let kernels = run_timings () in
-  write_json ~path:!out mc ~sb ~svc ~svc_counters ~obs_metrics ~obs_pool kernels
+  write_json ~path:!out mc ~sb ~obs_metrics ~obs_pool kernels

@@ -55,7 +55,7 @@ let () =
       && off.Mc.std_err = on.Mc.std_err
       && off.Mc.counts = on.Mc.counts
       && off.Mc.corrupted_counts = on.Mc.corrupted_counts
-      && off.Mc.trajectory = on.Mc.trajectory)
+      && off.Mc.trials = on.Mc.trials)
   then
     fail "traced estimate differs from untraced (u: %.17g vs %.17g)" off.Mc.utility
       on.Mc.utility;

@@ -11,8 +11,6 @@ let event_to_string = function
 
 let pp_event fmt e = Format.pp_print_string fmt (event_to_string e)
 
-let all_events = [ E00; E01; E10; E11 ]
-
 type trial = {
   outcome : Engine.outcome;
   inputs : string array;

@@ -28,7 +28,6 @@ type event = E00 | E01 | E10 | E11
 
 val pp_event : Format.formatter -> event -> unit
 val event_to_string : event -> string
-val all_events : event list
 
 type trial = {
   outcome : Engine.outcome;

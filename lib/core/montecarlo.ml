@@ -13,15 +13,6 @@ let uniform_field_inputs ~n rng =
 
 let uniform_bit_inputs ~n rng = Array.init n (fun _ -> if Rng.bool rng then "1" else "0")
 
-let uniform_mod_inputs ~m ~n rng = Array.init n (fun _ -> string_of_int (Rng.int rng m))
-
-type convergence_point = Fair_obs.Scope.progress = {
-  after : int;
-  batch : int;
-  running_mean : float;
-  running_std_err : float;
-}
-
 type estimate = {
   utility : float;
   std_err : float;
@@ -31,7 +22,6 @@ type estimate = {
   breaches : int;
   trials : int;
   trial_faults : int;
-  trajectory : convergence_point list;
 }
 
 exception Fault_budget_exceeded of { faulted : int; attempted : int; budget : float }
@@ -45,7 +35,7 @@ let () =
              faulted attempted budget)
     | _ -> None)
 
-(* Observability: batch/chunk accounting and spans.  Everything here is
+(* Observability: range/chunk accounting and spans.  Everything here is
    derived from the deterministic accumulator state — no RNG is consulted
    and no scheduling decision depends on it, so estimates are bit-identical
    with the registry/tracer enabled or disabled (test_obs locks this). *)
@@ -56,7 +46,6 @@ let c_trials = Metrics.counter "mc.trials"
 let c_trial_faults = Metrics.counter "mc.trial_faults"
 let c_chunks = Metrics.counter "mc.chunks"
 let c_ranges = Metrics.counter "mc.ranges"
-let c_adaptive_rounds = Metrics.counter "mc.adaptive_rounds"
 
 let h_range_trials =
   Metrics.histogram "mc.range_trials"
@@ -128,16 +117,8 @@ let acc_std_err a =
 let sorted_bindings tbl =
   List.sort (fun (k, _) (k', _) -> compare k k') (Hashtbl.fold (fun k v l -> (k, v) :: l) tbl [])
 
-let acc_finalize ?(trajectory = []) a =
+let acc_finalize a =
   let counts = sorted_bindings a.event_counts in
-  let trajectory =
-    if trajectory <> [] || a.count = 0 then trajectory
-    else
-      [ { after = a.count;
-          batch = a.count;
-          running_mean = a.mean;
-          running_std_err = acc_std_err a } ]
-  in
   { utility = a.mean;
     std_err = acc_std_err a;
     distribution = Utility.of_counts counts;
@@ -145,8 +126,7 @@ let acc_finalize ?(trajectory = []) a =
     corrupted_counts = sorted_bindings a.corrupted_counts_tbl;
     breaches = a.breaches;
     trials = a.count;
-    trial_faults = a.faulted;
-    trajectory }
+    trial_faults = a.faulted }
 
 (* ------------------------------------------------------------------ *)
 
@@ -159,11 +139,11 @@ let acc_finalize ?(trajectory = []) a =
    table and certificate is preserved. *)
 let trial_seed_prefix seed = "mc:" ^ string_of_int seed ^ ":"
 
-(* Progress goes to the current scope's sink, after a batch has been
-   accumulated: the sink never touches an RNG or influences chunking or
-   stopping, so estimates are bit-identical with or without one.  A
-   raising sink is contained (fatal exceptions still propagate) so
-   telemetry can never kill an estimate. *)
+(* Progress goes to the current scope's sink once the trials have been
+   merged: the sink never touches an RNG or influences chunking, so
+   estimates are bit-identical with or without one.  A raising sink is
+   contained (fatal exceptions still propagate) so telemetry can never
+   kill an estimate. *)
 let fire_progress p = try Fair_obs.Scope.progress p with e when not (Engine.fatal e) -> ()
 
 (* One classified trial, decoupled from any accumulator so paired designs
@@ -232,8 +212,7 @@ let run_trial ~overrides ~inject ~protocol ~adversary ~func ~gamma ~env ~prefix 
    the final numbers are bit-identical for any [jobs]. *)
 let chunk_size = 64
 
-let run_range ~overrides ~inject ~protocol ~adversary ~func ~gamma ~env ~seed ~jobs ~lo ~hi
-    acc =
+let run_range ~overrides ~inject ~protocol ~adversary ~func ~gamma ~env ~seed ~jobs ~lo ~hi =
   Metrics.incr c_ranges;
   Metrics.observe h_range_trials (float_of_int (hi - lo));
   Otrace.with_span ~cat:"mc"
@@ -252,7 +231,7 @@ let run_range ~overrides ~inject ~protocol ~adversary ~func ~gamma ~env ~seed ~j
                 done;
                 a))
       in
-      List.fold_left acc_merge acc chunks)
+      List.fold_left acc_merge (acc_create ()) chunks)
 
 (* The fault budget is a loudness guard, not smoothing: excluding trials
    conditions the estimator on "the trial completed", which is sound only
@@ -269,53 +248,22 @@ let check_budget ~fault_budget a =
     then raise (Fault_budget_exceeded { faulted = a.faulted; attempted; budget = fault_budget })
   end
 
-let estimate ?(overrides = Events.no_overrides) ?(jobs = Parallel.default_jobs)
-    ?target_std_err ?max_trials ?inject ?(fault_budget = 0.1) ~protocol ~adversary ~func
-    ~gamma ~env ~trials ~seed () =
+let estimate ?(overrides = Events.no_overrides) ?(jobs = Parallel.default_jobs) ?inject
+    ?(fault_budget = 0.1) ~protocol ~adversary ~func ~gamma ~env ~trials ~seed () =
   if trials < 1 then invalid_arg "Montecarlo.estimate: trials < 1";
   if fault_budget < 0.0 || fault_budget > 1.0 then
     invalid_arg "Montecarlo.estimate: fault_budget outside [0,1]";
-  let run = run_range ~overrides ~inject ~protocol ~adversary ~func ~gamma ~env ~seed ~jobs in
-  match target_std_err with
-  | None ->
-      let a = run ~lo:0 ~hi:trials (acc_create ()) in
-      check_budget ~fault_budget a;
-      fire_progress
-        { after = a.count;
-          batch = a.count;
-          running_mean = a.mean;
-          running_std_err = acc_std_err a };
-      acc_finalize a
-  | Some target ->
-      if target <= 0.0 then invalid_arg "Montecarlo.estimate: target_std_err <= 0";
-      let cap = match max_trials with Some c -> max c trials | None -> 20 * trials in
-      (* Batches double the total trial count until the (deterministically
-         merged, hence jobs-independent) standard error meets the target or
-         the cap is exhausted.  Each batch appends a convergence point, so
-         the stopping decision is auditable from the estimate itself.
-         Trial ranges are indexed by *attempted* trials (count + faulted):
-         a faulted trial consumes its index, so batches never re-run a
-         trial id and the schedule stays aligned with the fault-free one. *)
-      let rec go acc total points =
-        Metrics.incr c_adaptive_rounds;
-        let before_observed = acc.count in
-        let before = acc.count + acc.faulted in
-        let acc = run ~lo:before ~hi:total acc in
-        let point =
-          { after = acc.count;
-            batch = acc.count - before_observed;
-            running_mean = acc.mean;
-            running_std_err = acc_std_err acc }
-        in
-        fire_progress point;
-        let points = point :: points in
-        if acc_std_err acc <= target || total >= cap then begin
-          check_budget ~fault_budget acc;
-          acc_finalize ~trajectory:(List.rev points) acc
-        end
-        else go acc (min cap (2 * total)) points
-      in
-      go (acc_create ()) (min cap trials) []
+  let a =
+    run_range ~overrides ~inject ~protocol ~adversary ~func ~gamma ~env ~seed ~jobs ~lo:0
+      ~hi:trials
+  in
+  check_budget ~fault_budget a;
+  fire_progress
+    { Fair_obs.Scope.after = a.count;
+      batch = a.count;
+      running_mean = a.mean;
+      running_std_err = acc_std_err a };
+  acc_finalize a
 
 (* ------------------------------------------------------------------ *)
 (* Public incremental accumulation: the racer (Fair_search) grows per-arm
@@ -328,7 +276,7 @@ module Acc = struct
   let count a = a.count
   let mean a = a.mean
   let std_err = acc_std_err
-  let finalize a = acc_finalize a
+  let finalize = acc_finalize
 
   (* Same bookkeeping [estimate]'s inner loop applies to a faulted trial:
      callers that drive trials themselves (the paired racer) use this so
@@ -368,9 +316,8 @@ let estimate_with_cost e ~cost =
   in
   e.utility -. penalty
 
-let best_response ?(overrides = Events.no_overrides) ?(jobs = Parallel.default_jobs)
-    ?target_std_err ?max_trials ?inject ?fault_budget ~protocol ~adversaries ~func ~gamma
-    ~env ~trials ~seed () =
+let best_response ?(overrides = Events.no_overrides) ?(jobs = Parallel.default_jobs) ?inject
+    ?fault_budget ~protocol ~adversaries ~func ~gamma ~env ~trials ~seed () =
   match adversaries with
   | [] -> invalid_arg "Montecarlo.best_response: empty zoo"
   | _ ->
@@ -382,8 +329,8 @@ let best_response ?(overrides = Events.no_overrides) ?(jobs = Parallel.default_j
         Parallel.map_list ~jobs
           (fun adversary ->
             ( adversary,
-              estimate ~overrides ~jobs ?target_std_err ?max_trials ?inject ?fault_budget
-                ~protocol ~adversary ~func ~gamma ~env ~trials ~seed () ))
+              estimate ~overrides ~jobs ?inject ?fault_budget ~protocol ~adversary ~func ~gamma
+                ~env ~trials ~seed () ))
           adversaries
       in
       List.fold_left

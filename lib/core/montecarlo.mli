@@ -32,17 +32,6 @@ val uniform_field_inputs : n:int -> environment
     size domains, as required by the lower-bound experiments. *)
 
 val uniform_bit_inputs : n:int -> environment
-val uniform_mod_inputs : m:int -> n:int -> environment
-
-type convergence_point = Fair_obs.Scope.progress = {
-  after : int;  (** total trials accumulated after this batch *)
-  batch : int;  (** trials this batch added *)
-  running_mean : float;
-  running_std_err : float;
-}
-(** One row of an estimate's convergence trajectory.  Derived from the
-    deterministically-merged accumulator, so the whole trajectory is — like
-    the estimate itself — bit-identical at any [jobs] value. *)
 
 type estimate = {
   utility : float;  (** empirical û *)
@@ -52,14 +41,10 @@ type estimate = {
   corrupted_counts : (int * int) list;
       (** (#corrupted, occurrences), sorted by #corrupted *)
   breaches : int;  (** correctness breaches observed *)
-  trials : int;  (** trials actually spent (≥ [trials] in adaptive mode) *)
+  trials : int;  (** trials that completed and enter the mean *)
   trial_faults : int;
       (** trials that raised and were excluded from the mean (trial-level
           isolation); 0 in a clean run *)
-  trajectory : convergence_point list;
-      (** chronological; one point per adaptive batch (a single point for
-          fixed-size runs), so adaptive stopping is auditable after the
-          fact *)
 }
 
 exception Fault_budget_exceeded of { faulted : int; attempted : int; budget : float }
@@ -73,8 +58,6 @@ exception Fault_budget_exceeded of { faulted : int; attempted : int; budget : fl
 val estimate :
   ?overrides:Events.overrides ->
   ?jobs:int ->
-  ?target_std_err:float ->
-  ?max_trials:int ->
   ?inject:(Rng.t -> Engine.injector) ->
   ?fault_budget:float ->
   protocol:Protocol.t ->
@@ -86,16 +69,11 @@ val estimate :
   seed:int ->
   unit ->
   estimate
-(** [jobs] (default {!Parallel.default_jobs}) bounds the number of domains
-    used; it never affects the numbers, only the wall clock.
-
-    Without [target_std_err], exactly [trials] trials run.  With
-    [?target_std_err:σ*], {e adaptive sampling}: batches run (starting at
-    [trials], doubling the total each round) until the measured standard
-    error drops to [σ*] or the total reaches [max_trials] (default
-    [20 * trials]); [estimate.trials] reports how many were actually spent.
-    The stopping rule reads the deterministically-merged accumulator, so
-    adaptive runs are also jobs-independent.
+(** Runs exactly [trials] trials, indices [\[0, trials)].  [jobs]
+    (default {!Parallel.default_jobs}) bounds the number of domains used;
+    it never affects the numbers, only the wall clock.  The sample size is
+    fixed in advance, never chosen from the running standard error:
+    stopping on σ̂ would bias the mean the bound checks read.
 
     [inject] builds a per-trial fault injector (see {!Fair_faults}) from
     the trial's ["faults"] RNG split; because {!Rng.split} does not advance
@@ -106,12 +84,12 @@ val estimate :
     the mean rather than aborting the estimate; which trials fault is a
     deterministic function of (seed, i), so faulted estimates remain
     jobs-invariant.  [fault_budget] (default [0.1]) is the tolerated
-    faulted fraction of attempted trials.  Each batch's convergence point
-    goes to the {!Fair_obs.Scope} sink once merged; a non-fatal raise
-    there is ignored.
+    faulted fraction of attempted trials.  Once the trials are merged, one
+    {!Fair_obs.Scope.progress} point goes to the current scope's sink; a
+    non-fatal raise there is ignored.
 
-    @raise Invalid_argument if [trials < 1], [target_std_err <= 0] or
-    [fault_budget] is outside [0,1].
+    @raise Invalid_argument if [trials < 1] or [fault_budget] is outside
+    [0,1].
     @raise Fault_budget_exceeded past the budget. *)
 
 (** {2 Incremental accumulation}
@@ -189,8 +167,6 @@ val estimate_with_cost : estimate -> cost:(int -> float) -> float
 val best_response :
   ?overrides:Events.overrides ->
   ?jobs:int ->
-  ?target_std_err:float ->
-  ?max_trials:int ->
   ?inject:(Rng.t -> Engine.injector) ->
   ?fault_budget:float ->
   protocol:Protocol.t ->
@@ -203,8 +179,8 @@ val best_response :
   unit ->
   Adversary.t * estimate
 (** sup over a finite adversary zoo: the strategy with the highest measured
-    utility, with ties broken by listing order.  [jobs]/[target_std_err]/
-    [max_trials] are passed through to each per-adversary {!estimate}.
+    utility, with ties broken by listing order.  The optional arguments
+    are passed through to each per-adversary {!estimate}.
     @raise Invalid_argument on an empty zoo. *)
 
 val within_bound : estimate -> bound:float -> bool

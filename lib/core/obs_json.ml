@@ -42,7 +42,6 @@ let pool (s : Parallel.stats) =
       ("pooled_batches", Json.num_int s.Parallel.pooled_batches);
       ("seq_batches", Json.num_int s.Parallel.seq_batches);
       ("inline_batches", Json.num_int s.Parallel.inline_batches);
-      ("requeued", Json.num_int s.Parallel.requeued);
       ("caller", worker s.Parallel.caller);
       ("workers", Json.List (List.map worker s.Parallel.workers)) ]
 

@@ -1,8 +1,5 @@
 module Clock = Fair_obs.Clock
 module Otrace = Fair_obs.Trace
-module Metrics = Fair_obs.Metrics
-
-let c_requeued = Metrics.counter "pool.requeued"
 
 let default_jobs = max 1 (Domain.recommended_domain_count ())
 
@@ -10,12 +7,11 @@ let default_jobs = max 1 (Domain.recommended_domain_count ())
 (* Persistent worker pool.
 
    [Domain.spawn] costs tens of microseconds — more than a whole 64-trial
-   Monte-Carlo chunk — and the adaptive batching loop in
-   [Montecarlo.estimate] plus the racing scheduler call [run_tasks] many
-   times per estimate.  So worker domains are spawned once, lazily, on the
-   first parallel call that wants them, then parked on a condition
-   variable between calls and fed subsequent task batches through a shared
-   job box.  They are joined at process exit.
+   Monte-Carlo chunk — and the racing scheduler calls [run_tasks] once per
+   round, many times per race.  So worker domains are spawned once,
+   lazily, on the first parallel call that wants them, then parked on a
+   condition variable between calls and fed subsequent task batches
+   through a shared job box.  They are joined at process exit.
 
    Scheduling is unchanged from the spawn-per-call implementation: each
    participant (the caller plus the workers) repeatedly claims the next
@@ -61,7 +57,6 @@ let caller_stat = new_wstat ()
 let pooled_batches = ref 0         (* bumped under [pool_mutex] *)
 let seq_batches = Atomic.make 0    (* caller asked for sequential (jobs<=1 or n=1) *)
 let inline_batches = Atomic.make 0 (* pool busy: parallel request degraded inline *)
-let requeued_tasks = Atomic.make 0 (* worker-chunk exceptions retried inline *)
 
 (* Held for the duration of one pooled [run_tasks]; taken with [try_lock]
    so contenders fall back to inline execution instead of blocking. *)
@@ -129,7 +124,6 @@ type stats = {
   pooled_batches : int;
   seq_batches : int;
   inline_batches : int;
-  requeued : int;
   caller : worker_stats;
   workers : worker_stats list;
 }
@@ -143,7 +137,6 @@ let pool_stats () =
       pooled_batches = !pooled_batches;
       seq_batches = Atomic.get seq_batches;
       inline_batches = Atomic.get inline_batches;
-      requeued = Atomic.get requeued_tasks;
       caller = read_wstat caller_stat;
       workers =
         List.sort (fun (a, _) (b, _) -> compare a b) !worker_stats
@@ -161,25 +154,15 @@ let run_seq counter n task =
   Atomic.incr counter;
   List.init n task
 
-(* Containment: a task whose worker-side run raised is requeued once,
-   inline on the caller, instead of poisoning the whole batch.  Workers
-   already stored the exception in the slot (they never unwind), so the
-   pool stays healthy; a transient failure heals here, and a deterministic
-   one re-raises from the caller with its original backtrace semantics.
-   Requeued tasks re-run in slot order, so results — and, for deterministic
-   tasks, any retried value — are position-stable. *)
-let collect results task =
+(* Workers store a raising task's exception in its slot instead of
+   unwinding, so the pool stays healthy.  Tasks are deterministic, so
+   nothing is re-run: the first failure in task order re-raises here. *)
+let collect results =
   Array.to_list results
-  |> List.mapi (fun i r ->
-         match r with
-         | Some (Ok x) -> x
-         | Some (Error e) -> (
-             Atomic.incr requeued_tasks;
-             Metrics.incr c_requeued;
-             match task i with
-             | x -> x
-             | exception _retry_failed -> raise e)
-         | None -> assert false)
+  |> List.map (function
+       | Some (Ok x) -> x
+       | Some (Error e) -> raise e
+       | None -> assert false)
 
 (* The only place a computation changes domain: every task runs under the
    caller's request scope, on whichever domain claims it. *)
@@ -222,7 +205,7 @@ let run_pooled ~jobs ~n task =
     Otrace.emit_span ~cat:"pool"
       ~args:[ ("tasks", string_of_int n); ("jobs", string_of_int jobs) ]
       "pool.batch" ~ts_ns:t_start ~dur_ns:(t_done - t_start);
-  collect results task
+  collect results
 
 let run_tasks ~jobs ~n (task : int -> 'a) : 'a list =
   if n = 0 then []

@@ -5,9 +5,8 @@
     parked on a condition variable between calls, fed later task batches
     through a shared atomic queue, and joined at process exit — so the
     per-call cost of [map_range]/[map_list] is a broadcast, not a
-    [Domain.spawn]/[join] round trip.  This matters because the adaptive
-    batching loop in [Montecarlo.estimate] and the racing scheduler issue
-    many small batches per estimate.
+    [Domain.spawn]/[join] round trip.  This matters because the racing
+    scheduler issues one small batch per round, many per race.
 
     The contract that makes Monte-Carlo results bit-identical at any
     parallelism: work is split into {e fixed-size chunks whose boundaries
@@ -41,15 +40,11 @@ val map_range :
     the results in chunk-index order.  [jobs <= 1] runs everything on the
     calling domain.
 
-    {e Worker-chunk containment:} a chunk whose worker-side evaluation
-    raised never poisons the pool (workers park the exception in the
-    chunk's result slot and stay alive); after the batch completes, each
-    failed chunk is requeued once, inline on the caller, in chunk order
-    (counted in [stats.requeued] and metric [pool.requeued]).  A chunk
-    that fails again re-raises its original exception in the caller (the
-    first failing chunk in chunk order wins).  For deterministic tasks the
-    retry returns the identical value, so the determinism contract is
-    untouched.
+    {e Worker-chunk containment:} a chunk whose evaluation raised never
+    poisons the pool (workers park the exception in the chunk's result
+    slot and stay alive).  No chunk is ever re-run: the first failing
+    chunk in chunk order re-raises its exception in the caller (on the
+    pool, once the batch has completed).
     @raise Invalid_argument if [chunk_size < 1]. *)
 
 val map_list : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
@@ -78,9 +73,6 @@ type stats = {
           to the calling domain because the pool was busy serving another
           batch.  A persistently non-zero value on a multi-core host means
           the outer parallelism is swallowing the inner fan-out. *)
-  requeued : int;
-      (** tasks whose worker-side run raised and were retried inline on
-          the caller *)
   caller : worker_stats;
       (** aggregated over every domain that led a pooled batch *)
   workers : worker_stats list;  (** in spawn order *)

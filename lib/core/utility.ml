@@ -5,13 +5,6 @@ type distribution = {
   p11 : float;
 }
 
-let uniform_over events =
-  let n = List.length events in
-  if n = 0 then invalid_arg "Utility.uniform_over: empty";
-  let w = 1.0 /. float_of_int n in
-  let count e = float_of_int (List.length (List.filter (fun x -> x = e) events)) *. w in
-  { p00 = count Events.E00; p01 = count Events.E01; p10 = count Events.E10; p11 = count Events.E11 }
-
 let of_counts counts =
   let total = List.fold_left (fun acc (_, c) -> acc + c) 0 counts in
   if total = 0 then invalid_arg "Utility.of_counts: no observations";

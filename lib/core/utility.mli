@@ -9,7 +9,6 @@ type distribution = {
 }
 (** Event probabilities; must sum to 1 (up to rounding). *)
 
-val uniform_over : Events.event list -> distribution
 val of_counts : (Events.event * int) list -> distribution
 (** Empirical distribution from per-event counts. *)
 

@@ -7,7 +7,7 @@
     domain.  So whatever the computation records, on any domain, is
     attributed to its scope alone: {!Trace} appends the scope's args to
     each event, {!Metrics.add} also bumps the scope's cell, and the
-    progress firing points (estimate batches, racer rounds) call
+    progress firing points (one per estimate, one per racer round) call
     {!progress}.  A scope is write-only from the computation's side, so it
     cannot perturb a result. *)
 

@@ -211,7 +211,7 @@ let race_paired ?(jobs = Parallel.default_jobs) ~arms ~pull ~budget () =
              point, contained as in [Mc.estimate]. *)
           (try
              Fair_obs.Scope.progress
-               { Mc.after = Mc.Acc.count accs.(incumbent);
+               { Fair_obs.Scope.after = Mc.Acc.count accs.(incumbent);
                  batch = b;
                  running_mean = Mc.Acc.mean accs.(incumbent);
                  running_std_err = Mc.Acc.std_err accs.(incumbent) }

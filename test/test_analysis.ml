@@ -113,13 +113,9 @@ let test_demos_run () =
 (* Each experiment, at reduced size, still passes its own checks. *)
 let experiment_case (s : E.spec) =
   Alcotest.test_case (s.E.eid ^ " passes its paper checks") `Slow (fun () ->
-      let trials =
-        (* E12's binomial checks need more samples than the others. *)
-        match s.E.eid with "E12" -> 400 | _ -> 150
-      in
       (* jobs:2 exercises the domain-parallel path; by the determinism
          guarantee the numbers are the same as jobs:1. *)
-      let r = s.E.run ~trials ~seed:2026 ~jobs:2 in
+      let r = s.E.run ~trials:150 ~seed:2026 ~jobs:2 in
       List.iter
         (fun (c : E.check) ->
           if not c.E.ok then

@@ -269,8 +269,7 @@ let test_relation_verdicts () =
       corrupted_counts = [];
       breaches = 0;
       trials = 100;
-      trial_faults = 0;
-      trajectory = [] }
+      trial_faults = 0 }
   in
   let v = Relation.compare_sup ~pi:(mk 0.5) ~pi':(mk 0.9) in
   Alcotest.(check string) "strictly fairer" "strictly fairer"

@@ -1,7 +1,6 @@
 (* Tests for the Monte-Carlo engine: the determinism guarantee of the
    domain-parallel path (same seed => bit-identical numbers at any job
-   count), the adaptive sampling mode, and the Bessel-corrected standard
-   error. *)
+   count) and the Bessel-corrected standard error. *)
 
 open Fairness
 module Adversary = Fair_exec.Adversary
@@ -13,8 +12,8 @@ let swap = Func.swap
 let proto = Fair_protocols.Opt2.hybrid swap
 let greedy = Adv.greedy ~func:swap Adv.Random_party
 
-let estimate ?jobs ?target_std_err ?max_trials ~trials ~seed () =
-  Mc.estimate ?jobs ?target_std_err ?max_trials ~protocol:proto ~adversary:greedy ~func:swap
+let estimate ?jobs ~trials ~seed () =
+  Mc.estimate ?jobs ~protocol:proto ~adversary:greedy ~func:swap
     ~gamma:Payoff.default ~env:(Mc.uniform_field_inputs ~n:2) ~trials ~seed ()
 
 let check_identical label (a : Mc.estimate) (b : Mc.estimate) =
@@ -38,40 +37,7 @@ let test_jobs_invariance () =
   check_identical "jobs 1 vs 4" e1 e4;
   check_identical "jobs 1 vs 9" e1 e9
 
-let test_jobs_invariance_adaptive () =
-  let run jobs =
-    estimate ~jobs ~target_std_err:0.02 ~max_trials:2000 ~trials:100 ~seed:11 ()
-  in
-  check_identical "adaptive jobs 1 vs 4" (run 1) (run 4)
-
-(* (b) adaptive mode stops once std_err <= target and never exceeds the cap. *)
-let test_adaptive_stops_at_target () =
-  let e = estimate ~jobs:2 ~target_std_err:0.05 ~max_trials:100_000 ~trials:50 ~seed:3 () in
-  Alcotest.(check bool) "std_err met the target" true (e.Mc.std_err <= 0.05);
-  Alcotest.(check bool) "spent fewer trials than the cap" true (e.Mc.trials < 100_000);
-  Alcotest.(check bool) "spent at least the first batch" true (e.Mc.trials >= 50)
-
-let test_adaptive_respects_cap () =
-  (* An unreachable target: the run must stop exactly at the cap. *)
-  let e = estimate ~jobs:2 ~target_std_err:1e-9 ~max_trials:700 ~trials:100 ~seed:3 () in
-  Alcotest.(check int) "stopped at the cap" 700 e.Mc.trials;
-  Alcotest.(check bool) "target not reached" true (e.Mc.std_err > 1e-9)
-
-let test_adaptive_early_exit_on_constant () =
-  (* Against pi1 the greedy attacker always collects g10: zero variance, so
-     the first batch already satisfies any target. *)
-  let module C = Fair_protocols.Contract in
-  let e =
-    Mc.estimate ~jobs:2 ~target_std_err:0.01 ~max_trials:10_000
-      ~protocol:C.pi1
-      ~adversary:(Adv.greedy ~func:C.func (Adv.Fixed [ 2 ]))
-      ~func:C.func ~gamma:Payoff.default ~env:(Mc.uniform_field_inputs ~n:2) ~trials:64
-      ~seed:5 ()
-  in
-  Alcotest.(check int) "one batch" 64 e.Mc.trials;
-  Alcotest.(check (float 0.0)) "zero variance" 0.0 e.Mc.std_err
-
-(* (c) the reported std_err is the Bessel-corrected sample standard error.
+(* (b) the reported std_err is the Bessel-corrected sample standard error.
    Payoffs are a function of the event, so the hand computation can be done
    from the reported event counts. *)
 let recomputed_std_err (e : Mc.estimate) (gamma : Payoff.t) =
@@ -152,16 +118,9 @@ let () =
           Alcotest.test_case "worker exceptions propagate" `Quick test_parallel_exception ] );
       ( "determinism",
         [ Alcotest.test_case "estimate is jobs-invariant" `Slow test_jobs_invariance;
-          Alcotest.test_case "adaptive estimate is jobs-invariant" `Slow
-            test_jobs_invariance_adaptive;
           Alcotest.test_case "best_response is jobs-invariant" `Slow
             test_best_response_jobs_invariance;
           Alcotest.test_case "count lists are sorted" `Quick test_counts_sorted ] );
-      ( "adaptive",
-        [ Alcotest.test_case "stops at the target" `Slow test_adaptive_stops_at_target;
-          Alcotest.test_case "never exceeds the cap" `Slow test_adaptive_respects_cap;
-          Alcotest.test_case "zero-variance early exit" `Quick
-            test_adaptive_early_exit_on_constant ] );
       ( "variance",
         [ Alcotest.test_case "Bessel-corrected std_err" `Quick test_bessel_corrected_std_err;
           Alcotest.test_case "n=1 std_err is 0" `Quick test_single_trial_std_err ] ) ]

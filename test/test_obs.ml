@@ -419,8 +419,7 @@ let test_zero_perturbation () =
       Alcotest.(check int) (name "trials") off.Mc.trials on.Mc.trials;
       Alcotest.(check bool) (name "counts") true (off.Mc.counts = on.Mc.counts);
       Alcotest.(check bool) (name "corrupted_counts") true
-        (off.Mc.corrupted_counts = on.Mc.corrupted_counts);
-      Alcotest.(check bool) (name "trajectory") true (off.Mc.trajectory = on.Mc.trajectory))
+        (off.Mc.corrupted_counts = on.Mc.corrupted_counts))
     [ 1; 4 ]
 
 (* Synthetic deterministic arms: arm i's trials are a shared-grid stream at
@@ -494,8 +493,8 @@ let test_raising_sink_is_contained () =
   let scoped = Scope.within raising (estimate ~jobs:2) in
   Alcotest.(check (float 0.0)) "utility" plain.Mc.utility scoped.Mc.utility;
   Alcotest.(check (float 0.0)) "std_err" plain.Mc.std_err scoped.Mc.std_err;
-  Alcotest.(check bool) "counts and trajectory" true
-    (plain.Mc.counts = scoped.Mc.counts && plain.Mc.trajectory = scoped.Mc.trajectory);
+  Alcotest.(check int) "trials" plain.Mc.trials scoped.Mc.trials;
+  Alcotest.(check bool) "counts" true (plain.Mc.counts = scoped.Mc.counts);
   let race () = Racing.race_paired ~arms:[ 0; 1; 2; 3 ] ~pull:level_pull ~budget:2_000 () in
   let o = race () in
   let o' = Scope.within raising race in
@@ -561,6 +560,29 @@ let test_pool_stats () =
     (fun w -> Alcotest.(check bool) "busy time non-negative" true (w.Parallel.busy_ns >= 0))
     (after.Parallel.caller :: after.Parallel.workers)
 
+exception Task_failed
+
+(* A request's counters equal its solo run only if no pool task runs
+   twice: the raising task's increment must land in its scope once. *)
+let test_raising_task_counts_once () =
+  quiesce ();
+  Metrics.enable ();
+  let scope = Scope.create ~args:[] ~sink:ignore in
+  (match
+     Scope.within (Some scope) (fun () ->
+         Parallel.map_list ~jobs:2
+           (fun i ->
+             Metrics.incr c_items;
+             if i = 1 then raise Task_failed)
+           [ 0; 1; 2; 3 ])
+   with
+  | _ -> Alcotest.fail "expected the task's exception"
+  | exception Task_failed -> ());
+  let in_scope = Metrics.scoped scope in
+  quiesce ();
+  Alcotest.(check (list (pair string int))) "every task counted once"
+    [ ("test.items", 4) ] in_scope
+
 (* A participant that never ran (busy and idle both 0) must still carry a
    numeric utilization — 0/0 would render NaN, which is not JSON, and a
    missing field makes every consumer branch.  Round-trip through the
@@ -572,7 +594,6 @@ let test_pool_utilization_clamped () =
       pooled_batches = 0;
       seq_batches = 0;
       inline_batches = 0;
-      requeued = 0;
       caller = { Parallel.tasks = 3; busy_ns = 750; idle_ns = 250 };
       workers = [ zero ] }
   in
@@ -663,6 +684,8 @@ let () =
             test_zero_perturbation;
           Alcotest.test_case "racing round log" `Quick test_racing_round_log;
           Alcotest.test_case "pool stats" `Quick test_pool_stats;
+          Alcotest.test_case "a raising pool task counts once in its scope" `Quick
+            test_raising_task_counts_once;
           Alcotest.test_case "pool utilization clamped + round-trips" `Quick
             test_pool_utilization_clamped;
           Alcotest.test_case "obs JSON documents" `Quick test_obs_json_documents ] ) ]

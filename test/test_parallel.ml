@@ -74,23 +74,22 @@ let test_exception_propagates () =
     [ 0; 2; 4 ]
     (Parallel.map_list ~jobs:4 (fun i -> 2 * i) [ 0; 1; 2 ])
 
-let test_transient_failure_requeued () =
-  (* A task that raises on its first invocation (wherever it ran) and
-     succeeds on the second models a transient worker-side failure: the
-     batch must heal by requeueing inline instead of propagating, and the
-     requeue counter must account for every retry. *)
+let test_failing_task_runs_once () =
+  (* Tasks are deterministic, so a raising task is never re-run: the batch
+     raises, and every task, the failing one included, ran exactly once. *)
   let n = 8 in
-  let attempts = Array.init n (fun _ -> Atomic.make 0) in
-  let before = (Parallel.pool_stats ()).Parallel.requeued in
-  let r =
-    Parallel.map_list ~jobs:4
-      (fun i ->
-        if Atomic.fetch_and_add attempts.(i) 1 = 0 then failwith "transient" else i + 100)
-      (List.init n (fun i -> i))
-  in
-  Alcotest.(check (list int)) "every task healed on retry" (List.init n (fun i -> i + 100)) r;
-  Alcotest.(check int) "retries counted" (before + n)
-    (Parallel.pool_stats ()).Parallel.requeued
+  let runs = Array.init n (fun _ -> Atomic.make 0) in
+  (match
+     Parallel.map_list ~jobs:4
+       (fun i ->
+         Atomic.incr runs.(i);
+         if i = 3 then raise (Boom i) else i)
+       (List.init n (fun i -> i))
+   with
+  | _ -> Alcotest.fail "expected Boom"
+  | exception Boom i -> Alcotest.(check int) "the failing task's exception" 3 i);
+  Alcotest.(check (list int)) "every task ran once" (List.init n (fun _ -> 1))
+    (Array.to_list (Array.map Atomic.get runs))
 
 let test_nested_no_deadlock () =
   (* A task that itself calls [map_list] must not wait on the pool it is
@@ -107,9 +106,9 @@ let test_nested_no_deadlock () =
 
 (* --------------------- Monte-Carlo determinism ---------------------- *)
 
-let estimate ~jobs ?target_std_err () =
+let estimate ~jobs () =
   let func = Func.concat ~n:3 in
-  Mc.estimate ~jobs ?target_std_err ~protocol:(Fair_protocols.Optn.hybrid func)
+  Mc.estimate ~jobs ~protocol:(Fair_protocols.Optn.hybrid func)
     ~adversary:(Adv.greedy ~func (Adv.Random_subset 2))
     ~func ~gamma:Fairness.Payoff.default
     ~env:(Mc.uniform_field_inputs ~n:3) ~trials:200 ~seed:11 ()
@@ -149,12 +148,6 @@ let test_estimate_golden () =
         0.017690101709500212 e.Mc.std_err)
     [ 1; 4 ]
 
-let test_adaptive_jobs_invariant () =
-  (* The adaptive std-err loop grows the trial range in batches; batch
-     boundaries are chunk-aligned, so it is jobs-invariant too. *)
-  let e1 = estimate ~jobs:1 ~target_std_err:0.02 () in
-  check_estimates_equal "adaptive" e1 (estimate ~jobs:4 ~target_std_err:0.02 ())
-
 let () =
   Alcotest.run "fair_parallel"
     [ ( "semantics",
@@ -164,11 +157,9 @@ let () =
       ( "pool",
         [ Alcotest.test_case "workers reused across calls" `Quick test_pool_reuse;
           Alcotest.test_case "exception propagation" `Quick test_exception_propagates;
-          Alcotest.test_case "transient failure requeued" `Quick test_transient_failure_requeued;
+          Alcotest.test_case "a failing task runs once" `Quick test_failing_task_runs_once;
           Alcotest.test_case "nested calls do not deadlock" `Quick test_nested_no_deadlock ] );
       ( "determinism",
         [ Alcotest.test_case "estimate bit-identical across jobs" `Quick
             test_estimate_jobs_invariant;
-          Alcotest.test_case "golden estimate (pre-pool value)" `Quick test_estimate_golden;
-          Alcotest.test_case "adaptive estimate jobs-invariant" `Quick
-            test_adaptive_jobs_invariant ] ) ]
+          Alcotest.test_case "golden estimate (pre-pool value)" `Quick test_estimate_golden ] ) ]

@@ -109,8 +109,7 @@ let estimate_of (c : Certificate.t) =
     corrupted_counts = [];
     breaches = 0;
     trials = c.Certificate.trials;
-    trial_faults = 0;
-    trajectory = [] }
+    trial_faults = 0 }
 
 (* End-to-end on the registry at about half the budget the independent-
    interval racer needed (E2: 2 800 vs 6 000; E6: 3 900 vs 8 000): the
