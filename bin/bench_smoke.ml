@@ -13,7 +13,12 @@
       (a batch that silently runs inline would time the sequential path
       and call it "parallel"), and on a multi-core host it must not be
       slower than the sequential leg.  On a single-core host the speedup
-      is noise, the line says so, and only the fan-out half is enforced. *)
+      is noise, the line says so, and only the fan-out half is enforced.
+   4. Prelude sharing: an E1 race (budget 2000, seed 42, -j 1) must hash at
+      most 14 SHA-256 blocks per engine execution.  The racer builds each
+      trial's inputs, setup and honest machines once for all the arms it
+      plays (~10.7 blocks per execution); rebuilding them for every arm
+      costs ~30, so a change that silently stops sharing fails here. *)
 
 module Mc = Fairness.Montecarlo
 module Parallel = Fairness.Parallel
@@ -102,6 +107,17 @@ let () =
   in
   check "opt2 minor words per trial within budget" (opt2_words <= 14_000.0)
     (Printf.sprintf "%.0f <= 14000" opt2_words);
+  let e1 = Option.get (Fair_analysis.Experiments.find "E1") in
+  let counter name snap = List.assoc name snap.Fair_obs.Metrics.counters in
+  Fair_obs.Metrics.reset ();
+  Fair_obs.Metrics.enable ();
+  ignore (Fair_analysis.Experiments.searched ~budget:2000 ~seed:42 ~jobs:1 e1);
+  let snap = Fair_obs.Metrics.snapshot () in
+  Fair_obs.Metrics.disable ();
+  let blocks = counter "sha256.blocks" snap and execs = counter "engine.executions" snap in
+  let per_exec = float_of_int blocks /. float_of_int (max 1 execs) in
+  check "E1 race SHA-256 blocks per execution within budget" (per_exec <= 14.0)
+    (Printf.sprintf "%d blocks / %d executions = %.2f <= 14" blocks execs per_exec);
   if !failures > 0 then begin
     Printf.eprintf "bench-smoke: %d check(s) FAILED\n" !failures;
     exit 1

@@ -148,15 +148,20 @@ let fire_progress p = try Fair_obs.Scope.progress p with e when not (Engine.fata
 
 (* One classified trial, decoupled from any accumulator so paired designs
    ({!Crn}) can observe the same (seed, i) stream under several
-   configurations.  Returns [None] when the trial raised (trial-level
+   configurations, split in two: [trial_prepare] builds the
+   adversary-independent prelude (env inputs, dealer setup, honest
+   machines) and [trial_play] plays one adversary against it and
+   classifies the outcome, so the racer can play every arm against one
+   prelude.  A play returns [None] when its trial raised (trial-level
    isolation): a raising trial (engine violation, machine bug surfacing
    through classification, fault-plan fallout) is excluded from the mean
    instead of aborting the whole estimate; callers count it and
-   {!estimate} enforces the fault budget on the total.  The classification
-   is deterministic per (seed, i), so which trials fault — and hence the
-   estimate — is still jobs-invariant.  Every trial (estimate, CRN pair
-   leg, racer pull) passes through here, so this is where [mc.trials]
-   counts them. *)
+   {!estimate} enforces the fault budget on the total.  A prelude that
+   raised faults every play of it.  The classification is deterministic
+   per (seed, i), so which trials fault — and hence the estimate — is
+   still jobs-invariant.  Every play (estimate, CRN pair leg, racer arm)
+   passes through [trial_play], so this is where [mc.trials] counts
+   them. *)
 type trial_obs = {
   t_payoff : float;
   t_event : Events.event;
@@ -164,41 +169,59 @@ type trial_obs = {
   t_breach : bool;
 }
 
-let observe_trial ~overrides ~inject ~protocol ~adversary ~func ~gamma ~env ~prefix i =
-  Metrics.incr c_trials;
+type prelude =
+  | Ready of {
+      master : Rng.t;  (* only split from: the "faults" split of every play *)
+      inputs : string array;
+      prepared : Engine.prepared;
+    }
+  | Faulted
+
+let trial_prepare ~protocol ~env ~prefix i =
   let master = Rng.create ~seed:(prefix ^ string_of_int i) in
   match
     let inputs = env (Rng.split master ~label:"env") in
-    let outcome =
-      match inject with
-      | None -> Engine.run ~protocol ~adversary ~inputs ~rng:(Rng.split master ~label:"exec")
-      | Some mk ->
-          (* The injector draws only from its own "faults" split —
-             [Rng.split] never advances [master] — so the env and exec
-             streams are bit-identical to the inject-free path. *)
-          let faults = mk (Rng.split master ~label:"faults") in
-          Engine.run_with ~faults ~protocol ~adversary ~inputs
-            ~rng:(Rng.split master ~label:"exec") ()
-    in
-    let trial = { Events.outcome; inputs; func } in
-    (Events.classify ~overrides trial, trial)
+    (inputs, Engine.prepare ~protocol ~inputs ~rng:(Rng.split master ~label:"exec"))
   with
-  | cl, trial ->
-      let payoff =
-        match cl.Events.event with
-        | Events.E00 -> gamma.Payoff.g00
-        | Events.E01 -> gamma.Payoff.g01
-        | Events.E10 -> gamma.Payoff.g10
-        | Events.E11 -> gamma.Payoff.g11
-      in
-      Some
-        { t_payoff = payoff;
-          t_event = cl.Events.event;
-          t_corrupted = List.length (Events.corrupted_parties trial);
-          t_breach = cl.Events.correctness_breach }
-  | exception e when not (Engine.fatal e) ->
-      Metrics.incr c_trial_faults;
-      None
+  | inputs, prepared -> Ready { master; inputs; prepared }
+  | exception e when not (Engine.fatal e) -> Faulted
+
+let trial_play ~overrides ~inject ~adversary ~func ~gamma prelude =
+  Metrics.incr c_trials;
+  let fault () =
+    Metrics.incr c_trial_faults;
+    None
+  in
+  match prelude with
+  | Faulted -> fault ()
+  | Ready { master; inputs; prepared } -> (
+      match
+        (* The injector draws only from its own "faults" split —
+           [Rng.split] never advances [master] — so the env and exec
+           streams are bit-identical to the inject-free path. *)
+        let faults = Option.map (fun mk -> mk (Rng.split master ~label:"faults")) inject in
+        let outcome = Engine.run_prepared ?faults ~adversary prepared in
+        let trial = { Events.outcome; inputs; func } in
+        (Events.classify ~overrides trial, trial)
+      with
+      | cl, trial ->
+          let payoff =
+            match cl.Events.event with
+            | Events.E00 -> gamma.Payoff.g00
+            | Events.E01 -> gamma.Payoff.g01
+            | Events.E10 -> gamma.Payoff.g10
+            | Events.E11 -> gamma.Payoff.g11
+          in
+          Some
+            { t_payoff = payoff;
+              t_event = cl.Events.event;
+              t_corrupted = List.length (Events.corrupted_parties trial);
+              t_breach = cl.Events.correctness_breach }
+      | exception e when not (Engine.fatal e) -> fault ())
+
+let observe_trial ~overrides ~inject ~protocol ~adversary ~func ~gamma ~env ~prefix i =
+  trial_play ~overrides ~inject ~adversary ~func ~gamma
+    (trial_prepare ~protocol ~env ~prefix i)
 
 let run_trial ~overrides ~inject ~protocol ~adversary ~func ~gamma ~env ~prefix a i =
   match observe_trial ~overrides ~inject ~protocol ~adversary ~func ~gamma ~env ~prefix i with
@@ -294,7 +317,13 @@ module Trial = struct
     t_breach : bool;
   }
 
+  type nonrec prelude = prelude
+
   let seed_prefix = trial_seed_prefix
+  let prepare = trial_prepare
+
+  let play ~overrides ~adversary ~func ~gamma prelude =
+    trial_play ~overrides ~inject:None ~adversary ~func ~gamma prelude
 
   let run ?(overrides = Events.no_overrides) ?inject ~protocol ~adversary ~func ~gamma ~env
       ~prefix i =

@@ -119,11 +119,16 @@ end
 
 (** {2 Single-trial hook}
 
-    {!Crn} (common-random-numbers pairing) needs to observe the {e same}
-    (seed, i) trial stream under several configurations.  [Trial.run]
-    executes exactly the trial {!estimate} would run for index [i] —
-    same seeding, same env/exec/faults splits, same classification — and
-    returns the observation instead of folding it into an accumulator. *)
+    {!Crn} (common-random-numbers pairing) and the paired racer need to
+    observe the {e same} (seed, i) trial stream under several
+    configurations.  [Trial.run] executes exactly the trial {!estimate}
+    would run for index [i] — same seeding, same env/exec/faults splits,
+    same classification — and returns the observation instead of folding
+    it into an accumulator.  It is [play (prepare …)]: {!Trial.prepare}
+    builds the adversary-independent half of trial [i] once, and
+    {!Trial.play} runs one adversary against it, so several adversaries
+    can share one prelude (see {!Engine.prepare} for what that asks of a
+    protocol). *)
 
 module Trial : sig
   type obs = {
@@ -137,6 +142,31 @@ module Trial : sig
   (** [seed_prefix seed] is the ["mc:<seed>:"] prefix; [prefix ^
       string_of_int i] seeds trial [i] exactly as {!estimate} does. *)
 
+  type prelude
+  (** Trial [i]'s adversary-independent half: its master generator, the
+      environment's inputs and the prepared engine state
+      ({!Engine.prepared}), or the record that building them raised. *)
+
+  val prepare : protocol:Protocol.t -> env:environment -> prefix:string -> int -> prelude
+  (** Draw trial [i]'s inputs and build its prelude.  Never raises a
+      non-fatal exception: a raise is kept and faults every {!play} of the
+      prelude.  Counts nothing; the plays do. *)
+
+  val play :
+    overrides:Events.overrides ->
+    adversary:Adversary.t ->
+    func:Func.t ->
+    gamma:Payoff.t ->
+    prelude ->
+    obs option
+  (** Run [adversary] against the prelude and classify the outcome.  The
+      functionality and the adversary instance are built afresh for every
+      play, so plays of one prelude are independent as long as the
+      protocol's party machines are persistent.  Injects no faults
+      ({!run}'s [?inject] does).  Counts one
+      [mc.trials]; [None] (and one [mc.trial_faults]) when the prelude or
+      the play raised. *)
+
   val run :
     ?overrides:Events.overrides ->
     ?inject:(Rng.t -> Engine.injector) ->
@@ -148,10 +178,10 @@ module Trial : sig
     prefix:string ->
     int ->
     obs option
-  (** [None] when the trial raised (trial-level isolation; metric
-      [mc.trial_faults] is bumped).  Callers own fault accounting and
-      budgets.  Every trial, here or in {!estimate}, counts one
-      [mc.trials]. *)
+  (** [play (prepare ~protocol ~env ~prefix i)].  [None] when the trial
+      raised (trial-level isolation; metric [mc.trial_faults] is bumped).
+      Callers own fault accounting and budgets.  Every trial, here or in
+      {!estimate}, counts one [mc.trials]. *)
 
   val observe : Acc.t -> obs -> unit
   (** Fold one observation into an accumulator with the full event

@@ -34,7 +34,14 @@ let restore dst ~from =
   dst.buf_len <- from.buf_len;
   dst.total <- from.total
 
-let compress = Sha256_block.compress
+(* Every compression is counted: [sha256.blocks] is the deterministic work
+   count behind a trial's cost (one atomic load per block while metrics
+   are off). *)
+let c_blocks = Fair_obs.Metrics.counter "sha256.blocks"
+
+let compress h b off =
+  Fair_obs.Metrics.incr c_blocks;
+  Sha256_block.compress h b off
 
 let feed_sub c b off len =
   if off < 0 || len < 0 || off > Bytes.length b - len then

@@ -6,7 +6,11 @@
     [int] with 32-bit masking (no [Int32] boxing) and a reused message-schedule
     scratch.  The implementation is validated in the test suite against the
     FIPS test vectors (empty string, "abc", the 448-bit two-block message, and
-    a million 'a's), both one-shot and through the incremental {!Ctx} API. *)
+    a million 'a's), both one-shot and through the incremental {!Ctx} API.
+
+    Every 64-byte block compressed counts one [sha256.blocks]
+    ({!Fair_obs.Metrics}), the deterministic work count behind a trial's
+    hashing cost. *)
 
 val digest : string -> string
 (** [digest msg] is the 32-byte raw digest of [msg].  Allocation-free apart

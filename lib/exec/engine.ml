@@ -150,12 +150,50 @@ let arena_key =
 (* Inboxes are sender-sorted; sources are small ints. *)
 let by_src ((a : int), _) ((b : int), _) = compare a b
 
-let run_exec ~faults ~max_messages ~protocol ~adversary ~inputs ~rng =
+(* ------------------------------------------------------------------ *)
+(* The adversary-independent half of an execution: the dealer's setup and
+   the honest party machines.  Built once, it can be played against any
+   number of adversaries, because machines are persistent (see
+   [Machine]) and everything per-execution — the functionality, the
+   adversary instance, the fault injector, the run arena — is built in
+   [run_exec]. *)
+type prepared = {
+  p_protocol : Protocol.t;
+  p_inputs : string array;
+  p_setup : string array;
+  p_parties : Machine.t array;  (* party i+1's machine at index i *)
+  p_rng : Rng.t;  (* the execution generator; only split from, never drawn *)
+}
+
+let prepare ~protocol ~inputs ~rng =
   let n = protocol.Protocol.parties in
   if Array.length inputs <> n then
     invalid_arg
       (Printf.sprintf "Engine.run: wrong number of inputs (got %d, protocol %S wants %d)"
          (Array.length inputs) protocol.Protocol.name n);
+  let setup =
+    match protocol.Protocol.setup with
+    | None -> Array.make n ""
+    | Some deal ->
+        let s = deal (Rng.split rng ~label:"dealer") in
+        if Array.length s <> n then
+          invalid_arg
+            (Printf.sprintf "Engine.run: setup arity (dealer produced %d values for %d parties)"
+               (Array.length s) n);
+        s
+  in
+  let parties =
+    Array.init n (fun k ->
+        protocol.Protocol.make_party
+          ~rng:(Rng.split rng ~label:("party-" ^ string_of_int (k + 1)))
+          ~id:(k + 1) ~n ~input:inputs.(k) ~setup:setup.(k))
+  in
+  { p_protocol = protocol; p_inputs = inputs; p_setup = setup; p_parties = parties; p_rng = rng }
+
+let run_exec ~faults ~max_messages ~adversary p =
+  let protocol = p.p_protocol in
+  let n = protocol.Protocol.parties in
+  let inputs = p.p_inputs and setup = p.p_setup and rng = p.p_rng in
   let msg_limit =
     match max_messages with Some m -> m | None -> (n + 1) * protocol.Protocol.max_rounds * 1024
   in
@@ -202,28 +240,12 @@ let run_exec ~faults ~max_messages ~protocol ~adversary ~inputs ~rng =
   let trace = Trace.create () in
   let failures = ref [] in
   let record_failure f = failures := f :: !failures in
-  let setup =
-    match protocol.Protocol.setup with
-    | None -> Array.make n ""
-    | Some deal ->
-        let s = deal (Rng.split rng ~label:"dealer") in
-        if Array.length s <> n then
-          invalid_arg
-            (Printf.sprintf "Engine.run: setup arity (dealer produced %d values for %d parties)"
-               (Array.length s) n);
-        s
-  in
   slots.(0) <-
     (match protocol.Protocol.functionality with
     | None -> Finished Honest_abort (* unused marker; never consulted *)
     | Some f -> Running (f (Rng.split rng ~label:"functionality") ~n, "", ""));
   for i = 1 to n do
-    let m =
-      protocol.Protocol.make_party
-        ~rng:(Rng.split rng ~label:("party-" ^ string_of_int i))
-        ~id:i ~n ~input:inputs.(i - 1) ~setup:setup.(i - 1)
-    in
-    slots.(i) <- Running (m, inputs.(i - 1), setup.(i - 1))
+    slots.(i) <- Running (p.p_parties.(i - 1), inputs.(i - 1), setup.(i - 1))
   done;
   let adv = adversary.Adversary.make (Rng.split rng ~label:"adversary") ~protocol in
   let claims = ref [] in
@@ -488,9 +510,12 @@ let run_exec ~faults ~max_messages ~protocol ~adversary ~inputs ~rng =
     trace;
     failures = List.rev !failures }
 
-let run_with ?(faults = no_faults) ?max_messages ~protocol ~adversary ~inputs ~rng () =
+let run_prepared ?(faults = no_faults) ?max_messages ~adversary p =
   Otrace.with_span ~cat:"engine" "engine.run" (fun () ->
-      run_exec ~faults ~max_messages ~protocol ~adversary ~inputs ~rng)
+      run_exec ~faults ~max_messages ~adversary p)
+
+let run_with ?faults ?max_messages ~protocol ~adversary ~inputs ~rng () =
+  run_prepared ?faults ?max_messages ~adversary (prepare ~protocol ~inputs ~rng)
 
 let run ~protocol ~adversary ~inputs ~rng =
   run_with ~protocol ~adversary ~inputs ~rng ()

@@ -94,6 +94,37 @@ val all_honest_output : outcome -> expected:Wire.payload -> bool
 val claimed : outcome -> truth:Wire.payload -> bool
 (** Did any learned-output claim match the true value? *)
 
+(** {2 Prelude and play}
+
+    An execution splits into an adversary-independent {e prelude} — the
+    dealer's setup and the honest party machines, built from the inputs
+    and the execution generator — and a per-adversary {e play}.  The paired
+    racer builds a trial's prelude and plays many surviving arms against
+    it, so the prelude's parts are shared by those arms:
+    party machines must be persistent ({!Machine}) and the dealer's setup
+    a plain value.  The functionality (which may keep per-run state), the
+    adversary instance and the fault injector are built inside every
+    play.  {!run} is [run_prepared (prepare …)]: one code path. *)
+
+type prepared
+
+val prepare : protocol:Protocol.t -> inputs:string array -> rng:Fair_crypto.Rng.t -> prepared
+(** Run the dealer on [rng]'s ["dealer"] split and build party [i]'s
+    machine on its ["party-i"] split.  [rng] itself is only split from,
+    never drawn, so it can serve every play.
+    @raise Invalid_argument if [inputs] has the wrong length or the dealer
+    produces the wrong number of setup values. *)
+
+val run_prepared :
+  ?faults:injector -> ?max_messages:int -> adversary:Adversary.t -> prepared -> outcome
+(** Play [adversary] against a prelude, under the protocol it was built
+    for, as {!run_with} does after {!prepare}.  The functionality and the
+    adversary draw from fresh ["functionality"] and ["adversary"] splits
+    of the prelude's generator, so every play of one prelude sees the same
+    coins.  The [engine.run] trace span covers this play only, not the
+    {!prepare} before it, on every path including {!run}.
+    @raise Fail as {!run}. *)
+
 val run :
   protocol:Protocol.t ->
   adversary:Adversary.t ->

@@ -10,7 +10,15 @@
 
     Protocol implementations must therefore pre-draw all the randomness they
     need at construction time; stepping a machine twice from the same state
-    with the same inbox must yield identical results. *)
+    with the same inbox must yield identical results.
+
+    Persistence is also what lets the paired racer share a trial's honest
+    side: a protocol's [make_party] machines (and the dealer's setup) are
+    built once for a trial and played against the surviving arms
+    ({!Engine.prepare}), so a machine that draws from its captured
+    generator inside [step], or mutates anything it closes over, makes
+    one arm's play change the next one's.  [test_search.ml] checks every
+    registry target for this. *)
 
 type action =
   | Send of Wire.dest * Wire.payload

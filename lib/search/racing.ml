@@ -76,7 +76,7 @@ let batch0 = 64
 let z = 3.0
 let min_pulls = 256
 
-let race_paired ?(jobs = Parallel.default_jobs) ~arms ~pull ~budget () =
+let race_paired ~arms ~pull ~budget () =
   let arms = Array.of_list arms in
   let k = Array.length arms in
   if k = 0 then invalid_arg "Racing.race_paired: no arms";
@@ -121,22 +121,15 @@ let race_paired ?(jobs = Parallel.default_jobs) ~arms ~pull ~budget () =
         (fun () ->
           let lo = !covered in
           let hi = lo + b in
-          (* Shared grid: every survivor pulls the same [lo, hi) — arm-level
-             parallelism, merged back in arm order on this domain. *)
-          let batches =
-            Parallel.map_list ~jobs
-              (fun i ->
-                Otrace.with_span ~cat:"race"
-                  ~args:[ ("arm", string_of_int i); ("lo", string_of_int lo);
-                          ("hi", string_of_int hi) ]
-                  "race.pull"
-                  (fun () -> pull arms.(i) ~lo ~hi))
-              s
-          in
-          List.iter2
-            (fun i (batch : Mc.Trial.obs option array) ->
-              if Array.length batch <> b then
-                invalid_arg "Racing.race_paired: pull returned a wrong-sized batch";
+          (* Shared grid: every survivor pulls the same [lo, hi) in one
+             call, which returns the batches in survivor order. *)
+          let batches = pull (Array.of_list (List.map (fun i -> arms.(i)) s)) ~lo ~hi in
+          if
+            Array.length batches <> survivors
+            || Array.exists (fun batch -> Array.length batch <> b) batches
+          then invalid_arg "Racing.race_paired: pull returned a wrong-sized batch";
+          List.iteri
+            (fun j i ->
               let fresh =
                 Array.map
                   (function
@@ -146,10 +139,10 @@ let race_paired ?(jobs = Parallel.default_jobs) ~arms ~pull ~budget () =
                     | None ->
                         Mc.Acc.record_fault accs.(i);
                         Float.nan)
-                  batch
+                  batches.(j)
               in
               hists.(i) <- Array.append hists.(i) fresh)
-            s batches;
+            s;
           covered := hi;
           spent := !spent + (b * survivors);
           (* The incumbent is the best marginal lower bound (ties to the
@@ -253,15 +246,48 @@ type target = {
   overrides : Fairness.Events.overrides;
 }
 
+(* Pool tasks per round.  At budget 2000 the n-party targets race ~200
+   arms on a round of 10 trials and then one of 1, so chunks of trials
+   alone would give those rounds 10 uneven tasks and then 1; chunks of
+   (trial, arm) cells give every round about this many.  A round of at
+   least this many trials — every round the remaining budget does not
+   cut short — is cut into whole trials, so each prelude is built once. *)
+let chunks_per_round = 16
+
 (* One seed prefix for the whole race: trial [t] of every arm shares its
    environment draws and per-trial randomness, which is the grid contract
-   [race_paired] needs.  Each arm's batch runs on one domain; parallelism
-   lives at the arm level. *)
+   [race_paired] needs — and because the adversary-independent half of a
+   trial does not depend on the arm, a chunk builds it once per trial
+   ([Mc.Trial.prepare]) and shares it among the arms it plays, so only
+   the preludes of chunks in flight are alive.  A round's cells are
+   walked trial-major (cell [c] is survivor [c mod k] on trial
+   [lo + c / k]), in chunks of whole trials when a chunk holds at least
+   one trial.  Each observation depends on (arm, trial) alone and lands
+   in its own cell, and the chunks depend only on the round's shape, so
+   the batches — and the work done — are the same at any [jobs]. *)
 let race_target ~jobs ~target ~arms ~budget ~seed =
+  let { protocol; func; gamma; env; overrides } = target in
   let prefix = Mc.Trial.seed_prefix seed in
-  let pull adversary ~lo ~hi =
-    Array.init (hi - lo) (fun d ->
-        Mc.Trial.run ~overrides:target.overrides ~protocol:target.protocol ~adversary
-          ~func:target.func ~gamma:target.gamma ~env:target.env ~prefix (lo + d))
+  let pull survivors ~lo ~hi =
+    let k = Array.length survivors and b = hi - lo in
+    let chunk = max 1 (b * k / chunks_per_round) in
+    let chunk = if chunk >= k then chunk / k * k else chunk in
+    let out = Array.make_matrix k b None in
+    let trial c = lo + (c / k) in
+    ignore
+      (Parallel.map_range ~jobs ~chunk_size:chunk ~lo:0 ~hi:(b * k) (fun ~lo:c0 ~hi:c1 ->
+           Otrace.with_span ~cat:"race"
+             ~args:[ ("lo", string_of_int (trial c0)); ("hi", string_of_int (trial (c1 - 1) + 1));
+                     ("plays", string_of_int (c1 - c0)) ]
+             "race.pull"
+             (fun () ->
+               let prelude = ref (Mc.Trial.prepare ~protocol ~env ~prefix (trial c0)) in
+               for c = c0 to c1 - 1 do
+                 if c > c0 && c mod k = 0 then
+                   prelude := Mc.Trial.prepare ~protocol ~env ~prefix (trial c);
+                 out.(c mod k).(c / k) <-
+                   Mc.Trial.play ~overrides ~adversary:survivors.(c mod k) ~func ~gamma !prelude
+               done)));
+    out
   in
-  race_paired ~jobs ~arms ~pull ~budget ()
+  race_paired ~arms ~pull ~budget ()

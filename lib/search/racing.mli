@@ -18,12 +18,15 @@
     - surviving arms split the remaining budget until it cannot fund one
       more trial per survivor.
 
-    {b Determinism.} Trial [t] depends on [(seed, t)] only, batches are
-    merged in arm order on the scheduling domain, and every decision reads
-    the merged accumulators — so the whole race (and any certificate
-    derived from it) is bit-identical for every [jobs] value; parallelism
-    only decides which domain evaluates which arm
-    ({!Fairness.Parallel.map_list}). *)
+    {b Determinism.} Trial [t] of arm [a] depends on [(seed, t, a)] only,
+    batches are merged in arm order on the scheduling domain, and every
+    decision reads the merged accumulators — so the whole race (and any
+    certificate derived from it) is bit-identical for every [jobs] value.
+    {!race_target} pulls trial-major: chunks of a round's (trial, arm)
+    cells run on the pool ({!Fairness.Parallel.map_range}), and a chunk
+    builds each of its trials' adversary-independent prelude once and
+    plays its arms on it; parallelism only decides which domain evaluates
+    which chunk. *)
 
 module Mc = Fairness.Montecarlo
 
@@ -64,22 +67,24 @@ type 'a outcome = {
 }
 
 val race_paired :
-  ?jobs:int ->
   arms:'a list ->
-  pull:('a -> lo:int -> hi:int -> Mc.Trial.obs option array) ->
+  pull:('a array -> lo:int -> hi:int -> Mc.Trial.obs option array array) ->
   budget:int ->
   unit ->
   'a outcome
 (** Race on a {e shared} seed grid with CRN-paired elimination.
 
-    [pull arm ~lo ~hi] must return the observations of trials [\[lo, hi)]
-    of the {e shared} grid under [arm] ([None] = the trial faulted, as from
-    {!Mc.Trial.run}): trial [t] must derive its environment and per-trial
+    [pull survivors ~lo ~hi] is called once per round with the surviving
+    arms in arm order, and must return one array per survivor, in the
+    same order: the observations of trials [\[lo, hi)] of the {e shared}
+    grid under that arm ([None] = the trial faulted, as from
+    {!Mc.Trial.run}).  Trial [t] must derive its environment and per-trial
     randomness from [t] alone — identical across arms — which is exactly
     what driving {!Mc.Trial.run} with one [seed_prefix] for every arm
-    gives.  Ranges are contiguous and increasing; every survivor is asked
-    for the same range each round, so all live histories cover the same
-    grid prefix.
+    gives, and an arm's observation must not depend on which other arms
+    were pulled with it.  Ranges are contiguous and increasing; all live
+    histories cover the same grid prefix.  Parallelism, if any, is the
+    pull's business.
 
     Scheduling: doubling batches from a first batch of
     [min 64 (max 16 (budget / 4k))] for [k] arms (shrunk so wide spaces get
@@ -98,15 +103,17 @@ val race_paired :
     bitwise-equal histories, so it stops instead of spending the rest of
     the budget (metric [race.settled]).
 
-    Determinism: batches are merged in arm order on the scheduling domain
-    and every decision reads merged accumulators/histories, so outcomes are
-    bit-identical at any [jobs] value.  Sends one progress point per round,
+    Determinism: batches are merged in arm order on the calling domain
+    and every decision reads merged accumulators/histories, so the outcome
+    is a function of the pulled observations alone.  Sends one progress
+    point per round,
     the incumbent's running marginal, to the calling domain's
     {!Fair_obs.Scope}.
 
     @raise Invalid_argument on an empty arm list, a [budget] below the arm
     count (every arm needs at least one trial; the message names both
-    numbers), or a [pull] returning a wrong-sized batch. *)
+    numbers), or a [pull] returning the wrong number of batches or a
+    wrong-sized one. *)
 
 (** {2 Monte-Carlo-backed racing} *)
 
@@ -126,8 +133,20 @@ val race_target :
   seed:int ->
   Fair_exec.Adversary.t outcome
 (** {!race_paired} of [arms] against [target] on the shared grid
-    [Mc.Trial.seed_prefix seed]: arm [a]'s trial [t] is
+    [Mc.Trial.seed_prefix seed]: arm [a]'s trial [t] equals
     [Mc.Trial.run ~adversary:a ~prefix t], so the race is reproducible from
-    [seed] alone.  Used by the registry searches
+    [seed] alone.  A round's (trial, survivor) cells are walked
+    trial-major in about 16 chunks on {!Fairness.Parallel.map_range} (up
+    to [jobs] domains): whole trials when a chunk holds at least one, so
+    a round of 16 trials or more builds each prelude once, while a
+    shorter round (at budget 2000, the n-party targets' rounds of 10
+    trials and of 1) splits a trial's survivors between chunks to stay
+    spread over the domains.  Per trial a chunk builds the prelude ({!Mc.Trial.prepare})
+    once and plays its survivors on it ({!Mc.Trial.play}), so [mc.trials]
+    and [engine.*] count one per (arm, trial) while the inputs, the
+    dealer's setup and the honest machines are built once per trial and
+    chunk.  The chunks depend only on the round's shape, so the work done
+    (e.g. [sha256.blocks]) is the same at any [jobs].  One [race.pull]
+    span per chunk.  Used by the registry searches
     ([Fair_analysis.Experiments.searched]) and the landscapes
     ({!Landscape}). *)

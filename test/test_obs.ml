@@ -424,14 +424,17 @@ let test_zero_perturbation () =
 
 (* Synthetic deterministic arms: arm i's trials are a shared-grid stream at
    level i/10. *)
-let level_pull i ~lo ~hi =
-  Array.init (hi - lo) (fun d ->
-      let t = lo + d in
-      Some
-        { Mc.Trial.t_payoff = (float_of_int i /. 10.0) +. (0.001 *. float_of_int (t mod 7));
-          t_event = Fairness.Events.E11;
-          t_corrupted = 1;
-          t_breach = false })
+let level_pull arms ~lo ~hi =
+  Array.map
+    (fun i ->
+      Array.init (hi - lo) (fun d ->
+          let t = lo + d in
+          Some
+            { Mc.Trial.t_payoff = (float_of_int i /. 10.0) +. (0.001 *. float_of_int (t mod 7));
+              t_event = Fairness.Events.E11;
+              t_corrupted = 1;
+              t_breach = false }))
+    arms
 
 (* ------------------------- request scope ---------------------------- *)
 

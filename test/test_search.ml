@@ -23,21 +23,24 @@ module E = Fair_analysis.Experiments
    instead of spending its whole budget shrinking marginal error bars. *)
 let shared_noise i = (float_of_int (Hashtbl.hash ("crn", i) land 0xFFFF) /. 65535.0) -. 0.5
 
-let paired_pull ~means arm ~lo ~hi =
-  Array.init (hi - lo) (fun d ->
-      let i = lo + d in
-      Some
-        { Mc.Trial.t_payoff = means.(arm) +. (0.3 *. shared_noise i);
-          t_event = Fairness.Events.E11;
-          t_corrupted = 1;
-          t_breach = false })
+let paired_pull ~means arms ~lo ~hi =
+  Array.map
+    (fun arm ->
+      Array.init (hi - lo) (fun d ->
+          let i = lo + d in
+          Some
+            { Mc.Trial.t_payoff = means.(arm) +. (0.3 *. shared_noise i);
+              t_event = Fairness.Events.E11;
+              t_corrupted = 1;
+              t_breach = false }))
+    arms
 
 let test_paired_same_incumbent_half_budget () =
   (* Unique argmax, gaps many paired-σ wide. *)
   let means = [| 0.8; 0.5; 0.2 |] in
   let budget = 10_000 in
   let op =
-    Racing.race_paired ~jobs:1 ~arms:[ 0; 1; 2 ] ~pull:(paired_pull ~means) ~budget ()
+    Racing.race_paired ~arms:[ 0; 1; 2 ] ~pull:(paired_pull ~means) ~budget ()
   in
   Alcotest.(check int) "finds the true argmax" 0 op.Racing.best;
   (* The race settles once every rival is dead and the incumbent has its
@@ -62,11 +65,11 @@ let test_paired_budget_never_exceeded () =
   List.iter
     (fun budget ->
       let total = Atomic.make 0 in
-      let pull a ~lo ~hi =
-        ignore (Atomic.fetch_and_add total (hi - lo));
-        paired_pull ~means:[| 0.7; 0.55; 0.4; 0.25; 0.1 |] a ~lo ~hi
+      let pull arms ~lo ~hi =
+        ignore (Atomic.fetch_and_add total ((hi - lo) * Array.length arms));
+        paired_pull ~means:[| 0.7; 0.55; 0.4; 0.25; 0.1 |] arms ~lo ~hi
       in
-      let o = Racing.race_paired ~jobs:1 ~arms:[ 0; 1; 2; 3; 4 ] ~pull ~budget () in
+      let o = Racing.race_paired ~arms:[ 0; 1; 2; 3; 4 ] ~pull ~budget () in
       if o.Racing.spent > budget then
         Alcotest.failf "budget %d exceeded: spent %d" budget o.Racing.spent;
       Alcotest.(check int) "spent = trials actually pulled" (Atomic.get total) o.Racing.spent;
@@ -77,8 +80,8 @@ let test_paired_budget_never_exceeded () =
    they ride along and settle, so downstream `searched >= zoo` comparisons
    stay exact when the zoo arm *is* the searched arm. *)
 let test_paired_exact_ties_survive () =
-  let pull _arm ~lo ~hi = paired_pull ~means:[| 0.6; 0.6; 0.6 |] 0 ~lo ~hi in
-  let o = Racing.race_paired ~jobs:1 ~arms:[ 0; 1; 2 ] ~pull ~budget:50_000 () in
+  let pull arms ~lo ~hi = paired_pull ~means:[| 0.6; 0.6; 0.6 |] (Array.map (fun _ -> 0) arms) ~lo ~hi in
+  let o = Racing.race_paired ~arms:[ 0; 1; 2 ] ~pull ~budget:50_000 () in
   List.iter
     (fun (s : int Racing.standing) ->
       if s.Racing.eliminated_in <> None then
@@ -176,6 +179,144 @@ let test_jobs_deterministic () =
             (Certificate.to_string c1) (Certificate.to_string c4)
       | _ -> Alcotest.fail "E2 search produced no certificate")
 
+(* Certificate bytes pinned from a run before the racer shared preludes
+   between arms.  E11 is Gordon–Katz, whose ShareGen functionality keeps
+   per-run state: a prelude that leaked state between plays, or any shift
+   in a trial's random streams, changes these bytes. *)
+let golden_e1 =
+  {|{
+  "experiment": "E1",
+  "seed": 42,
+  "budget": 2000,
+  "spent": 1998,
+  "rounds": 4,
+  "mode": "paired",
+  "arms_total": 42,
+  "arms_surviving": 7,
+  "best_arm": "greedy:fixed{1}",
+  "utility": 0.7780898876404494,
+  "std_err": 0.018672157920971232,
+  "trials": 178,
+  "zoo_best": null,
+  "bound": 0.75,
+  "bound_label": "(g10+g11)/2",
+  "margin": -0.028089887640449396,
+  "within_bound": true
+}
+|}
+
+let golden_e11 =
+  {|{
+  "experiment": "E11",
+  "seed": 42,
+  "budget": 2000,
+  "spent": 2000,
+  "rounds": 5,
+  "mode": "paired",
+  "arms_total": 58,
+  "arms_surviving": 2,
+  "best_arm": "silent:fixed{2}",
+  "utility": 0.2765957446808513,
+  "std_err": 0.023099237430720312,
+  "trials": 376,
+  "zoo_best": null,
+  "bound": 0.5,
+  "bound_label": "1/p",
+  "margin": 0.2234042553191487,
+  "within_bound": true
+}
+|}
+
+let test_golden_certificates () =
+  List.iter
+    (fun (id, golden) ->
+      match E.find id with
+      | None -> Alcotest.failf "experiment %s missing" id
+      | Some spec -> (
+          match E.searched ~budget:2000 ~seed:42 ~jobs:2 spec with
+          | Some c -> Alcotest.(check string) (id ^ " certificate bytes") golden (Certificate.to_string c)
+          | None -> Alcotest.failf "%s search produced no certificate" id))
+    [ ("E1", golden_e1); ("E11", golden_e11) ]
+
+(* ---------------------------- shared preludes ------------------------ *)
+
+module Adversary = Fair_exec.Adversary
+module Machine = Fair_exec.Machine
+module Protocol = Fair_exec.Protocol
+module Wire = Fair_exec.Wire
+
+(* The racer's sharing contract: every arm played on one prelude of trial
+   [i], in arm order or in reverse, gives what [Trial.run] gives that arm
+   alone.  Returns how many plays differ. *)
+let sharing_breaks ~reverse (t : Racing.target) arms ~prefix i =
+  let { Racing.protocol; func; gamma; env; overrides } = t in
+  let prelude = Mc.Trial.prepare ~protocol ~env ~prefix i in
+  let order l = if reverse then List.rev l else l in
+  let shared =
+    order
+      (List.map
+         (fun adversary -> Mc.Trial.play ~overrides ~adversary ~func ~gamma prelude)
+         (order arms))
+  in
+  let alone =
+    List.map
+      (fun adversary -> Mc.Trial.run ~overrides ~protocol ~adversary ~func ~gamma ~env ~prefix i)
+      arms
+  in
+  List.fold_left2 (fun n a b -> if a = b then n else n + 1) 0 alone shared
+
+(* Trial 0 in arm order, trial 1 in reverse. *)
+let both_orders t arms ~prefix =
+  sharing_breaks ~reverse:false t arms ~prefix 0 + sharing_breaks ~reverse:true t arms ~prefix 1
+
+(* Every arm (space points, then the zoo) of the two-party targets, among
+   them Gordon–Katz with its stateful ShareGen functionality; a 1-in-12
+   stride of the n-party ones, whose plays cost 1–2.5 ms each (their
+   functionality signs every output), so the test stays near a second. *)
+let test_registry_shares_preludes () =
+  let prefix = Mc.Trial.seed_prefix 42 in
+  List.iter
+    (fun (spec : E.spec) ->
+      match spec.E.target with
+      | None -> ()
+      | Some mk ->
+          let t = mk () in
+          let stride = if t.E.s_target.Racing.protocol.Protocol.parties = 2 then 1 else 12 in
+          let arms =
+            List.map (Space.compile t.E.s_space) (Space.points t.E.s_space) @ t.E.s_zoo
+            |> List.filteri (fun j _ -> j mod stride = 0)
+          in
+          let n = both_orders t.E.s_target arms ~prefix in
+          if n > 0 then
+            Alcotest.failf "%s: %d plays of a shared prelude differ from Trial.run" spec.E.eid n)
+    E.registry
+
+(* Negative control: a party machine that draws from its captured
+   generator inside [step] (outputting only on a fresh coin) is not
+   persistent, so a second play of one prelude sees other coins. *)
+let coin_party ~rng ~id ~n:_ ~input ~setup:_ =
+  let peer = 3 - id in
+  Machine.make () (fun () ~round ~inbox ->
+      match (round, List.assoc_opt peer inbox) with
+      | 1, _ -> ((), [ Machine.Send (Wire.To peer, input) ])
+      | _, Some theirs when Fair_crypto.Rng.bool rng ->
+          let xs = if id = 1 then [| input; theirs |] else [| theirs; input |] in
+          ((), [ Machine.Output (Fair_mpc.Func.swap.Fair_mpc.Func.eval xs) ])
+      | _ -> ((), [ Machine.Abort_self ]))
+
+let test_impure_party_flagged () =
+  let target =
+    { Racing.protocol = Protocol.make ~name:"coin-party" ~parties:2 ~max_rounds:3 coin_party;
+      func = Fair_mpc.Func.swap;
+      gamma = Payoff.default;
+      env = Mc.uniform_bit_inputs ~n:2;
+      overrides = Fairness.Events.no_overrides }
+  in
+  let arms = List.init 4 (fun _ -> Adversary.passive) in
+  let prefix = Mc.Trial.seed_prefix 42 in
+  Alcotest.(check bool) "the comparison flags a machine that draws in step" true
+    (both_orders target arms ~prefix > 0)
+
 (* ----------------------------- landscapes ---------------------------- *)
 
 let grid_budget = 1000
@@ -220,7 +361,7 @@ let test_gamma_grid () =
 
 let test_certificate_roundtrip () =
   let outcome =
-    Racing.race_paired ~jobs:1 ~arms:[ 0; 1; 2 ]
+    Racing.race_paired ~arms:[ 0; 1; 2 ]
       ~pull:(paired_pull ~means:[| 0.2; 0.4; 0.6 |])
       ~budget:2000 ()
   in
@@ -288,7 +429,13 @@ let () =
         [ Alcotest.test_case "E2: searched beats zoo" `Quick (searched_beats_zoo "E2");
           Alcotest.test_case "E6: searched beats zoo" `Slow (searched_beats_zoo "E6");
           Alcotest.test_case "space contains the zoo" `Quick test_space_contains_zoo;
-          Alcotest.test_case "certificates identical across -j" `Quick test_jobs_deterministic ] );
+          Alcotest.test_case "certificates identical across -j" `Quick test_jobs_deterministic;
+          Alcotest.test_case "E1 and E11 certificates match golden bytes" `Quick
+            test_golden_certificates ] );
+      ( "sharing",
+        [ Alcotest.test_case "every target's arms share one prelude" `Quick
+            test_registry_shares_preludes;
+          Alcotest.test_case "a party drawing in step is flagged" `Quick test_impure_party_flagged ] );
       ( "landscape",
         [ Alcotest.test_case "n-grid order, mode and -j identity" `Slow test_n_grid;
           Alcotest.test_case "n-grid decay" `Slow test_n_grid_decay;
