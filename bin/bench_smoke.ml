@@ -1,6 +1,6 @@
 (* `dune build @bench-smoke` — a seconds-scale slice of bench/main.ml's
    sequential-vs-parallel comparison, wired into @repro so every smoke run
-   re-proves three contracts:
+   re-proves four contracts:
 
    1. Determinism: the pooled estimate must be bit-for-bit the sequential
       one (utility, std_err, event tables).
@@ -18,7 +18,9 @@
       most 14 SHA-256 blocks per engine execution.  The racer builds each
       trial's inputs, setup and honest machines once for all the arms it
       plays (~10.7 blocks per execution); rebuilding them for every arm
-      costs ~30, so a change that silently stops sharing fails here. *)
+      costs ~30, so a change that silently stops sharing fails here.  The
+      line before it names the SHA-256 kernel that ran: the block count is
+      the same on every kernel, the time per block is not. *)
 
 module Mc = Fairness.Montecarlo
 module Parallel = Fairness.Parallel
@@ -107,6 +109,7 @@ let () =
   in
   check "opt2 minor words per trial within budget" (opt2_words <= 14_000.0)
     (Printf.sprintf "%.0f <= 14000" opt2_words);
+  Printf.printf "bench-smoke: sha256 kernel %s\n" Fair_crypto.Sha256.kernel;
   let e1 = Option.get (Fair_analysis.Experiments.find "E1") in
   let counter name snap = List.assoc name snap.Fair_obs.Metrics.counters in
   Fair_obs.Metrics.reset ();

@@ -489,6 +489,7 @@ let serve_cmd =
             [
               ("event", Json.Str "serve.start");
               ("version", Json.Str Fair_service.Version.code_version);
+              ("sha256", Json.Str Fair_crypto.Sha256.kernel);
               ("socket", Json.Str socket);
               ("cache_capacity", Json.num_int capacity);
               ("cache_dir", opt_str cache_dir);

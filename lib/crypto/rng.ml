@@ -6,8 +6,10 @@ module Field = Fair_field.Field
    generator lazily captures the SHA-256 midstate after [seed ^ "|ctr|"]
    and, per block, restores a scratch context from it and absorbs only the
    counter digits — bit-identical to hashing the concatenation (SHA-256 is
-   a pure function of the byte stream), at a fraction of the work for long
-   (e.g. 32-byte split-derived) seeds. *)
+   a pure function of the byte stream).  It saves no compressions for
+   split-derived seeds: they are 32 raw bytes, so seed ^ "|ctr|" ^ i is at
+   most 55 bytes for any counter below 10^18, one block with or without
+   the midstate; there it only skips building the concatenation. *)
 
 type t = {
   seed : string;

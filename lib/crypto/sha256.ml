@@ -1,11 +1,11 @@
 (* FIPS 180-4 SHA-256.
 
-   The compression function (in [Sha256_block], fully unrolled) runs over
-   native [int] (OCaml ints are 63-bit on every platform we target) with
-   explicit 32-bit masking, so no word is ever boxed and the message
-   schedule never touches the heap.  A one-shot [digest] borrows a
-   domain-local context, so the only per-call allocation is the 32-byte
-   result itself. *)
+   The compression function is C ([Sha256_block], sha256_stubs.c): the x86
+   SHA extensions where the CPU has them, else a portable loop.  The
+   chaining words stay in an OCaml [int array] and each block is compressed
+   in place from the caller's bytes, so a block costs one [noalloc] call.
+   A one-shot [digest] borrows a domain-local context, so the only per-call
+   allocation is the 32-byte result itself. *)
 
 let iv =
   [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
@@ -38,6 +38,8 @@ let restore dst ~from =
    count behind a trial's cost (one atomic load per block while metrics
    are off). *)
 let c_blocks = Fair_obs.Metrics.counter "sha256.blocks"
+
+let kernel = Sha256_block.kernel
 
 let compress h b off =
   Fair_obs.Metrics.incr c_blocks;

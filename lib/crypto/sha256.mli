@@ -2,15 +2,22 @@
 
     Every keyed primitive in this repository (HMAC, the PRG, hash commitments,
     Lamport signatures) bottoms out here, and the Monte-Carlo trial loop calls
-    it millions of times, so the compression function is written over native
-    [int] with 32-bit masking (no [Int32] boxing) and a reused message-schedule
-    scratch.  The implementation is validated in the test suite against the
-    FIPS test vectors (empty string, "abc", the 448-bit two-block message, and
-    a million 'a's), both one-shot and through the incremental {!Ctx} API.
+    it millions of times, so each 64-byte block is compressed by a C kernel:
+    on the x86 SHA extensions where the CPU has them, else a portable loop
+    ({!kernel}).  The implementation is validated in the test suite against
+    the FIPS test vectors (empty string, "abc", the 448-bit two-block message,
+    and a million 'a's), both one-shot and through the incremental {!Ctx} API,
+    and every kernel the CPU can run is checked block by block against a
+    reference compression written from the FIPS formulas.
 
     Every 64-byte block compressed counts one [sha256.blocks]
     ({!Fair_obs.Metrics}), the deterministic work count behind a trial's
     hashing cost. *)
+
+val kernel : string
+(** The compression kernel in use: ["sha-ni"] (the x86 SHA extensions) or
+    ["portable"].  Chosen once, at load, from what the CPU reports; every
+    kernel gives the same digests, only the time per block differs. *)
 
 val digest : string -> string
 (** [digest msg] is the 32-byte raw digest of [msg].  Allocation-free apart

@@ -1,1164 +1,30 @@
-(* SHA-256 block compression, fully unrolled (generated by a one-off script
-   from the FIPS 180-4 round formulas).
+(* SHA-256 block compression in C (sha256_stubs.c): one kernel on the x86
+   SHA extensions, one portable loop.  Which one runs is decided here, once,
+   while the module initialises (before any domain exists), from what the
+   CPU reports; nothing changes it afterwards.
 
-   Words are native [int]s.  State words are kept replicated as
-   [v lor (v lsl 32)]: a right-rotation by n <= 31 is then a single [lsr]
-   (the window of bits n..n+31 is a rotation of v), and garbage above bit
-   31 is harmless because every consumer either masks with [0xffffffff]
-   or keeps only the low 32 bits, which two's-complement addition never
-   lets higher bits corrupt.  The 16-word message-schedule window lives
-   in local variables, so a block compresses with zero heap traffic. *)
+   The C kernels trust their arguments, so every call goes through [check]:
+   a bad offset or state would otherwise read or write outside the buffers. *)
 
-let compress h (b : Bytes.t) off =
-  let w0 =
-    (Char.code (Bytes.unsafe_get b (off)) lsl 24)
-    lor (Char.code (Bytes.unsafe_get b (off + 1)) lsl 16)
-    lor (Char.code (Bytes.unsafe_get b (off + 2)) lsl 8)
-    lor Char.code (Bytes.unsafe_get b (off + 3))
-  in
-  let w1 =
-    (Char.code (Bytes.unsafe_get b (off + 4)) lsl 24)
-    lor (Char.code (Bytes.unsafe_get b (off + 4 + 1)) lsl 16)
-    lor (Char.code (Bytes.unsafe_get b (off + 4 + 2)) lsl 8)
-    lor Char.code (Bytes.unsafe_get b (off + 4 + 3))
-  in
-  let w2 =
-    (Char.code (Bytes.unsafe_get b (off + 8)) lsl 24)
-    lor (Char.code (Bytes.unsafe_get b (off + 8 + 1)) lsl 16)
-    lor (Char.code (Bytes.unsafe_get b (off + 8 + 2)) lsl 8)
-    lor Char.code (Bytes.unsafe_get b (off + 8 + 3))
-  in
-  let w3 =
-    (Char.code (Bytes.unsafe_get b (off + 12)) lsl 24)
-    lor (Char.code (Bytes.unsafe_get b (off + 12 + 1)) lsl 16)
-    lor (Char.code (Bytes.unsafe_get b (off + 12 + 2)) lsl 8)
-    lor Char.code (Bytes.unsafe_get b (off + 12 + 3))
-  in
-  let w4 =
-    (Char.code (Bytes.unsafe_get b (off + 16)) lsl 24)
-    lor (Char.code (Bytes.unsafe_get b (off + 16 + 1)) lsl 16)
-    lor (Char.code (Bytes.unsafe_get b (off + 16 + 2)) lsl 8)
-    lor Char.code (Bytes.unsafe_get b (off + 16 + 3))
-  in
-  let w5 =
-    (Char.code (Bytes.unsafe_get b (off + 20)) lsl 24)
-    lor (Char.code (Bytes.unsafe_get b (off + 20 + 1)) lsl 16)
-    lor (Char.code (Bytes.unsafe_get b (off + 20 + 2)) lsl 8)
-    lor Char.code (Bytes.unsafe_get b (off + 20 + 3))
-  in
-  let w6 =
-    (Char.code (Bytes.unsafe_get b (off + 24)) lsl 24)
-    lor (Char.code (Bytes.unsafe_get b (off + 24 + 1)) lsl 16)
-    lor (Char.code (Bytes.unsafe_get b (off + 24 + 2)) lsl 8)
-    lor Char.code (Bytes.unsafe_get b (off + 24 + 3))
-  in
-  let w7 =
-    (Char.code (Bytes.unsafe_get b (off + 28)) lsl 24)
-    lor (Char.code (Bytes.unsafe_get b (off + 28 + 1)) lsl 16)
-    lor (Char.code (Bytes.unsafe_get b (off + 28 + 2)) lsl 8)
-    lor Char.code (Bytes.unsafe_get b (off + 28 + 3))
-  in
-  let w8 =
-    (Char.code (Bytes.unsafe_get b (off + 32)) lsl 24)
-    lor (Char.code (Bytes.unsafe_get b (off + 32 + 1)) lsl 16)
-    lor (Char.code (Bytes.unsafe_get b (off + 32 + 2)) lsl 8)
-    lor Char.code (Bytes.unsafe_get b (off + 32 + 3))
-  in
-  let w9 =
-    (Char.code (Bytes.unsafe_get b (off + 36)) lsl 24)
-    lor (Char.code (Bytes.unsafe_get b (off + 36 + 1)) lsl 16)
-    lor (Char.code (Bytes.unsafe_get b (off + 36 + 2)) lsl 8)
-    lor Char.code (Bytes.unsafe_get b (off + 36 + 3))
-  in
-  let w10 =
-    (Char.code (Bytes.unsafe_get b (off + 40)) lsl 24)
-    lor (Char.code (Bytes.unsafe_get b (off + 40 + 1)) lsl 16)
-    lor (Char.code (Bytes.unsafe_get b (off + 40 + 2)) lsl 8)
-    lor Char.code (Bytes.unsafe_get b (off + 40 + 3))
-  in
-  let w11 =
-    (Char.code (Bytes.unsafe_get b (off + 44)) lsl 24)
-    lor (Char.code (Bytes.unsafe_get b (off + 44 + 1)) lsl 16)
-    lor (Char.code (Bytes.unsafe_get b (off + 44 + 2)) lsl 8)
-    lor Char.code (Bytes.unsafe_get b (off + 44 + 3))
-  in
-  let w12 =
-    (Char.code (Bytes.unsafe_get b (off + 48)) lsl 24)
-    lor (Char.code (Bytes.unsafe_get b (off + 48 + 1)) lsl 16)
-    lor (Char.code (Bytes.unsafe_get b (off + 48 + 2)) lsl 8)
-    lor Char.code (Bytes.unsafe_get b (off + 48 + 3))
-  in
-  let w13 =
-    (Char.code (Bytes.unsafe_get b (off + 52)) lsl 24)
-    lor (Char.code (Bytes.unsafe_get b (off + 52 + 1)) lsl 16)
-    lor (Char.code (Bytes.unsafe_get b (off + 52 + 2)) lsl 8)
-    lor Char.code (Bytes.unsafe_get b (off + 52 + 3))
-  in
-  let w14 =
-    (Char.code (Bytes.unsafe_get b (off + 56)) lsl 24)
-    lor (Char.code (Bytes.unsafe_get b (off + 56 + 1)) lsl 16)
-    lor (Char.code (Bytes.unsafe_get b (off + 56 + 2)) lsl 8)
-    lor Char.code (Bytes.unsafe_get b (off + 56 + 3))
-  in
-  let w15 =
-    (Char.code (Bytes.unsafe_get b (off + 60)) lsl 24)
-    lor (Char.code (Bytes.unsafe_get b (off + 60 + 1)) lsl 16)
-    lor (Char.code (Bytes.unsafe_get b (off + 60 + 2)) lsl 8)
-    lor Char.code (Bytes.unsafe_get b (off + 60 + 3))
-  in
-  let a0 = h.(0) lor (h.(0) lsl 32) in
-  let b0 = h.(1) lor (h.(1) lsl 32) in
-  let c0 = h.(2) lor (h.(2) lsl 32) in
-  let d0 = h.(3) lor (h.(3) lsl 32) in
-  let e0 = h.(4) lor (h.(4) lsl 32) in
-  let f0 = h.(5) lor (h.(5) lsl 32) in
-  let g0 = h.(6) lor (h.(6) lsl 32) in
-  let hh0 = h.(7) lor (h.(7) lsl 32) in
-  let t1_0 =
-    hh0 + ((e0 lsr 6) lxor (e0 lsr 11) lxor (e0 lsr 25))
-    + ((e0 land f0) lxor (lnot e0 land g0)) + 0x428a2f98 + w0
-  in
-  let a1 =
-    (t1_0 + ((a0 lsr 2) lxor (a0 lsr 13) lxor (a0 lsr 22))
-    + ((a0 land b0) lxor (a0 land c0) lxor (b0 land c0))) land 0xffffffff
-  in
-  let ar1 = a1 lor (a1 lsl 32) in
-  let e1 = (d0 + t1_0) land 0xffffffff in
-  let er1 = e1 lor (e1 lsl 32) in
-  let t1_1 =
-    g0 + ((er1 lsr 6) lxor (er1 lsr 11) lxor (er1 lsr 25))
-    + ((er1 land e0) lxor (lnot er1 land f0)) + 0x71374491 + w1
-  in
-  let a2 =
-    (t1_1 + ((ar1 lsr 2) lxor (ar1 lsr 13) lxor (ar1 lsr 22))
-    + ((ar1 land a0) lxor (ar1 land b0) lxor (a0 land b0))) land 0xffffffff
-  in
-  let ar2 = a2 lor (a2 lsl 32) in
-  let e2 = (c0 + t1_1) land 0xffffffff in
-  let er2 = e2 lor (e2 lsl 32) in
-  let t1_2 =
-    f0 + ((er2 lsr 6) lxor (er2 lsr 11) lxor (er2 lsr 25))
-    + ((er2 land er1) lxor (lnot er2 land e0)) + 0xb5c0fbcf + w2
-  in
-  let a3 =
-    (t1_2 + ((ar2 lsr 2) lxor (ar2 lsr 13) lxor (ar2 lsr 22))
-    + ((ar2 land ar1) lxor (ar2 land a0) lxor (ar1 land a0))) land 0xffffffff
-  in
-  let ar3 = a3 lor (a3 lsl 32) in
-  let e3 = (b0 + t1_2) land 0xffffffff in
-  let er3 = e3 lor (e3 lsl 32) in
-  let t1_3 =
-    e0 + ((er3 lsr 6) lxor (er3 lsr 11) lxor (er3 lsr 25))
-    + ((er3 land er2) lxor (lnot er3 land er1)) + 0xe9b5dba5 + w3
-  in
-  let a4 =
-    (t1_3 + ((ar3 lsr 2) lxor (ar3 lsr 13) lxor (ar3 lsr 22))
-    + ((ar3 land ar2) lxor (ar3 land ar1) lxor (ar2 land ar1))) land 0xffffffff
-  in
-  let ar4 = a4 lor (a4 lsl 32) in
-  let e4 = (a0 + t1_3) land 0xffffffff in
-  let er4 = e4 lor (e4 lsl 32) in
-  let t1_4 =
-    er1 + ((er4 lsr 6) lxor (er4 lsr 11) lxor (er4 lsr 25))
-    + ((er4 land er3) lxor (lnot er4 land er2)) + 0x3956c25b + w4
-  in
-  let a5 =
-    (t1_4 + ((ar4 lsr 2) lxor (ar4 lsr 13) lxor (ar4 lsr 22))
-    + ((ar4 land ar3) lxor (ar4 land ar2) lxor (ar3 land ar2))) land 0xffffffff
-  in
-  let ar5 = a5 lor (a5 lsl 32) in
-  let e5 = (ar1 + t1_4) land 0xffffffff in
-  let er5 = e5 lor (e5 lsl 32) in
-  let t1_5 =
-    er2 + ((er5 lsr 6) lxor (er5 lsr 11) lxor (er5 lsr 25))
-    + ((er5 land er4) lxor (lnot er5 land er3)) + 0x59f111f1 + w5
-  in
-  let a6 =
-    (t1_5 + ((ar5 lsr 2) lxor (ar5 lsr 13) lxor (ar5 lsr 22))
-    + ((ar5 land ar4) lxor (ar5 land ar3) lxor (ar4 land ar3))) land 0xffffffff
-  in
-  let ar6 = a6 lor (a6 lsl 32) in
-  let e6 = (ar2 + t1_5) land 0xffffffff in
-  let er6 = e6 lor (e6 lsl 32) in
-  let t1_6 =
-    er3 + ((er6 lsr 6) lxor (er6 lsr 11) lxor (er6 lsr 25))
-    + ((er6 land er5) lxor (lnot er6 land er4)) + 0x923f82a4 + w6
-  in
-  let a7 =
-    (t1_6 + ((ar6 lsr 2) lxor (ar6 lsr 13) lxor (ar6 lsr 22))
-    + ((ar6 land ar5) lxor (ar6 land ar4) lxor (ar5 land ar4))) land 0xffffffff
-  in
-  let ar7 = a7 lor (a7 lsl 32) in
-  let e7 = (ar3 + t1_6) land 0xffffffff in
-  let er7 = e7 lor (e7 lsl 32) in
-  let t1_7 =
-    er4 + ((er7 lsr 6) lxor (er7 lsr 11) lxor (er7 lsr 25))
-    + ((er7 land er6) lxor (lnot er7 land er5)) + 0xab1c5ed5 + w7
-  in
-  let a8 =
-    (t1_7 + ((ar7 lsr 2) lxor (ar7 lsr 13) lxor (ar7 lsr 22))
-    + ((ar7 land ar6) lxor (ar7 land ar5) lxor (ar6 land ar5))) land 0xffffffff
-  in
-  let ar8 = a8 lor (a8 lsl 32) in
-  let e8 = (ar4 + t1_7) land 0xffffffff in
-  let er8 = e8 lor (e8 lsl 32) in
-  let t1_8 =
-    er5 + ((er8 lsr 6) lxor (er8 lsr 11) lxor (er8 lsr 25))
-    + ((er8 land er7) lxor (lnot er8 land er6)) + 0xd807aa98 + w8
-  in
-  let a9 =
-    (t1_8 + ((ar8 lsr 2) lxor (ar8 lsr 13) lxor (ar8 lsr 22))
-    + ((ar8 land ar7) lxor (ar8 land ar6) lxor (ar7 land ar6))) land 0xffffffff
-  in
-  let ar9 = a9 lor (a9 lsl 32) in
-  let e9 = (ar5 + t1_8) land 0xffffffff in
-  let er9 = e9 lor (e9 lsl 32) in
-  let t1_9 =
-    er6 + ((er9 lsr 6) lxor (er9 lsr 11) lxor (er9 lsr 25))
-    + ((er9 land er8) lxor (lnot er9 land er7)) + 0x12835b01 + w9
-  in
-  let a10 =
-    (t1_9 + ((ar9 lsr 2) lxor (ar9 lsr 13) lxor (ar9 lsr 22))
-    + ((ar9 land ar8) lxor (ar9 land ar7) lxor (ar8 land ar7))) land 0xffffffff
-  in
-  let ar10 = a10 lor (a10 lsl 32) in
-  let e10 = (ar6 + t1_9) land 0xffffffff in
-  let er10 = e10 lor (e10 lsl 32) in
-  let t1_10 =
-    er7 + ((er10 lsr 6) lxor (er10 lsr 11) lxor (er10 lsr 25))
-    + ((er10 land er9) lxor (lnot er10 land er8)) + 0x243185be + w10
-  in
-  let a11 =
-    (t1_10 + ((ar10 lsr 2) lxor (ar10 lsr 13) lxor (ar10 lsr 22))
-    + ((ar10 land ar9) lxor (ar10 land ar8) lxor (ar9 land ar8))) land 0xffffffff
-  in
-  let ar11 = a11 lor (a11 lsl 32) in
-  let e11 = (ar7 + t1_10) land 0xffffffff in
-  let er11 = e11 lor (e11 lsl 32) in
-  let t1_11 =
-    er8 + ((er11 lsr 6) lxor (er11 lsr 11) lxor (er11 lsr 25))
-    + ((er11 land er10) lxor (lnot er11 land er9)) + 0x550c7dc3 + w11
-  in
-  let a12 =
-    (t1_11 + ((ar11 lsr 2) lxor (ar11 lsr 13) lxor (ar11 lsr 22))
-    + ((ar11 land ar10) lxor (ar11 land ar9) lxor (ar10 land ar9))) land 0xffffffff
-  in
-  let ar12 = a12 lor (a12 lsl 32) in
-  let e12 = (ar8 + t1_11) land 0xffffffff in
-  let er12 = e12 lor (e12 lsl 32) in
-  let t1_12 =
-    er9 + ((er12 lsr 6) lxor (er12 lsr 11) lxor (er12 lsr 25))
-    + ((er12 land er11) lxor (lnot er12 land er10)) + 0x72be5d74 + w12
-  in
-  let a13 =
-    (t1_12 + ((ar12 lsr 2) lxor (ar12 lsr 13) lxor (ar12 lsr 22))
-    + ((ar12 land ar11) lxor (ar12 land ar10) lxor (ar11 land ar10))) land 0xffffffff
-  in
-  let ar13 = a13 lor (a13 lsl 32) in
-  let e13 = (ar9 + t1_12) land 0xffffffff in
-  let er13 = e13 lor (e13 lsl 32) in
-  let t1_13 =
-    er10 + ((er13 lsr 6) lxor (er13 lsr 11) lxor (er13 lsr 25))
-    + ((er13 land er12) lxor (lnot er13 land er11)) + 0x80deb1fe + w13
-  in
-  let a14 =
-    (t1_13 + ((ar13 lsr 2) lxor (ar13 lsr 13) lxor (ar13 lsr 22))
-    + ((ar13 land ar12) lxor (ar13 land ar11) lxor (ar12 land ar11))) land 0xffffffff
-  in
-  let ar14 = a14 lor (a14 lsl 32) in
-  let e14 = (ar10 + t1_13) land 0xffffffff in
-  let er14 = e14 lor (e14 lsl 32) in
-  let t1_14 =
-    er11 + ((er14 lsr 6) lxor (er14 lsr 11) lxor (er14 lsr 25))
-    + ((er14 land er13) lxor (lnot er14 land er12)) + 0x9bdc06a7 + w14
-  in
-  let a15 =
-    (t1_14 + ((ar14 lsr 2) lxor (ar14 lsr 13) lxor (ar14 lsr 22))
-    + ((ar14 land ar13) lxor (ar14 land ar12) lxor (ar13 land ar12))) land 0xffffffff
-  in
-  let ar15 = a15 lor (a15 lsl 32) in
-  let e15 = (ar11 + t1_14) land 0xffffffff in
-  let er15 = e15 lor (e15 lsl 32) in
-  let t1_15 =
-    er12 + ((er15 lsr 6) lxor (er15 lsr 11) lxor (er15 lsr 25))
-    + ((er15 land er14) lxor (lnot er15 land er13)) + 0xc19bf174 + w15
-  in
-  let a16 =
-    (t1_15 + ((ar15 lsr 2) lxor (ar15 lsr 13) lxor (ar15 lsr 22))
-    + ((ar15 land ar14) lxor (ar15 land ar13) lxor (ar14 land ar13))) land 0xffffffff
-  in
-  let ar16 = a16 lor (a16 lsl 32) in
-  let e16 = (ar12 + t1_15) land 0xffffffff in
-  let er16 = e16 lor (e16 lsl 32) in
-  let xr_16 = w1 lor (w1 lsl 32) in
-  let yr_16 = w14 lor (w14 lsl 32) in
-  let w16 =
-    (w0 + ((xr_16 lsr 7) lxor (xr_16 lsr 18) lxor (w1 lsr 3))
-    + w9 + ((yr_16 lsr 17) lxor (yr_16 lsr 19) lxor (w14 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_16 =
-    er13 + ((er16 lsr 6) lxor (er16 lsr 11) lxor (er16 lsr 25))
-    + ((er16 land er15) lxor (lnot er16 land er14)) + 0xe49b69c1 + w16
-  in
-  let a17 =
-    (t1_16 + ((ar16 lsr 2) lxor (ar16 lsr 13) lxor (ar16 lsr 22))
-    + ((ar16 land ar15) lxor (ar16 land ar14) lxor (ar15 land ar14))) land 0xffffffff
-  in
-  let ar17 = a17 lor (a17 lsl 32) in
-  let e17 = (ar13 + t1_16) land 0xffffffff in
-  let er17 = e17 lor (e17 lsl 32) in
-  let xr_17 = w2 lor (w2 lsl 32) in
-  let yr_17 = w15 lor (w15 lsl 32) in
-  let w17 =
-    (w1 + ((xr_17 lsr 7) lxor (xr_17 lsr 18) lxor (w2 lsr 3))
-    + w10 + ((yr_17 lsr 17) lxor (yr_17 lsr 19) lxor (w15 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_17 =
-    er14 + ((er17 lsr 6) lxor (er17 lsr 11) lxor (er17 lsr 25))
-    + ((er17 land er16) lxor (lnot er17 land er15)) + 0xefbe4786 + w17
-  in
-  let a18 =
-    (t1_17 + ((ar17 lsr 2) lxor (ar17 lsr 13) lxor (ar17 lsr 22))
-    + ((ar17 land ar16) lxor (ar17 land ar15) lxor (ar16 land ar15))) land 0xffffffff
-  in
-  let ar18 = a18 lor (a18 lsl 32) in
-  let e18 = (ar14 + t1_17) land 0xffffffff in
-  let er18 = e18 lor (e18 lsl 32) in
-  let xr_18 = w3 lor (w3 lsl 32) in
-  let yr_18 = w16 lor (w16 lsl 32) in
-  let w18 =
-    (w2 + ((xr_18 lsr 7) lxor (xr_18 lsr 18) lxor (w3 lsr 3))
-    + w11 + ((yr_18 lsr 17) lxor (yr_18 lsr 19) lxor (w16 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_18 =
-    er15 + ((er18 lsr 6) lxor (er18 lsr 11) lxor (er18 lsr 25))
-    + ((er18 land er17) lxor (lnot er18 land er16)) + 0x0fc19dc6 + w18
-  in
-  let a19 =
-    (t1_18 + ((ar18 lsr 2) lxor (ar18 lsr 13) lxor (ar18 lsr 22))
-    + ((ar18 land ar17) lxor (ar18 land ar16) lxor (ar17 land ar16))) land 0xffffffff
-  in
-  let ar19 = a19 lor (a19 lsl 32) in
-  let e19 = (ar15 + t1_18) land 0xffffffff in
-  let er19 = e19 lor (e19 lsl 32) in
-  let xr_19 = w4 lor (w4 lsl 32) in
-  let yr_19 = w17 lor (w17 lsl 32) in
-  let w19 =
-    (w3 + ((xr_19 lsr 7) lxor (xr_19 lsr 18) lxor (w4 lsr 3))
-    + w12 + ((yr_19 lsr 17) lxor (yr_19 lsr 19) lxor (w17 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_19 =
-    er16 + ((er19 lsr 6) lxor (er19 lsr 11) lxor (er19 lsr 25))
-    + ((er19 land er18) lxor (lnot er19 land er17)) + 0x240ca1cc + w19
-  in
-  let a20 =
-    (t1_19 + ((ar19 lsr 2) lxor (ar19 lsr 13) lxor (ar19 lsr 22))
-    + ((ar19 land ar18) lxor (ar19 land ar17) lxor (ar18 land ar17))) land 0xffffffff
-  in
-  let ar20 = a20 lor (a20 lsl 32) in
-  let e20 = (ar16 + t1_19) land 0xffffffff in
-  let er20 = e20 lor (e20 lsl 32) in
-  let xr_20 = w5 lor (w5 lsl 32) in
-  let yr_20 = w18 lor (w18 lsl 32) in
-  let w20 =
-    (w4 + ((xr_20 lsr 7) lxor (xr_20 lsr 18) lxor (w5 lsr 3))
-    + w13 + ((yr_20 lsr 17) lxor (yr_20 lsr 19) lxor (w18 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_20 =
-    er17 + ((er20 lsr 6) lxor (er20 lsr 11) lxor (er20 lsr 25))
-    + ((er20 land er19) lxor (lnot er20 land er18)) + 0x2de92c6f + w20
-  in
-  let a21 =
-    (t1_20 + ((ar20 lsr 2) lxor (ar20 lsr 13) lxor (ar20 lsr 22))
-    + ((ar20 land ar19) lxor (ar20 land ar18) lxor (ar19 land ar18))) land 0xffffffff
-  in
-  let ar21 = a21 lor (a21 lsl 32) in
-  let e21 = (ar17 + t1_20) land 0xffffffff in
-  let er21 = e21 lor (e21 lsl 32) in
-  let xr_21 = w6 lor (w6 lsl 32) in
-  let yr_21 = w19 lor (w19 lsl 32) in
-  let w21 =
-    (w5 + ((xr_21 lsr 7) lxor (xr_21 lsr 18) lxor (w6 lsr 3))
-    + w14 + ((yr_21 lsr 17) lxor (yr_21 lsr 19) lxor (w19 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_21 =
-    er18 + ((er21 lsr 6) lxor (er21 lsr 11) lxor (er21 lsr 25))
-    + ((er21 land er20) lxor (lnot er21 land er19)) + 0x4a7484aa + w21
-  in
-  let a22 =
-    (t1_21 + ((ar21 lsr 2) lxor (ar21 lsr 13) lxor (ar21 lsr 22))
-    + ((ar21 land ar20) lxor (ar21 land ar19) lxor (ar20 land ar19))) land 0xffffffff
-  in
-  let ar22 = a22 lor (a22 lsl 32) in
-  let e22 = (ar18 + t1_21) land 0xffffffff in
-  let er22 = e22 lor (e22 lsl 32) in
-  let xr_22 = w7 lor (w7 lsl 32) in
-  let yr_22 = w20 lor (w20 lsl 32) in
-  let w22 =
-    (w6 + ((xr_22 lsr 7) lxor (xr_22 lsr 18) lxor (w7 lsr 3))
-    + w15 + ((yr_22 lsr 17) lxor (yr_22 lsr 19) lxor (w20 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_22 =
-    er19 + ((er22 lsr 6) lxor (er22 lsr 11) lxor (er22 lsr 25))
-    + ((er22 land er21) lxor (lnot er22 land er20)) + 0x5cb0a9dc + w22
-  in
-  let a23 =
-    (t1_22 + ((ar22 lsr 2) lxor (ar22 lsr 13) lxor (ar22 lsr 22))
-    + ((ar22 land ar21) lxor (ar22 land ar20) lxor (ar21 land ar20))) land 0xffffffff
-  in
-  let ar23 = a23 lor (a23 lsl 32) in
-  let e23 = (ar19 + t1_22) land 0xffffffff in
-  let er23 = e23 lor (e23 lsl 32) in
-  let xr_23 = w8 lor (w8 lsl 32) in
-  let yr_23 = w21 lor (w21 lsl 32) in
-  let w23 =
-    (w7 + ((xr_23 lsr 7) lxor (xr_23 lsr 18) lxor (w8 lsr 3))
-    + w16 + ((yr_23 lsr 17) lxor (yr_23 lsr 19) lxor (w21 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_23 =
-    er20 + ((er23 lsr 6) lxor (er23 lsr 11) lxor (er23 lsr 25))
-    + ((er23 land er22) lxor (lnot er23 land er21)) + 0x76f988da + w23
-  in
-  let a24 =
-    (t1_23 + ((ar23 lsr 2) lxor (ar23 lsr 13) lxor (ar23 lsr 22))
-    + ((ar23 land ar22) lxor (ar23 land ar21) lxor (ar22 land ar21))) land 0xffffffff
-  in
-  let ar24 = a24 lor (a24 lsl 32) in
-  let e24 = (ar20 + t1_23) land 0xffffffff in
-  let er24 = e24 lor (e24 lsl 32) in
-  let xr_24 = w9 lor (w9 lsl 32) in
-  let yr_24 = w22 lor (w22 lsl 32) in
-  let w24 =
-    (w8 + ((xr_24 lsr 7) lxor (xr_24 lsr 18) lxor (w9 lsr 3))
-    + w17 + ((yr_24 lsr 17) lxor (yr_24 lsr 19) lxor (w22 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_24 =
-    er21 + ((er24 lsr 6) lxor (er24 lsr 11) lxor (er24 lsr 25))
-    + ((er24 land er23) lxor (lnot er24 land er22)) + 0x983e5152 + w24
-  in
-  let a25 =
-    (t1_24 + ((ar24 lsr 2) lxor (ar24 lsr 13) lxor (ar24 lsr 22))
-    + ((ar24 land ar23) lxor (ar24 land ar22) lxor (ar23 land ar22))) land 0xffffffff
-  in
-  let ar25 = a25 lor (a25 lsl 32) in
-  let e25 = (ar21 + t1_24) land 0xffffffff in
-  let er25 = e25 lor (e25 lsl 32) in
-  let xr_25 = w10 lor (w10 lsl 32) in
-  let yr_25 = w23 lor (w23 lsl 32) in
-  let w25 =
-    (w9 + ((xr_25 lsr 7) lxor (xr_25 lsr 18) lxor (w10 lsr 3))
-    + w18 + ((yr_25 lsr 17) lxor (yr_25 lsr 19) lxor (w23 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_25 =
-    er22 + ((er25 lsr 6) lxor (er25 lsr 11) lxor (er25 lsr 25))
-    + ((er25 land er24) lxor (lnot er25 land er23)) + 0xa831c66d + w25
-  in
-  let a26 =
-    (t1_25 + ((ar25 lsr 2) lxor (ar25 lsr 13) lxor (ar25 lsr 22))
-    + ((ar25 land ar24) lxor (ar25 land ar23) lxor (ar24 land ar23))) land 0xffffffff
-  in
-  let ar26 = a26 lor (a26 lsl 32) in
-  let e26 = (ar22 + t1_25) land 0xffffffff in
-  let er26 = e26 lor (e26 lsl 32) in
-  let xr_26 = w11 lor (w11 lsl 32) in
-  let yr_26 = w24 lor (w24 lsl 32) in
-  let w26 =
-    (w10 + ((xr_26 lsr 7) lxor (xr_26 lsr 18) lxor (w11 lsr 3))
-    + w19 + ((yr_26 lsr 17) lxor (yr_26 lsr 19) lxor (w24 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_26 =
-    er23 + ((er26 lsr 6) lxor (er26 lsr 11) lxor (er26 lsr 25))
-    + ((er26 land er25) lxor (lnot er26 land er24)) + 0xb00327c8 + w26
-  in
-  let a27 =
-    (t1_26 + ((ar26 lsr 2) lxor (ar26 lsr 13) lxor (ar26 lsr 22))
-    + ((ar26 land ar25) lxor (ar26 land ar24) lxor (ar25 land ar24))) land 0xffffffff
-  in
-  let ar27 = a27 lor (a27 lsl 32) in
-  let e27 = (ar23 + t1_26) land 0xffffffff in
-  let er27 = e27 lor (e27 lsl 32) in
-  let xr_27 = w12 lor (w12 lsl 32) in
-  let yr_27 = w25 lor (w25 lsl 32) in
-  let w27 =
-    (w11 + ((xr_27 lsr 7) lxor (xr_27 lsr 18) lxor (w12 lsr 3))
-    + w20 + ((yr_27 lsr 17) lxor (yr_27 lsr 19) lxor (w25 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_27 =
-    er24 + ((er27 lsr 6) lxor (er27 lsr 11) lxor (er27 lsr 25))
-    + ((er27 land er26) lxor (lnot er27 land er25)) + 0xbf597fc7 + w27
-  in
-  let a28 =
-    (t1_27 + ((ar27 lsr 2) lxor (ar27 lsr 13) lxor (ar27 lsr 22))
-    + ((ar27 land ar26) lxor (ar27 land ar25) lxor (ar26 land ar25))) land 0xffffffff
-  in
-  let ar28 = a28 lor (a28 lsl 32) in
-  let e28 = (ar24 + t1_27) land 0xffffffff in
-  let er28 = e28 lor (e28 lsl 32) in
-  let xr_28 = w13 lor (w13 lsl 32) in
-  let yr_28 = w26 lor (w26 lsl 32) in
-  let w28 =
-    (w12 + ((xr_28 lsr 7) lxor (xr_28 lsr 18) lxor (w13 lsr 3))
-    + w21 + ((yr_28 lsr 17) lxor (yr_28 lsr 19) lxor (w26 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_28 =
-    er25 + ((er28 lsr 6) lxor (er28 lsr 11) lxor (er28 lsr 25))
-    + ((er28 land er27) lxor (lnot er28 land er26)) + 0xc6e00bf3 + w28
-  in
-  let a29 =
-    (t1_28 + ((ar28 lsr 2) lxor (ar28 lsr 13) lxor (ar28 lsr 22))
-    + ((ar28 land ar27) lxor (ar28 land ar26) lxor (ar27 land ar26))) land 0xffffffff
-  in
-  let ar29 = a29 lor (a29 lsl 32) in
-  let e29 = (ar25 + t1_28) land 0xffffffff in
-  let er29 = e29 lor (e29 lsl 32) in
-  let xr_29 = w14 lor (w14 lsl 32) in
-  let yr_29 = w27 lor (w27 lsl 32) in
-  let w29 =
-    (w13 + ((xr_29 lsr 7) lxor (xr_29 lsr 18) lxor (w14 lsr 3))
-    + w22 + ((yr_29 lsr 17) lxor (yr_29 lsr 19) lxor (w27 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_29 =
-    er26 + ((er29 lsr 6) lxor (er29 lsr 11) lxor (er29 lsr 25))
-    + ((er29 land er28) lxor (lnot er29 land er27)) + 0xd5a79147 + w29
-  in
-  let a30 =
-    (t1_29 + ((ar29 lsr 2) lxor (ar29 lsr 13) lxor (ar29 lsr 22))
-    + ((ar29 land ar28) lxor (ar29 land ar27) lxor (ar28 land ar27))) land 0xffffffff
-  in
-  let ar30 = a30 lor (a30 lsl 32) in
-  let e30 = (ar26 + t1_29) land 0xffffffff in
-  let er30 = e30 lor (e30 lsl 32) in
-  let xr_30 = w15 lor (w15 lsl 32) in
-  let yr_30 = w28 lor (w28 lsl 32) in
-  let w30 =
-    (w14 + ((xr_30 lsr 7) lxor (xr_30 lsr 18) lxor (w15 lsr 3))
-    + w23 + ((yr_30 lsr 17) lxor (yr_30 lsr 19) lxor (w28 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_30 =
-    er27 + ((er30 lsr 6) lxor (er30 lsr 11) lxor (er30 lsr 25))
-    + ((er30 land er29) lxor (lnot er30 land er28)) + 0x06ca6351 + w30
-  in
-  let a31 =
-    (t1_30 + ((ar30 lsr 2) lxor (ar30 lsr 13) lxor (ar30 lsr 22))
-    + ((ar30 land ar29) lxor (ar30 land ar28) lxor (ar29 land ar28))) land 0xffffffff
-  in
-  let ar31 = a31 lor (a31 lsl 32) in
-  let e31 = (ar27 + t1_30) land 0xffffffff in
-  let er31 = e31 lor (e31 lsl 32) in
-  let xr_31 = w16 lor (w16 lsl 32) in
-  let yr_31 = w29 lor (w29 lsl 32) in
-  let w31 =
-    (w15 + ((xr_31 lsr 7) lxor (xr_31 lsr 18) lxor (w16 lsr 3))
-    + w24 + ((yr_31 lsr 17) lxor (yr_31 lsr 19) lxor (w29 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_31 =
-    er28 + ((er31 lsr 6) lxor (er31 lsr 11) lxor (er31 lsr 25))
-    + ((er31 land er30) lxor (lnot er31 land er29)) + 0x14292967 + w31
-  in
-  let a32 =
-    (t1_31 + ((ar31 lsr 2) lxor (ar31 lsr 13) lxor (ar31 lsr 22))
-    + ((ar31 land ar30) lxor (ar31 land ar29) lxor (ar30 land ar29))) land 0xffffffff
-  in
-  let ar32 = a32 lor (a32 lsl 32) in
-  let e32 = (ar28 + t1_31) land 0xffffffff in
-  let er32 = e32 lor (e32 lsl 32) in
-  let xr_32 = w17 lor (w17 lsl 32) in
-  let yr_32 = w30 lor (w30 lsl 32) in
-  let w32 =
-    (w16 + ((xr_32 lsr 7) lxor (xr_32 lsr 18) lxor (w17 lsr 3))
-    + w25 + ((yr_32 lsr 17) lxor (yr_32 lsr 19) lxor (w30 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_32 =
-    er29 + ((er32 lsr 6) lxor (er32 lsr 11) lxor (er32 lsr 25))
-    + ((er32 land er31) lxor (lnot er32 land er30)) + 0x27b70a85 + w32
-  in
-  let a33 =
-    (t1_32 + ((ar32 lsr 2) lxor (ar32 lsr 13) lxor (ar32 lsr 22))
-    + ((ar32 land ar31) lxor (ar32 land ar30) lxor (ar31 land ar30))) land 0xffffffff
-  in
-  let ar33 = a33 lor (a33 lsl 32) in
-  let e33 = (ar29 + t1_32) land 0xffffffff in
-  let er33 = e33 lor (e33 lsl 32) in
-  let xr_33 = w18 lor (w18 lsl 32) in
-  let yr_33 = w31 lor (w31 lsl 32) in
-  let w33 =
-    (w17 + ((xr_33 lsr 7) lxor (xr_33 lsr 18) lxor (w18 lsr 3))
-    + w26 + ((yr_33 lsr 17) lxor (yr_33 lsr 19) lxor (w31 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_33 =
-    er30 + ((er33 lsr 6) lxor (er33 lsr 11) lxor (er33 lsr 25))
-    + ((er33 land er32) lxor (lnot er33 land er31)) + 0x2e1b2138 + w33
-  in
-  let a34 =
-    (t1_33 + ((ar33 lsr 2) lxor (ar33 lsr 13) lxor (ar33 lsr 22))
-    + ((ar33 land ar32) lxor (ar33 land ar31) lxor (ar32 land ar31))) land 0xffffffff
-  in
-  let ar34 = a34 lor (a34 lsl 32) in
-  let e34 = (ar30 + t1_33) land 0xffffffff in
-  let er34 = e34 lor (e34 lsl 32) in
-  let xr_34 = w19 lor (w19 lsl 32) in
-  let yr_34 = w32 lor (w32 lsl 32) in
-  let w34 =
-    (w18 + ((xr_34 lsr 7) lxor (xr_34 lsr 18) lxor (w19 lsr 3))
-    + w27 + ((yr_34 lsr 17) lxor (yr_34 lsr 19) lxor (w32 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_34 =
-    er31 + ((er34 lsr 6) lxor (er34 lsr 11) lxor (er34 lsr 25))
-    + ((er34 land er33) lxor (lnot er34 land er32)) + 0x4d2c6dfc + w34
-  in
-  let a35 =
-    (t1_34 + ((ar34 lsr 2) lxor (ar34 lsr 13) lxor (ar34 lsr 22))
-    + ((ar34 land ar33) lxor (ar34 land ar32) lxor (ar33 land ar32))) land 0xffffffff
-  in
-  let ar35 = a35 lor (a35 lsl 32) in
-  let e35 = (ar31 + t1_34) land 0xffffffff in
-  let er35 = e35 lor (e35 lsl 32) in
-  let xr_35 = w20 lor (w20 lsl 32) in
-  let yr_35 = w33 lor (w33 lsl 32) in
-  let w35 =
-    (w19 + ((xr_35 lsr 7) lxor (xr_35 lsr 18) lxor (w20 lsr 3))
-    + w28 + ((yr_35 lsr 17) lxor (yr_35 lsr 19) lxor (w33 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_35 =
-    er32 + ((er35 lsr 6) lxor (er35 lsr 11) lxor (er35 lsr 25))
-    + ((er35 land er34) lxor (lnot er35 land er33)) + 0x53380d13 + w35
-  in
-  let a36 =
-    (t1_35 + ((ar35 lsr 2) lxor (ar35 lsr 13) lxor (ar35 lsr 22))
-    + ((ar35 land ar34) lxor (ar35 land ar33) lxor (ar34 land ar33))) land 0xffffffff
-  in
-  let ar36 = a36 lor (a36 lsl 32) in
-  let e36 = (ar32 + t1_35) land 0xffffffff in
-  let er36 = e36 lor (e36 lsl 32) in
-  let xr_36 = w21 lor (w21 lsl 32) in
-  let yr_36 = w34 lor (w34 lsl 32) in
-  let w36 =
-    (w20 + ((xr_36 lsr 7) lxor (xr_36 lsr 18) lxor (w21 lsr 3))
-    + w29 + ((yr_36 lsr 17) lxor (yr_36 lsr 19) lxor (w34 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_36 =
-    er33 + ((er36 lsr 6) lxor (er36 lsr 11) lxor (er36 lsr 25))
-    + ((er36 land er35) lxor (lnot er36 land er34)) + 0x650a7354 + w36
-  in
-  let a37 =
-    (t1_36 + ((ar36 lsr 2) lxor (ar36 lsr 13) lxor (ar36 lsr 22))
-    + ((ar36 land ar35) lxor (ar36 land ar34) lxor (ar35 land ar34))) land 0xffffffff
-  in
-  let ar37 = a37 lor (a37 lsl 32) in
-  let e37 = (ar33 + t1_36) land 0xffffffff in
-  let er37 = e37 lor (e37 lsl 32) in
-  let xr_37 = w22 lor (w22 lsl 32) in
-  let yr_37 = w35 lor (w35 lsl 32) in
-  let w37 =
-    (w21 + ((xr_37 lsr 7) lxor (xr_37 lsr 18) lxor (w22 lsr 3))
-    + w30 + ((yr_37 lsr 17) lxor (yr_37 lsr 19) lxor (w35 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_37 =
-    er34 + ((er37 lsr 6) lxor (er37 lsr 11) lxor (er37 lsr 25))
-    + ((er37 land er36) lxor (lnot er37 land er35)) + 0x766a0abb + w37
-  in
-  let a38 =
-    (t1_37 + ((ar37 lsr 2) lxor (ar37 lsr 13) lxor (ar37 lsr 22))
-    + ((ar37 land ar36) lxor (ar37 land ar35) lxor (ar36 land ar35))) land 0xffffffff
-  in
-  let ar38 = a38 lor (a38 lsl 32) in
-  let e38 = (ar34 + t1_37) land 0xffffffff in
-  let er38 = e38 lor (e38 lsl 32) in
-  let xr_38 = w23 lor (w23 lsl 32) in
-  let yr_38 = w36 lor (w36 lsl 32) in
-  let w38 =
-    (w22 + ((xr_38 lsr 7) lxor (xr_38 lsr 18) lxor (w23 lsr 3))
-    + w31 + ((yr_38 lsr 17) lxor (yr_38 lsr 19) lxor (w36 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_38 =
-    er35 + ((er38 lsr 6) lxor (er38 lsr 11) lxor (er38 lsr 25))
-    + ((er38 land er37) lxor (lnot er38 land er36)) + 0x81c2c92e + w38
-  in
-  let a39 =
-    (t1_38 + ((ar38 lsr 2) lxor (ar38 lsr 13) lxor (ar38 lsr 22))
-    + ((ar38 land ar37) lxor (ar38 land ar36) lxor (ar37 land ar36))) land 0xffffffff
-  in
-  let ar39 = a39 lor (a39 lsl 32) in
-  let e39 = (ar35 + t1_38) land 0xffffffff in
-  let er39 = e39 lor (e39 lsl 32) in
-  let xr_39 = w24 lor (w24 lsl 32) in
-  let yr_39 = w37 lor (w37 lsl 32) in
-  let w39 =
-    (w23 + ((xr_39 lsr 7) lxor (xr_39 lsr 18) lxor (w24 lsr 3))
-    + w32 + ((yr_39 lsr 17) lxor (yr_39 lsr 19) lxor (w37 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_39 =
-    er36 + ((er39 lsr 6) lxor (er39 lsr 11) lxor (er39 lsr 25))
-    + ((er39 land er38) lxor (lnot er39 land er37)) + 0x92722c85 + w39
-  in
-  let a40 =
-    (t1_39 + ((ar39 lsr 2) lxor (ar39 lsr 13) lxor (ar39 lsr 22))
-    + ((ar39 land ar38) lxor (ar39 land ar37) lxor (ar38 land ar37))) land 0xffffffff
-  in
-  let ar40 = a40 lor (a40 lsl 32) in
-  let e40 = (ar36 + t1_39) land 0xffffffff in
-  let er40 = e40 lor (e40 lsl 32) in
-  let xr_40 = w25 lor (w25 lsl 32) in
-  let yr_40 = w38 lor (w38 lsl 32) in
-  let w40 =
-    (w24 + ((xr_40 lsr 7) lxor (xr_40 lsr 18) lxor (w25 lsr 3))
-    + w33 + ((yr_40 lsr 17) lxor (yr_40 lsr 19) lxor (w38 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_40 =
-    er37 + ((er40 lsr 6) lxor (er40 lsr 11) lxor (er40 lsr 25))
-    + ((er40 land er39) lxor (lnot er40 land er38)) + 0xa2bfe8a1 + w40
-  in
-  let a41 =
-    (t1_40 + ((ar40 lsr 2) lxor (ar40 lsr 13) lxor (ar40 lsr 22))
-    + ((ar40 land ar39) lxor (ar40 land ar38) lxor (ar39 land ar38))) land 0xffffffff
-  in
-  let ar41 = a41 lor (a41 lsl 32) in
-  let e41 = (ar37 + t1_40) land 0xffffffff in
-  let er41 = e41 lor (e41 lsl 32) in
-  let xr_41 = w26 lor (w26 lsl 32) in
-  let yr_41 = w39 lor (w39 lsl 32) in
-  let w41 =
-    (w25 + ((xr_41 lsr 7) lxor (xr_41 lsr 18) lxor (w26 lsr 3))
-    + w34 + ((yr_41 lsr 17) lxor (yr_41 lsr 19) lxor (w39 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_41 =
-    er38 + ((er41 lsr 6) lxor (er41 lsr 11) lxor (er41 lsr 25))
-    + ((er41 land er40) lxor (lnot er41 land er39)) + 0xa81a664b + w41
-  in
-  let a42 =
-    (t1_41 + ((ar41 lsr 2) lxor (ar41 lsr 13) lxor (ar41 lsr 22))
-    + ((ar41 land ar40) lxor (ar41 land ar39) lxor (ar40 land ar39))) land 0xffffffff
-  in
-  let ar42 = a42 lor (a42 lsl 32) in
-  let e42 = (ar38 + t1_41) land 0xffffffff in
-  let er42 = e42 lor (e42 lsl 32) in
-  let xr_42 = w27 lor (w27 lsl 32) in
-  let yr_42 = w40 lor (w40 lsl 32) in
-  let w42 =
-    (w26 + ((xr_42 lsr 7) lxor (xr_42 lsr 18) lxor (w27 lsr 3))
-    + w35 + ((yr_42 lsr 17) lxor (yr_42 lsr 19) lxor (w40 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_42 =
-    er39 + ((er42 lsr 6) lxor (er42 lsr 11) lxor (er42 lsr 25))
-    + ((er42 land er41) lxor (lnot er42 land er40)) + 0xc24b8b70 + w42
-  in
-  let a43 =
-    (t1_42 + ((ar42 lsr 2) lxor (ar42 lsr 13) lxor (ar42 lsr 22))
-    + ((ar42 land ar41) lxor (ar42 land ar40) lxor (ar41 land ar40))) land 0xffffffff
-  in
-  let ar43 = a43 lor (a43 lsl 32) in
-  let e43 = (ar39 + t1_42) land 0xffffffff in
-  let er43 = e43 lor (e43 lsl 32) in
-  let xr_43 = w28 lor (w28 lsl 32) in
-  let yr_43 = w41 lor (w41 lsl 32) in
-  let w43 =
-    (w27 + ((xr_43 lsr 7) lxor (xr_43 lsr 18) lxor (w28 lsr 3))
-    + w36 + ((yr_43 lsr 17) lxor (yr_43 lsr 19) lxor (w41 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_43 =
-    er40 + ((er43 lsr 6) lxor (er43 lsr 11) lxor (er43 lsr 25))
-    + ((er43 land er42) lxor (lnot er43 land er41)) + 0xc76c51a3 + w43
-  in
-  let a44 =
-    (t1_43 + ((ar43 lsr 2) lxor (ar43 lsr 13) lxor (ar43 lsr 22))
-    + ((ar43 land ar42) lxor (ar43 land ar41) lxor (ar42 land ar41))) land 0xffffffff
-  in
-  let ar44 = a44 lor (a44 lsl 32) in
-  let e44 = (ar40 + t1_43) land 0xffffffff in
-  let er44 = e44 lor (e44 lsl 32) in
-  let xr_44 = w29 lor (w29 lsl 32) in
-  let yr_44 = w42 lor (w42 lsl 32) in
-  let w44 =
-    (w28 + ((xr_44 lsr 7) lxor (xr_44 lsr 18) lxor (w29 lsr 3))
-    + w37 + ((yr_44 lsr 17) lxor (yr_44 lsr 19) lxor (w42 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_44 =
-    er41 + ((er44 lsr 6) lxor (er44 lsr 11) lxor (er44 lsr 25))
-    + ((er44 land er43) lxor (lnot er44 land er42)) + 0xd192e819 + w44
-  in
-  let a45 =
-    (t1_44 + ((ar44 lsr 2) lxor (ar44 lsr 13) lxor (ar44 lsr 22))
-    + ((ar44 land ar43) lxor (ar44 land ar42) lxor (ar43 land ar42))) land 0xffffffff
-  in
-  let ar45 = a45 lor (a45 lsl 32) in
-  let e45 = (ar41 + t1_44) land 0xffffffff in
-  let er45 = e45 lor (e45 lsl 32) in
-  let xr_45 = w30 lor (w30 lsl 32) in
-  let yr_45 = w43 lor (w43 lsl 32) in
-  let w45 =
-    (w29 + ((xr_45 lsr 7) lxor (xr_45 lsr 18) lxor (w30 lsr 3))
-    + w38 + ((yr_45 lsr 17) lxor (yr_45 lsr 19) lxor (w43 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_45 =
-    er42 + ((er45 lsr 6) lxor (er45 lsr 11) lxor (er45 lsr 25))
-    + ((er45 land er44) lxor (lnot er45 land er43)) + 0xd6990624 + w45
-  in
-  let a46 =
-    (t1_45 + ((ar45 lsr 2) lxor (ar45 lsr 13) lxor (ar45 lsr 22))
-    + ((ar45 land ar44) lxor (ar45 land ar43) lxor (ar44 land ar43))) land 0xffffffff
-  in
-  let ar46 = a46 lor (a46 lsl 32) in
-  let e46 = (ar42 + t1_45) land 0xffffffff in
-  let er46 = e46 lor (e46 lsl 32) in
-  let xr_46 = w31 lor (w31 lsl 32) in
-  let yr_46 = w44 lor (w44 lsl 32) in
-  let w46 =
-    (w30 + ((xr_46 lsr 7) lxor (xr_46 lsr 18) lxor (w31 lsr 3))
-    + w39 + ((yr_46 lsr 17) lxor (yr_46 lsr 19) lxor (w44 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_46 =
-    er43 + ((er46 lsr 6) lxor (er46 lsr 11) lxor (er46 lsr 25))
-    + ((er46 land er45) lxor (lnot er46 land er44)) + 0xf40e3585 + w46
-  in
-  let a47 =
-    (t1_46 + ((ar46 lsr 2) lxor (ar46 lsr 13) lxor (ar46 lsr 22))
-    + ((ar46 land ar45) lxor (ar46 land ar44) lxor (ar45 land ar44))) land 0xffffffff
-  in
-  let ar47 = a47 lor (a47 lsl 32) in
-  let e47 = (ar43 + t1_46) land 0xffffffff in
-  let er47 = e47 lor (e47 lsl 32) in
-  let xr_47 = w32 lor (w32 lsl 32) in
-  let yr_47 = w45 lor (w45 lsl 32) in
-  let w47 =
-    (w31 + ((xr_47 lsr 7) lxor (xr_47 lsr 18) lxor (w32 lsr 3))
-    + w40 + ((yr_47 lsr 17) lxor (yr_47 lsr 19) lxor (w45 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_47 =
-    er44 + ((er47 lsr 6) lxor (er47 lsr 11) lxor (er47 lsr 25))
-    + ((er47 land er46) lxor (lnot er47 land er45)) + 0x106aa070 + w47
-  in
-  let a48 =
-    (t1_47 + ((ar47 lsr 2) lxor (ar47 lsr 13) lxor (ar47 lsr 22))
-    + ((ar47 land ar46) lxor (ar47 land ar45) lxor (ar46 land ar45))) land 0xffffffff
-  in
-  let ar48 = a48 lor (a48 lsl 32) in
-  let e48 = (ar44 + t1_47) land 0xffffffff in
-  let er48 = e48 lor (e48 lsl 32) in
-  let xr_48 = w33 lor (w33 lsl 32) in
-  let yr_48 = w46 lor (w46 lsl 32) in
-  let w48 =
-    (w32 + ((xr_48 lsr 7) lxor (xr_48 lsr 18) lxor (w33 lsr 3))
-    + w41 + ((yr_48 lsr 17) lxor (yr_48 lsr 19) lxor (w46 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_48 =
-    er45 + ((er48 lsr 6) lxor (er48 lsr 11) lxor (er48 lsr 25))
-    + ((er48 land er47) lxor (lnot er48 land er46)) + 0x19a4c116 + w48
-  in
-  let a49 =
-    (t1_48 + ((ar48 lsr 2) lxor (ar48 lsr 13) lxor (ar48 lsr 22))
-    + ((ar48 land ar47) lxor (ar48 land ar46) lxor (ar47 land ar46))) land 0xffffffff
-  in
-  let ar49 = a49 lor (a49 lsl 32) in
-  let e49 = (ar45 + t1_48) land 0xffffffff in
-  let er49 = e49 lor (e49 lsl 32) in
-  let xr_49 = w34 lor (w34 lsl 32) in
-  let yr_49 = w47 lor (w47 lsl 32) in
-  let w49 =
-    (w33 + ((xr_49 lsr 7) lxor (xr_49 lsr 18) lxor (w34 lsr 3))
-    + w42 + ((yr_49 lsr 17) lxor (yr_49 lsr 19) lxor (w47 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_49 =
-    er46 + ((er49 lsr 6) lxor (er49 lsr 11) lxor (er49 lsr 25))
-    + ((er49 land er48) lxor (lnot er49 land er47)) + 0x1e376c08 + w49
-  in
-  let a50 =
-    (t1_49 + ((ar49 lsr 2) lxor (ar49 lsr 13) lxor (ar49 lsr 22))
-    + ((ar49 land ar48) lxor (ar49 land ar47) lxor (ar48 land ar47))) land 0xffffffff
-  in
-  let ar50 = a50 lor (a50 lsl 32) in
-  let e50 = (ar46 + t1_49) land 0xffffffff in
-  let er50 = e50 lor (e50 lsl 32) in
-  let xr_50 = w35 lor (w35 lsl 32) in
-  let yr_50 = w48 lor (w48 lsl 32) in
-  let w50 =
-    (w34 + ((xr_50 lsr 7) lxor (xr_50 lsr 18) lxor (w35 lsr 3))
-    + w43 + ((yr_50 lsr 17) lxor (yr_50 lsr 19) lxor (w48 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_50 =
-    er47 + ((er50 lsr 6) lxor (er50 lsr 11) lxor (er50 lsr 25))
-    + ((er50 land er49) lxor (lnot er50 land er48)) + 0x2748774c + w50
-  in
-  let a51 =
-    (t1_50 + ((ar50 lsr 2) lxor (ar50 lsr 13) lxor (ar50 lsr 22))
-    + ((ar50 land ar49) lxor (ar50 land ar48) lxor (ar49 land ar48))) land 0xffffffff
-  in
-  let ar51 = a51 lor (a51 lsl 32) in
-  let e51 = (ar47 + t1_50) land 0xffffffff in
-  let er51 = e51 lor (e51 lsl 32) in
-  let xr_51 = w36 lor (w36 lsl 32) in
-  let yr_51 = w49 lor (w49 lsl 32) in
-  let w51 =
-    (w35 + ((xr_51 lsr 7) lxor (xr_51 lsr 18) lxor (w36 lsr 3))
-    + w44 + ((yr_51 lsr 17) lxor (yr_51 lsr 19) lxor (w49 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_51 =
-    er48 + ((er51 lsr 6) lxor (er51 lsr 11) lxor (er51 lsr 25))
-    + ((er51 land er50) lxor (lnot er51 land er49)) + 0x34b0bcb5 + w51
-  in
-  let a52 =
-    (t1_51 + ((ar51 lsr 2) lxor (ar51 lsr 13) lxor (ar51 lsr 22))
-    + ((ar51 land ar50) lxor (ar51 land ar49) lxor (ar50 land ar49))) land 0xffffffff
-  in
-  let ar52 = a52 lor (a52 lsl 32) in
-  let e52 = (ar48 + t1_51) land 0xffffffff in
-  let er52 = e52 lor (e52 lsl 32) in
-  let xr_52 = w37 lor (w37 lsl 32) in
-  let yr_52 = w50 lor (w50 lsl 32) in
-  let w52 =
-    (w36 + ((xr_52 lsr 7) lxor (xr_52 lsr 18) lxor (w37 lsr 3))
-    + w45 + ((yr_52 lsr 17) lxor (yr_52 lsr 19) lxor (w50 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_52 =
-    er49 + ((er52 lsr 6) lxor (er52 lsr 11) lxor (er52 lsr 25))
-    + ((er52 land er51) lxor (lnot er52 land er50)) + 0x391c0cb3 + w52
-  in
-  let a53 =
-    (t1_52 + ((ar52 lsr 2) lxor (ar52 lsr 13) lxor (ar52 lsr 22))
-    + ((ar52 land ar51) lxor (ar52 land ar50) lxor (ar51 land ar50))) land 0xffffffff
-  in
-  let ar53 = a53 lor (a53 lsl 32) in
-  let e53 = (ar49 + t1_52) land 0xffffffff in
-  let er53 = e53 lor (e53 lsl 32) in
-  let xr_53 = w38 lor (w38 lsl 32) in
-  let yr_53 = w51 lor (w51 lsl 32) in
-  let w53 =
-    (w37 + ((xr_53 lsr 7) lxor (xr_53 lsr 18) lxor (w38 lsr 3))
-    + w46 + ((yr_53 lsr 17) lxor (yr_53 lsr 19) lxor (w51 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_53 =
-    er50 + ((er53 lsr 6) lxor (er53 lsr 11) lxor (er53 lsr 25))
-    + ((er53 land er52) lxor (lnot er53 land er51)) + 0x4ed8aa4a + w53
-  in
-  let a54 =
-    (t1_53 + ((ar53 lsr 2) lxor (ar53 lsr 13) lxor (ar53 lsr 22))
-    + ((ar53 land ar52) lxor (ar53 land ar51) lxor (ar52 land ar51))) land 0xffffffff
-  in
-  let ar54 = a54 lor (a54 lsl 32) in
-  let e54 = (ar50 + t1_53) land 0xffffffff in
-  let er54 = e54 lor (e54 lsl 32) in
-  let xr_54 = w39 lor (w39 lsl 32) in
-  let yr_54 = w52 lor (w52 lsl 32) in
-  let w54 =
-    (w38 + ((xr_54 lsr 7) lxor (xr_54 lsr 18) lxor (w39 lsr 3))
-    + w47 + ((yr_54 lsr 17) lxor (yr_54 lsr 19) lxor (w52 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_54 =
-    er51 + ((er54 lsr 6) lxor (er54 lsr 11) lxor (er54 lsr 25))
-    + ((er54 land er53) lxor (lnot er54 land er52)) + 0x5b9cca4f + w54
-  in
-  let a55 =
-    (t1_54 + ((ar54 lsr 2) lxor (ar54 lsr 13) lxor (ar54 lsr 22))
-    + ((ar54 land ar53) lxor (ar54 land ar52) lxor (ar53 land ar52))) land 0xffffffff
-  in
-  let ar55 = a55 lor (a55 lsl 32) in
-  let e55 = (ar51 + t1_54) land 0xffffffff in
-  let er55 = e55 lor (e55 lsl 32) in
-  let xr_55 = w40 lor (w40 lsl 32) in
-  let yr_55 = w53 lor (w53 lsl 32) in
-  let w55 =
-    (w39 + ((xr_55 lsr 7) lxor (xr_55 lsr 18) lxor (w40 lsr 3))
-    + w48 + ((yr_55 lsr 17) lxor (yr_55 lsr 19) lxor (w53 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_55 =
-    er52 + ((er55 lsr 6) lxor (er55 lsr 11) lxor (er55 lsr 25))
-    + ((er55 land er54) lxor (lnot er55 land er53)) + 0x682e6ff3 + w55
-  in
-  let a56 =
-    (t1_55 + ((ar55 lsr 2) lxor (ar55 lsr 13) lxor (ar55 lsr 22))
-    + ((ar55 land ar54) lxor (ar55 land ar53) lxor (ar54 land ar53))) land 0xffffffff
-  in
-  let ar56 = a56 lor (a56 lsl 32) in
-  let e56 = (ar52 + t1_55) land 0xffffffff in
-  let er56 = e56 lor (e56 lsl 32) in
-  let xr_56 = w41 lor (w41 lsl 32) in
-  let yr_56 = w54 lor (w54 lsl 32) in
-  let w56 =
-    (w40 + ((xr_56 lsr 7) lxor (xr_56 lsr 18) lxor (w41 lsr 3))
-    + w49 + ((yr_56 lsr 17) lxor (yr_56 lsr 19) lxor (w54 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_56 =
-    er53 + ((er56 lsr 6) lxor (er56 lsr 11) lxor (er56 lsr 25))
-    + ((er56 land er55) lxor (lnot er56 land er54)) + 0x748f82ee + w56
-  in
-  let a57 =
-    (t1_56 + ((ar56 lsr 2) lxor (ar56 lsr 13) lxor (ar56 lsr 22))
-    + ((ar56 land ar55) lxor (ar56 land ar54) lxor (ar55 land ar54))) land 0xffffffff
-  in
-  let ar57 = a57 lor (a57 lsl 32) in
-  let e57 = (ar53 + t1_56) land 0xffffffff in
-  let er57 = e57 lor (e57 lsl 32) in
-  let xr_57 = w42 lor (w42 lsl 32) in
-  let yr_57 = w55 lor (w55 lsl 32) in
-  let w57 =
-    (w41 + ((xr_57 lsr 7) lxor (xr_57 lsr 18) lxor (w42 lsr 3))
-    + w50 + ((yr_57 lsr 17) lxor (yr_57 lsr 19) lxor (w55 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_57 =
-    er54 + ((er57 lsr 6) lxor (er57 lsr 11) lxor (er57 lsr 25))
-    + ((er57 land er56) lxor (lnot er57 land er55)) + 0x78a5636f + w57
-  in
-  let a58 =
-    (t1_57 + ((ar57 lsr 2) lxor (ar57 lsr 13) lxor (ar57 lsr 22))
-    + ((ar57 land ar56) lxor (ar57 land ar55) lxor (ar56 land ar55))) land 0xffffffff
-  in
-  let ar58 = a58 lor (a58 lsl 32) in
-  let e58 = (ar54 + t1_57) land 0xffffffff in
-  let er58 = e58 lor (e58 lsl 32) in
-  let xr_58 = w43 lor (w43 lsl 32) in
-  let yr_58 = w56 lor (w56 lsl 32) in
-  let w58 =
-    (w42 + ((xr_58 lsr 7) lxor (xr_58 lsr 18) lxor (w43 lsr 3))
-    + w51 + ((yr_58 lsr 17) lxor (yr_58 lsr 19) lxor (w56 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_58 =
-    er55 + ((er58 lsr 6) lxor (er58 lsr 11) lxor (er58 lsr 25))
-    + ((er58 land er57) lxor (lnot er58 land er56)) + 0x84c87814 + w58
-  in
-  let a59 =
-    (t1_58 + ((ar58 lsr 2) lxor (ar58 lsr 13) lxor (ar58 lsr 22))
-    + ((ar58 land ar57) lxor (ar58 land ar56) lxor (ar57 land ar56))) land 0xffffffff
-  in
-  let ar59 = a59 lor (a59 lsl 32) in
-  let e59 = (ar55 + t1_58) land 0xffffffff in
-  let er59 = e59 lor (e59 lsl 32) in
-  let xr_59 = w44 lor (w44 lsl 32) in
-  let yr_59 = w57 lor (w57 lsl 32) in
-  let w59 =
-    (w43 + ((xr_59 lsr 7) lxor (xr_59 lsr 18) lxor (w44 lsr 3))
-    + w52 + ((yr_59 lsr 17) lxor (yr_59 lsr 19) lxor (w57 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_59 =
-    er56 + ((er59 lsr 6) lxor (er59 lsr 11) lxor (er59 lsr 25))
-    + ((er59 land er58) lxor (lnot er59 land er57)) + 0x8cc70208 + w59
-  in
-  let a60 =
-    (t1_59 + ((ar59 lsr 2) lxor (ar59 lsr 13) lxor (ar59 lsr 22))
-    + ((ar59 land ar58) lxor (ar59 land ar57) lxor (ar58 land ar57))) land 0xffffffff
-  in
-  let ar60 = a60 lor (a60 lsl 32) in
-  let e60 = (ar56 + t1_59) land 0xffffffff in
-  let er60 = e60 lor (e60 lsl 32) in
-  let xr_60 = w45 lor (w45 lsl 32) in
-  let yr_60 = w58 lor (w58 lsl 32) in
-  let w60 =
-    (w44 + ((xr_60 lsr 7) lxor (xr_60 lsr 18) lxor (w45 lsr 3))
-    + w53 + ((yr_60 lsr 17) lxor (yr_60 lsr 19) lxor (w58 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_60 =
-    er57 + ((er60 lsr 6) lxor (er60 lsr 11) lxor (er60 lsr 25))
-    + ((er60 land er59) lxor (lnot er60 land er58)) + 0x90befffa + w60
-  in
-  let a61 =
-    (t1_60 + ((ar60 lsr 2) lxor (ar60 lsr 13) lxor (ar60 lsr 22))
-    + ((ar60 land ar59) lxor (ar60 land ar58) lxor (ar59 land ar58))) land 0xffffffff
-  in
-  let ar61 = a61 lor (a61 lsl 32) in
-  let e61 = (ar57 + t1_60) land 0xffffffff in
-  let er61 = e61 lor (e61 lsl 32) in
-  let xr_61 = w46 lor (w46 lsl 32) in
-  let yr_61 = w59 lor (w59 lsl 32) in
-  let w61 =
-    (w45 + ((xr_61 lsr 7) lxor (xr_61 lsr 18) lxor (w46 lsr 3))
-    + w54 + ((yr_61 lsr 17) lxor (yr_61 lsr 19) lxor (w59 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_61 =
-    er58 + ((er61 lsr 6) lxor (er61 lsr 11) lxor (er61 lsr 25))
-    + ((er61 land er60) lxor (lnot er61 land er59)) + 0xa4506ceb + w61
-  in
-  let a62 =
-    (t1_61 + ((ar61 lsr 2) lxor (ar61 lsr 13) lxor (ar61 lsr 22))
-    + ((ar61 land ar60) lxor (ar61 land ar59) lxor (ar60 land ar59))) land 0xffffffff
-  in
-  let ar62 = a62 lor (a62 lsl 32) in
-  let e62 = (ar58 + t1_61) land 0xffffffff in
-  let er62 = e62 lor (e62 lsl 32) in
-  let xr_62 = w47 lor (w47 lsl 32) in
-  let yr_62 = w60 lor (w60 lsl 32) in
-  let w62 =
-    (w46 + ((xr_62 lsr 7) lxor (xr_62 lsr 18) lxor (w47 lsr 3))
-    + w55 + ((yr_62 lsr 17) lxor (yr_62 lsr 19) lxor (w60 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_62 =
-    er59 + ((er62 lsr 6) lxor (er62 lsr 11) lxor (er62 lsr 25))
-    + ((er62 land er61) lxor (lnot er62 land er60)) + 0xbef9a3f7 + w62
-  in
-  let a63 =
-    (t1_62 + ((ar62 lsr 2) lxor (ar62 lsr 13) lxor (ar62 lsr 22))
-    + ((ar62 land ar61) lxor (ar62 land ar60) lxor (ar61 land ar60))) land 0xffffffff
-  in
-  let ar63 = a63 lor (a63 lsl 32) in
-  let e63 = (ar59 + t1_62) land 0xffffffff in
-  let er63 = e63 lor (e63 lsl 32) in
-  let xr_63 = w48 lor (w48 lsl 32) in
-  let yr_63 = w61 lor (w61 lsl 32) in
-  let w63 =
-    (w47 + ((xr_63 lsr 7) lxor (xr_63 lsr 18) lxor (w48 lsr 3))
-    + w56 + ((yr_63 lsr 17) lxor (yr_63 lsr 19) lxor (w61 lsr 10)))
-    land 0xffffffff
-  in
-  let t1_63 =
-    er60 + ((er63 lsr 6) lxor (er63 lsr 11) lxor (er63 lsr 25))
-    + ((er63 land er62) lxor (lnot er63 land er61)) + 0xc67178f2 + w63
-  in
-  let a64 =
-    (t1_63 + ((ar63 lsr 2) lxor (ar63 lsr 13) lxor (ar63 lsr 22))
-    + ((ar63 land ar62) lxor (ar63 land ar61) lxor (ar62 land ar61))) land 0xffffffff
-  in
-  let ar64 = a64 lor (a64 lsl 32) in
-  let e64 = (ar60 + t1_63) land 0xffffffff in
-  let er64 = e64 lor (e64 lsl 32) in
-  h.(0) <- (h.(0) + ar64) land 0xffffffff;
-  h.(1) <- (h.(1) + ar63) land 0xffffffff;
-  h.(2) <- (h.(2) + ar62) land 0xffffffff;
-  h.(3) <- (h.(3) + ar61) land 0xffffffff;
-  h.(4) <- (h.(4) + er64) land 0xffffffff;
-  h.(5) <- (h.(5) + er63) land 0xffffffff;
-  h.(6) <- (h.(6) + er62) land 0xffffffff;
-  h.(7) <- (h.(7) + er61) land 0xffffffff
+external has_sha_ni : unit -> bool = "fair_sha256_has_sha_ni"
+
+external portable : int array -> Bytes.t -> int -> unit = "fair_sha256_compress_portable"
+[@@noalloc]
+
+external sha_ni : int array -> Bytes.t -> int -> unit = "fair_sha256_compress_sha_ni"
+[@@noalloc]
+
+let check h b off =
+  if Array.length h <> 8 || off < 0 || off > Bytes.length b - 64 then
+    invalid_arg "Sha256_block.compress"
+
+let sha_ni_ok = has_sha_ni ()
+let kernel = if sha_ni_ok then "sha-ni" else "portable"
+
+let compress h b off =
+  check h b off;
+  if sha_ni_ok then sha_ni h b off else portable h b off
+
+let kernels =
+  let checked k h b off = check h b off; k h b off in
+  ("portable", checked portable) :: (if sha_ni_ok then [ ("sha-ni", checked sha_ni) ] else [])

@@ -1,4 +1,5 @@
-(* Tests for the crypto substrate: SHA-256 (FIPS vectors), HMAC (RFC 4231),
+(* Tests for the crypto substrate: SHA-256 (FIPS vectors, and every block
+   kernel the CPU can run against a reference compression), HMAC (RFC 4231),
    the deterministic RNG, commitments, the polynomial MAC, and the
    hash-based signatures. *)
 
@@ -116,6 +117,108 @@ let test_sha256_midstate () =
   Alcotest.(check string) "peek did not disturb the stream"
     (Sha256.hex_digest "abcdef")
     (Sha256.to_hex (Sha256.Ctx.digest c))
+
+(* ---------------------- SHA-256 block kernels ---------------------- *)
+
+module Block = Fair_crypto.Sha256_block
+
+(* FIPS 180-4 section 6.2.2 written loop by loop over native ints: the
+   reference every C kernel must match block for block. *)
+let fips_k =
+  [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1; 0x923f82a4; 0xab1c5ed5;
+     0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3; 0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174;
+     0xe49b69c1; 0xefbe4786; 0x0fc19dc6; 0x240ca1cc; 0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da;
+     0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147; 0x06ca6351; 0x14292967;
+     0x27b70a85; 0x2e1b2138; 0x4d2c6dfc; 0x53380d13; 0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85;
+     0xa2bfe8a1; 0xa81a664b; 0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070;
+     0x19a4c116; 0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a; 0x5b9cca4f; 0x682e6ff3;
+     0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208; 0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2 |]
+
+let reference_compress h b off =
+  let ( +% ) x y = (x + y) land 0xffffffff in
+  let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land 0xffffffff in
+  let w = Array.make 64 0 in
+  for t = 0 to 15 do
+    w.(t) <- Int32.to_int (Bytes.get_int32_be b (off + (4 * t))) land 0xffffffff
+  done;
+  for t = 16 to 63 do
+    let s0 = rotr w.(t - 15) 7 lxor rotr w.(t - 15) 18 lxor (w.(t - 15) lsr 3) in
+    let s1 = rotr w.(t - 2) 17 lxor rotr w.(t - 2) 19 lxor (w.(t - 2) lsr 10) in
+    w.(t) <- w.(t - 16) +% s0 +% w.(t - 7) +% s1
+  done;
+  (* v = [| a; b; c; d; e; f; g; h |] *)
+  let v = Array.copy h in
+  for t = 0 to 63 do
+    let a = v.(0) and e = v.(4) in
+    let ch = (e land v.(5)) lxor (lnot e land v.(6)) in
+    let t1 = v.(7) +% (rotr e 6 lxor rotr e 11 lxor rotr e 25) +% ch +% fips_k.(t) +% w.(t) in
+    let maj = (a land v.(1)) lxor (a land v.(2)) lxor (v.(1) land v.(2)) in
+    let t2 = (rotr a 2 lxor rotr a 13 lxor rotr a 22) +% maj in
+    Array.blit v 0 v 1 7;
+    v.(4) <- v.(4) +% t1;
+    v.(0) <- t1 +% t2
+  done;
+  Array.iteri (fun i x -> h.(i) <- h.(i) +% x) v
+
+(* 10 000 random (state, buffer, offset) cases per kernel.  Buffers run
+   from 64 to 191 bytes; a quarter of the offsets are 0, a quarter the last
+   64 bytes, and the rest anywhere in between (mostly unaligned).  The
+   kernel must also leave the buffer as it found it. *)
+let test_block_kernels () =
+  let rs = Random.State.make [| 180 |] in
+  let word () = Random.State.full_int rs 0x1_0000_0000 in
+  let cases =
+    List.init 10_000 (fun i ->
+        let state =
+          match i with
+          | 0 -> Array.make 8 0
+          | 1 -> Array.make 8 0xffffffff
+          | _ -> Array.init 8 (fun _ -> word ())
+        in
+        let len = 64 + Random.State.int rs 128 in
+        let buf = Bytes.init len (fun _ -> Char.chr (Random.State.int rs 256)) in
+        let off = match i mod 4 with 0 -> 0 | 1 -> len - 64 | _ -> Random.State.int rs (len - 63) in
+        (state, buf, off))
+  in
+  Alcotest.(check bool) "the selected kernel is listed" true (List.mem_assoc Block.kernel Block.kernels);
+  Alcotest.(check string) "Sha256.kernel names it" Block.kernel Sha256.kernel;
+  let differ (name, compress) =
+    let mismatches = ref 0 and first = ref "" in
+    List.iteri
+      (fun i (state, buf, off) ->
+        let expect = Array.copy state and got = Array.copy state and before = Bytes.copy buf in
+        reference_compress expect buf off;
+        compress got buf off;
+        if got <> expect || not (Bytes.equal buf before) then begin
+          if !mismatches = 0 then
+            first := Printf.sprintf "case %d, offset %d of %d bytes" i off (Bytes.length buf);
+          incr mismatches
+        end)
+      cases;
+    if !mismatches = 0 then None
+    else Some (Printf.sprintf "%s: %d cases differ, first %s" name !mismatches !first)
+  in
+  Alcotest.(check (list string)) "kernels that differ from the FIPS reference" []
+    (List.filter_map differ (("compress", Block.compress) :: Block.kernels))
+
+(* The C kernels trust their arguments, so the OCaml side must refuse any
+   offset or state that would take them outside their buffers. *)
+let test_block_bounds () =
+  let b = Bytes.make 100 'x' in
+  let bad = Invalid_argument "Sha256_block.compress" in
+  List.iter
+    (fun (name, compress) ->
+      let h = Array.make 8 1 in
+      let raises what f = Alcotest.check_raises (Printf.sprintf "%s: %s" name what) bad f in
+      raises "off < 0" (fun () -> compress h b (-1));
+      raises "off > length - 64" (fun () -> compress h b 37);
+      raises "buffer shorter than a block" (fun () -> compress h (Bytes.make 63 'x') 0);
+      raises "7-word state" (fun () -> compress (Array.make 7 1) b 0);
+      raises "9-word state" (fun () -> compress (Array.make 9 1) b 0);
+      Alcotest.(check (array int)) (name ^ ": state untouched") (Array.make 8 1) h;
+      compress h b 36;
+      Alcotest.(check bool) (name ^ ": last block accepted") true (h <> Array.make 8 1))
+    (("compress", Block.compress) :: Block.kernels)
 
 (* --------------------------- HMAC ---------------------------------- *)
 
@@ -393,7 +496,9 @@ let () =
           Alcotest.test_case "incremental = one-shot" `Quick test_sha256_incremental;
           Alcotest.test_case "feed_bytes slice" `Quick test_sha256_feed_bytes;
           Alcotest.test_case "midstate copy/restore/peek" `Quick test_sha256_midstate;
-          Alcotest.test_case "hex roundtrip" `Quick test_hex_roundtrip ] );
+          Alcotest.test_case "hex roundtrip" `Quick test_hex_roundtrip;
+          Alcotest.test_case "block kernels = FIPS reference" `Quick test_block_kernels;
+          Alcotest.test_case "block bounds" `Quick test_block_bounds ] );
       ( "hmac",
         [ Alcotest.test_case "RFC 4231 vectors" `Quick test_hmac_rfc4231;
           Alcotest.test_case "long key" `Quick test_hmac_long_key;
