@@ -14,13 +14,16 @@
       and call it "parallel"), and on a multi-core host it must not be
       slower than the sequential leg.  On a single-core host the speedup
       is noise, the line says so, and only the fan-out half is enforced.
-   4. Prelude sharing: an E1 race (budget 2000, seed 42, -j 1) must hash at
-      most 14 SHA-256 blocks per engine execution.  The racer builds each
+   4. Shared work: an E1 race (budget 2000, seed 42, -j 1) must hash at
+      most 6 SHA-256 blocks per engine execution.  The racer builds each
       trial's inputs, setup and honest machines once for all the arms it
-      plays (~10.7 blocks per execution); rebuilding them for every arm
-      costs ~30, so a change that silently stops sharing fails here.  The
-      line before it names the SHA-256 kernel that ran: the block count is
-      the same on every kernel, the time per block is not. *)
+      plays, and a machine value remembers every step taken from it, so
+      arms and probes that repeat a step reuse its result (~4.5 blocks per
+      execution).  Stepping every machine afresh costs ~10.7, and
+      rebuilding the prelude for every arm ~30, so a change that silently
+      stops either fails here.  The line before it names the SHA-256
+      kernel that ran: the block count is the same on every kernel, the
+      time per block is not. *)
 
 module Mc = Fairness.Montecarlo
 module Parallel = Fairness.Parallel
@@ -119,8 +122,8 @@ let () =
   Fair_obs.Metrics.disable ();
   let blocks = counter "sha256.blocks" snap and execs = counter "engine.executions" snap in
   let per_exec = float_of_int blocks /. float_of_int (max 1 execs) in
-  check "E1 race SHA-256 blocks per execution within budget" (per_exec <= 14.0)
-    (Printf.sprintf "%d blocks / %d executions = %.2f <= 14" blocks execs per_exec);
+  check "E1 race SHA-256 blocks per execution within budget" (per_exec <= 6.0)
+    (Printf.sprintf "%d blocks / %d executions = %.2f <= 6" blocks execs per_exec);
   if !failures > 0 then begin
     Printf.eprintf "bench-smoke: %d check(s) FAILED\n" !failures;
     exit 1

@@ -123,10 +123,13 @@ let fatal = function
    allocation of [run_exec].  Each domain keeps one arena, grown to the
    largest [n + 1] it has seen and reused across runs.  The arena is
    purely a memory optimisation: every cell of the active prefix is reset
-   on acquire and cleared again on release (so no machine or payload
-   outlives its run), and a re-entrant run — a nested execution started
-   from inside an adversary or a utility — finds [in_use] set and falls
-   back to fresh allocation, the pre-arena behaviour. *)
+   on acquire and cleared again on release (so the arena holds no machine
+   or payload past its run; the machines themselves remember their steps,
+   so the inboxes and successors a prelude's machines were stepped with
+   live until the prelude is dropped), and a re-entrant run — a nested
+   execution started from inside an adversary or a utility — finds
+   [in_use] set and falls back to fresh allocation, the pre-arena
+   behaviour. *)
 type arena = {
   mutable cap : int; (* current array length; 0 until first use *)
   mutable a_slots : slot array;
@@ -228,7 +231,7 @@ let run_exec ~faults ~max_messages ~adversary p =
   end;
   let release () =
     if use_arena then begin
-      (* Drop machine/payload references so nothing outlives its run. *)
+      (* Drop the arena's machine/payload references at the end of the run. *)
       Array.fill slots 0 (n + 1) (Finished Was_corrupted);
       Array.fill results 0 (n + 1) Honest_no_output;
       Array.fill inbox_now 0 (n + 1) [];

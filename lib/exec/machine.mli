@@ -18,7 +18,25 @@
     ({!Engine.prepare}), so a machine that draws from its captured
     generator inside [step], or mutates anything it closes over, makes
     one arm's play change the next one's.  [test_search.ml] checks every
-    registry target for this. *)
+    registry target for this.
+
+    {b Remembered steps.}  A machine built by {!make} remembers, for as
+    long as the machine value lives, the successor and actions of every
+    (round, inbox) it has been stepped with, and answers a repeat from
+    that store without running the transition again.  Inboxes match when
+    they hold the same sources and equal payload strings, in order.  The
+    racer's arms, which play one prelude, and the proof adversaries'
+    probes, which step a machine and then resume it, repeat most steps.
+    This makes the contract above load-bearing for every play, not just
+    for shared preludes: a transition that draws from a captured generator
+    or mutates what it closes over is not run again when its (round,
+    inbox) repeats, so it replays its first result.  A transition that
+    raises stores nothing and raises again on the next call.
+    Functionalities are built per play and stepped once a round, so their
+    own state is never replayed.  The store is not synchronised: a machine
+    value (and every successor reached from it) must be stepped from one
+    domain at a time.  Every caller does so today, because a prelude is
+    built and played inside one pool task. *)
 
 type action =
   | Send of Wire.dest * Wire.payload
@@ -29,16 +47,18 @@ type t = { step : round:int -> inbox:(Wire.party_id * Wire.payload) list -> t * 
 
 val make :
   'state -> ('state -> round:int -> inbox:(Wire.party_id * Wire.payload) list -> 'state * action list) -> t
-(** Wrap a pure transition function over an explicit state. *)
+(** Wrap a pure transition function over an explicit state.  The machine
+    remembers its steps (see above). *)
 
 val silent : t
 (** A machine that never sends and never outputs. *)
 
 val probe_output : t -> round:int -> inbox:(Wire.party_id * Wire.payload) list -> Wire.payload option
-(** Step a copy of the machine (the original value is unaffected) and return
-    the payload of an [Output] action if one was produced, [None] otherwise
-    ([Abort_self] also yields [None]).  This is the "hypothetical run" used
-    by the proof adversaries. *)
+(** Step the machine, keep only the actions (the original value is
+    unaffected, and the real step that follows with the same inbox reuses
+    the result), and return the payload of an [Output] action if one was
+    produced, [None] otherwise ([Abort_self] also yields [None]).  This is
+    the "hypothetical run" used by the proof adversaries. *)
 
 val run_to_completion :
   t -> max_rounds:int -> feed:(round:int -> (Wire.party_id * Wire.payload) list) -> Wire.payload option

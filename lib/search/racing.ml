@@ -264,7 +264,11 @@ let chunks_per_round = 16
    [lo + c / k]), in chunks of whole trials when a chunk holds at least
    one trial.  Each observation depends on (arm, trial) alone and lands
    in its own cell, and the chunks depend only on the round's shape, so
-   the batches — and the work done — are the same at any [jobs]. *)
+   the batches are the same at any [jobs], and so are the executions,
+   the messages and the machine steps a chunk's arms share.  The hashing
+   is not, on the signature targets: [Signature.Lamport.Verifier]'s
+   caches are per domain and bounded, so whether a verdict hits depends
+   on which domain played which chunk before. *)
 let race_target ~jobs ~target ~arms ~budget ~seed =
   let { protocol; func; gamma; env; overrides } = target in
   let prefix = Mc.Trial.seed_prefix seed in

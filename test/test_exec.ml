@@ -53,7 +53,35 @@ let test_machine_persistent () =
   Alcotest.(check (option string)) "probe deterministic" p1 p2;
   Alcotest.(check (option string)) "probe sees 3 messages" (Some "3") p1;
   let p3 = Machine.probe_output m1 ~round:3 ~inbox:[] in
-  Alcotest.(check (option string)) "original state undisturbed" (Some "2") p3
+  Alcotest.(check (option string)) "original state undisturbed" (Some "2") p3;
+  (* A machine value remembers its steps: the transition runs once per
+     (round, inbox content), and a repeat returns the first call's result. *)
+  let calls = ref 0 in
+  let counted =
+    Machine.make 0 (fun count ~round ~inbox ->
+        incr calls;
+        if List.exists (fun (_, p) -> p = "boom") inbox then failwith "boom";
+        (count + 1, [ Machine.Output (Printf.sprintf "%d@%d" count round) ]))
+  in
+  let fresh s = String.init (String.length s) (String.get s) in
+  let s1, a1 = counted.Machine.step ~round:1 ~inbox:[ (1, "x") ] in
+  let s2, a2 = counted.Machine.step ~round:1 ~inbox:[ (1, fresh "x") ] in
+  Alcotest.(check int) "equal inbox from fresh strings: one call" 1 !calls;
+  Alcotest.(check bool) "a hit returns the first call's successor" true (s1 == s2);
+  Alcotest.(check bool) "and its actions" true (a1 == a2);
+  ignore (counted.Machine.step ~round:2 ~inbox:[ (1, "x") ]);
+  Alcotest.(check int) "another round: another call" 2 !calls;
+  ignore (counted.Machine.step ~round:1 ~inbox:[ (1, "y") ]);
+  Alcotest.(check int) "another payload: another call" 3 !calls;
+  let probed = Machine.probe_output s1 ~round:2 ~inbox:[ (2, "z") ] in
+  let _, stepped = s1.Machine.step ~round:2 ~inbox:[ (2, "z") ] in
+  Alcotest.(check int) "probe then the real step: one call" 4 !calls;
+  Alcotest.(check bool) "the step outputs what the probe saw" true
+    (probed = Some "1@2" && stepped = [ Machine.Output "1@2" ]);
+  let boom () = ignore (counted.Machine.step ~round:1 ~inbox:[ (1, "boom") ]) in
+  Alcotest.check_raises "a raising transition raises" (Failure "boom") boom;
+  Alcotest.check_raises "and raises again: nothing was stored" (Failure "boom") boom;
+  Alcotest.(check int) "both raising calls ran the transition" 6 !calls
 
 let test_run_to_completion () =
   let m = counter_machine () in

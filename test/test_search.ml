@@ -293,7 +293,10 @@ let test_registry_shares_preludes () =
 
 (* Negative control: a party machine that draws from its captured
    generator inside [step] (outputting only on a fresh coin) is not
-   persistent, so a second play of one prelude sees other coins. *)
+   persistent, so a second play of one prelude sees other coins.  A
+   machine value replays a step it has taken with the same inbox, so
+   adjacent arms must give the honest party different inboxes: party 2,
+   corrupted, sends "0" and "1" in turn. *)
 let coin_party ~rng ~id ~n:_ ~input ~setup:_ =
   let peer = 3 - id in
   Machine.make () (fun () ~round ~inbox ->
@@ -312,10 +315,34 @@ let test_impure_party_flagged () =
       env = Mc.uniform_bit_inputs ~n:2;
       overrides = Fairness.Events.no_overrides }
   in
-  let arms = List.init 4 (fun _ -> Adversary.passive) in
+  let arms =
+    Adversary.passive
+    :: List.init 6 (fun j ->
+           Fair_protocols.Adversaries.substitute_input ~input:(string_of_int (j mod 2))
+             (Fair_protocols.Adversaries.Fixed [ 2 ]))
+  in
   let prefix = Mc.Trial.seed_prefix 42 in
   Alcotest.(check bool) "the comparison flags a machine that draws in step" true
     (both_orders target arms ~prefix > 0)
+
+(* A race's chunks depend only on each round's shape, and every machine
+   value is stepped inside the chunk that built it, so E1's work — its
+   remembered steps and with them its hashes — is the same at any [jobs].
+   Not so on the signature targets: the Lamport verifier's caches are
+   per domain, so their hits depend on which domain played which chunk. *)
+let test_work_same_at_any_jobs () =
+  let e1 = Option.get (E.find "E1") in
+  let work jobs =
+    Fair_obs.Metrics.reset ();
+    Fair_obs.Metrics.enable ();
+    ignore (E.searched ~budget:2000 ~seed:42 ~jobs e1);
+    let snap = Fair_obs.Metrics.snapshot () in
+    Fair_obs.Metrics.disable ();
+    List.map
+      (fun name -> (name, List.assoc name snap.Fair_obs.Metrics.counters))
+      [ "sha256.blocks"; "engine.executions"; "engine.messages" ]
+  in
+  Alcotest.(check (list (pair string int))) "E1 race work at -j 1 and -j 2" (work 1) (work 2)
 
 (* ----------------------------- landscapes ---------------------------- *)
 
@@ -435,7 +462,9 @@ let () =
       ( "sharing",
         [ Alcotest.test_case "every target's arms share one prelude" `Quick
             test_registry_shares_preludes;
-          Alcotest.test_case "a party drawing in step is flagged" `Quick test_impure_party_flagged ] );
+          Alcotest.test_case "a party drawing in step is flagged" `Quick test_impure_party_flagged;
+          Alcotest.test_case "E1 work counts are the same at -j 1 and -j 2" `Quick
+            test_work_same_at_any_jobs ] );
       ( "landscape",
         [ Alcotest.test_case "n-grid order, mode and -j identity" `Slow test_n_grid;
           Alcotest.test_case "n-grid decay" `Slow test_n_grid_decay;
