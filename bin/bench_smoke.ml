@@ -5,15 +5,18 @@
    1. Determinism: the pooled estimate must be bit-for-bit the sequential
       one (utility, std_err, event tables).
    2. Allocation: the per-trial minor-heap footprint of the opt2 and optn
-      kernels must stay under a budget set ~1.5x above the arena-path
-      measurement, so a regression that reintroduces per-envelope or
+      kernels must stay under a budget set ~1.5x above the measured
+      steady state, so a regression that reintroduces per-envelope or
       per-trial-setup allocation fails loudly here rather than showing up
       as a silent slowdown.
    3. Pool health: the parallel leg must actually fan out through the pool
       (a batch that silently runs inline would time the sequential path
       and call it "parallel"), and on a multi-core host it must not be
-      slower than the sequential leg.  On a single-core host the speedup
-      is noise, the line says so, and only the fan-out half is enforced.
+      slower than the sequential leg.  Both legs are timed warm: each runs
+      once untimed first, so neither pays the key pool, the worker
+      domain's start or its domain-local caches and scratch state.  On a
+      single-core host the speedup is noise, the line says so, and only
+      the fan-out half is enforced.
    4. Shared work: an E1 race (budget 2000, seed 42, -j 1) must hash at
       most 6 SHA-256 blocks per engine execution.  The racer builds each
       trial's inputs, setup and honest machines once for all the arms it
@@ -37,7 +40,7 @@ let check name ok detail =
   if not ok then incr failures
 
 (* Per-trial minor words of a sequential estimate, warmed so one-time setup
-   (Lamport key pool, Prep cache, domain-local arena growth) is excluded —
+   (the Lamport key pool, the domain-local verifier caches) is excluded —
    the budget is about the steady-state trial loop. *)
 let minor_words_per_trial ~protocol ~adversary ~func ~env ~trials =
   let run seed =
@@ -68,6 +71,7 @@ let () =
   let degraded = avail < 2 in
   let jobs = max 2 avail in
   ignore (estimate ~jobs:1);
+  ignore (estimate ~jobs);
   let e_seq, t_seq = wall (fun () -> estimate ~jobs:1) in
   let s_par0 = Parallel.pool_stats () in
   let e_par, t_par = wall (fun () -> estimate ~jobs) in
@@ -95,10 +99,10 @@ let () =
   else
     check "pooled leg not slower than sequential" (t_par <= t_seq)
       (Printf.sprintf "seq %.3fs, pool %.3fs" t_seq t_par);
-  (* Allocation budgets: measured on the arena fast path (see DESIGN.md
-     §10) at ~16k words/trial for optn-n5/t4 and ~9k for opt2; 1.5x
-     headroom tolerates compiler/stdlib drift but not a reintroduced
-     per-envelope allocation path (which costs several multiples). *)
+  (* Allocation budgets: measured (see DESIGN.md §10) at ~16k words/trial
+     for optn-n5/t4 and ~9k for opt2; 1.5x headroom tolerates
+     compiler/stdlib drift but not a reintroduced per-envelope allocation
+     path (which costs several multiples). *)
   let optn_words =
     minor_words_per_trial ~protocol ~adversary ~func:swap
       ~env:(Mc.uniform_field_inputs ~n:5) ~trials:200

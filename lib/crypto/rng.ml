@@ -1,54 +1,25 @@
 module Field = Fair_field.Field
 
 (* Counter-mode PRG over SHA-256: block [i] of the stream is
-   [SHA256(seed ^ "|ctr|" ^ string_of_int i)].  The hot path is [refill]:
-   instead of rebuilding and re-absorbing that string on every block, the
-   generator lazily captures the SHA-256 midstate after [seed ^ "|ctr|"]
-   and, per block, restores a scratch context from it and absorbs only the
-   counter digits — bit-identical to hashing the concatenation (SHA-256 is
-   a pure function of the byte stream).  It saves no compressions for
-   split-derived seeds: they are 32 raw bytes, so seed ^ "|ctr|" ^ i is at
-   most 55 bytes for any counter below 10^18, one block with or without
-   the midstate; there it only skips building the concatenation. *)
+   [SHA256(seed ^ "|ctr|" ^ string_of_int i)].  Split-derived seeds are 32
+   raw bytes, so that string fits one compression block for any counter
+   below 10^18. *)
 
 type t = {
   seed : string;
   mutable counter : int;
   mutable buffer : string; (* unconsumed bytes of the current block *)
   mutable pos : int;
-  mutable midstate : Sha256.Ctx.t option; (* state after seed ^ "|ctr|" *)
-  mutable work : Sha256.Ctx.t option;     (* per-refill scratch *)
 }
 
-let create ~seed =
-  { seed; counter = 0; buffer = ""; pos = 0; midstate = None; work = None }
+let create ~seed = { seed; counter = 0; buffer = ""; pos = 0 }
 
 let of_int_seed n = create ~seed:("int-seed:" ^ string_of_int n)
 
 let split g ~label = create ~seed:(Sha256.digest (g.seed ^ "|split|" ^ label))
 
 let refill g =
-  let mid =
-    match g.midstate with
-    | Some m -> m
-    | None ->
-        let m = Sha256.Ctx.create () in
-        Sha256.Ctx.feed m g.seed;
-        Sha256.Ctx.feed m "|ctr|";
-        g.midstate <- Some m;
-        m
-  in
-  let work =
-    match g.work with
-    | Some w -> w
-    | None ->
-        let w = Sha256.Ctx.create () in
-        g.work <- Some w;
-        w
-  in
-  Sha256.Ctx.restore work ~from:mid;
-  Sha256.Ctx.feed work (string_of_int g.counter);
-  g.buffer <- Sha256.Ctx.digest work;
+  g.buffer <- Sha256.digest (g.seed ^ "|ctr|" ^ string_of_int g.counter);
   g.counter <- g.counter + 1;
   g.pos <- 0
 

@@ -1,15 +1,11 @@
 (** Deterministic pseudo-random generator.
 
     A counter-mode PRG over SHA-256: block [i] of the stream is
-    [SHA256(seed || i)].  Every random choice in the repository — party
+    [SHA256(seed || "|ctr|" || i)], [i] in decimal, and golden tests lock
+    the stream.  Every random choice in the repository — party
     randomness, dealer randomness, adversary coin flips, Monte-Carlo trial
     seeds — flows through a value of this type, so every experiment is
     reproducible bit-for-bit from its seed.
-
-    Blocks are derived from a lazily captured SHA-256 midstate of the seed
-    (see {!Sha256.Ctx}), so refilling absorbs only the counter digits; the
-    stream is bit-identical to hashing the full [seed || i] concatenation
-    and is locked by golden tests.
 
     Generators are mutable; use {!split} to derive independent child
     generators (e.g. one per party) whose streams do not interleave with the

@@ -25,15 +25,6 @@ let reset c =
   c.buf_len <- 0;
   c.total <- 0
 
-let copy c =
-  { h = Array.copy c.h; buf = Bytes.copy c.buf; buf_len = c.buf_len; total = c.total }
-
-let restore dst ~from =
-  Array.blit from.h 0 dst.h 0 8;
-  if from.buf_len > 0 then Bytes.blit from.buf 0 dst.buf 0 from.buf_len;
-  dst.buf_len <- from.buf_len;
-  dst.total <- from.total
-
 (* Every compression is counted: [sha256.blocks] is the deterministic work
    count behind a trial's cost (one atomic load per block while metrics
    are off). *)
@@ -94,8 +85,7 @@ let write_bitlen buf total =
   done
 
 (* Padding + final block(s); mutates [c.h] and [c.buf], so the context is
-   spent afterwards (callers that need the midstate again keep a [copy] or
-   [restore] from one). *)
+   spent afterwards. *)
 let finalize c =
   Bytes.unsafe_set c.buf c.buf_len '\x80';
   let n = c.buf_len + 1 in
@@ -139,10 +129,7 @@ module Ctx = struct
   let create = create
   let feed = feed_string
   let feed_bytes c b ~pos ~len = feed_sub c b pos len
-  let copy = copy
-  let restore = restore
   let digest = finalize
-  let peek c = finalize (copy c)
 end
 
 let hex_chars = "0123456789abcdef"

@@ -28,13 +28,11 @@ val hex_digest : string -> string
 (** [hex_digest msg] is the 64-character lowercase hex digest. *)
 
 module Ctx : sig
-  (** Incremental hashing with reusable midstates.
+  (** Incremental hashing.
 
       A context absorbs message bytes in any chunking; the digest depends
       only on the byte stream, so [feed c a; feed c b] is equivalent to
-      [feed c (a ^ b)].  {!copy} and {!restore} capture/restore a midstate,
-      which is what lets the PRG hash [seed || counter] without re-absorbing
-      the seed on every block. *)
+      [feed c (a ^ b)]. *)
 
   type t
 
@@ -48,21 +46,9 @@ module Ctx : sig
   (** Absorb [len] bytes of [b] starting at [pos].
       @raise Invalid_argument if the range is out of bounds. *)
 
-  val copy : t -> t
-  (** An independent snapshot of the absorbed state (a {e midstate}). *)
-
-  val restore : t -> from:t -> unit
-  (** [restore dst ~from] overwrites [dst]'s absorbed state with [from]'s,
-      without allocating.  [from] is unchanged. *)
-
   val digest : t -> string
   (** Pad and produce the 32-byte digest of everything absorbed.  The
-      context is {e spent} afterwards: feed it again only after a
-      {!restore}. *)
-
-  val peek : t -> string
-  (** The digest of the bytes absorbed so far, leaving [t] usable (works on
-      a copy). *)
+      context is {e spent} afterwards: do not feed it again. *)
 end
 
 val to_hex : string -> string

@@ -116,40 +116,6 @@ let fatal = function
   | Stack_overflow | Out_of_memory | Assert_failure _ -> true
   | _ -> false
 
-(* ------------------------------------------------------------------ *)
-(* Per-domain run arena.  A Monte-Carlo sweep executes hundreds of
-   thousands of runs per domain, and the per-run arrays (slots, corruption
-   flags, results, the two inbox generations) were the dominant fixed
-   allocation of [run_exec].  Each domain keeps one arena, grown to the
-   largest [n + 1] it has seen and reused across runs.  The arena is
-   purely a memory optimisation: every cell of the active prefix is reset
-   on acquire and cleared again on release (so the arena holds no machine
-   or payload past its run; the machines themselves remember their steps,
-   so the inboxes and successors a prelude's machines were stepped with
-   live until the prelude is dropped), and a re-entrant run — a nested
-   execution started from inside an adversary or a utility — finds
-   [in_use] set and falls back to fresh allocation, the pre-arena
-   behaviour. *)
-type arena = {
-  mutable cap : int; (* current array length; 0 until first use *)
-  mutable a_slots : slot array;
-  mutable a_corrupted : bool array;
-  mutable a_results : party_result array;
-  mutable a_inbox_now : (Wire.party_id * Wire.payload) list array;
-  mutable a_inbox_next : (Wire.party_id * Wire.payload) list array;
-  mutable in_use : bool;
-}
-
-let arena_key =
-  Domain.DLS.new_key (fun () ->
-      { cap = 0;
-        a_slots = [||];
-        a_corrupted = [||];
-        a_results = [||];
-        a_inbox_now = [||];
-        a_inbox_next = [||];
-        in_use = false })
-
 (* Inboxes are sender-sorted; sources are small ints. *)
 let by_src ((a : int), _) ((b : int), _) = compare a b
 
@@ -158,8 +124,8 @@ let by_src ((a : int), _) ((b : int), _) = compare a b
    the honest party machines.  Built once, it can be played against any
    number of adversaries, because machines are persistent (see
    [Machine]) and everything per-execution — the functionality, the
-   adversary instance, the fault injector, the run arena — is built in
-   [run_exec]. *)
+   adversary instance, the fault injector, the per-run arrays — is built
+   in [run_exec]. *)
 type prepared = {
   p_protocol : Protocol.t;
   p_inputs : string array;
@@ -193,53 +159,18 @@ let prepare ~protocol ~inputs ~rng =
   in
   { p_protocol = protocol; p_inputs = inputs; p_setup = setup; p_parties = parties; p_rng = rng }
 
-let run_exec ~faults ~max_messages ~adversary p =
+let run_exec ~faults ~adversary p =
   let protocol = p.p_protocol in
   let n = protocol.Protocol.parties in
   let inputs = p.p_inputs and setup = p.p_setup and rng = p.p_rng in
-  let msg_limit =
-    match max_messages with Some m -> m | None -> (n + 1) * protocol.Protocol.max_rounds * 1024
-  in
-  let ar = Domain.DLS.get arena_key in
-  let use_arena = not ar.in_use in
-  if use_arena then begin
-    ar.in_use <- true;
-    if ar.cap < n + 1 then begin
-      ar.cap <- n + 1;
-      ar.a_slots <- Array.make (n + 1) (Finished Was_corrupted);
-      ar.a_corrupted <- Array.make (n + 1) false;
-      ar.a_results <- Array.make (n + 1) Honest_no_output;
-      ar.a_inbox_now <- Array.make (n + 1) [];
-      ar.a_inbox_next <- Array.make (n + 1) []
-    end
-  end;
+  let msg_limit = (n + 1) * protocol.Protocol.max_rounds * 1024 in
   (* Slots indexed 0..n; slot 0 is the functionality (or an inert machine). *)
-  let slots = if use_arena then ar.a_slots else Array.make (n + 1) (Finished Was_corrupted) in
-  let corrupted = if use_arena then ar.a_corrupted else Array.make (n + 1) false in
-  let results = if use_arena then ar.a_results else Array.make (n + 1) Honest_no_output in
-  (* Inboxes for the *current* round, indexed by party id. *)
-  let inbox_now = if use_arena then ar.a_inbox_now else Array.make (n + 1) [] in
-  let inbox_next = if use_arena then ar.a_inbox_next else Array.make (n + 1) [] in
-  if use_arena then begin
-    (* Cells beyond [n] were cleared by the previous release; reset the
-       prefix this run will touch. *)
-    Array.fill slots 0 (n + 1) (Finished Was_corrupted);
-    Array.fill corrupted 0 (n + 1) false;
-    Array.fill results 0 (n + 1) Honest_no_output;
-    Array.fill inbox_now 0 (n + 1) [];
-    Array.fill inbox_next 0 (n + 1) []
-  end;
-  let release () =
-    if use_arena then begin
-      (* Drop the arena's machine/payload references at the end of the run. *)
-      Array.fill slots 0 (n + 1) (Finished Was_corrupted);
-      Array.fill results 0 (n + 1) Honest_no_output;
-      Array.fill inbox_now 0 (n + 1) [];
-      Array.fill inbox_next 0 (n + 1) [];
-      ar.in_use <- false
-    end
-  in
-  Fun.protect ~finally:release @@ fun () ->
+  let slots = Array.make (n + 1) (Finished Was_corrupted) in
+  let corrupted = Array.make (n + 1) false in
+  let results = Array.make (n + 1) Honest_no_output in
+  (* Inboxes for the current and the next round, indexed by party id. *)
+  let inbox_now = Array.make (n + 1) [] in
+  let inbox_next = Array.make (n + 1) [] in
   let trace = Trace.create () in
   let failures = ref [] in
   let record_failure f = failures := f :: !failures in
@@ -272,37 +203,21 @@ let run_exec ~faults ~max_messages ~adversary p =
      the round whose inbox they join.  Prepended, so reversing the due
      slice restores chronological order before the stable per-source sort. *)
   let pending = ref [] in
-  (* [no_fault_path] skips the channel interposition entirely: with the
-     identity injector the faulted copy list is [[(0, env)]] per envelope,
-     so routing degenerates to plain delivery and the per-envelope
-     list/tuple wrappers never need to exist. *)
-  let no_fault_path = faults == no_faults in
-  let deliver (env : Wire.envelope) =
+  let deliver inbox (env : Wire.envelope) =
     match env.dst with
-    | Wire.To p ->
-        if p >= 0 && p <= n then inbox_next.(p) <- (env.src, env.payload) :: inbox_next.(p)
+    | Wire.To p -> if p >= 0 && p <= n then inbox.(p) <- (env.src, env.payload) :: inbox.(p)
     | Wire.Broadcast ->
         (* One shared cell for all recipients: broadcast delivery costs n+1
            conses, not n+1 tuples as well. *)
         let cell = (env.src, env.payload) in
         for p = 0 to n do
-          inbox_next.(p) <- cell :: inbox_next.(p)
-        done
-  in
-  let deliver_now (env : Wire.envelope) =
-    match env.dst with
-    | Wire.To p ->
-        if p >= 0 && p <= n then inbox_now.(p) <- (env.src, env.payload) :: inbox_now.(p)
-    | Wire.Broadcast ->
-        let cell = (env.src, env.payload) in
-        for p = 0 to n do
-          inbox_now.(p) <- cell :: inbox_now.(p)
+          inbox.(p) <- cell :: inbox.(p)
         done
   in
   (* Route one faulted copy: normal copies join the next-round inboxes,
      delayed copies park in [pending] until their due round. *)
   let route ~round (d, env) =
-    if d <= 0 then deliver env else pending := (round + 1 + d, env) :: !pending
+    if d <= 0 then deliver inbox_next env else pending := (round + 1 + d, env) :: !pending
   in
   let active () =
     (* At least one party in 1..n still honestly running. *)
@@ -355,22 +270,21 @@ let run_exec ~faults ~max_messages ~adversary p =
     | ps ->
         let due, rest = List.partition (fun (d, _) -> d <= r) ps in
         pending := rest;
-        List.iter (fun (_, env) -> deliver_now env) (List.rev due));
+        List.iter (fun (_, env) -> deliver inbox_now env) (List.rev due));
     sort_inboxes inbox_now;
     (* Crash-stop faults: a crashed party is an honest party that aborts
        with no output and sends nothing from this round on — exactly the
        abort the fairness reduction charges the adversary for. *)
-    if not no_fault_path then
-      for id = 1 to n do
-        match slots.(id) with
-        | Running _ when (not corrupted.(id)) && faults.crash ~round:r id ->
-            slots.(id) <- Finished Honest_abort;
-            results.(id) <- Honest_abort;
-            record_failure (Party_crash { round = r; party = id });
-            Metrics.incr c_crashes;
-            Trace.record trace (Trace.Crashed (r, id))
-        | _ -> ()
-      done;
+    for id = 1 to n do
+      match slots.(id) with
+      | Running _ when (not corrupted.(id)) && faults.crash ~round:r id ->
+          slots.(id) <- Finished Honest_abort;
+          results.(id) <- Honest_abort;
+          record_failure (Party_crash { round = r; party = id });
+          Metrics.incr c_crashes;
+          Trace.record trace (Trace.Crashed (r, id))
+      | _ -> ()
+    done;
     let honest_envelopes = ref [] in
     let step_slot id =
       match slots.(id) with
@@ -417,36 +331,24 @@ let run_exec ~faults ~max_messages ~adversary p =
     let honest_envelopes = List.rev !honest_envelopes in
     (* Channel faults interpose here, between the machines and the wire:
        each honest envelope becomes the list of (delay, copy) actually in
-       flight.  On the no-fault path the copies *are* the envelopes. *)
-    let faulted =
-      if no_fault_path then []
-      else List.concat_map (fun env -> faults.on_envelope ~round:r env) honest_envelopes
-    in
+       flight. *)
+    let faulted = List.concat_map (fun env -> faults.on_envelope ~round:r env) honest_envelopes in
     (* Rushing: adversary sees round-r messages to corrupted parties and all
        broadcasts before answering.  It taps the wire, so it sees the
        faulted copies (tampered payloads included), not the pristine
        sends. *)
     let rushed =
-      if no_fault_path then
-        List.filter
-          (fun (env : Wire.envelope) ->
-            match env.dst with
-            | Wire.To p -> p >= 1 && p <= n && corrupted.(p)
-            | Wire.Broadcast -> true)
-          honest_envelopes
-      else
-        List.filter_map
-          (fun ((_, env) : int * Wire.envelope) ->
-            match env.dst with
-            | Wire.To p -> if p >= 1 && p <= n && corrupted.(p) then Some env else None
-            | Wire.Broadcast -> Some env)
-          faulted
+      List.filter_map
+        (fun ((_, env) : int * Wire.envelope) ->
+          match env.dst with
+          | Wire.To p -> if p >= 1 && p <= n && corrupted.(p) then Some env else None
+          | Wire.Broadcast -> Some env)
+        faulted
     in
     let corrupted_info, adv_inbox = corrupted_view inbox_now in
     let view = { Adversary.round = r; n; corrupted = corrupted_info; inbox = adv_inbox; rushed } in
     let decision = adv.Adversary.step view in
-    if no_fault_path then List.iter deliver honest_envelopes
-    else List.iter (route ~round:r) faulted;
+    List.iter (route ~round:r) faulted;
     List.iter
       (fun (src, dst, payload) ->
         if src < 1 || src > n || not corrupted.(src) then
@@ -461,8 +363,7 @@ let run_exec ~faults ~max_messages ~adversary p =
         count_msg r;
         Trace.record trace (Trace.Sent (r, env));
         (* Adversary traffic crosses the same faulty channels. *)
-        if no_fault_path then deliver env
-        else List.iter (route ~round:r) (faults.on_envelope ~round:r env))
+        List.iter (route ~round:r) (faults.on_envelope ~round:r env))
       decision.Adversary.send;
     (match decision.Adversary.claim_learned with
     | None -> ()
@@ -513,12 +414,8 @@ let run_exec ~faults ~max_messages ~adversary p =
     trace;
     failures = List.rev !failures }
 
-let run_prepared ?(faults = no_faults) ?max_messages ~adversary p =
-  Otrace.with_span ~cat:"engine" "engine.run" (fun () ->
-      run_exec ~faults ~max_messages ~adversary p)
-
-let run_with ?faults ?max_messages ~protocol ~adversary ~inputs ~rng () =
-  run_prepared ?faults ?max_messages ~adversary (prepare ~protocol ~inputs ~rng)
+let run_prepared ?(faults = no_faults) ~adversary p =
+  Otrace.with_span ~cat:"engine" "engine.run" (fun () -> run_exec ~faults ~adversary p)
 
 let run ~protocol ~adversary ~inputs ~rng =
-  run_with ~protocol ~adversary ~inputs ~rng ()
+  run_prepared ~adversary (prepare ~protocol ~inputs ~rng)

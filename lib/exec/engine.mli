@@ -103,8 +103,9 @@ val claimed : outcome -> truth:Wire.payload -> bool
     it, so the prelude's parts are shared by those arms:
     party machines must be persistent ({!Machine}) and the dealer's setup
     a plain value.  The functionality (which may keep per-run state), the
-    adversary instance and the fault injector are built inside every
-    play.  {!run} is [run_prepared (prepare …)]: one code path. *)
+    adversary instance, the fault injector and the per-run arrays are
+    built inside every play.  {!run} is [run_prepared (prepare …)], and
+    every play, faulted or not, takes the same path through the engine. *)
 
 type prepared
 
@@ -115,13 +116,15 @@ val prepare : protocol:Protocol.t -> inputs:string array -> rng:Fair_crypto.Rng.
     @raise Invalid_argument if [inputs] has the wrong length or the dealer
     produces the wrong number of setup values. *)
 
-val run_prepared :
-  ?faults:injector -> ?max_messages:int -> adversary:Adversary.t -> prepared -> outcome
+val run_prepared : ?faults:injector -> adversary:Adversary.t -> prepared -> outcome
 (** Play [adversary] against a prelude, under the protocol it was built
-    for, as {!run_with} does after {!prepare}.  The functionality and the
-    adversary draw from fresh ["functionality"] and ["adversary"] splits
-    of the prelude's generator, so every play of one prelude sees the same
-    coins.  The [engine.run] trace span covers this play only, not the
+    for.  The functionality and the adversary draw from fresh
+    ["functionality"] and ["adversary"] splits of the prelude's generator,
+    so every play of one prelude sees the same coins.  [faults] (default
+    {!no_faults}) rewrites every envelope — honest and adversarial alike —
+    and decides party crash-stops; the trace records envelopes as sent
+    (pre-fault), so audit-based event overrides are unaffected by channel
+    tampering.  The [engine.run] trace span covers this play only, not the
     {!prepare} before it, on every path including {!run}.
     @raise Fail as {!run}. *)
 
@@ -131,27 +134,14 @@ val run :
   inputs:string array ->
   rng:Fair_crypto.Rng.t ->
   outcome
-(** Execute one protocol run on faithful channels (equivalent to
-    {!run_with} with {!no_faults}).  [inputs.(i)] is party i+1's input.
-    Party, functionality, dealer and adversary randomness are derived from
-    [rng] via independent splits, so a single seed reproduces the run.
+(** Execute one protocol run on faithful channels: [run_prepared
+    ~adversary (prepare ~protocol ~inputs ~rng)].  [inputs.(i)] is party
+    i+1's input.  Party, functionality, dealer and adversary randomness are
+    derived from [rng] via independent splits, so a single seed reproduces
+    the run.
     @raise Invalid_argument if [inputs] has the wrong length or the dealer
     produces the wrong number of setup values.
     @raise Fail on a protocol violation (adversary sending from a
-    non-corrupted party, corrupting an invalid id) or the message guard. *)
-
-val run_with :
-  ?faults:injector ->
-  ?max_messages:int ->
-  protocol:Protocol.t ->
-  adversary:Adversary.t ->
-  inputs:string array ->
-  rng:Fair_crypto.Rng.t ->
-  unit ->
-  outcome
-(** {!run} with interposition.  [faults] (default {!no_faults}) rewrites
-    every envelope — honest and adversarial alike — and decides party
-    crash-stops; the trace records envelopes as sent (pre-fault), so
-    audit-based event overrides are unaffected by channel tampering.
-    [max_messages] (default [(n+1) * max_rounds * 1024]) bounds total
-    messages; exceeding it raises [Fail (Round_limit _)]. *)
+    non-corrupted party, corrupting an invalid id) or the message guard:
+    a run that sends more than [(n+1) * max_rounds * 1024] messages in all
+    raises [Fail (Round_limit _)]. *)

@@ -32,22 +32,3 @@ let rec make state f =
 let silent =
   let rec m = { step = (fun ~round:_ ~inbox:_ -> (m, [])) } in
   m
-
-let probe_output m ~round ~inbox =
-  let _, actions = m.step ~round ~inbox in
-  List.find_map (function Output p -> Some p | Send _ | Abort_self -> None) actions
-
-let run_to_completion m ~max_rounds ~feed =
-  let rec go m round =
-    if round > max_rounds then None
-    else
-      let m', actions = m.step ~round ~inbox:(feed ~round) in
-      match
-        List.find_map
-          (function Output p -> Some (Some p) | Abort_self -> Some None | Send _ -> None)
-          actions
-      with
-      | Some result -> result
-      | None -> go m' (round + 1)
-  in
-  go m 1

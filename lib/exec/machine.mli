@@ -52,16 +52,3 @@ val make :
 
 val silent : t
 (** A machine that never sends and never outputs. *)
-
-val probe_output : t -> round:int -> inbox:(Wire.party_id * Wire.payload) list -> Wire.payload option
-(** Step the machine, keep only the actions (the original value is
-    unaffected, and the real step that follows with the same inbox reuses
-    the result), and return the payload of an [Output] action if one was
-    produced, [None] otherwise ([Abort_self] also yields [None]).  This is
-    the "hypothetical run" used by the proof adversaries. *)
-
-val run_to_completion :
-  t -> max_rounds:int -> feed:(round:int -> (Wire.party_id * Wire.payload) list) -> Wire.payload option
-(** Drive a machine alone, feeding it [feed ~round] each round, until it
-    outputs, aborts, or [max_rounds] elapse.  Used by probing adversaries to
-    simulate "everyone else went silent". *)

@@ -13,10 +13,10 @@ let hybrid_rounds = Ideal.dummy_rounds + 2
    sweeps; since key reuse across *independent executions* cannot change any
    event (no strategy forges either way), we draw from a small precomputed
    pool instead of regenerating 16 KiB of preimages per trial.  The pool is
-   a pure function of its fixed seeds, so it lives in the preprocessing
-   cache: materialised once per process, shared read-only across trials and
-   domains.  The hex verification key the wire format ships (32 KiB per
-   encode) is equally static and is precomputed alongside each entry. *)
+   a pure function of its fixed seeds, so it is built once per process and
+   shared read-only across trials and domains.  The hex verification key
+   the wire format ships (32 KiB per encode) is equally static and is
+   precomputed alongside each entry. *)
 type pool_key = {
   sk : Signature.Lamport.secret_key;
   vk_hex : string;
@@ -24,16 +24,28 @@ type pool_key = {
 }
 
 let pool_size = 16
-let key_pool_slot : pool_key array Fair_exec.Prep.slot = Fair_exec.Prep.slot ~name:"optn-key-pool"
+let built_pool : pool_key array option ref = ref None
+let pool_lock = Mutex.create ()
 
+(* Built on first use, not at load, so processes that never run ΠOpt-nSFE
+   skip the 16 keygens.  The lock makes concurrent first uses wait for one
+   build (a [lazy] forced from two domains at once raises instead), so the
+   pool's hashing is counted once at any -j. *)
 let key_pool () =
-  Fair_exec.Prep.get key_pool_slot ~key:(string_of_int pool_size) (fun () ->
-      Array.init pool_size (fun i ->
-          let sk, pk =
-            Signature.Lamport.keygen (Rng.create ~seed:("optn-key-pool-" ^ string_of_int i))
+  Mutex.protect pool_lock (fun () ->
+      match !built_pool with
+      | Some keys -> keys
+      | None ->
+          let keys =
+            Array.init pool_size (fun i ->
+                let sk, pk =
+                  Signature.Lamport.keygen (Rng.create ~seed:("optn-key-pool-" ^ string_of_int i))
+                in
+                let vk_hex = Sha256.to_hex (Signature.Lamport.public_key_to_string pk) in
+                { sk; vk_hex; none_framed = Wire.frame [ "none"; vk_hex ] })
           in
-          let vk_hex = Sha256.to_hex (Signature.Lamport.public_key_to_string pk) in
-          { sk; vk_hex; none_framed = Wire.frame [ "none"; vk_hex ] }))
+          built_pool := Some keys;
+          keys)
 
 (* F^⊥_priv-sfe outputs: party i* gets (y, σ, vk); everyone else (⊥, vk). *)
 let priv_outputs (func : Func.t) rng ~inputs =

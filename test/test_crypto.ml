@@ -85,39 +85,6 @@ let test_sha256_feed_bytes () =
   Alcotest.check_raises "bad range" (Invalid_argument "Sha256.feed: range out of bounds")
     (fun () -> Sha256.Ctx.feed_bytes (Sha256.Ctx.create ()) b ~pos:5 ~len:3)
 
-(* Midstate reuse — the mechanism behind [Rng.refill]: a context captured
-   after a common prefix can be copied/restored and extended with different
-   suffixes, each digest matching the one-shot hash of prefix ^ suffix. *)
-let test_sha256_midstate () =
-  let prefix = String.make 100 'p' in
-  let mid = Sha256.Ctx.create () in
-  Sha256.Ctx.feed mid prefix;
-  List.iter
-    (fun suffix ->
-      let c = Sha256.Ctx.copy mid in
-      Sha256.Ctx.feed c suffix;
-      Alcotest.(check string)
-        (Printf.sprintf "copy + %S" suffix)
-        (Sha256.hex_digest (prefix ^ suffix))
-        (Sha256.to_hex (Sha256.Ctx.digest c)))
-    [ ""; "0"; "171"; String.make 200 'q' ];
-  (* [restore] into a reused scratch context, as the RNG does per refill *)
-  let scratch = Sha256.Ctx.create () in
-  Sha256.Ctx.feed scratch "unrelated garbage that must be overwritten";
-  Sha256.Ctx.restore scratch ~from:mid;
-  Sha256.Ctx.feed scratch "42";
-  Alcotest.(check string) "restore + feed"
-    (Sha256.hex_digest (prefix ^ "42"))
-    (Sha256.to_hex (Sha256.Ctx.digest scratch));
-  (* [peek] does not spend the context *)
-  let c = Sha256.Ctx.create () in
-  Sha256.Ctx.feed c "abc";
-  Alcotest.(check string) "peek" (Sha256.hex_digest "abc") (Sha256.to_hex (Sha256.Ctx.peek c));
-  Sha256.Ctx.feed c "def";
-  Alcotest.(check string) "peek did not disturb the stream"
-    (Sha256.hex_digest "abcdef")
-    (Sha256.to_hex (Sha256.Ctx.digest c))
-
 (* ---------------------- SHA-256 block kernels ---------------------- *)
 
 module Block = Fair_crypto.Sha256_block
@@ -305,9 +272,8 @@ let test_rng_field_uniform_smoke () =
 
 (* Golden streams: every recorded experiment, table and certificate in the
    repository depends on these exact byte sequences, so the PRG must never
-   drift — not across the midstate-based refill, not across a rewrite of
-   the hash.  The constants were captured from the pre-midstate
-   implementation (block [i] = SHA256(seed ^ "|ctr|" ^ i)). *)
+   drift — not across a change to the refill, not across a rewrite of the
+   hash.  Block [i] of a stream is SHA256(seed ^ "|ctr|" ^ i). *)
 
 let test_rng_golden_bytes () =
   let g = Rng.create ~seed:"golden" in
@@ -495,7 +461,6 @@ let () =
           Alcotest.test_case "million a's" `Slow test_sha256_million_a;
           Alcotest.test_case "incremental = one-shot" `Quick test_sha256_incremental;
           Alcotest.test_case "feed_bytes slice" `Quick test_sha256_feed_bytes;
-          Alcotest.test_case "midstate copy/restore/peek" `Quick test_sha256_midstate;
           Alcotest.test_case "hex roundtrip" `Quick test_hex_roundtrip;
           Alcotest.test_case "block kernels = FIPS reference" `Quick test_block_kernels;
           Alcotest.test_case "block bounds" `Quick test_block_bounds ] );

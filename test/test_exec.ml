@@ -43,16 +43,24 @@ let counter_machine () =
       let count = count + List.length inbox in
       if round = 3 then (count, [ Machine.Output (string_of_int count) ]) else (count, []))
 
+(* A probe, as the proof adversaries take one: step the machine, keep only
+   the payload of an [Output] action, and drop the successor. *)
+let probe_output (m : Machine.t) ~round ~inbox =
+  let _, actions = m.Machine.step ~round ~inbox in
+  List.find_map
+    (function Machine.Output p -> Some p | Machine.Send _ | Machine.Abort_self -> None)
+    actions
+
 let test_machine_persistent () =
   let m = counter_machine () in
   let m1, _ = m.Machine.step ~round:1 ~inbox:[ (1, "x"); (2, "y") ] in
   (* Probing m1 twice from the same state gives the same result and does
      not disturb the retained value. *)
-  let p1 = Machine.probe_output m1 ~round:3 ~inbox:[ (1, "z") ] in
-  let p2 = Machine.probe_output m1 ~round:3 ~inbox:[ (1, "z") ] in
+  let p1 = probe_output m1 ~round:3 ~inbox:[ (1, "z") ] in
+  let p2 = probe_output m1 ~round:3 ~inbox:[ (1, "z") ] in
   Alcotest.(check (option string)) "probe deterministic" p1 p2;
   Alcotest.(check (option string)) "probe sees 3 messages" (Some "3") p1;
-  let p3 = Machine.probe_output m1 ~round:3 ~inbox:[] in
+  let p3 = probe_output m1 ~round:3 ~inbox:[] in
   Alcotest.(check (option string)) "original state undisturbed" (Some "2") p3;
   (* A machine value remembers its steps: the transition runs once per
      (round, inbox content), and a repeat returns the first call's result. *)
@@ -73,7 +81,7 @@ let test_machine_persistent () =
   Alcotest.(check int) "another round: another call" 2 !calls;
   ignore (counted.Machine.step ~round:1 ~inbox:[ (1, "y") ]);
   Alcotest.(check int) "another payload: another call" 3 !calls;
-  let probed = Machine.probe_output s1 ~round:2 ~inbox:[ (2, "z") ] in
+  let probed = probe_output s1 ~round:2 ~inbox:[ (2, "z") ] in
   let _, stepped = s1.Machine.step ~round:2 ~inbox:[ (2, "z") ] in
   Alcotest.(check int) "probe then the real step: one call" 4 !calls;
   Alcotest.(check bool) "the step outputs what the probe saw" true
@@ -82,17 +90,6 @@ let test_machine_persistent () =
   Alcotest.check_raises "a raising transition raises" (Failure "boom") boom;
   Alcotest.check_raises "and raises again: nothing was stored" (Failure "boom") boom;
   Alcotest.(check int) "both raising calls ran the transition" 6 !calls
-
-let test_run_to_completion () =
-  let m = counter_machine () in
-  let out = Machine.run_to_completion m ~max_rounds:5 ~feed:(fun ~round:_ -> [ (1, "m") ]) in
-  Alcotest.(check (option string)) "three rounds of one message" (Some "3") out;
-  let aborting =
-    Machine.make () (fun () ~round ~inbox:_ ->
-        if round = 2 then ((), [ Machine.Abort_self ]) else ((), []))
-  in
-  Alcotest.(check (option string)) "abort yields None" None
-    (Machine.run_to_completion aborting ~max_rounds:5 ~feed:(fun ~round:_ -> []))
 
 (* ----------------------------- engine ------------------------------- *)
 
@@ -246,6 +243,22 @@ let test_engine_max_rounds () =
   | Engine.Honest_no_output -> ()
   | _ -> Alcotest.fail "expected Honest_no_output"
 
+(* The message guard: pingpong's limit is (n + 1) * max_rounds * 1024 =
+   15 360 messages.  An adversary flooding p2 with 8 000 messages a round
+   passes it in round 2: after round 1's 8 000 and p2's reply, the
+   7 360th flood message of round 2 is message 15 361. *)
+let test_engine_message_guard () =
+  let flood = List.init 8000 (fun _ -> (1, Wire.To 2, "x")) in
+  let adv =
+    Adversary.make ~name:"flood" (fun _rng ~protocol:_ ->
+        { Adversary.initial = [ 1 ];
+          step = (fun _ -> { Adversary.silent_decision with Adversary.send = flood }) })
+  in
+  Alcotest.check_raises "guard trips"
+    (Engine.Fail (Engine.Round_limit { round = 2; messages = 15361; limit = 15360 }))
+    (fun () ->
+      ignore (Engine.run ~protocol:pingpong ~adversary:adv ~inputs:[| "a"; "" |] ~rng:(rng ())))
+
 let test_engine_claims_recorded () =
   let adv =
     Adversary.make ~name:"claimer" (fun _rng ~protocol:_ ->
@@ -356,8 +369,7 @@ let () =
           Alcotest.test_case "empty field list rejected" `Quick test_frame_empty_rejected;
           Alcotest.test_case "malformed rejected" `Quick test_unframe_rejects ] );
       ( "machine",
-        [ Alcotest.test_case "persistence and probing" `Quick test_machine_persistent;
-          Alcotest.test_case "run_to_completion" `Quick test_run_to_completion ] );
+        [ Alcotest.test_case "persistence and probing" `Quick test_machine_persistent ] );
       ( "engine",
         [ Alcotest.test_case "point-to-point delivery" `Quick test_engine_delivery;
           Alcotest.test_case "broadcast" `Quick test_engine_broadcast;
@@ -369,6 +381,7 @@ let () =
           Alcotest.test_case "unauthorized send rejected" `Quick
             test_engine_rejects_unauthorized_send;
           Alcotest.test_case "max_rounds stop" `Quick test_engine_max_rounds;
+          Alcotest.test_case "message guard" `Quick test_engine_message_guard;
           Alcotest.test_case "claims recorded" `Quick test_engine_claims_recorded;
           Alcotest.test_case "deterministic under fixed seed" `Quick test_engine_deterministic;
           Alcotest.test_case "trace records messages" `Quick test_trace_records_messages;

@@ -96,8 +96,8 @@ let collector =
 let run_spec ?(input = "hello") ?(seed = "faults-test") spec =
   let plan = Faults.of_spec spec in
   let inst = Faults.instantiate plan ~rng:(rng (seed ^ ":faults")) in
-  Engine.run_with ~faults:inst.Faults.injector ~protocol:collector
-    ~adversary:Adversary.passive ~inputs:[| input; "" |] ~rng:(rng seed) ()
+  Engine.run_prepared ~faults:inst.Faults.injector ~adversary:Adversary.passive
+    (Engine.prepare ~protocol:collector ~inputs:[| input; "" |] ~rng:(rng seed))
 
 let p2_output o =
   match List.assoc 2 o.Engine.results with
@@ -176,8 +176,8 @@ let test_schedule_deterministic () =
   let run () =
     let inst = Faults.instantiate (Faults.of_spec "drop@*%0.5;flip@*%0.5") ~rng:(rng "sched") in
     ignore
-      (Engine.run_with ~faults:inst.Faults.injector ~protocol:collector
-         ~adversary:Adversary.passive ~inputs:[| "hello"; "" |] ~rng:(rng "exec") ());
+      (Engine.run_prepared ~faults:inst.Faults.injector ~adversary:Adversary.passive
+         (Engine.prepare ~protocol:collector ~inputs:[| "hello"; "" |] ~rng:(rng "exec")));
     applied_strings (inst.Faults.applied ())
   in
   let a = run () and b = run () in
@@ -192,11 +192,10 @@ let test_schedule_seed_sensitivity () =
     let inst = Faults.instantiate (Faults.of_spec "drop@*%0.5") ~rng:(rng seed) in
     List.init 40 (fun i ->
         ignore
-          (Engine.run_with ~faults:inst.Faults.injector ~protocol:collector
-             ~adversary:Adversary.passive
-             ~inputs:[| string_of_int i; "" |]
-             ~rng:(rng (Printf.sprintf "exec:%d" i))
-             ());
+          (Engine.run_prepared ~faults:inst.Faults.injector ~adversary:Adversary.passive
+             (Engine.prepare ~protocol:collector
+                ~inputs:[| string_of_int i; "" |]
+                ~rng:(rng (Printf.sprintf "exec:%d" i))));
         ())
     |> ignore;
     applied_strings (inst.Faults.applied ())

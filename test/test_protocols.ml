@@ -139,11 +139,11 @@ let test_optn_per_t () =
       close (Printf.sprintf "optn t=%d" t) e.Mc.utility (Bounds.optn gamma ~n ~t))
     (Adv.greedy_per_t ~func ~n ())
 
-(* Golden regression: the exact trial stream captured before the arena /
-   Prep-cache / memoized-verification fast paths landed.  The fast paths
-   are pure refactors of the same computation, so every one of these
-   numbers must stay bitwise — a drift here means per-trial randomness or
-   message scheduling changed, which silently invalidates every recorded
+(* Golden regression: the exact trial stream captured before the trial
+   fast paths landed.  Every change to the trial path since has been a
+   pure refactor of the same computation, so every one of these numbers
+   must stay bitwise — a drift here means per-trial randomness or message
+   scheduling changed, which silently invalidates every recorded
    experiment table. *)
 let test_optn_golden_stream () =
   let func = Func.concat ~n:3 in
