@@ -35,20 +35,19 @@ let corrupted_parties trial =
     trial.outcome.Engine.results
 
 let legitimate_outputs trial =
-  let corrupted = corrupted_parties trial in
-  let t = List.length corrupted in
-  let patterns = if t > 12 then 1 lsl 12 else 1 lsl t in
-  let outputs = ref [] in
-  for mask = 0 to patterns - 1 do
-    let inputs =
-      Array.mapi
-        (fun i x ->
-          match List.find_index (fun c -> c = i + 1) corrupted with
-          | Some k when (mask lsr k) land 1 = 1 -> trial.func.Func.default_input
-          | _ -> x)
-        trial.inputs
-    in
-    let y = Func.eval_exn trial.func inputs in
+  let func = trial.func and inputs = trial.inputs in
+  let corrupted = Array.of_list (corrupted_parties trial) in
+  let t = min (Array.length corrupted) 12 in
+  (* Mask 0 substitutes nothing, so it reads the trial's own inputs; every
+     other mask patches a copy at the positions of its corrupted parties. *)
+  let outputs = ref [ Func.eval_exn func inputs ] in
+  for mask = 1 to (1 lsl t) - 1 do
+    let xs = Array.copy inputs in
+    for k = 0 to t - 1 do
+      let i = corrupted.(k) - 1 in
+      if (mask lsr k) land 1 = 1 && i < Array.length xs then xs.(i) <- func.Func.default_input
+    done;
+    let y = Func.eval_exn func xs in
     if not (List.mem y !outputs) then outputs := y :: !outputs
   done;
   List.rev !outputs

@@ -18,6 +18,8 @@ let of_int_seed n = create ~seed:("int-seed:" ^ string_of_int n)
 
 let split g ~label = create ~seed:(Sha256.digest (g.seed ^ "|split|" ^ label))
 
+let copy g = { seed = g.seed; counter = g.counter; buffer = g.buffer; pos = g.pos }
+
 let refill g =
   g.buffer <- Sha256.digest (g.seed ^ "|ctr|" ^ string_of_int g.counter);
   g.counter <- g.counter + 1;
@@ -80,10 +82,6 @@ let field g =
     if v < Field.p then Field.of_int v else draw ()
   in
   draw ()
-
-let rec field_nonzero g =
-  let v = field g in
-  if Field.equal v Field.zero then field_nonzero g else v
 
 let field_vector g n = Array.init n (fun _ -> field g)
 

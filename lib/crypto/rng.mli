@@ -24,6 +24,12 @@ val split : t -> label:string -> t
     [label]; distinct labels give computationally independent streams and do
     not advance [g]. *)
 
+val copy : t -> t
+(** [copy g] continues [g]'s stream from where [g] stands, without advancing
+    [g] or being advanced by it.  A copy of a generator never drawn from
+    draws what [g] itself would: a split taken once can serve as the
+    template of many identical ones. *)
+
 val bytes : t -> int -> string
 (** [bytes g n] draws [n] pseudo-random bytes. *)
 
@@ -40,8 +46,6 @@ val bernoulli : t -> float -> bool
 
 val field : t -> Fair_field.Field.t
 (** A uniform field element (rejection sampling below the modulus). *)
-
-val field_nonzero : t -> Fair_field.Field.t
 
 val field_vector : t -> int -> Fair_field.Field.t array
 

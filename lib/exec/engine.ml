@@ -94,15 +94,6 @@ let honest_outputs outcome =
       | Was_corrupted -> None)
     outcome.results
 
-let all_honest_output outcome ~expected =
-  List.for_all
-    (fun (_, r) ->
-      match r with
-      | Honest_output v -> String.equal v expected
-      | Honest_abort | Honest_no_output -> false
-      | Was_corrupted -> true)
-    outcome.results
-
 let claimed outcome ~truth =
   List.exists (fun (_, v) -> String.equal v truth) outcome.claims
 
@@ -119,19 +110,36 @@ let fatal = function
 (* Inboxes are sender-sorted; sources are small ints. *)
 let by_src ((a : int), _) ((b : int), _) = compare a b
 
+(* Ascending insertion; ids are distinct. *)
+let rec insert_corrupted (c : Adversary.corrupted) = function
+  | (x : Adversary.corrupted) :: rest when x.id < c.id -> x :: insert_corrupted c rest
+  | l -> c :: l
+
+(* [List.iter (f r)] without building the partial application. *)
+let rec iter_round f r = function
+  | [] -> ()
+  | x :: rest ->
+      f r x;
+      iter_round f r rest
+
 (* ------------------------------------------------------------------ *)
-(* The adversary-independent half of an execution: the dealer's setup and
-   the honest party machines.  Built once, it can be played against any
-   number of adversaries, because machines are persistent (see
-   [Machine]) and everything per-execution — the functionality, the
-   adversary instance, the fault injector, the per-run arrays — is built
-   in [run_exec]. *)
+(* The adversary-independent half of an execution: the dealer's setup,
+   the honest party machines and the templates of the per-play
+   generators.  Built once, it can be played against any number of
+   adversaries, because machines are persistent (see [Machine]) and
+   everything per-execution — the functionality, the adversary instance,
+   the fault injector, the per-run arrays — is built in [run_exec]. *)
 type prepared = {
   p_protocol : Protocol.t;
   p_inputs : string array;
   p_setup : string array;
   p_parties : Machine.t array;  (* party i+1's machine at index i *)
-  p_rng : Rng.t;  (* the execution generator; only split from, never drawn *)
+  (* The functionality (hybrid protocols only) with the "functionality"
+     split of the execution generator, and the "adversary" split.  The
+     splits are never drawn from: every play draws from a copy, so every
+     play sees the coins a fresh split would give. *)
+  p_functionality : ((Rng.t -> n:int -> Machine.t) * Rng.t) option;
+  p_adversary_rng : Rng.t;
 }
 
 let prepare ~protocol ~inputs ~rng =
@@ -157,12 +165,17 @@ let prepare ~protocol ~inputs ~rng =
           ~rng:(Rng.split rng ~label:("party-" ^ string_of_int (k + 1)))
           ~id:(k + 1) ~n ~input:inputs.(k) ~setup:setup.(k))
   in
-  { p_protocol = protocol; p_inputs = inputs; p_setup = setup; p_parties = parties; p_rng = rng }
+  { p_protocol = protocol;
+    p_inputs = inputs;
+    p_setup = setup;
+    p_parties = parties;
+    p_functionality =
+      Option.map (fun f -> (f, Rng.split rng ~label:"functionality")) protocol.Protocol.functionality;
+    p_adversary_rng = Rng.split rng ~label:"adversary" }
 
 let run_exec ~faults ~adversary p =
   let protocol = p.p_protocol in
   let n = protocol.Protocol.parties in
-  let inputs = p.p_inputs and setup = p.p_setup and rng = p.p_rng in
   let msg_limit = (n + 1) * protocol.Protocol.max_rounds * 1024 in
   (* Slots indexed 0..n; slot 0 is the functionality (or an inert machine). *)
   let slots = Array.make (n + 1) (Finished Was_corrupted) in
@@ -175,14 +188,24 @@ let run_exec ~faults ~adversary p =
   let failures = ref [] in
   let record_failure f = failures := f :: !failures in
   slots.(0) <-
-    (match protocol.Protocol.functionality with
+    (match p.p_functionality with
     | None -> Finished Honest_abort (* unused marker; never consulted *)
-    | Some f -> Running (f (Rng.split rng ~label:"functionality") ~n, "", ""));
+    | Some (f, g) -> Running (f (Rng.copy g) ~n, "", ""));
   for i = 1 to n do
-    slots.(i) <- Running (p.p_parties.(i - 1), inputs.(i - 1), setup.(i - 1))
+    slots.(i) <- Running (p.p_parties.(i - 1), p.p_inputs.(i - 1), p.p_setup.(i - 1))
   done;
-  let adv = adversary.Adversary.make (Rng.split rng ~label:"adversary") ~protocol in
+  let adv = adversary.Adversary.make (Rng.copy p.p_adversary_rng) ~protocol in
   let claims = ref [] in
+  let claim r = function
+    | None -> ()
+    | Some v ->
+        claims := (r, v) :: !claims;
+        Trace.record trace (Trace.Claimed (r, v))
+  in
+  (* The state of the corrupted parties still running when corrupted,
+     ascending by id.  The engine never steps a corrupted slot, so it
+     changes only here. *)
+  let coalition = ref [] in
   let corrupt_party round id =
     if id < 1 || id > n then
       raise
@@ -195,10 +218,14 @@ let run_exec ~faults ~adversary p =
     if not corrupted.(id) then begin
       corrupted.(id) <- true;
       results.(id) <- Was_corrupted;
+      (match slots.(id) with
+      | Running (machine, input, setup) ->
+          coalition := insert_corrupted { Adversary.id; input; setup; machine } !coalition
+      | Finished _ -> ());
       Trace.record trace (Trace.Corrupted (round, id))
     end
   in
-  List.iter (corrupt_party 0) adv.Adversary.initial;
+  iter_round corrupt_party 0 adv.Adversary.initial;
   (* Envelopes re-scheduled by a delay fault: (due round, envelope), due in
      the round whose inbox they join.  Prepended, so reversing the due
      slice restores chronological order before the stable per-source sort. *)
@@ -216,8 +243,36 @@ let run_exec ~faults ~adversary p =
   in
   (* Route one faulted copy: normal copies join the next-round inboxes,
      delayed copies park in [pending] until their due round. *)
-  let route ~round (d, env) =
+  let route round (d, env) =
     if d <= 0 then deliver inbox_next env else pending := (round + 1 + d, env) :: !pending
+  in
+  (* Channel faults interpose between the machines and the wire: each
+     envelope becomes the list of (delay, copy) actually in flight.  The
+     injector is asked in send order. *)
+  let rec interpose r = function
+    | [] -> []
+    | env :: rest ->
+        let copies = faults.on_envelope ~round:r env in
+        copies @ interpose r rest
+  in
+  (* Rushing: the adversary sees round-r messages to corrupted parties and
+     all broadcasts before answering.  It taps the wire, so it sees the
+     faulted copies (tampered payloads included), not the pristine
+     sends. *)
+  let rec rushed = function
+    | [] -> []
+    | ((_, env) : int * Wire.envelope) :: rest -> (
+        match env.dst with
+        | Wire.To p when not (p >= 1 && p <= n && corrupted.(p)) -> rushed rest
+        | _ -> env :: rushed rest)
+  in
+  (* Every corrupted party's inbox, finished or not, ascending by id. *)
+  let coalition_inboxes inboxes =
+    let l = ref [] in
+    for id = n downto 1 do
+      if corrupted.(id) then l := (id, inboxes.(id)) :: !l
+    done;
+    !l
   in
   let active () =
     (* At least one party in 1..n still honestly running. *)
@@ -229,22 +284,6 @@ let run_exec ~faults ~adversary p =
     done;
     !some
   in
-  (* Adversary view pieces, built with one descending loop (prepending
-     keeps ids ascending) instead of materialising a fresh id list per
-     round. *)
-  let corrupted_view inboxes =
-    let info = ref [] and inbox = ref [] in
-    for id = n downto 1 do
-      if corrupted.(id) then begin
-        (match slots.(id) with
-        | Running (m, input, setup) ->
-            info := { Adversary.id; input; setup; machine = m } :: !info
-        | Finished _ -> ());
-        inbox := (id, inboxes.(id)) :: !inbox
-      end
-    done;
-    (!info, !inbox)
-  in
   (* Inboxes are accumulated in reverse order of delivery; present them
      sender-ordered for determinism.  Empty and singleton inboxes (the
      overwhelmingly common case) are already sorted. *)
@@ -253,14 +292,69 @@ let run_exec ~faults ~adversary p =
       match a.(i) with [] | [ _ ] -> () | l -> a.(i) <- List.stable_sort by_src l
     done
   in
-  let round = ref 0 in
   let msgs = ref 0 in
   let count_msg r =
     incr msgs;
     if !msgs > msg_limit then
       raise (Fail (Round_limit { round = r; messages = !msgs; limit = msg_limit }))
   in
-  let exec_round r =
+  let honest_envelopes = ref [] in
+  let rec perform r id = function
+    | [] -> ()
+    | action :: rest ->
+        (match action with
+        | Machine.Send (dst, payload) ->
+            let env = { Wire.src = id; dst; payload } in
+            count_msg r;
+            Trace.record trace (Trace.Sent (r, env));
+            honest_envelopes := env :: !honest_envelopes
+        | Machine.Output v ->
+            slots.(id) <- Finished (Honest_output v);
+            if id > 0 then results.(id) <- Honest_output v;
+            Trace.record trace (Trace.Output_event (r, id, v))
+        | Machine.Abort_self ->
+            slots.(id) <- Finished Honest_abort;
+            if id > 0 then results.(id) <- Honest_abort;
+            Trace.record trace (Trace.Aborted (r, id)));
+        perform r id rest
+  in
+  let step_slot r id =
+    match slots.(id) with
+    | Running (m, input, setup) when not corrupted.(id) -> (
+        match m.Machine.step ~round:r ~inbox:inbox_now.(id) with
+        | m', actions ->
+            slots.(id) <- Running (m', input, setup);
+            perform r id actions
+        | exception e when not (fatal e) ->
+            (* A machine that cannot digest its inbox is a machine that
+               aborts: contain the raise, record it, keep the run alive.
+               Anything the adversary (or a fault) gained by crashing a
+               party is therefore bounded by what aborting it gains. *)
+            slots.(id) <- Finished Honest_abort;
+            if id > 0 then results.(id) <- Honest_abort;
+            record_failure
+              (Malformed_message { round = r; party = id; reason = Printexc.to_string e });
+            Metrics.incr c_machine_faults;
+            Trace.record trace (Trace.Aborted (r, id)))
+    | _ -> ()
+  in
+  let adversary_send r (src, dst, payload) =
+    if src < 1 || src > n || not corrupted.(src) then
+      raise
+        (Fail
+           (Protocol_violation
+              { round = r;
+                party = src;
+                reason = Printf.sprintf "adversary sent from non-corrupted party %d" src }));
+    let env = { Wire.src; dst; payload } in
+    count_msg r;
+    Trace.record trace (Trace.Sent (r, env));
+    (* Adversary traffic crosses the same faulty channels. *)
+    iter_round route r (faults.on_envelope ~round:r env)
+  in
+  let round = ref 0 in
+  let exec_round () =
+    let r = !round in
     Array.blit inbox_next 0 inbox_now 0 (n + 1);
     Array.fill inbox_next 0 (n + 1) [];
     (* Delayed envelopes whose due round has arrived join this round's
@@ -285,96 +379,30 @@ let run_exec ~faults ~adversary p =
           Trace.record trace (Trace.Crashed (r, id))
       | _ -> ()
     done;
-    let honest_envelopes = ref [] in
-    let step_slot id =
-      match slots.(id) with
-      | Running (m, input, setup) when not corrupted.(id) -> (
-          match m.Machine.step ~round:r ~inbox:inbox_now.(id) with
-          | m', actions ->
-              slots.(id) <- Running (m', input, setup);
-              List.iter
-                (fun action ->
-                  match action with
-                  | Machine.Send (dst, payload) ->
-                      let env = { Wire.src = id; dst; payload } in
-                      count_msg r;
-                      Trace.record trace (Trace.Sent (r, env));
-                      honest_envelopes := env :: !honest_envelopes
-                  | Machine.Output v ->
-                      slots.(id) <- Finished (Honest_output v);
-                      if id > 0 then results.(id) <- Honest_output v;
-                      Trace.record trace (Trace.Output_event (r, id, v))
-                  | Machine.Abort_self ->
-                      slots.(id) <- Finished Honest_abort;
-                      if id > 0 then results.(id) <- Honest_abort;
-                      Trace.record trace (Trace.Aborted (r, id)))
-                actions
-          | exception e when not (fatal e) ->
-              (* A machine that cannot digest its inbox is a machine that
-                 aborts: contain the raise, record it, keep the run alive.
-                 Anything the adversary (or a fault) gained by crashing a
-                 party is therefore bounded by what aborting it gains. *)
-              slots.(id) <- Finished Honest_abort;
-              if id > 0 then results.(id) <- Honest_abort;
-              record_failure
-                (Malformed_message { round = r; party = id; reason = Printexc.to_string e });
-              Metrics.incr c_machine_faults;
-              Trace.record trace (Trace.Aborted (r, id)))
-      | _ -> ()
-    in
+    honest_envelopes := [];
     (* The functionality steps first (a trusted party answers within the
        round structure like any other machine; ordering only affects the
        trace). *)
     for id = 0 to n do
-      step_slot id
+      step_slot r id
     done;
-    let honest_envelopes = List.rev !honest_envelopes in
-    (* Channel faults interpose here, between the machines and the wire:
-       each honest envelope becomes the list of (delay, copy) actually in
-       flight. *)
-    let faulted = List.concat_map (fun env -> faults.on_envelope ~round:r env) honest_envelopes in
-    (* Rushing: adversary sees round-r messages to corrupted parties and all
-       broadcasts before answering.  It taps the wire, so it sees the
-       faulted copies (tampered payloads included), not the pristine
-       sends. *)
-    let rushed =
-      List.filter_map
-        (fun ((_, env) : int * Wire.envelope) ->
-          match env.dst with
-          | Wire.To p -> if p >= 1 && p <= n && corrupted.(p) then Some env else None
-          | Wire.Broadcast -> Some env)
-        faulted
+    let faulted = interpose r (List.rev !honest_envelopes) in
+    let view =
+      { Adversary.round = r;
+        n;
+        corrupted = !coalition;
+        inbox = coalition_inboxes inbox_now;
+        rushed = rushed faulted }
     in
-    let corrupted_info, adv_inbox = corrupted_view inbox_now in
-    let view = { Adversary.round = r; n; corrupted = corrupted_info; inbox = adv_inbox; rushed } in
     let decision = adv.Adversary.step view in
-    List.iter (route ~round:r) faulted;
-    List.iter
-      (fun (src, dst, payload) ->
-        if src < 1 || src > n || not corrupted.(src) then
-          raise
-            (Fail
-               (Protocol_violation
-                  { round = r;
-                    party = src;
-                    reason =
-                      Printf.sprintf "adversary sent from non-corrupted party %d" src }));
-        let env = { Wire.src; dst; payload } in
-        count_msg r;
-        Trace.record trace (Trace.Sent (r, env));
-        (* Adversary traffic crosses the same faulty channels. *)
-        List.iter (route ~round:r) (faults.on_envelope ~round:r env))
-      decision.Adversary.send;
-    (match decision.Adversary.claim_learned with
-    | None -> ()
-    | Some v ->
-        claims := (r, v) :: !claims;
-        Trace.record trace (Trace.Claimed (r, v)));
-    List.iter (corrupt_party r) decision.Adversary.corrupt
+    iter_round route r faulted;
+    iter_round adversary_send r decision.Adversary.send;
+    claim r decision.Adversary.claim_learned;
+    iter_round corrupt_party r decision.Adversary.corrupt
   in
   while active () && !round < protocol.Protocol.max_rounds do
     incr round;
-    Otrace.with_span ~cat:"engine" "engine.round" (fun () -> exec_round !round)
+    Otrace.with_span ~cat:"engine" "engine.round" exec_round
   done;
   let stopped_at_max = active () in
   (* Flush: the execution stopped because every honest party finished, but
@@ -383,17 +411,15 @@ let run_exec ~faults ~adversary p =
      read further messages). *)
   let r = !round + 1 in
   sort_inboxes inbox_next;
-  let corrupted_info, adv_inbox = corrupted_view inbox_next in
-  if corrupted_info <> [] then begin
+  if !coalition <> [] then begin
     let view =
-      { Adversary.round = r; n; corrupted = corrupted_info; inbox = adv_inbox; rushed = [] }
+      { Adversary.round = r;
+        n;
+        corrupted = !coalition;
+        inbox = coalition_inboxes inbox_next;
+        rushed = [] }
     in
-    let decision = adv.Adversary.step view in
-    match decision.Adversary.claim_learned with
-    | None -> ()
-    | Some v ->
-        claims := (r, v) :: !claims;
-        Trace.record trace (Trace.Claimed (r, v))
+    claim r (adv.Adversary.step view).Adversary.claim_learned
   end;
   if Metrics.enabled () then begin
     Metrics.incr c_execs;

@@ -86,11 +86,6 @@ val honest_outputs : outcome -> (Wire.party_id * Wire.payload option) list
 (** Never-corrupted parties only; [Some v] for an output, [None] for ⊥ or no
     output. *)
 
-val all_honest_output : outcome -> expected:Wire.payload -> bool
-(** Every never-corrupted party output exactly [expected].  Vacuously true
-    when every party was corrupted (matches the paper's convention that an
-    adversary corrupting everyone provokes E11). *)
-
 val claimed : outcome -> truth:Wire.payload -> bool
 (** Did any learned-output claim match the true value? *)
 
@@ -110,17 +105,19 @@ val claimed : outcome -> truth:Wire.payload -> bool
 type prepared
 
 val prepare : protocol:Protocol.t -> inputs:string array -> rng:Fair_crypto.Rng.t -> prepared
-(** Run the dealer on [rng]'s ["dealer"] split and build party [i]'s
-    machine on its ["party-i"] split.  [rng] itself is only split from,
-    never drawn, so it can serve every play.
+(** Run the dealer on [rng]'s ["dealer"] split, build party [i]'s machine
+    on its ["party-i"] split, and take the ["adversary"] split (and, for a
+    hybrid protocol, the ["functionality"] split) that every play starts
+    from.  [rng] itself is only split from, never drawn.
     @raise Invalid_argument if [inputs] has the wrong length or the dealer
     produces the wrong number of setup values. *)
 
 val run_prepared : ?faults:injector -> adversary:Adversary.t -> prepared -> outcome
 (** Play [adversary] against a prelude, under the protocol it was built
-    for.  The functionality and the adversary draw from fresh
-    ["functionality"] and ["adversary"] splits of the prelude's generator,
-    so every play of one prelude sees the same coins.  [faults] (default
+    for.  The functionality and the adversary draw from copies
+    ({!Fair_crypto.Rng.copy}) of the prelude's ["functionality"] and
+    ["adversary"] splits, so every play of one prelude sees the coins a
+    fresh split would give.  [faults] (default
     {!no_faults}) rewrites every envelope — honest and adversarial alike —
     and decides party crash-stops; the trace records envelopes as sent
     (pre-fault), so audit-based event overrides are unaffected by channel

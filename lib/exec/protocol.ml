@@ -13,6 +13,3 @@ let make ~name ~parties ~max_rounds ?setup ?functionality make_party =
   if parties < 1 then invalid_arg "Protocol.make: parties < 1";
   if max_rounds < 1 then invalid_arg "Protocol.make: max_rounds < 1";
   { name; parties; max_rounds; setup; functionality; make_party }
-
-let honest_machine t ~rng ~id ~input ~setup =
-  t.make_party ~rng ~id ~n:t.parties ~input ~setup

@@ -38,8 +38,3 @@ val make :
   ?functionality:(Fair_crypto.Rng.t -> n:int -> Machine.t) ->
   (rng:Fair_crypto.Rng.t -> id:Wire.party_id -> n:int -> input:string -> setup:string -> Machine.t) ->
   t
-
-val honest_machine :
-  t -> rng:Fair_crypto.Rng.t -> id:Wire.party_id -> input:string -> setup:string -> Machine.t
-(** Instantiate party [id]'s honest machine — also used by adversaries that
-    run corrupted parties semi-honestly (the A1/A_ī strategies). *)

@@ -76,7 +76,7 @@ let maximum ~n =
 let contract =
   { name = "contract";
     arity = 2;
-    eval = (fun xs -> Printf.sprintf "signed<%s;%s>" xs.(0) xs.(1));
+    eval = (fun xs -> "signed<" ^ xs.(0) ^ ";" ^ xs.(1) ^ ">");
     default_input = "_" }
 
 let eval_exn t xs =

@@ -80,26 +80,39 @@ let step_machines driver (view : Adversary.view) =
       driver.machines;
   (List.rev !sends, List.rev !outputs)
 
+(* Member [id]'s inbox from one round's traffic, in arrival order and ahead
+   of [rest]: the messages addressed to it and every broadcast.  The
+   coalition's own sends are (source, destination, payload) triples; the
+   honest parties' rushed messages are envelopes. *)
+let rec inbox_of_sends id sends rest =
+  match sends with
+  | [] -> rest
+  | (_, Wire.To p, _) :: tl when p <> id -> inbox_of_sends id tl rest
+  | (src, _, payload) :: tl -> (src, payload) :: inbox_of_sends id tl rest
+
+let rec inbox_of_rushed id rushed rest =
+  match rushed with
+  | [] -> rest
+  | { Wire.dst = Wire.To p; _ } :: tl when p <> id -> inbox_of_rushed id tl rest
+  | { Wire.src; payload; _ } :: tl -> (src, payload) :: inbox_of_rushed id tl rest
+
 (* Simulate the corrupted coalition forward against a silent residual
-   network: initial inboxes are given, afterwards only coalition-internal
-   traffic flows.  Returns the first output any coalition machine produces
-   that is not in [boring] — the default-fallback evaluations the paper's
-   A1 strategy explicitly discounts ("checks whether the output is the
-   default output"). *)
-let coalition_probe ?(boring = []) machines ~initial ~start_round ~max_rounds =
-  let rec go machines inboxes round fuel =
+   network.  Its first inboxes (round [view.round + 1]) are what the
+   coalition would see if this round's rushed messages and its own [sends]
+   were delivered, the rushed ones first; afterwards only
+   coalition-internal traffic flows.  Returns the first output any
+   coalition machine produces that is not in [boring] — the
+   default-fallback evaluations the paper's A1 strategy explicitly
+   discounts ("checks whether the output is the default output"). *)
+let coalition_probe ?(boring = []) machines (view : Adversary.view) sends ~max_rounds =
+  let rec go machines rushed sends round fuel =
     if fuel <= 0 || machines = [] then None
     else begin
-      let next_inboxes = Hashtbl.create 8 in
-      let push id msg =
-        Hashtbl.replace next_inboxes id (msg :: (try Hashtbl.find next_inboxes id with Not_found -> []))
-      in
-      let output = ref None in
+      let sent = ref [] and output = ref None in
       let machines' =
         List.filter_map
           (fun (id, m) ->
-            let inbox = try Hashtbl.find inboxes id with Not_found -> [] in
-            let inbox = List.rev inbox in
+            let inbox = inbox_of_rushed id rushed (inbox_of_sends id sends []) in
             let m', actions = m.Machine.step ~round ~inbox in
             let finished = ref false in
             List.iter
@@ -108,44 +121,49 @@ let coalition_probe ?(boring = []) machines ~initial ~start_round ~max_rounds =
                 | Machine.Output v ->
                     if !output = None && not (List.mem v boring) then output := Some v
                 | Machine.Abort_self -> finished := true
-                | Machine.Send (dst, payload) -> (
-                    match dst with
-                    | Wire.To p ->
-                        if List.mem_assoc p machines then push p (id, payload)
-                    | Wire.Broadcast ->
-                        List.iter (fun (p, _) -> push p (id, payload)) machines))
+                | Machine.Send (dst, payload) -> sent := (id, dst, payload) :: !sent)
               actions;
             if !finished then None else Some (id, m'))
           machines
       in
       match !output with
       | Some v -> Some v
-      | None -> go machines' next_inboxes (round + 1) (fuel - 1)
+      | None -> go machines' [] (List.rev !sent) (round + 1) (fuel - 1)
     end
   in
-  let init = Hashtbl.create 8 in
-  List.iter (fun (id, msgs) -> Hashtbl.replace init id (List.rev msgs)) initial;
-  go machines init start_round max_rounds
+  go machines view.Adversary.rushed sends (view.Adversary.round + 1) max_rounds
 
-(* Inboxes the coalition would see next round if the residual network's
-   round-r messages (the rushed ones) were delivered, together with the
-   coalition's own round-r traffic. *)
-let next_inboxes_after (view : Adversary.view) sends coalition =
-  let tbl = Hashtbl.create 8 in
-  let push id msg = Hashtbl.replace tbl id (msg :: (try Hashtbl.find tbl id with Not_found -> [])) in
-  List.iter
-    (fun (env : Wire.envelope) ->
-      match env.Wire.dst with
-      | Wire.To p -> if List.mem p coalition then push p (env.Wire.src, env.Wire.payload)
-      | Wire.Broadcast -> List.iter (fun p -> push p (env.Wire.src, env.Wire.payload)) coalition)
-    view.Adversary.rushed;
-  List.iter
-    (fun (src, dst, payload) ->
-      match dst with
-      | Wire.To p -> if List.mem p coalition then push p (src, payload)
-      | Wire.Broadcast -> List.iter (fun p -> push p (src, payload)) coalition)
-    sends;
-  List.map (fun id -> (id, List.rev (try Hashtbl.find tbl id with Not_found -> []))) coalition
+let rec same_ids ids (corrupted : Adversary.corrupted list) =
+  match (ids, corrupted) with
+  | [], [] -> true
+  | id :: ids, c :: corrupted -> id = c.Adversary.id && same_ids ids corrupted
+  | _ -> false
+
+(* Evaluations the coalition can compute on its own (the honest parties'
+   inputs replaced by the default): a probe yielding one of these is a
+   fallback, not a leak — the paper's A1 discounts it.  Evaluated once per
+   coalition, which only adaptive corruption changes. *)
+let boring_outputs func =
+  match func with
+  | None -> fun _ -> []
+  | Some (f : Fair_mpc.Func.t) ->
+      let ids = ref [] and boring = ref [] in
+      fun (view : Adversary.view) ->
+        let corrupted = view.Adversary.corrupted in
+        if not (same_ids !ids corrupted) then begin
+          let inputs = Array.make f.Fair_mpc.Func.arity f.Fair_mpc.Func.default_input in
+          List.iter
+            (fun (c : Adversary.corrupted) ->
+              if c.Adversary.id >= 1 && c.Adversary.id <= Array.length inputs then
+                inputs.(c.Adversary.id - 1) <- c.Adversary.input)
+            corrupted;
+          (boring :=
+             match Fair_mpc.Func.eval_exn f inputs with
+             | v -> [ v ]
+             | exception Invalid_argument _ -> []);
+          ids := List.map (fun (c : Adversary.corrupted) -> c.Adversary.id) corrupted
+        end;
+        !boring
 
 (* --------------------------------------------------------------------- *)
 (* Strategies                                                             *)
@@ -191,13 +209,9 @@ let abort_at ~round spec =
           let claim =
             if !claimed then None
             else begin
-              let coalition = List.map fst driver.machines in
-              let initial_inboxes = next_inboxes_after view [] coalition in
               match outputs with
               | v :: _ -> Some v
-              | [] ->
-                  coalition_probe driver.machines ~initial:initial_inboxes
-                    ~start_round:(view.Adversary.round + 1) ~max_rounds
+              | [] -> coalition_probe driver.machines view [] ~max_rounds
             end
           in
           if claim <> None then claimed := true;
@@ -238,26 +252,7 @@ let greedy ?func spec =
       let driver = new_driver () in
       let max_rounds = protocol.Protocol.max_rounds in
       let aborted = ref false in
-      (* Evaluations the coalition can compute on its own (the honest
-         parties' inputs replaced by the default): a probe yielding one of
-         these is a fallback, not a leak — the paper's A1 discounts it. *)
-      let boring_of (view : Adversary.view) =
-        match func with
-        | None -> []
-        | Some (f : Fair_mpc.Func.t) ->
-            if List.length view.Adversary.corrupted = 0 then []
-            else begin
-              let inputs = Array.make f.Fair_mpc.Func.arity f.Fair_mpc.Func.default_input in
-              List.iter
-                (fun (c : Adversary.corrupted) ->
-                  if c.Adversary.id >= 1 && c.Adversary.id <= Array.length inputs then
-                    inputs.(c.Adversary.id - 1) <- c.Adversary.input)
-                view.Adversary.corrupted;
-              match Fair_mpc.Func.eval_exn f inputs with
-              | v -> [ v ]
-              | exception Invalid_argument _ -> []
-            end
-      in
+      let boring_of = boring_outputs func in
       let step (view : Adversary.view) =
         adopt driver view;
         if !aborted then Adversary.silent_decision
@@ -271,12 +266,7 @@ let greedy ?func spec =
               aborted := true;
               { Adversary.send = []; corrupt = []; claim_learned = Some v }
           | [] -> (
-              let coalition = List.map fst driver.machines in
-              let initial_inboxes = next_inboxes_after view sends coalition in
-              match
-                coalition_probe ~boring driver.machines ~initial:initial_inboxes
-                  ~start_round:(view.Adversary.round + 1) ~max_rounds
-              with
+              match coalition_probe ~boring driver.machines view sends ~max_rounds with
               | Some v ->
                   (* The coalition already holds the output: abort before
                      releasing this round's messages (Lemma 7's strategy). *)
@@ -301,20 +291,7 @@ let adaptive_hunter ?func ~budget () =
       let driver = new_driver () in
       let max_rounds = protocol.Protocol.max_rounds in
       let aborted = ref false in
-      let boring_of (view : Adversary.view) =
-        match func with
-        | None -> []
-        | Some (f : Fair_mpc.Func.t) ->
-            let inputs = Array.make f.Fair_mpc.Func.arity f.Fair_mpc.Func.default_input in
-            List.iter
-              (fun (c : Adversary.corrupted) ->
-                if c.Adversary.id >= 1 && c.Adversary.id <= Array.length inputs then
-                  inputs.(c.Adversary.id - 1) <- c.Adversary.input)
-              view.Adversary.corrupted;
-            (match Fair_mpc.Func.eval_exn f inputs with
-            | v -> [ v ]
-            | exception Invalid_argument _ -> [])
-      in
+      let boring_of = boring_outputs func in
       let step (view : Adversary.view) =
         adopt driver view;
         if !aborted then Adversary.silent_decision
@@ -336,12 +313,7 @@ let adaptive_hunter ?func ~budget () =
               aborted := true;
               { Adversary.send = []; corrupt = []; claim_learned = Some v }
           | [] -> (
-              let coalition = List.map fst driver.machines in
-              let initial_inboxes = next_inboxes_after view sends coalition in
-              match
-                coalition_probe ~boring driver.machines ~initial:initial_inboxes
-                  ~start_round:(view.Adversary.round + 1) ~max_rounds
-              with
+              match coalition_probe ~boring driver.machines view sends ~max_rounds with
               | Some v ->
                   aborted := true;
                   { Adversary.send = []; corrupt = []; claim_learned = Some v }

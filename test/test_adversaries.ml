@@ -184,6 +184,44 @@ let test_greedy_boring_filter () =
   | Engine.Honest_output _ | Engine.Honest_abort -> ()
   | _ -> Alcotest.fail "honest party left hanging"
 
+(* ------------------------ coalition probe ----------------------------- *)
+
+(* A 3-party relay whose outputs spell out the inboxes they were computed
+   from.  Round 1: parties 2 and 3 broadcast "hi<id>".  Round 2: party 1
+   sends party 2 its inbox's payloads joined by "+", and party 2
+   broadcasts "bye".  Round 3: every party outputs its inbox's payloads
+   joined by "+", or aborts on an empty inbox. *)
+let relay =
+  Protocol.make ~name:"relay" ~parties:3 ~max_rounds:4 (fun ~rng:_ ~id ~n:_ ~input:_ ~setup:_ ->
+      let joined inbox = String.concat "+" (List.map snd inbox) in
+      Machine.make () (fun () ~round ~inbox ->
+          match (round, id) with
+          | 1, (2 | 3) -> ((), [ Machine.Send (Wire.Broadcast, "hi" ^ string_of_int id) ])
+          | 2, 1 -> ((), [ Machine.Send (Wire.To 2, joined inbox) ])
+          | 2, 2 -> ((), [ Machine.Send (Wire.Broadcast, "bye") ])
+          | 3, _ -> ((), [ (if inbox = [] then Machine.Abort_self else Machine.Output (joined inbox)) ])
+          | _ -> ((), [])))
+
+let test_greedy_coalition_probe_routing () =
+  (* Greedy holds {1, 2} and probes in round 1, before releasing party 2's
+     "hi2".  The probe's round-2 inboxes hold the rushed "hi3" ahead of
+     the coalition's own "hi2"; in round 2 party 2 (stepped first: the
+     driver holds the coalition in reverse adoption order) broadcasts
+     "bye" to both members, itself included, and party 1 forwards
+     "hi3+hi2" to party 2; in round 3 party 2's inbox is in arrival
+     order, not sender order.  Any other order or routing spells a
+     different claim. *)
+  let o =
+    Engine.run ~protocol:relay ~adversary:(Adv.greedy (Adv.Fixed [ 1; 2 ]))
+      ~inputs:[| "a"; "b"; "c" |] ~rng:(rng ())
+  in
+  Alcotest.(check (list (pair int string))) "claimed in round 1" [ (1, "bye+hi3+hi2") ]
+    o.Engine.claims;
+  Alcotest.(check int) "party 2 never released hi2" 0 (List.length (messages_from o ~src:2));
+  match List.assoc 3 o.Engine.results with
+  | Engine.Honest_abort -> ()
+  | _ -> Alcotest.fail "party 3 should be starved"
+
 (* ------------------------- grab_and_abort ----------------------------- *)
 
 let test_grab_and_abort_uses_interface () =
@@ -221,5 +259,7 @@ let () =
           Alcotest.test_case "greedy aborts before revealing" `Quick
             test_greedy_aborts_before_reveal;
           Alcotest.test_case "greedy default-output filter" `Quick test_greedy_boring_filter;
+          Alcotest.test_case "greedy probe routes coalition traffic in arrival order" `Quick
+            test_greedy_coalition_probe_routing;
           Alcotest.test_case "grab-and-abort drives the hybrid interface" `Quick
             test_grab_and_abort_uses_interface ] ) ]

@@ -361,6 +361,122 @@ let prop_delivery_exact =
       in
       List.sort compare !received = expected)
 
+(* ------------------------- prelude and play -------------------------- *)
+
+module Adv = Fair_protocols.Adversaries
+
+let corrupted_ids (o : Engine.outcome) =
+  List.filter_map (fun (id, r) -> if r = Engine.Was_corrupted then Some id else None) o.Engine.results
+
+(* A 5-party hybrid protocol whose functionality broadcasts a coin drawn
+   in its first step; every party outputs the coin it received. *)
+let coin5 =
+  Protocol.make ~name:"coin5" ~parties:5 ~max_rounds:3
+    ~functionality:(fun rng ~n:_ ->
+      Machine.make () (fun () ~round ~inbox:_ ->
+          if round = 1 then ((), [ Machine.Send (Wire.Broadcast, string_of_int (Rng.int rng 1000)) ])
+          else ((), [])))
+    (fun ~rng:_ ~id:_ ~n:_ ~input:_ ~setup:_ ->
+      Machine.make () (fun () ~round:_ ~inbox ->
+          match List.assoc_opt Wire.functionality_id inbox with
+          | Some coin -> ((), [ Machine.Output coin ])
+          | None -> ((), [])))
+
+(* Every play of one prelude draws the coins a fresh run on the same
+   generator draws: two plays against a coalition-drawing adversary
+   corrupt the party [Engine.run] corrupts, and see the same
+   functionality coin. *)
+let test_plays_redraw_coins () =
+  let adversary = Adv.silent Adv.Random_party in
+  let inputs = Array.make 5 "" in
+  let drawn =
+    List.init 24 (fun s ->
+        let gen () = Rng.create ~seed:("plays-" ^ string_of_int s) in
+        let fresh = Engine.run ~protocol:coin5 ~adversary ~inputs ~rng:(gen ()) in
+        let prelude = Engine.prepare ~protocol:coin5 ~inputs ~rng:(gen ()) in
+        List.iter
+          (fun play ->
+            let o = Engine.run_prepared ~adversary prelude in
+            Alcotest.(check (list int))
+              (Printf.sprintf "seed %d, play %d: corrupted party" s play)
+              (corrupted_ids fresh) (corrupted_ids o);
+            Alcotest.(check (list (pair int (option string))))
+              (Printf.sprintf "seed %d, play %d: functionality coin" s play)
+              (Engine.honest_outputs fresh) (Engine.honest_outputs o))
+          [ 1; 2 ];
+        (corrupted_ids fresh, Engine.honest_outputs fresh))
+  in
+  (* The generators draw different parties and coins, so the agreement
+     above is not vacuous. *)
+  Alcotest.(check bool) "seeds draw different parties" true
+    (List.length (List.sort_uniq compare (List.map fst drawn)) > 1);
+  Alcotest.(check bool) "seeds draw different coins" true
+    (List.length (List.sort_uniq compare (List.map snd drawn)) > 1)
+
+(* Party 3 outputs in round 1; parties 1 and 2 exchange two rounds and
+   output only if the peer's second message arrived.  An adaptive
+   adversary can therefore corrupt party 3 after it finished. *)
+let early3 =
+  Protocol.make ~name:"early3" ~parties:3 ~max_rounds:4 (fun ~rng:_ ~id ~n:_ ~input:_ ~setup:_ ->
+      Machine.make () (fun () ~round ~inbox ->
+          if id = 3 then ((), [ Machine.Output "early" ])
+          else if round <= 2 then
+            ((), [ Machine.Send (Wire.To (3 - id), "r" ^ string_of_int round) ])
+          else if List.mem (3 - id, "r2") inbox then ((), [ Machine.Output "done" ])
+          else ((), [ Machine.Abort_self ])))
+
+(* Under adaptive corruption every view lists the corrupted parties that
+   were still running when corrupted, ascending by id, and the inboxes of
+   every corrupted party, ascending by id — checked against the
+   corruptions and terminations in the trace. *)
+let test_adaptive_view_lists_running_coalition () =
+  let seen_finished = ref false and seen_reordered = ref false in
+  for s = 0 to 39 do
+    let views = ref [] in
+    let hunter = Adv.adaptive_hunter ~budget:2 () in
+    let adversary =
+      Adversary.make ~name:"recorded-hunter" (fun rng ~protocol ->
+          let inst = hunter.Adversary.make rng ~protocol in
+          { inst with
+            Adversary.step =
+              (fun view ->
+                views := view :: !views;
+                inst.Adversary.step view) })
+    in
+    let o =
+      Engine.run ~protocol:early3 ~adversary ~inputs:[| "a"; "b"; "c" |]
+        ~rng:(Rng.create ~seed:("hunt-" ^ string_of_int s))
+    in
+    (* (id, round of corruption, finished before it), in corruption order *)
+    let finished = ref [] and corruptions = ref [] in
+    List.iter
+      (function
+        | Trace.Output_event (_, id, _) | Trace.Aborted (_, id) | Trace.Crashed (_, id) ->
+            finished := id :: !finished
+        | Trace.Corrupted (rc, id) -> corruptions := !corruptions @ [ (id, rc, List.mem id !finished) ]
+        | Trace.Sent _ | Trace.Claimed _ -> ())
+      (Trace.events o.Engine.trace);
+    List.iter
+      (fun (view : Adversary.view) ->
+        let r = view.Adversary.round in
+        let ids = List.map (fun (c : Adversary.corrupted) -> c.Adversary.id) view.Adversary.corrupted in
+        let before = List.filter (fun (_, rc, _) -> rc < r) !corruptions in
+        let running = List.filter_map (fun (id, _, f) -> if f then None else Some id) before in
+        Alcotest.(check (list int))
+          (Printf.sprintf "seed %d, round %d: running coalition, ascending" s r)
+          (List.sort compare running) ids;
+        Alcotest.(check (list int))
+          (Printf.sprintf "seed %d, round %d: coalition inboxes, ascending" s r)
+          (List.sort compare (List.map (fun (id, _, _) -> id) before))
+          (List.map fst view.Adversary.inbox);
+        if List.exists (fun (_, _, f) -> f) before then seen_finished := true;
+        if running <> ids then seen_reordered := true)
+      !views
+  done;
+  Alcotest.(check bool) "some victim had finished before its corruption" true !seen_finished;
+  Alcotest.(check bool) "some coalition was corrupted in descending id order" true
+    !seen_reordered
+
 let () =
   Alcotest.run "fair_exec"
     [ ( "wire",
@@ -387,4 +503,8 @@ let () =
           Alcotest.test_case "trace records messages" `Quick test_trace_records_messages;
           Alcotest.test_case "input arity checked" `Quick test_engine_input_arity;
           Alcotest.test_case "machine raise contained" `Quick test_engine_contains_machine_raise;
-          prop_delivery_exact ] ) ]
+          prop_delivery_exact ] );
+      ( "prelude",
+        [ Alcotest.test_case "every play draws a fresh run's coins" `Quick test_plays_redraw_coins;
+          Alcotest.test_case "adaptive views list the running coalition" `Quick
+            test_adaptive_view_lists_running_coalition ] ) ]

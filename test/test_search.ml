@@ -227,16 +227,43 @@ let golden_e11 =
 }
 |}
 
-let test_golden_certificates () =
-  List.iter
-    (fun (id, golden) ->
-      match E.find id with
-      | None -> Alcotest.failf "experiment %s missing" id
-      | Some spec -> (
-          match E.searched ~budget:2000 ~seed:42 ~jobs:2 spec with
-          | Some c -> Alcotest.(check string) (id ^ " certificate bytes") golden (Certificate.to_string c)
-          | None -> Alcotest.failf "%s search produced no certificate" id))
-    [ ("E1", golden_e1); ("E11", golden_e11) ]
+let golden_e5 =
+  {|{
+  "experiment": "E5",
+  "seed": 42,
+  "budget": 2000,
+  "spent": 2000,
+  "rounds": 2,
+  "mode": "paired",
+  "arms_total": 117,
+  "arms_surviving": 20,
+  "best_arm": "greedy:random2",
+  "utility": 0.87499999999999978,
+  "std_err": 0.049669963389939155,
+  "trials": 20,
+  "zoo_best": null,
+  "bound": 0.83333333333333337,
+  "bound_label": "((n-1)g10+g11)/n",
+  "margin": -0.041666666666666408,
+  "within_bound": true
+}
+|}
+
+let check_golden (id, golden) =
+  match E.find id with
+  | None -> Alcotest.failf "experiment %s missing" id
+  | Some spec -> (
+      match E.searched ~budget:2000 ~seed:42 ~jobs:2 spec with
+      | Some c -> Alcotest.(check string) (id ^ " certificate bytes") golden (Certificate.to_string c)
+      | None -> Alcotest.failf "%s search produced no certificate" id)
+
+let test_golden_certificates () = List.iter check_golden [ ("E1", golden_e1); ("E11", golden_e11) ]
+
+(* ΠOpt-nSFE at n = 3: its racer plays coalitions of two, whose probes
+   route broadcast and point-to-point traffic between members, so this
+   pins the proof adversaries on an n-party protocol.  Captured before the
+   probes dropped their hash tables. *)
+let test_golden_e5 () = check_golden ("E5", golden_e5)
 
 (* ---------------------------- shared preludes ------------------------ *)
 
@@ -458,7 +485,8 @@ let () =
           Alcotest.test_case "space contains the zoo" `Quick test_space_contains_zoo;
           Alcotest.test_case "certificates identical across -j" `Quick test_jobs_deterministic;
           Alcotest.test_case "E1 and E11 certificates match golden bytes" `Quick
-            test_golden_certificates ] );
+            test_golden_certificates;
+          Alcotest.test_case "E5 certificate matches golden bytes" `Quick test_golden_e5 ] );
       ( "sharing",
         [ Alcotest.test_case "every target's arms share one prelude" `Quick
             test_registry_shares_preludes;
