@@ -79,7 +79,11 @@ let run_parallel_comparison () =
     avail
     (if avail = 1 then "" else "s")
     (if degraded then "; DEGRADED: single core, speedup not meaningful" else "");
-  ignore (estimate ~jobs:1);  (* warm up (Lamport key pool, allocator) *)
+  (* Warm both legs untimed: the sequential one pays the Lamport key pool
+     and the allocator, the pooled one the worker domain's start and its
+     domain-local caches. *)
+  ignore (estimate ~jobs:1);
+  ignore (estimate ~jobs);
   let e_seq, t_seq = wall (fun () -> estimate ~jobs:1) in
   let s0 = Pl.pool_stats () in
   let e_par, t_par = wall (fun () -> estimate ~jobs) in

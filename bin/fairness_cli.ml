@@ -137,12 +137,10 @@ let sweep_cmd =
   in
   let run () trials seed jobs markdown trace metrics =
     with_obs ~trace ~metrics (fun () ->
-        let table =
-          Fair_analysis.Sweep.q_sweep ~jobs
-            ~qs:[ 0.0; 0.125; 0.25; 0.375; 0.5; 0.625; 0.75; 0.875; 1.0 ]
-            ~trials ~seed ()
-        in
-        print_endline (Fair_analysis.Sweep.render ~markdown table);
+        E.q_sweep ~jobs
+          ~qs:[ 0.0; 0.125; 0.25; 0.375; 0.5; 0.625; 0.75; 0.875; 1.0 ]
+          ~trials ~seed ()
+        |> E.q_table ~markdown |> print_endline;
         0)
   in
   Cmd.v
@@ -156,7 +154,6 @@ let sweep_cmd =
 
 let search_cmd =
   let module Certificate = Fair_search.Certificate in
-  let module Landscape = Fair_search.Landscape in
   let id_arg =
     let doc = "Experiment id (e.g. E2), or `all' for every targeted experiment. Ignored with --grid." in
     Arg.(value & pos 0 string "all" & info [] ~docv:"ID" ~doc)
@@ -208,18 +205,15 @@ let search_cmd =
     with_obs ~trace ~metrics @@ fun () ->
     match grid with
     | Some kind ->
-        let table =
+        let points =
           usage_guard (fun () ->
               match kind with
-              | `Gamma -> Landscape.gamma_grid ~jobs ~budget ~seed ()
-              | `N -> Landscape.n_grid ~jobs ~budget ~seed ())
+              | `Gamma -> E.gamma_grid ~jobs ~budget ~seed ()
+              | `N -> E.n_grid ~jobs ~budget ~seed ())
         in
-        print_endline (Landscape.render ~markdown table);
-        Option.iter
-          (fun dir -> List.iter (fun (_, c) -> save_cert dir c) table.Landscape.points)
-          out;
-        if List.for_all (fun (_, c) -> c.Certificate.within_bound) table.Landscape.points then 0
-        else 1
+        print_endline (E.grid_table ~markdown points);
+        Option.iter (fun dir -> List.iter (fun (_, c) -> save_cert dir c) points) out;
+        if List.for_all (fun (_, c) -> c.Certificate.within_bound) points then 0 else 1
     | None ->
         let specs =
           if String.lowercase_ascii id = "all" then E.registry

@@ -47,22 +47,23 @@ let kind_sym = function `Equals -> "=" | `At_most -> "<=" | `At_least -> ">="
 let squash s =
   String.concat " " (List.filter (fun w -> w <> "") (String.split_on_char ' ' s))
 
+let check_table ?markdown r =
+  Report.render ?markdown
+    ~header:[ "check"; "measured"; "rel"; "paper"; "tol"; "verdict" ]
+    (List.map
+       (fun c ->
+         [ c.label;
+           Report.fmt_float c.measured;
+           kind_sym c.kind;
+           Report.fmt_float c.expected;
+           Report.fmt_float c.tolerance;
+           Report.check_mark c.ok ])
+       r.checks)
+
 let pp fmt r =
   Format.fprintf fmt "== %s: %s ==@." r.id r.title;
   Format.fprintf fmt "claim: %s@." (squash r.claim);
-  let header = [ "check"; "measured"; "rel"; "paper"; "tol"; "verdict" ] in
-  let rows =
-    List.map
-      (fun c ->
-        [ c.label;
-          Report.fmt_float c.measured;
-          kind_sym c.kind;
-          Report.fmt_float c.expected;
-          Report.fmt_float c.tolerance;
-          Report.check_mark c.ok ])
-      r.checks
-  in
-  Format.fprintf fmt "%s@." (Report.render ~header rows);
+  Format.fprintf fmt "%s@." (check_table r);
   (match r.rows with
   | Some (header, rows) -> Format.fprintf fmt "%s@." (Report.render ~header rows)
   | None -> ());
@@ -72,19 +73,7 @@ let pp fmt r =
 let to_markdown r =
   let b = Buffer.create 512 in
   Buffer.add_string b (Printf.sprintf "### %s — %s\n\n%s\n\n" r.id r.title (squash r.claim));
-  let header = [ "check"; "measured"; "rel"; "paper"; "tol"; "verdict" ] in
-  let rows =
-    List.map
-      (fun c ->
-        [ c.label;
-          Report.fmt_float c.measured;
-          kind_sym c.kind;
-          Report.fmt_float c.expected;
-          Report.fmt_float c.tolerance;
-          Report.check_mark c.ok ])
-      r.checks
-  in
-  Buffer.add_string b (Report.render ~markdown:true ~header rows);
+  Buffer.add_string b (check_table ~markdown:true r);
   Buffer.add_string b "\n";
   (match r.rows with
   | Some (header, rows) ->
@@ -132,6 +121,98 @@ let gamma = Payoff.default
 let env_n n = Mc.uniform_field_inputs ~n
 
 (* ------------------------------------------------------------------ *)
+(* sup_A instances.
+
+   Every supremum the registry, the search, the grids and the chaos sweep
+   report is taken over one instance: the race target (protocol,
+   preference vector, environment, event accounting), the declarative
+   strategy space the search races over it, the fixed zoo the registry
+   maximises over, and the closed-form bound the paper proves.  One
+   constructor per protocol family builds it, defaulting to the uniform
+   field-input environment, the standard zoo and the generic strategy
+   space. *)
+
+type instance = {
+  target : Racing.target;
+  space : Space.space;
+  zoo : Adversary.t list;
+  bound : float;
+  bound_label : string;
+}
+
+let make ?(gamma = gamma) ?env ?(overrides = Events.no_overrides) ?(hybrid = false)
+    ?adaptive_budgets ?zoo ~protocol ~func ~bound ~bound_label () =
+  let n = protocol.Protocol.parties and max_round = protocol.Protocol.max_rounds in
+  { target =
+      { Racing.protocol; func; gamma; env = Option.value env ~default:(env_n n); overrides };
+    space = Space.make ?adaptive_budgets ~hybrid ~func ~n ~max_round ();
+    zoo = (match zoo with Some z -> z | None -> Adv.standard_zoo ~func ~n ~max_round ());
+    bound;
+    bound_label }
+
+let contract ?(gamma = gamma) pi =
+  let module C = Fair_protocols.Contract in
+  let protocol, bound, bound_label =
+    match pi with
+    | `Pi1 -> (C.pi1, Bounds.unfair_sfe gamma, "g10")
+    | `Pi2 -> (C.pi2, Bounds.opt2 gamma, "(g10+g11)/2")
+  in
+  make ~gamma ~zoo:C.zoo ~protocol ~func:C.func ~bound ~bound_label ()
+
+let opt2 ?(gamma = gamma) ?(q = 0.5) ?(func = Func.swap) ?env () =
+  make ~gamma ?env ~hybrid:true
+    ~protocol:(Fair_protocols.Opt2.hybrid_biased ~q func)
+    ~func ~bound:(Bounds.opt2 gamma) ~bound_label:"(g10+g11)/2" ()
+
+let opt2_one_round () =
+  make
+    ~protocol:(Fair_protocols.Opt2.one_round_variant Func.swap)
+    ~func:Func.swap ~bound:(Bounds.unfair_sfe gamma) ~bound_label:"g10" ()
+
+let optn ?adaptive_budgets ~n () =
+  let func = Func.concat ~n in
+  make ~hybrid:true ?adaptive_budgets
+    ~protocol:(Fair_protocols.Optn.hybrid func)
+    ~func ~bound:(Bounds.optn_best gamma ~n) ~bound_label:"((n-1)g10+g11)/n" ()
+
+let gmw_half ~n =
+  let func = Func.concat ~n in
+  make ~hybrid:true
+    ~protocol:(Fair_protocols.Gmw_half.hybrid func)
+    ~func
+    ~bound:(Bounds.gmw_half gamma ~n ~t:(n - 1))
+    ~bound_label:"g10 (t >= ceil(n/2))" ()
+
+let artificial ~n =
+  let func = Func.concat ~n in
+  make ~hybrid:true
+    ~protocol:(Fair_protocols.Artificial.hybrid func)
+    ~func
+    ~bound:(max (Bounds.artificial_single gamma ~n) (Bounds.optn_best gamma ~n))
+    ~bound_label:"max(Lemma-18 t=1, optn best)" ()
+
+module GK = Fair_protocols.Gordon_katz
+
+(* Gordon–Katz on AND with bit domains, the variant E11 sweeps over p. *)
+let gk_domain ~p = GK.poly_domain ~func:Func.and_ ~p ~domain1:[ "0"; "1" ] ~domain2:[ "0"; "1" ]
+
+let gk ~p ?(variant = gk_domain ~p) () =
+  make ~gamma:Payoff.zero_one ~env:(Mc.uniform_bit_inputs ~n:2)
+    ~overrides:(GK.overrides ~offset:0) ~zoo:(GK.zoo ~variant)
+    ~protocol:(GK.protocol ~func:Func.and_ ~variant)
+    ~func:Func.and_ ~bound:(Bounds.gk_upper ~p) ~bound_label:"1/p" ()
+
+(* The best zoo member and its estimate, every member on the same seed. *)
+let sup ?inject ?fault_budget ~jobs inst ~trials ~seed =
+  let { Racing.protocol; func; gamma; env; overrides } = inst.target in
+  Mc.best_response ~overrides ~jobs ?inject ?fault_budget ~protocol ~adversaries:inst.zoo ~func
+    ~gamma ~env ~trials ~seed ()
+
+let mean ~jobs inst adversary ~trials ~seed =
+  let { Racing.protocol; func; gamma; env; overrides } = inst.target in
+  Mc.estimate ~overrides ~jobs ~protocol ~adversary ~func ~gamma ~env ~trials ~seed ()
+
+(* ------------------------------------------------------------------ *)
 
 let e1 ~trials ~seed ~jobs =
   let module C = Fair_protocols.Contract in
@@ -149,14 +230,11 @@ let e1 ~trials ~seed ~jobs =
      mean).  Net: ~5x fewer engine runs than four full-trials races. *)
   let pair_trials = trials in
   let pair01_trials = 2 * trials in
-  let pick proto g seed =
-    Mc.best_response ~jobs ~protocol:proto ~adversaries:C.zoo ~func:C.func ~gamma:g
-      ~env:(env_n 2) ~trials:race_trials ~seed ()
-  in
-  let adv1, r1 = pick C.pi1 gamma seed in
-  let adv2, r2 = pick C.pi2 gamma (seed + 1) in
-  let adv1', _ = pick C.pi1 Payoff.zero_one (seed + 2) in
-  let adv2', _ = pick C.pi2 Payoff.zero_one (seed + 3) in
+  let pick pi g seed = sup ~jobs (contract ~gamma:g pi) ~trials:race_trials ~seed in
+  let adv1, r1 = pick `Pi1 gamma seed in
+  let adv2, r2 = pick `Pi2 gamma (seed + 1) in
+  let adv1', _ = pick `Pi1 Payoff.zero_one (seed + 2) in
+  let adv2', _ = pick `Pi2 Payoff.zero_one (seed + 3) in
   let leg proto adversary g = { Crn.protocol = proto; adversary; gamma = g } in
   let p =
     Crn.paired ~jobs ~a:(leg C.pi1 adv1 gamma) ~b:(leg C.pi2 adv2 gamma) ~func:C.func
@@ -207,23 +285,18 @@ let e1 ~trials ~seed ~jobs =
     rows = None }
 
 let e2 ~trials ~seed ~jobs =
-  let swap = Func.swap in
-  let proto = Fair_protocols.Opt2.hybrid swap in
-  let zoo = Adv.standard_zoo ~func:swap ~n:2 ~max_round:Fair_protocols.Opt2.hybrid_rounds () in
   let checks, rows =
     List.split
       (List.mapi
          (fun i g ->
-           let _, e =
-             Mc.best_response ~jobs ~protocol:proto ~adversaries:zoo ~func:swap ~gamma:g
-               ~env:(env_n 2) ~trials:(max 100 (trials / 2)) ~seed:(seed + i) ()
-           in
+           let inst = opt2 ~gamma:g () in
+           let _, e = sup ~jobs inst ~trials:(max 100 (trials / 2)) ~seed:(seed + i) in
            ( check_estimate
                ~label:(Printf.sprintf "sup_A u <= bound for %s" (Payoff.to_string g))
-               ~e ~expected:(Bounds.opt2 g) `At_most,
+               ~e ~expected:inst.bound `At_most,
              [ Payoff.to_string g;
                Report.fmt_pm e.Mc.utility e.Mc.std_err;
-               Report.fmt_float (Bounds.opt2 g) ] ))
+               Report.fmt_float inst.bound ] ))
          Payoff.sweep)
   in
   { id = "E2";
@@ -237,11 +310,8 @@ let e2 ~trials ~seed ~jobs =
 
 let e3 ~trials ~seed ~jobs =
   let swap = Func.swap in
-  let proto = Fair_protocols.Opt2.hybrid swap in
-  let run adv seed =
-    Mc.estimate ~jobs ~protocol:proto ~adversary:adv ~func:swap ~gamma ~env:(env_n 2)
-      ~trials ~seed ()
-  in
+  let inst = opt2 () in
+  let run adv seed = mean ~jobs inst adv ~trials ~seed in
   let e_gen = run (Adv.greedy ~func:swap Adv.Random_party) seed in
   let e_a1 = run (Adv.greedy ~func:swap (Adv.Fixed [ 1 ])) (seed + 1) in
   let e_a2 = run (Adv.greedy ~func:swap (Adv.Fixed [ 2 ])) (seed + 2) in
@@ -262,8 +332,7 @@ let e3 ~trials ~seed ~jobs =
     rows = None }
 
 let e4 ~trials ~seed ~jobs =
-  let swap = Func.swap in
-  let proto = Fair_protocols.Opt2.hybrid swap in
+  let { Racing.protocol; func; gamma; env; _ } = (opt2 ()).target in
   (* Aborting during phase 1 means aborting the unfair SFE subprotocol: in
      the hybrid model that is the (abort) interface of F' (sent early enough
      to precede the delayed-output release); rounds 5 and 6 are the two
@@ -278,15 +347,11 @@ let e4 ~trials ~seed ~jobs =
     else [ Adv.abort_at ~round (Adv.Fixed [ 1 ]); Adv.abort_at ~round (Adv.Fixed [ 2 ]) ]
   in
   let profile =
-    Reconstruction.analyze ~jobs ~protocol:proto ~abort_family ~func:swap ~gamma ~env:(env_n 2)
+    Reconstruction.analyze ~jobs ~protocol ~abort_family ~func ~gamma ~env
       ~total_rounds:(Fair_protocols.Opt2.hybrid_rounds - 1) ~trials ~seed ()
   in
-  let one_round = Fair_protocols.Opt2.one_round_variant swap in
-  let zoo = Adv.standard_zoo ~func:swap ~n:2 ~max_round:6 () in
-  let _, e1r =
-    Mc.best_response ~jobs ~protocol:one_round ~adversaries:zoo ~func:swap ~gamma ~env:(env_n 2)
-      ~trials ~seed:(seed + 77) ()
-  in
+  let one_round = opt2_one_round () in
+  let _, e1r = sup ~jobs one_round ~trials ~seed:(seed + 77) in
   { id = "E4";
     title = "Lemmas 9-10: reconstruction rounds";
     claim =
@@ -297,27 +362,25 @@ let e4 ~trials ~seed ~jobs =
           ~measured:(float_of_int profile.Reconstruction.reconstruction_rounds) ~expected:2.0
           ~tolerance:0.0 `Equals;
         check_estimate ~label:"1-round variant: sup u = gamma10" ~e:e1r
-          ~expected:(Bounds.unfair_sfe gamma) `Equals ];
+          ~expected:one_round.bound `Equals ];
     notes =
       [ Printf.sprintf "aborts are fair through round %d of %d"
           profile.Reconstruction.fair_through profile.Reconstruction.total_rounds ];
     rows = None }
 
-let per_t_estimates ~proto ~func ~n ~trials ~seed ~jobs =
+(* The greedy t-coalition's utility for t = 1 .. n-1, coalition t on seed
+   [seed + t - 1]. *)
+let per_t_estimates ~jobs inst ~trials ~seed =
+  let func = inst.target.Racing.func in
   List.mapi
-    (fun i adv ->
-      ( i + 1,
-        Mc.estimate ~jobs ~protocol:proto ~adversary:adv ~func ~gamma ~env:(env_n n) ~trials
-          ~seed:(seed + i) () ))
-    (Adv.greedy_per_t ~func ~n ())
+    (fun i adv -> (i + 1, mean ~jobs inst adv ~trials ~seed:(seed + i)))
+    (Adv.greedy_per_t ~func ~n:inst.target.Racing.protocol.Protocol.parties ())
 
 let e5 ~trials ~seed ~jobs =
   let checks, rows =
     List.split
       (List.concat_map
          (fun n ->
-           let func = Func.concat ~n in
-           let proto = Fair_protocols.Optn.hybrid func in
            List.map
              (fun (t, e) ->
                ( check_estimate
@@ -327,7 +390,7 @@ let e5 ~trials ~seed ~jobs =
                    string_of_int t;
                    Report.fmt_pm e.Mc.utility e.Mc.std_err;
                    Report.fmt_float (Bounds.optn gamma ~n ~t) ] ))
-             (per_t_estimates ~proto ~func ~n ~trials ~seed:(seed + (100 * n)) ~jobs))
+             (per_t_estimates ~jobs (optn ~n ()) ~trials ~seed:(seed + (100 * n))))
          [ 3; 5 ])
   in
   { id = "E5";
@@ -339,12 +402,11 @@ let e5 ~trials ~seed ~jobs =
 
 let e6 ~trials ~seed ~jobs =
   let n = 4 in
-  let func = Func.concat ~n in
-  let proto = Fair_protocols.Optn.hybrid func in
-  let adv = Adv.greedy ~func (Adv.Random_subset (n - 1)) in
+  let inst = optn ~n () in
   let e =
-    Mc.estimate ~jobs ~protocol:proto ~adversary:adv ~func ~gamma ~env:(env_n n) ~trials
-      ~seed ()
+    mean ~jobs inst
+      (Adv.greedy ~func:inst.target.Racing.func (Adv.Random_subset (n - 1)))
+      ~trials ~seed
   in
   { id = "E6";
     title = "Lemma 13: the mixed (n-1)-adversary attains ((n-1)g10+g11)/n";
@@ -362,9 +424,7 @@ let e7 ~trials ~seed ~jobs =
     List.split
       (List.map
          (fun n ->
-           let func = Func.concat ~n in
-           let proto = Fair_protocols.Optn.hybrid func in
-           let per_t = per_t_estimates ~proto ~func ~n ~trials ~seed:(seed + (10 * n)) ~jobs in
+           let per_t = per_t_estimates ~jobs (optn ~n ()) ~trials ~seed:(seed + (10 * n)) in
            let sum = Balanced.sum_over_t per_t in
            let tol = 3.0 *. Balanced.sum_std_err per_t in
            ( mk_check
@@ -395,11 +455,7 @@ let e8 ~trials ~seed ~jobs =
   let results =
     List.map
       (fun n ->
-        let func = Func.concat ~n in
-        let proto = Fair_protocols.Gmw_half.hybrid func in
-        let per_t =
-          per_t_estimates ~proto ~func ~n ~trials:t_trials ~seed:(seed + (10 * n)) ~jobs
-        in
+        let per_t = per_t_estimates ~jobs (gmw_half ~n) ~trials:t_trials ~seed:(seed + (10 * n)) in
         (n, per_t, Balanced.sum_over_t per_t))
       [ 4; 5 ]
   in
@@ -468,16 +524,12 @@ let e8 ~trials ~seed ~jobs =
 
 let e9 ~trials ~seed ~jobs =
   let n = 3 in
-  let func = Func.concat ~n in
-  let proto = Fair_protocols.Artificial.hybrid func in
-  let e_t1 =
-    Mc.estimate ~jobs ~protocol:proto ~adversary:Fair_protocols.Artificial.lemma18_t1 ~func
-      ~gamma ~env:(env_n n) ~trials ~seed ()
-  in
+  let inst = artificial ~n in
+  let e_t1 = mean ~jobs inst Fair_protocols.Artificial.lemma18_t1 ~trials ~seed in
   let e_tn =
-    Mc.estimate ~jobs ~protocol:proto
-      ~adversary:(Adv.greedy ~func (Adv.Random_subset (n - 1)))
-      ~func ~gamma ~env:(env_n n) ~trials ~seed:(seed + 1) ()
+    mean ~jobs inst
+      (Adv.greedy ~func:inst.target.Racing.func (Adv.Random_subset (n - 1)))
+      ~trials ~seed:(seed + 1)
   in
   let sum = e_t1.Mc.utility +. e_tn.Mc.utility in
   let tol = 3.0 *. (e_t1.Mc.std_err +. e_tn.Mc.std_err) in
@@ -501,9 +553,7 @@ let e9 ~trials ~seed ~jobs =
 
 let e10 ~trials ~seed ~jobs =
   let n = 4 in
-  let func = Func.concat ~n in
-  let proto = Fair_protocols.Optn.hybrid func in
-  let per_t = per_t_estimates ~proto ~func ~n ~trials ~seed ~jobs in
+  let per_t = per_t_estimates ~jobs (optn ~n ()) ~trials ~seed in
   let cost = Cost.theorem6 gamma ~n in
   let cost_checks =
     (* Lemma 22's comparison: the cost-adjusted utility of the best
@@ -557,48 +607,33 @@ let e10 ~trials ~seed ~jobs =
     rows = None }
 
 let e11 ~trials ~seed ~jobs =
-  let module GK = Fair_protocols.Gordon_katz in
-  let func = Func.and_ in
   let gk_trials = max 100 (trials / 2) in
   let checks, rows =
     List.split
       (List.map
          (fun p ->
-           let variant = GK.poly_domain ~func ~p ~domain1:[ "0"; "1" ] ~domain2:[ "0"; "1" ] in
-           let proto = GK.protocol ~func ~variant in
-           let ba, e =
-             Mc.best_response ~jobs ~overrides:(GK.overrides ~offset:0) ~protocol:proto
-               ~adversaries:(GK.zoo ~variant) ~func ~gamma:Payoff.zero_one
-               ~env:(Mc.uniform_bit_inputs ~n:2) ~trials:gk_trials ~seed:(seed + p) ()
-           in
+           let variant = gk_domain ~p in
+           let inst = gk ~p ~variant () in
+           let ba, e = sup ~jobs inst ~trials:gk_trials ~seed:(seed + p) in
            ( check_estimate
                ~label:(Printf.sprintf "p=%d: sup u <= 1/p" p)
-               ~e ~expected:(Bounds.gk_upper ~p) `At_most,
+               ~e ~expected:inst.bound `At_most,
              [ string_of_int p;
                string_of_int variant.GK.rounds;
                ba.Adversary.name;
                Report.fmt_pm e.Mc.utility e.Mc.std_err;
-               Report.fmt_float (Bounds.gk_upper ~p) ] ))
+               Report.fmt_float inst.bound ] ))
          [ 2; 4; 8 ])
   in
   (* Crossover against PiOpt-2SFE on the same function: the general-purpose
      protocol is stuck at 1/2 under gamma=(0,0,1,0). *)
-  let opt2 = Fair_protocols.Opt2.hybrid func in
   let _, e_opt =
-    Mc.best_response ~jobs ~protocol:opt2
-      ~adversaries:(Adv.standard_zoo ~func ~n:2 ~max_round:Fair_protocols.Opt2.hybrid_rounds ())
-      ~func ~gamma:Payoff.zero_one ~env:(Mc.uniform_bit_inputs ~n:2) ~trials:gk_trials
-      ~seed:(seed + 50) ()
+    sup ~jobs
+      (opt2 ~gamma:Payoff.zero_one ~func:Func.and_ ~env:(Mc.uniform_bit_inputs ~n:2) ())
+      ~trials:gk_trials ~seed:(seed + 50)
   in
-  let variant = GK.poly_range ~func ~p:2 ~range:[ "0"; "1" ] in
-  let proto = GK.protocol ~func ~variant in
-  let _, e_range =
-    Mc.best_response ~jobs ~overrides:(GK.overrides ~offset:0) ~protocol:proto
-      ~adversaries:(GK.zoo ~variant) ~func ~gamma:Payoff.zero_one
-      ~env:(Mc.uniform_bit_inputs ~n:2)
-      ~trials:(max 60 (gk_trials / 4))
-      ~seed:(seed + 60) ()
-  in
+  let range = gk ~p:2 ~variant:(GK.poly_range ~func:Func.and_ ~p:2 ~range:[ "0"; "1" ]) () in
+  let _, e_range = sup ~jobs range ~trials:(max 60 (gk_trials / 4)) ~seed:(seed + 60) in
   { id = "E11";
     title = "Theorems 23/24: the Gordon-Katz protocols bound the attacker at 1/p";
     claim =
@@ -611,7 +646,7 @@ let e11 ~trials ~seed ~jobs =
       @ [ check_estimate ~label:"PiOpt-2SFE on AND = 1/2 (gamma=(0,0,1,0))" ~e:e_opt
             ~expected:0.5 `Equals;
           check_estimate ~label:"poly-range variant p=2: sup u <= 1/p" ~e:e_range
-            ~expected:(Bounds.gk_upper ~p:2) `At_most ];
+            ~expected:range.bound `At_most ];
     notes = [];
     rows = Some ([ "p"; "rounds"; "best strategy"; "measured"; "1/p" ], rows) }
 
@@ -670,11 +705,8 @@ let e13 ~trials ~seed ~jobs =
     Array.of_list
       (List.map
          (fun q ->
-           let proto = Fair_protocols.Opt2.hybrid_biased ~q swap in
-           let cell j adv tr =
-             Mc.estimate ~jobs ~protocol:proto ~adversary:adv ~func:swap ~gamma
-               ~env:(env_n 2) ~trials:tr ~seed:(seed + j) ()
-           in
+           let inst = opt2 ~q () in
+           let cell j adv tr = mean ~jobs inst adv ~trials:tr ~seed:(seed + j) in
            let greedy_cell j adv = (cell j adv cell_trials).Mc.utility in
            let semi_cell =
              let stratum j id =
@@ -714,16 +746,15 @@ let e13 ~trials ~seed ~jobs =
 
 let e14 ~trials ~seed ~jobs =
   let n = 5 in
-  let func = Func.concat ~n in
-  let proto = Fair_protocols.Optn.hybrid func in
+  let inst = optn ~n () in
   let checks, rows =
     List.split
       (List.map
          (fun budget ->
            let e =
-             Mc.estimate ~jobs ~protocol:proto
-               ~adversary:(Adv.adaptive_hunter ~func ~budget ())
-               ~func ~gamma ~env:(env_n n) ~trials ~seed:(seed + budget) ()
+             mean ~jobs inst
+               (Adv.adaptive_hunter ~func:inst.target.Racing.func ~budget ())
+               ~trials ~seed:(seed + budget)
            in
            ( check_estimate
                ~label:(Printf.sprintf "adaptive budget %d <= static bound t=%d" budget budget)
@@ -748,14 +779,13 @@ let e15 ~trials ~seed ~jobs =
      the real-world ensemble (inputs, honest output, adversary-held value)
      under a fixed-round abort is within TV distance 1/p of the ensemble
      produced by the Theorem 23 simulator talking to F_sfe^$. *)
-  let module GK = Fair_protocols.Gordon_katz in
   let func = Func.and_ in
   let trials = max 500 trials in
   let checks, rows =
     List.split
       (List.concat_map
          (fun p ->
-           let variant = GK.poly_domain ~func ~p ~domain1:[ "0"; "1" ] ~domain2:[ "0"; "1" ] in
+           let variant = gk_domain ~p in
            let proto = GK.protocol ~func ~variant in
            let r = variant.GK.rounds in
            List.map
@@ -829,105 +859,6 @@ let e15 ~trials ~seed ~jobs =
     rows = Some ([ "p"; "abort round"; "TV estimate"; "1/p" ], rows) }
 
 (* ------------------------------------------------------------------ *)
-(* Best-response search targets.
-
-   Each target names the sup_A instance behind an experiment's headline
-   number — protocol, preference vector, environment, event accounting —
-   plus the declarative strategy space to race over it, the fixed zoo it
-   must dominate, and the closed-form bound it must respect.  E12 and E15
-   measure environment statistics and TV distances rather than a supremum
-   over adversaries, so they carry no target. *)
-
-type search_target = {
-  s_target : Racing.target;
-  s_space : Space.space;
-  s_zoo : Adversary.t list;
-  s_bound : float;
-  s_bound_label : string;
-}
-
-let plain_target ?(gamma = gamma) ?(hybrid = false) ?zoo ~protocol ~func ~n ~bound
-    ~bound_label () =
-  let max_round = protocol.Protocol.max_rounds in
-  { s_target =
-      { Racing.protocol; func; gamma; env = env_n n; overrides = Events.no_overrides };
-    s_space = Space.make ~hybrid ~func ~n ~max_round ();
-    s_zoo =
-      (match zoo with Some z -> z | None -> Adv.standard_zoo ~func ~n ~max_round ());
-    s_bound = bound;
-    s_bound_label = bound_label }
-
-let target_contract () =
-  let module C = Fair_protocols.Contract in
-  plain_target ~protocol:C.pi2 ~func:C.func ~n:2 ~zoo:C.zoo ~bound:(Bounds.opt2 gamma)
-    ~bound_label:"(g10+g11)/2" ()
-
-let target_opt2 () =
-  plain_target ~hybrid:true
-    ~protocol:(Fair_protocols.Opt2.hybrid Func.swap)
-    ~func:Func.swap ~n:2 ~bound:(Bounds.opt2 gamma) ~bound_label:"(g10+g11)/2" ()
-
-let target_opt2_one_round () =
-  plain_target
-    ~protocol:(Fair_protocols.Opt2.one_round_variant Func.swap)
-    ~func:Func.swap ~n:2 ~bound:(Bounds.unfair_sfe gamma) ~bound_label:"g10" ()
-
-let target_opt2_biased () =
-  plain_target ~hybrid:true
-    ~protocol:(Fair_protocols.Opt2.hybrid_biased ~q:0.5 Func.swap)
-    ~func:Func.swap ~n:2 ~bound:(Bounds.opt2 gamma) ~bound_label:"(g10+g11)/2" ()
-
-let target_optn ?adaptive_budgets ~n () =
-  let func = Func.concat ~n in
-  let protocol = Fair_protocols.Optn.hybrid func in
-  let t =
-    plain_target ~hybrid:true ~protocol ~func ~n ~bound:(Bounds.optn_best gamma ~n)
-      ~bound_label:"((n-1)g10+g11)/n" ()
-  in
-  match adaptive_budgets with
-  | None -> t
-  | Some budgets ->
-      { t with
-        s_space =
-          Space.make ~hybrid:true ~func ~n ~max_round:protocol.Protocol.max_rounds
-            ~adaptive_budgets:budgets () }
-
-let target_gmw_half () =
-  let n = 4 in
-  let func = Func.concat ~n in
-  plain_target ~hybrid:true
-    ~protocol:(Fair_protocols.Gmw_half.hybrid func)
-    ~func ~n
-    ~bound:(Bounds.gmw_half gamma ~n ~t:(n - 1))
-    ~bound_label:"g10 (t >= ceil(n/2))" ()
-
-let target_artificial () =
-  let n = 3 in
-  let func = Func.concat ~n in
-  plain_target ~hybrid:true
-    ~protocol:(Fair_protocols.Artificial.hybrid func)
-    ~func ~n
-    ~bound:(max (Bounds.artificial_single gamma ~n) (Bounds.optn_best gamma ~n))
-    ~bound_label:"max(Lemma-18 t=1, optn best)" ()
-
-let target_gk () =
-  let module GK = Fair_protocols.Gordon_katz in
-  let func = Func.and_ in
-  let p = 2 in
-  let variant = GK.poly_domain ~func ~p ~domain1:[ "0"; "1" ] ~domain2:[ "0"; "1" ] in
-  let protocol = GK.protocol ~func ~variant in
-  { s_target =
-      { Racing.protocol;
-        func;
-        gamma = Payoff.zero_one;
-        env = Mc.uniform_bit_inputs ~n:2;
-        overrides = GK.overrides ~offset:0 };
-    s_space = Space.make ~func ~n:2 ~max_round:protocol.Protocol.max_rounds ();
-    s_zoo = GK.zoo ~variant;
-    s_bound = Bounds.gk_upper ~p;
-    s_bound_label = "1/p" }
-
-(* ------------------------------------------------------------------ *)
 (* E16: chaos sweep.  The fairness proofs rest on the reduction "any
    deviation collapses to abort": tampering, stalling or crashing gains the
    attacker no more utility than aborting outright.  The fault layer lets
@@ -952,62 +883,6 @@ let chaos_schedules =
     ("trunc-q", "trunc@*%0.25");
     ("crash-p2", "crash@1:p2");
     ("storm", "drop@*%0.1;flip@*%0.1;delay+1@*%0.2") ]
-
-type chaos_target = {
-  c_name : string;
-  c_protocol : Protocol.t;
-  c_zoo : Adversary.t list;
-  c_func : Func.t;
-  c_gamma : Payoff.t;
-  c_env : Mc.environment;
-  c_overrides : Events.overrides;
-  c_bound : float;
-  c_bound_label : string;
-}
-
-let chaos_targets () =
-  let module C = Fair_protocols.Contract in
-  let module GK = Fair_protocols.Gordon_katz in
-  let swap = Func.swap in
-  let gk_variant =
-    GK.poly_domain ~func:Func.and_ ~p:2 ~domain1:[ "0"; "1" ] ~domain2:[ "0"; "1" ]
-  in
-  [ { c_name = "pi1";
-      c_protocol = C.pi1;
-      c_zoo = C.zoo;
-      c_func = C.func;
-      c_gamma = gamma;
-      c_env = env_n 2;
-      c_overrides = Events.no_overrides;
-      c_bound = Bounds.unfair_sfe gamma;
-      c_bound_label = "g10" };
-    { c_name = "pi2";
-      c_protocol = C.pi2;
-      c_zoo = C.zoo;
-      c_func = C.func;
-      c_gamma = gamma;
-      c_env = env_n 2;
-      c_overrides = Events.no_overrides;
-      c_bound = Bounds.opt2 gamma;
-      c_bound_label = "(g10+g11)/2" };
-    { c_name = "opt2";
-      c_protocol = Fair_protocols.Opt2.hybrid swap;
-      c_zoo = Adv.standard_zoo ~func:swap ~n:2 ~max_round:Fair_protocols.Opt2.hybrid_rounds ();
-      c_func = swap;
-      c_gamma = gamma;
-      c_env = env_n 2;
-      c_overrides = Events.no_overrides;
-      c_bound = Bounds.opt2 gamma;
-      c_bound_label = "(g10+g11)/2" };
-    { c_name = "gk-p2";
-      c_protocol = GK.protocol ~func:Func.and_ ~variant:gk_variant;
-      c_zoo = GK.zoo ~variant:gk_variant;
-      c_func = Func.and_;
-      c_gamma = Payoff.zero_one;
-      c_env = Mc.uniform_bit_inputs ~n:2;
-      c_overrides = GK.overrides ~offset:0;
-      c_bound = Bounds.gk_upper ~p:2;
-      c_bound_label = "1/p" } ]
 
 (* The negative control: party 1 ships its raw input to party 2, who
    outputs whatever arrives — no commitment, no framing check, no
@@ -1040,34 +915,34 @@ let inject_of spec =
 
 let chaos ?(schedules = chaos_schedules) ~trials ~seed ~jobs () =
   let t = max 40 (trials / 8) in
-  let targets = chaos_targets () in
+  (* The zoos are hardened: an adversary that chokes on a tampered rushed
+     payload degrades to silence (= aborting), it does not kill the trial.
+     The honest machines need no wrapper — the engine contains their
+     raises as aborts. *)
+  let targets =
+    List.map
+      (fun (name, inst) -> (name, { inst with zoo = List.map Faults.harden_adversary inst.zoo }))
+      [ ("pi1", contract `Pi1); ("pi2", contract `Pi2); ("opt2", opt2 ()); ("gk-p2", gk ~p:2 ()) ]
+  in
   let faulted = ref 0 in
-  let combo ti tgt si (sname, spec) =
-    (* The zoo is hardened: an adversary that chokes on a tampered rushed
-       payload degrades to silence (= aborting), it does not kill the
-       trial.  The honest machines need no wrapper — the engine contains
-       their raises as aborts. *)
-    let adversaries = List.map Faults.harden_adversary tgt.c_zoo in
+  let combo ti (name, inst) si (sname, spec) =
     let ba, e =
-      Mc.best_response ~jobs ~overrides:tgt.c_overrides ~inject:(inject_of spec)
-        ~fault_budget:1.0 ~protocol:tgt.c_protocol ~adversaries ~func:tgt.c_func
-        ~gamma:tgt.c_gamma ~env:tgt.c_env ~trials:t
+      sup ~jobs ~inject:(inject_of spec) ~fault_budget:1.0 inst ~trials:t
         ~seed:(seed + (1000 * ti) + (10 * si))
-        ()
     in
     faulted := !faulted + e.Mc.trial_faults;
     let check =
       check_estimate
-        ~label:(Printf.sprintf "%s / %s: sup u <= %s" tgt.c_name sname tgt.c_bound_label)
-        ~e ~expected:tgt.c_bound `At_most
+        ~label:(Printf.sprintf "%s / %s: sup u <= %s" name sname inst.bound_label)
+        ~e ~expected:inst.bound `At_most
     in
     let row =
-      [ tgt.c_name;
+      [ name;
         sname;
         (if spec = "" then "-" else spec);
         ba.Adversary.name;
         Report.fmt_pm e.Mc.utility e.Mc.std_err;
-        Report.fmt_float tgt.c_bound;
+        Report.fmt_float inst.bound;
         Report.check_mark check.ok ]
     in
     (check, row)
@@ -1084,17 +959,9 @@ let chaos ?(schedules = chaos_schedules) ~trials ~seed ~jobs () =
      that never heard of fault injection. *)
   let identity_check =
     if List.exists (fun (_, spec) -> spec = "") schedules then begin
-      let tgt = List.hd targets in
-      let adversaries = List.map Faults.harden_adversary tgt.c_zoo in
-      let with_inject =
-        Mc.best_response ~jobs ~overrides:tgt.c_overrides ~inject:(inject_of "")
-          ~protocol:tgt.c_protocol ~adversaries ~func:tgt.c_func ~gamma:tgt.c_gamma
-          ~env:tgt.c_env ~trials:t ~seed ()
-      in
-      let without =
-        Mc.best_response ~jobs ~overrides:tgt.c_overrides ~protocol:tgt.c_protocol
-          ~adversaries ~func:tgt.c_func ~gamma:tgt.c_gamma ~env:tgt.c_env ~trials:t ~seed ()
-      in
+      let _, inst = List.hd targets in
+      let with_inject = sup ~jobs ~inject:(inject_of "") inst ~trials:t ~seed in
+      let without = sup ~jobs inst ~trials:t ~seed in
       [ mk_check ~label:"faults-off ≡ no-inject (bit-identical)"
           ~measured:(abs_float ((snd with_inject).Mc.utility -. (snd without).Mc.utility))
           ~expected:0.0 ~tolerance:0.0 `Equals ]
@@ -1144,55 +1011,55 @@ type spec = {
   etitle : string;
   eclaim : string;  (** one-line claim, for the CLI's [list] *)
   run : trials:int -> seed:int -> jobs:int -> result;
-  target : (unit -> search_target) option;
-      (** the experiment's sup_A instance for the best-response search;
-          [None] when the headline number is not a supremum over
-          adversaries (E12's environment statistics, E15's TV distance) *)
+  target : (unit -> instance) option;
+      (** the instance [searched] races; [None] when the experiment has no
+          single one (E12 and E15 measure environment statistics, E16
+          sweeps four instances over fault schedules) *)
 }
 
 let registry =
   [ { eid = "E1"; etitle = "contract signing: pi2 twice as fair as pi1";
       eclaim = "best attacker gets g10 against pi1 but only (g10+g11)/2 against pi2";
-      run = e1; target = Some target_contract };
+      run = e1; target = Some (fun () -> contract `Pi2) };
     { eid = "E2"; etitle = "Theorem 3 upper bound for PiOpt-2SFE";
       eclaim = "no adversary exceeds (g10+g11)/2, for every gamma in the sweep";
-      run = e2; target = Some target_opt2 };
+      run = e2; target = Some (fun () -> opt2 ()) };
     { eid = "E3"; etitle = "Theorem 4 / Lemma 7 matching lower bound";
       eclaim = "A_gen attains (g10+g11)/2; A1 + A2 collect at least g10+g11";
-      run = e3; target = Some target_opt2 };
+      run = e3; target = Some (fun () -> opt2 ()) };
     { eid = "E4"; etitle = "Lemmas 9-10 reconstruction rounds";
       eclaim = "2 reconstruction rounds; the 1-round variant collapses to g10";
-      run = e4; target = Some target_opt2_one_round };
+      run = e4; target = Some (fun () -> opt2_one_round ()) };
     { eid = "E5"; etitle = "Lemma 11 per-t utility of PiOpt-nSFE";
       eclaim = "the best t-adversary gets (t*g10+(n-t)*g11)/n, n in {3,5}";
-      run = e5; target = Some (target_optn ~n:3) };
+      run = e5; target = Some (fun () -> optn ~n:3 ()) };
     { eid = "E6"; etitle = "Lemma 13 multi-party lower bound";
       eclaim = "the mixed (n-1)-coalition attains ((n-1)g10+g11)/n, n = 4";
-      run = e6; target = Some (target_optn ~n:4) };
+      run = e6; target = Some (fun () -> optn ~n:4 ()) };
     { eid = "E7"; etitle = "Lemmas 14/16 utility balance";
       eclaim = "the t-profile sums to exactly (n-1)(g10+g11)/2, n in {3..6}";
-      run = e7; target = Some (target_optn ~n:5) };
+      run = e7; target = Some (fun () -> optn ~n:5 ()) };
     { eid = "E8"; etitle = "Lemma 17 GMW-1/2 not balanced";
       eclaim = "per-t profile jumps from g11 to g10 at ceil(n/2); even n over-sums";
-      run = e8; target = Some target_gmw_half };
+      run = e8; target = Some (fun () -> gmw_half ~n:4) };
     { eid = "E9"; etitle = "Lemma 18 optimal-but-unbalanced separation";
       eclaim = "optimally fair protocol whose t=1 and t=n-1 utilities over-sum";
-      run = e9; target = Some target_artificial };
+      run = e9; target = Some (fun () -> artificial ~n:3) };
     { eid = "E10"; etitle = "Theorem 6 corruption costs";
       eclaim = "with c(t) = u - s(t), the cost-adjusted attacker matches the ideal";
-      run = e10; target = Some (target_optn ~n:4) };
+      run = e10; target = Some (fun () -> optn ~n:4 ()) };
     { eid = "E11"; etitle = "Theorems 23/24 Gordon-Katz 1/p bounds";
       eclaim = "the best abort strategy stays below 1/p; crossover vs PiOpt-2SFE";
-      run = e11; target = Some target_gk };
+      run = e11; target = Some (fun () -> gk ~p:2 ()) };
     { eid = "E12"; etitle = "Lemmas 26/27 leaky-AND separation";
       eclaim = "leaks with probability 1/4 yet is 1/2-secure: the notions separate";
       run = e12; target = None };
     { eid = "E13"; etitle = "RPD attack-game equilibrium (ablation)";
       eclaim = "the designer's minimax over the bias q sits at the uniform q = 1/2";
-      run = e13; target = Some target_opt2_biased };
+      run = e13; target = Some (fun () -> opt2 ~q:0.5 ()) };
     { eid = "E14"; etitle = "adaptive-corruption ablation (Lemma 11)";
       eclaim = "hunting i* adaptively cannot beat the static t-coalition bound";
-      run = e14; target = Some (target_optn ~n:5 ~adaptive_budgets:[ 1; 2; 3; 4 ]) };
+      run = e14; target = Some (fun () -> optn ~n:5 ~adaptive_budgets:[ 1; 2; 3; 4 ] ()) };
     { eid = "E15"; etitle = "1/p-security as statistical distance (Lemma 25)";
       eclaim = "real and simulated GK ensembles are within TV distance 1/p";
       run = e15; target = None };
@@ -1207,41 +1074,89 @@ let find id =
 (* ------------------------------------------------------------------ *)
 (* Running the search *)
 
-(* When the zoo comparison is requested the fixed-zoo strategies join the
-   race as extra arms: every arm (declarative point or zoo member) then
-   pulls the same shared trial grid under the same budget discipline,
-   so "searched best ≥ zoo best" is exact by construction — the searched
-   max is a max over a superset of the zoo arms — instead of a comparison
-   between two independently-noisy estimates.  (For most experiments the
-   zoo arms are redundant with the space and die in round one; for the
-   Gordon–Katz target the zoo carries protocol-specific attacks the
-   generic parameterization lacks, and racing them keeps the certificate
-   honest about which family the best response came from.) *)
-let searched ?(budget = 20_000) ?(zoo = false) ~seed ~jobs (s : spec) =
-  match s.target with
-  | None -> None
-  | Some mk ->
-      let t = mk () in
-      let space_arms = List.map (Space.compile t.s_space) (Space.points t.s_space) in
-      let np = List.length space_arms in
-      let arms = if zoo then space_arms @ t.s_zoo else space_arms in
-      let outcome = Racing.race_target ~jobs ~target:t.s_target ~arms ~budget ~seed in
-      let zoo_best =
-        if not zoo then None
-        else
-          List.fold_left
-            (fun best (st : Adversary.t Racing.standing) ->
-              let u = st.Racing.estimate.Mc.utility in
-              match best with
-              | Some (_, u') when u' >= u -> best
-              | _ -> Some (st.Racing.arm.Adversary.name, u))
-            None
-            (List.filteri (fun i _ -> i >= np) outcome.Racing.standings)
-      in
-      Some
-        (Certificate.make ~experiment:s.eid ~seed ~budget ?zoo_best ~bound:t.s_bound
-           ~bound_label:t.s_bound_label ~outcome
-           ~arm_name:(fun (a : Adversary.t) -> a.Adversary.name) ())
+(* Race the instance's strategy space under [budget] and certify the best
+   arm against its bound.  When the zoo comparison is requested the
+   fixed-zoo strategies join the race as extra arms: every arm
+   (declarative point or zoo member) then pulls the same shared trial grid
+   under the same budget discipline, so "searched best ≥ zoo best" is
+   exact by construction — the searched max is a max over a superset of
+   the zoo arms — instead of a comparison between two independently-noisy
+   estimates.  (For most experiments the zoo arms are redundant with the
+   space and die in round one; for the Gordon–Katz target the zoo carries
+   protocol-specific attacks the generic parameterization lacks, and
+   racing them keeps the certificate honest about which family the best
+   response came from.) *)
+let certify ?(zoo = false) ~label ~budget ~seed ~jobs inst =
+  let space_arms = List.map (Space.compile inst.space) (Space.points inst.space) in
+  let np = List.length space_arms in
+  let arms = if zoo then space_arms @ inst.zoo else space_arms in
+  let outcome = Racing.race_target ~jobs ~target:inst.target ~arms ~budget ~seed in
+  let zoo_best =
+    if not zoo then None
+    else
+      List.fold_left
+        (fun best (st : Adversary.t Racing.standing) ->
+          let u = st.Racing.estimate.Mc.utility in
+          match best with
+          | Some (_, u') when u' >= u -> best
+          | _ -> Some (st.Racing.arm.Adversary.name, u))
+        None
+        (List.filteri (fun i _ -> i >= np) outcome.Racing.standings)
+  in
+  Certificate.make ~experiment:label ~seed ~budget ?zoo_best ~bound:inst.bound
+    ~bound_label:inst.bound_label ~outcome
+    ~arm_name:(fun (a : Adversary.t) -> a.Adversary.name) ()
+
+let searched ?(budget = 20_000) ?zoo ~seed ~jobs (s : spec) =
+  Option.map (fun mk -> certify ?zoo ~label:s.eid ~budget ~seed ~jobs (mk ())) s.target
 
 let search_table ?(markdown = false) certs =
   Report.render ~markdown ~header:Certificate.header (List.map Certificate.row certs)
+
+(* ------------------------------------------------------------------ *)
+(* Grids: one instance per point *)
+
+let gamma_grid ?(gammas = Payoff.sweep) ~jobs ~budget ~seed () =
+  List.mapi
+    (fun i gamma ->
+      let label = Payoff.to_string gamma in
+      (label, certify ~label ~budget ~seed:(seed + (1000 * i)) ~jobs (opt2 ~gamma ())))
+    gammas
+
+let n_grid ?(ns = [ 2; 3; 4; 5; 6 ]) ~jobs ~budget ~seed () =
+  List.map
+    (fun n ->
+      let label = Printf.sprintf "n=%d" n in
+      (label, certify ~label ~budget ~seed:(seed + (1000 * n)) ~jobs (optn ~n ())))
+    ns
+
+let grid_table ?markdown points =
+  Report.render ?markdown
+    ~header:[ "grid point"; "best arm (searched)"; "searched"; "bound"; "margin"; "verdict" ]
+    (List.map
+       (fun (label, (c : Certificate.t)) ->
+         [ label;
+           c.Certificate.best_arm;
+           Report.fmt_pm c.Certificate.utility c.Certificate.std_err;
+           Report.fmt_float c.Certificate.bound;
+           Report.fmt_float c.Certificate.margin;
+           Report.check_mark c.Certificate.within_bound ])
+       points)
+
+let q_sweep ~jobs ~qs ~trials ~seed () =
+  let greedy id = Adv.greedy ~func:Func.swap (Adv.Fixed [ id ]) in
+  List.mapi
+    (fun i q ->
+      let inst = { (opt2 ~q ()) with zoo = [ greedy 1; greedy 2 ] } in
+      (q, snd (sup ~jobs inst ~trials ~seed:(seed + i))))
+    qs
+
+let q_table ?markdown points =
+  Report.render ?markdown
+    ~header:[ "q = Pr[p1 first]"; "sup_A u"; "distance from minimax" ]
+    (List.map
+       (fun (q, (e : Mc.estimate)) ->
+         [ Printf.sprintf "%.2f" q;
+           Report.fmt_pm e.Mc.utility e.Mc.std_err;
+           Report.fmt_float (e.Mc.utility -. Bounds.opt2 gamma) ])
+       points)

@@ -40,22 +40,22 @@ val result_to_json : result -> Fairness.Json.t
     [run]-kind queries, where cache hits are byte-compared against fresh
     computes. *)
 
-(** {2 Best-response search integration}
+(** {2 sup_A instances}
 
-    The registry's headline numbers are suprema over adversaries; a
-    {!search_target} names the sup_A instance behind an experiment so the
-    {!Fair_search} subsystem can race the full strategy space over it
-    instead of trusting the hand-written zoo. *)
+    Every supremum the registry, the search, the grids and the chaos sweep
+    report is taken over one {!instance}: the registry maximises its fixed
+    zoo over it, and the {!Fair_search} subsystem races the full strategy
+    space over it instead of trusting the hand-written zoo. *)
 
-type search_target = {
-  s_target : Fair_search.Racing.target;
+type instance = {
+  target : Fair_search.Racing.target;
       (** protocol, function, payoff vector, environment, event accounting *)
-  s_space : Fair_search.Strategy_space.space;  (** arms to race *)
-  s_zoo : Fair_exec.Adversary.t list;
-      (** the fixed zoo the search must dominate (for the certificate's
-          searched-vs-zoo comparison) *)
-  s_bound : float;  (** the paper's closed-form bound on sup_A u *)
-  s_bound_label : string;
+  space : Fair_search.Strategy_space.space;  (** arms to race *)
+  zoo : Fair_exec.Adversary.t list;
+      (** the fixed zoo the registry maximises over and the search must
+          dominate (for the certificate's searched-vs-zoo comparison) *)
+  bound : float;  (** the paper's closed-form bound on sup_A u *)
+  bound_label : string;
 }
 
 type spec = {
@@ -63,13 +63,14 @@ type spec = {
   etitle : string;
   eclaim : string;  (** one-line claim, printed by the CLI's [list] *)
   run : trials:int -> seed:int -> jobs:int -> result;
-  target : (unit -> search_target) option;
-      (** [None] when the experiment's number is not a supremum over
-          adversaries (E12, E15) *)
+  target : (unit -> instance) option;
+      (** the instance [searched] races; [None] when the experiment has no
+          single one: E12 and E15 measure environment statistics, and E16
+          sweeps four instances over fault schedules *)
 }
 
 val registry : spec list
-(** E1 .. E15, in order. *)
+(** E1 .. E16, in order. *)
 
 val find : string -> spec option
 (** Case-insensitive lookup by id. *)
@@ -94,6 +95,55 @@ val searched :
 
 val search_table : ?markdown:bool -> Fair_search.Certificate.t list -> string
 (** The "searched" summary table (one row per experiment). *)
+
+(** {2 Grids}
+
+    One instance per grid point.  Each γ or n point races like [searched]
+    without the zoo and yields a full certificate, labelled by the point;
+    each q point takes the plain max of the two greedy attackers. *)
+
+val gamma_grid :
+  ?gammas:Fairness.Payoff.t list ->
+  jobs:int ->
+  budget:int ->
+  seed:int ->
+  unit ->
+  (string * Fair_search.Certificate.t) list
+(** ΠOpt-2SFE (swap) raced per preference vector (default
+    {!Fairness.Payoff.sweep}) against Theorem 3's (γ10+γ11)/2.  [budget] is
+    per point; point [i] races on seed [seed + 1000·i].
+    @raise Invalid_argument if [budget] is below the strategy space's arm
+    count. *)
+
+val n_grid :
+  ?ns:int list ->
+  jobs:int ->
+  budget:int ->
+  seed:int ->
+  unit ->
+  (string * Fair_search.Certificate.t) list
+(** ΠOpt-nSFE (concat) raced per party count (default 2..6) against
+    Lemma 13's ((n−1)γ10+γ11)/n.  Point [n] races on seed [seed + 1000·n].
+    @raise Invalid_argument if [budget] is below a point's arm count. *)
+
+val grid_table : ?markdown:bool -> (string * Fair_search.Certificate.t) list -> string
+(** The table [search --grid] prints: point, best arm, searched, bound,
+    margin, verdict. *)
+
+val q_sweep :
+  jobs:int ->
+  qs:float list ->
+  trials:int ->
+  seed:int ->
+  unit ->
+  (float * Fairness.Montecarlo.estimate) list
+(** E13's designer sweep: sup_A u against opt2(q), the ΠOpt-2SFE whose
+    first release goes to p1 with probability q, over greedy-p1 and
+    greedy-p2.  Point [i] runs on seed [seed + i]; the curve's minimum sits
+    at q = 1/2. *)
+
+val q_table : ?markdown:bool -> (float * Fairness.Montecarlo.estimate) list -> string
+(** The table [sweep q] prints: q, sup_A u, distance from (γ10+γ11)/2. *)
 
 val e1 : trials:int -> seed:int -> jobs:int -> result
 val e2 : trials:int -> seed:int -> jobs:int -> result

@@ -17,14 +17,3 @@ let is_balanced ~per_t ~gamma ~n =
 let exceeds_balanced_bound ~per_t ~gamma ~n =
   let bound = Bounds.balanced_sum gamma ~n in
   sum_over_t per_t > bound +. (3.0 *. sum_std_err per_t) +. 1e-9
-
-let phi_fair ~per_t ~phi =
-  List.for_all
-    (fun (t, e) ->
-      e.Montecarlo.utility <= phi t +. (3.0 *. e.Montecarlo.std_err) +. 1e-9)
-    per_t
-
-let phi_of_measurements ~per_t t =
-  match List.assoc_opt t per_t with
-  | Some e -> e.Montecarlo.utility
-  | None -> 0.0

@@ -1,4 +1,4 @@
-(** Utility-balanced fairness (Definition 5) and φ-fairness (Definition 21).
+(** Utility-balanced fairness (Definition 5).
 
     A protocol is utility-balanced γ-fair when the *sum* of the utilities of
     the best t-adversaries, t = 1..n−1, is minimal; Lemmas 14/16 pin that
@@ -19,10 +19,3 @@ val exceeds_balanced_bound :
   per_t:(int * Montecarlo.estimate) list -> gamma:Payoff.t -> n:int -> bool
 (** The sufficient criterion after Definition 5: the measured sum exceeds
     (n−1)(γ10+γ11)/2 beyond noise, hence the protocol is not balanced. *)
-
-val phi_fair : per_t:(int * Montecarlo.estimate) list -> phi:(int -> float) -> bool
-(** Definition 21: û(Π, A_t) ≤ φ(t) (+3σ) for every measured t. *)
-
-val phi_of_measurements : per_t:(int * Montecarlo.estimate) list -> int -> float
-(** The empirical profile: measured best utility per coalition size
-    (0 outside the measured range). *)

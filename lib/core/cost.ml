@@ -13,16 +13,5 @@ let dominates ~c ~c' ~n =
 let strictly_dominates ~c ~c' ~n =
   List.for_all (fun t -> c t > c' t +. 1e-12) (List.init n (fun i -> i + 1))
 
-let ideal_payoff_with_cost gamma ~cost ~t = Bounds.ideal_utility gamma ~t -. cost t
-
-let ideal_value gamma ~cost ~n =
-  List.fold_left
-    (fun acc t -> max acc (ideal_payoff_with_cost gamma ~cost ~t))
-    neg_infinity
-    (List.init (n + 1) (fun t -> t))
-
-let is_ideally_fair ~best_utility_with_cost ~std_err ~gamma ~cost ~n =
-  best_utility_with_cost <= ideal_value gamma ~cost ~n +. (3.0 *. std_err) +. 1e-9
-
 let phi_cost_correspondence ~phi ~gamma t =
   if t = 0 then 0.0 else phi t -. Bounds.ideal_utility gamma ~t

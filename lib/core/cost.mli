@@ -20,19 +20,6 @@ val dominates : c:cost -> c':cost -> n:int -> bool
 
 val strictly_dominates : c:cost -> c':cost -> n:int -> bool
 
-val ideal_payoff_with_cost : Payoff.t -> cost:cost -> t:int -> float
-(** Best-attacker payoff against Φ^F_sfe when corrupting t parties costs
-    c(t): s(t) − c(t). *)
-
-val ideal_value : Payoff.t -> cost:cost -> n:int -> float
-(** sup over t ∈ 0..n of {!ideal_payoff_with_cost} — the right-hand side of
-    Definition 19. *)
-
-val is_ideally_fair :
-  best_utility_with_cost:float -> std_err:float -> gamma:Payoff.t -> cost:cost -> n:int -> bool
-(** Definition 19, empirically: measured best cost-adjusted utility ≤ ideal
-    value + 3σ. *)
-
 val phi_cost_correspondence : phi:(int -> float) -> gamma:Payoff.t -> cost
 (** Lemma 22: the cost function c(t) = φ(t) − s(t) for which φ-fairness and
     ideal γ^C-fairness coincide. *)

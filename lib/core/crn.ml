@@ -112,8 +112,6 @@ module Bacc = struct
   let create = bacc_create
   let observe = bacc_observe
   let void c = c.faulted <- c.faulted + 1
-  let count c = c.count
-  let merge = bacc_merge
   let finalize = finalize
 end
 

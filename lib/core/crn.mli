@@ -54,8 +54,8 @@ type paired = {
 (** The bivariate Welford/Chan accumulator behind {!paired}, exposed for
     callers that drive their own trial loops — notably the paired racer in
     [Fair_search.Racing], which replays per-arm payoff histories against
-    the incumbent's.  Observations must be fed (or accumulators merged) in
-    trial order for results to be deterministic. *)
+    the incumbent's.  Observations must be fed in trial order for results
+    to be deterministic. *)
 module Bacc : sig
   type t
 
@@ -66,12 +66,6 @@ module Bacc : sig
 
   val void : t -> unit
   (** Void one pair (either leg faulted); counted in [pair_faults]. *)
-
-  val count : t -> int
-  (** Completed (non-void) pairs so far. *)
-
-  val merge : t -> t -> t
-  (** [merge x y] folds [y] into [x] (Chan et al.) and returns [x]. *)
 
   val finalize : t -> paired
 end

@@ -19,10 +19,3 @@ let pp_verdict fmt v =
     | Strictly_fairer -> "strictly fairer"
     | Less_fair -> "less fair"
     | Equally_fair -> "equally fair")
-
-let is_optimal ~(best : Montecarlo.estimate) ~bound =
-  Montecarlo.within_bound best ~bound && Montecarlo.attains_bound best ~bound
-
-let fairness_ratio ~(pi : Montecarlo.estimate) ~(pi' : Montecarlo.estimate) =
-  if pi.Montecarlo.utility = 0.0 then infinity
-  else pi'.Montecarlo.utility /. pi.Montecarlo.utility

@@ -16,12 +16,3 @@ val compare_sup : pi:Montecarlo.estimate -> pi':Montecarlo.estimate -> verdict
 (** Compare the best-response estimates of two protocols. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
-
-val is_optimal : best:Montecarlo.estimate -> bound:float -> bool
-(** Definition 2, empirically: the measured best attacker is within noise of
-    the proven optimal value [bound], i.e. the protocol meets the maximal
-    element's value. *)
-
-val fairness_ratio : pi:Montecarlo.estimate -> pi':Montecarlo.estimate -> float
-(** u_best(Π') / u_best(Π): "Π is k times as fair as Π'" in the loose sense
-    of the paper's introduction (Π2 is twice as fair as Π1). *)

@@ -51,8 +51,6 @@ let failure_to_string = function
   | Party_crash { round; party } ->
       Printf.sprintf "party crash: party %d crash-stopped at round %d" party round
 
-let pp_failure fmt f = Format.pp_print_string fmt (failure_to_string f)
-
 let () =
   Printexc.register_printer (function
     | Fail f -> Some ("Engine.Fail: " ^ failure_to_string f)

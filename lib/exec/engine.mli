@@ -47,7 +47,6 @@ type failure =
 exception Fail of failure
 
 val failure_to_string : failure -> string
-val pp_failure : Format.formatter -> failure -> unit
 
 val fatal : exn -> bool
 (** [Stack_overflow], [Out_of_memory], [Assert_failure]: what no

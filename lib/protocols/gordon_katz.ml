@@ -393,12 +393,6 @@ let abort_on_repeat ~target ~k =
       | v :: rest -> List.for_all (String.equal v) rest
       | [] -> false)
 
-let abort_on_value ~target ~value =
-  value_adversary
-    ~name:(Printf.sprintf "gk-value(%s):p%d" value target)
-    ~target
-    ~decide:(fun history -> match List.rev history with v :: _ -> String.equal v value | [] -> false)
-
 let zoo ~variant =
   let r = variant.rounds in
   let sample_rounds =

@@ -67,9 +67,6 @@ val abort_on_repeat : target:int -> k:int -> Adversary.t
 (** Abort once the held value has stayed constant for [k] consecutive
     exchange rounds — the "detect stabilization" heuristic. *)
 
-val abort_on_value : target:int -> value:string -> Adversary.t
-(** Abort the first time the held value equals [value]. *)
-
 val zoo : variant:variant -> Adversary.t list
-(** Fixed-round aborters across the exchange, repeat- and value-triggered
+(** Fixed-round aborters across the exchange and repeat-triggered
     strategies, for both corruption targets, plus baselines. *)

@@ -147,6 +147,5 @@ val race_target :
     dealer's setup and the honest machines are built once per trial and
     chunk.  The chunks depend only on the round's shape, so the work done
     (e.g. [sha256.blocks]) is the same at any [jobs].  One [race.pull]
-    span per chunk.  Used by the registry searches
-    ([Fair_analysis.Experiments.searched]) and the landscapes
-    ({!Landscape}). *)
+    span per chunk.  Used by the registry searches and the γ/n grids
+    ([Fair_analysis.Experiments.searched], [gamma_grid], [n_grid]). *)

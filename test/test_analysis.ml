@@ -51,31 +51,27 @@ let test_markdown_of_result () =
 
 (* ----------------------------- sweep -------------------------------- *)
 
+(* The table [fairness sweep q] prints, captured for these three points. *)
+let q_sweep_golden =
+  String.concat "\n"
+    [ "q = Pr[p1 first]  sup_A u          distance from minimax";
+      "----------------  ---------------  ---------------------";
+      "0.00              1.0000 ±0.0000  0.2500               ";
+      "0.50              0.7850 ±0.0175  0.0350               ";
+      "1.00              1.0000 ±0.0000  0.2500               " ]
+
 let test_q_sweep_v_shape () =
-  let module S = Fair_analysis.Sweep in
-  let t = S.q_sweep ~qs:[ 0.0; 0.5; 1.0 ] ~trials:200 ~seed:6 () in
-  match List.map snd t.S.data with
+  let points = E.q_sweep ~jobs:2 ~qs:[ 0.0; 0.5; 1.0 ] ~trials:200 ~seed:6 () in
+  Alcotest.(check string) "rendered table" q_sweep_golden (E.q_table points);
+  match List.map (fun (_, (e : Fairness.Montecarlo.estimate)) -> e.utility) points with
   | [ a; mid; b ] ->
       if not (mid < a && mid < b) then
         Alcotest.failf "not a V: %.3f %.3f %.3f" a mid b
   | _ -> Alcotest.fail "unexpected data shape"
 
 let test_sweep_renders () =
-  let module S = Fair_analysis.Sweep in
-  let t = S.q_sweep ~qs:[ 0.5 ] ~trials:100 ~seed:7 () in
-  let s = S.render t in
+  let s = E.q_table (E.q_sweep ~jobs:2 ~qs:[ 0.5 ] ~trials:100 ~seed:7 ()) in
   Alcotest.(check bool) "non-empty" true (String.length s > 20)
-
-(* data labels leave in stable natural-sorted order whatever order the
-   sweep visited the grid; rows keep the sweep's own order *)
-let test_sweep_data_label_order () =
-  let module S = Fair_analysis.Sweep in
-  Alcotest.(check bool) "digit runs compare numerically" true (S.natural_compare "n=2" "n=10" < 0);
-  Alcotest.(check bool) "plain text still ordered" true (S.natural_compare "abort@3" "greedy" < 0);
-  let t = S.q_sweep ~qs:[ 1.0; 0.0 ] ~trials:120 ~seed:9 () in
-  Alcotest.(check (list string)) "data sorted" [ "0.00"; "1.00" ] (List.map fst t.S.data);
-  Alcotest.(check (list string)) "rows keep sweep order" [ "1.00"; "0.00" ]
-    (List.map List.hd t.S.rows)
 
 (* ------------------------------ demo --------------------------------- *)
 
@@ -110,6 +106,27 @@ let test_demos_run () =
           if Buffer.length buf < 50 then Alcotest.failf "%s: empty demo output" e.D.dname)
     D.registry
 
+(* SHA-256 of each result's JSON at trials 150, seed 2026.  A change that
+   keeps every registry byte keeps these; one that moves a random stream
+   or a tolerance updates the table and says which rows moved. *)
+let result_digests =
+  [ ("E1", "45c45fa0ef6847869213b239b8129c647dd22f106018802dbd149861477c1c44");
+    ("E2", "12d113d5c091f2c2c6491226a394d2bdb8db6064e0161814861d2c8472a81774");
+    ("E3", "0ba93c68706490e3f1ae430524491db8e6558d4f041c6f4368cedea0658eeda3");
+    ("E4", "72b1604e4186d80b3cb4edf7644e3e4175b52d839731979e1164d67980d127b4");
+    ("E5", "6f746edfdb29afd3ecc953221c41dff91ffd1ad632d40a8df2caf00390a0fb32");
+    ("E6", "a562db2a15741c88838df000f9f1f6948b315e79843145b8d68fd9c3e27472dd");
+    ("E7", "1accff809e69d303cd0bc1343431ead7aa4be8421f190962e5c9b8ed39acf794");
+    ("E8", "dedba81cc43c344632078d1700127b8b782a45cc8d77b000fd7c159cdad1ef92");
+    ("E9", "b9678556e501cd534871c79c82f386689bbb6c85453cbce8d724f33b7ed98922");
+    ("E10", "a0fdac8fd4223cd1461b9006ecd849b5216cdbc42c040891b3f11ea3487b95f9");
+    ("E11", "43ce32d1a60224546217d076c5ae4aad9db1ef41c6ebb2e0a7cd66bd93bdc504");
+    ("E12", "123241eaa45892d2074be8510cd9bf9e0727f2f2ba7ec5d3e1dda173eda4eb1c");
+    ("E13", "88832694882533a38db90b45c0b05a542eeff6d6aef7bf60a93f7e1fe6208620");
+    ("E14", "597cbb274d384fc7176aa3bc41e0ead1cd6098de5d15c36820febab160ff5f3c");
+    ("E15", "3ead312d9bc6020061f80d3ec707717b764bc6f067b1439c6f52d4aa94cd950a");
+    ("E16", "5468cb763e356ca4bb3295e8f1617b17e8f17cf3327e8bceb609378d45e1f960") ]
+
 (* Each experiment, at reduced size, still passes its own checks. *)
 let experiment_case (s : E.spec) =
   Alcotest.test_case (s.E.eid ^ " passes its paper checks") `Slow (fun () ->
@@ -123,7 +140,9 @@ let experiment_case (s : E.spec) =
               c.E.measured
               (match c.E.kind with `Equals -> "=" | `At_most -> "<=" | `At_least -> ">=")
               c.E.expected c.E.tolerance)
-        r.E.checks)
+        r.E.checks;
+      Alcotest.(check string) (s.E.eid ^ " result bytes") (List.assoc s.E.eid result_digests)
+        (Fair_crypto.Sha256.hex_digest (Fairness.Json.to_string (E.result_to_json r))))
 
 let () =
   Alcotest.run "fair_analysis"
@@ -137,8 +156,7 @@ let () =
           Alcotest.test_case "markdown output" `Slow test_markdown_of_result ] );
       ( "sweep",
         [ Alcotest.test_case "q-sweep V shape" `Slow test_q_sweep_v_shape;
-          Alcotest.test_case "render" `Slow test_sweep_renders;
-          Alcotest.test_case "data label order" `Slow test_sweep_data_label_order ] );
+          Alcotest.test_case "render" `Slow test_sweep_renders ] );
       ( "demo",
         [ Alcotest.test_case "registry and lookup" `Quick test_demo_registry;
           Alcotest.test_case "adversary lookup" `Quick test_demo_adversary_lookup;

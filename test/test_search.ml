@@ -1,5 +1,5 @@
 (* The best-response search subsystem: strategy space, the paired racer,
-   landscapes, certificates.
+   the γ/n grids, certificates.
 
    The racer tests run on synthetic arms (deterministic hash-noise around
    known means) so budget accounting and elimination safety are checked
@@ -10,7 +10,6 @@ module Mc = Fairness.Montecarlo
 module Payoff = Fairness.Payoff
 module Space = Fair_search.Strategy_space
 module Racing = Fair_search.Racing
-module Landscape = Fair_search.Landscape
 module Certificate = Fair_search.Certificate
 module Json = Fairness.Json
 module E = Fair_analysis.Experiments
@@ -307,13 +306,13 @@ let test_registry_shares_preludes () =
       match spec.E.target with
       | None -> ()
       | Some mk ->
-          let t = mk () in
-          let stride = if t.E.s_target.Racing.protocol.Protocol.parties = 2 then 1 else 12 in
+          let inst = mk () in
+          let stride = if inst.E.target.Racing.protocol.Protocol.parties = 2 then 1 else 12 in
           let arms =
-            List.map (Space.compile t.E.s_space) (Space.points t.E.s_space) @ t.E.s_zoo
+            List.map (Space.compile inst.E.space) (Space.points inst.E.space) @ inst.E.zoo
             |> List.filteri (fun j _ -> j mod stride = 0)
           in
-          let n = both_orders t.E.s_target arms ~prefix in
+          let n = both_orders inst.E.target arms ~prefix in
           if n > 0 then
             Alcotest.failf "%s: %d plays of a shared prelude differ from Trial.run" spec.E.eid n)
     E.registry
@@ -371,25 +370,35 @@ let test_work_same_at_any_jobs () =
   in
   Alcotest.(check (list (pair string int))) "E1 race work at -j 1 and -j 2" (work 1) (work 2)
 
-(* ----------------------------- landscapes ---------------------------- *)
+(* ------------------------------ γ/n grids ----------------------------- *)
 
 let grid_budget = 1000
 
+(* SHA-256 of each grid point's certificate, at the seeds the tests below
+   race. *)
+let grid_digests =
+  [ ("n=2", "7d739646cda2fd0ed620110328d002ed829d7e456bc78229776834b9ff27da32");
+    ("n=4", "96eed0d44bee7edf4aad14052ef7d68729ad6312caec52675ca0593d8a509bf4");
+    ( Payoff.to_string Payoff.default,
+      "2df1b888c5ed0b4534039282b04c5d3e5bc4ef1dda2211f64c373e54f8e67b49" ) ]
+
 (* Points come back in grid order, raced paired within budget, and the
    certificates are byte-identical at -j1 and -j2. *)
-let check_grid ~labels (t1 : Landscape.table) (t2 : Landscape.table) =
-  Alcotest.(check (list string)) "points in grid order" labels (List.map fst t1.Landscape.points);
+let check_grid ~labels t1 t2 =
+  Alcotest.(check (list string)) "points in grid order" labels (List.map fst t1);
   List.iter2
-    (fun (_, (c1 : Certificate.t)) (_, c2) ->
+    (fun (label, (c1 : Certificate.t)) (_, c2) ->
       Alcotest.(check string) "raced paired" "paired" c1.Certificate.mode;
       Alcotest.(check bool) "spent within budget" true (c1.Certificate.spent <= grid_budget);
       Alcotest.(check string) "identical certificates at -j1 and -j2"
-        (Certificate.to_string c1) (Certificate.to_string c2))
-    t1.Landscape.points t2.Landscape.points
+        (Certificate.to_string c1) (Certificate.to_string c2);
+      Alcotest.(check string) (label ^ " certificate bytes") (List.assoc label grid_digests)
+        (Fair_crypto.Sha256.hex_digest (Certificate.to_string c1)))
+    t1 t2
 
 let n_grids =
   lazy
-    (let run jobs = Landscape.n_grid ~ns:[ 2; 4 ] ~jobs ~budget:grid_budget ~seed:5 () in
+    (let run jobs = E.n_grid ~ns:[ 2; 4 ] ~jobs ~budget:grid_budget ~seed:5 () in
      (run 1, run 2))
 
 let test_n_grid () =
@@ -401,13 +410,13 @@ let test_n_grid () =
    verdicts are not asserted. *)
 let test_n_grid_decay () =
   let t1, _ = Lazy.force n_grids in
-  match List.map (fun (_, (c : Certificate.t)) -> c.Certificate.utility) t1.Landscape.points with
+  match List.map (fun (_, (c : Certificate.t)) -> c.Certificate.utility) t1 with
   | [ u2; u4 ] -> if u4 <= u2 -. 0.1 then Alcotest.failf "decay violated: %.3f vs %.3f" u2 u4
   | _ -> Alcotest.fail "unexpected grid shape"
 
 let test_gamma_grid () =
   let run jobs =
-    Landscape.gamma_grid ~gammas:[ Payoff.default ] ~jobs ~budget:grid_budget ~seed:7 ()
+    E.gamma_grid ~gammas:[ Payoff.default ] ~jobs ~budget:grid_budget ~seed:7 ()
   in
   check_grid ~labels:[ Payoff.to_string Payoff.default ] (run 1) (run 2)
 
