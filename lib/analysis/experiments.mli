@@ -1,7 +1,8 @@
 (** The experiment registry: one entry per quantitative claim of the paper
     (see DESIGN.md §3 for the index).  Every experiment returns a set of
-    checks "measured vs expected"; [ok] applies the 3σ criterion that stands
-    in for the paper's negligible slack.
+    checks "measured vs expected", each built by {!Fairness.Check.make} from
+    its evidence: {!Fairness.Check} owns the tolerance that stands in for the
+    paper's negligible slack, and the verdict.
 
     [trials] scales all Monte-Carlo sample sizes (each experiment applies
     its own multiplier to keep runtimes balanced); [seed] makes the whole
@@ -9,36 +10,12 @@
     use — it changes the wall clock only, never the numbers (see
     {!Fairness.Montecarlo}). *)
 
-type check = {
-  label : string;
-  measured : float;
-  expected : float;
-  tolerance : float;  (** absolute slack used by [ok], typically 3σ *)
-  kind : [ `Equals | `At_most | `At_least ];
-  ok : bool;
-}
-
-type result = {
-  id : string;
-  title : string;
-  claim : string;  (** the paper statement being reproduced *)
-  checks : check list;
+type outcome = {
+  checks : Fairness.Check.t list;
   notes : string list;
   rows : (string list * string list list) option;  (** optional (header, rows) detail table *)
 }
-
-val all_ok : result -> bool
-
-val pp : Format.formatter -> result -> unit
-(** Human-readable report (with the detail table). *)
-
-val to_markdown : result -> string
-
-val result_to_json : result -> Fairness.Json.t
-(** Stable machine-readable rendering (fixed key order, every field present)
-    — the wire body the certificate service ({!Fair_service}) serves for
-    [run]-kind queries, where cache hits are byte-compared against fresh
-    computes. *)
+(** What one experiment measures. *)
 
 (** {2 sup_A instances}
 
@@ -60,13 +37,12 @@ type instance = {
 
 type spec = {
   eid : string;
-  etitle : string;
+  etitle : string;  (** one-line title, printed by the CLI's [list] *)
   eclaim : string;  (** one-line claim, printed by the CLI's [list] *)
-  run : trials:int -> seed:int -> jobs:int -> result;
-  target : (unit -> instance) option;
-      (** the instance [searched] races; [None] when the experiment has no
-          single one: E12 and E15 measure environment statistics, and E16
-          sweeps four instances over fault schedules *)
+  title : string;  (** the report's heading *)
+  claim : string;  (** the paper statement being reproduced *)
+  body : trials:int -> seed:int -> jobs:int -> outcome;
+  target : (unit -> instance) option;  (** the instance [searched] races, if any ({!no_target}) *)
 }
 
 val registry : spec list
@@ -74,6 +50,28 @@ val registry : spec list
 
 val find : string -> spec option
 (** Case-insensitive lookup by id. *)
+
+val no_target : spec -> string
+(** Why a spec has no [target] (E12 and E15 measure environment statistics,
+    and E16 sweeps four instances over fault schedules): the one text the
+    CLI prints and the service returns for a search of it. *)
+
+type result = { spec : spec; outcome : outcome }
+
+val run : spec -> trials:int -> seed:int -> jobs:int -> result
+
+val all_ok : result -> bool
+
+val pp : Format.formatter -> result -> unit
+(** Human-readable report (with the detail table). *)
+
+val to_markdown : result -> string
+
+val result_to_json : result -> Fairness.Json.t
+(** Stable machine-readable rendering (fixed key order, every field present)
+    — the wire body the certificate service ({!Fair_service}) serves for
+    [run]-kind queries, where cache hits are byte-compared against fresh
+    computes. *)
 
 val searched :
   ?budget:int ->
@@ -145,23 +143,6 @@ val q_sweep :
 val q_table : ?markdown:bool -> (float * Fairness.Montecarlo.estimate) list -> string
 (** The table [sweep q] prints: q, sup_A u, distance from (γ10+γ11)/2. *)
 
-val e1 : trials:int -> seed:int -> jobs:int -> result
-val e2 : trials:int -> seed:int -> jobs:int -> result
-val e3 : trials:int -> seed:int -> jobs:int -> result
-val e4 : trials:int -> seed:int -> jobs:int -> result
-val e5 : trials:int -> seed:int -> jobs:int -> result
-val e6 : trials:int -> seed:int -> jobs:int -> result
-val e7 : trials:int -> seed:int -> jobs:int -> result
-val e8 : trials:int -> seed:int -> jobs:int -> result
-val e9 : trials:int -> seed:int -> jobs:int -> result
-val e10 : trials:int -> seed:int -> jobs:int -> result
-val e11 : trials:int -> seed:int -> jobs:int -> result
-val e12 : trials:int -> seed:int -> jobs:int -> result
-val e13 : trials:int -> seed:int -> jobs:int -> result
-val e14 : trials:int -> seed:int -> jobs:int -> result
-val e15 : trials:int -> seed:int -> jobs:int -> result
-val e16 : trials:int -> seed:int -> jobs:int -> result
-
 (** {2 Chaos sweep (E16)}
 
     The fault-injection layer ({!Fair_faults}) lets E16 exercise the
@@ -176,7 +157,7 @@ val chaos_schedules : (string * string) list
 
 val chaos :
   ?schedules:(string * string) list -> trials:int -> seed:int -> jobs:int -> unit -> result
-(** [e16] with a custom schedule grid — the CLI's [chaos --faults SPEC]
+(** E16's run with a custom schedule grid — the CLI's [chaos --faults SPEC]
     entry point.  Each (protocol, schedule) combination runs
     [max 40 (trials / 8)] trials with a hardened zoo
     ({!Fair_faults.Faults.harden_adversary}) and checks the measured sup

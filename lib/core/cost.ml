@@ -1,9 +1,5 @@
 type cost = int -> float
 
-let zero _ = 0.0
-
-let linear ~per_party t = per_party *. float_of_int t
-
 let theorem6 gamma ~n t =
   if t = 0 then 0.0 else Bounds.balanced_cost gamma ~n ~t
 

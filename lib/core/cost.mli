@@ -8,9 +8,6 @@
 type cost = int -> float
 (** c(t): the price of corrupting t parties; c(0) = 0 by convention. *)
 
-val zero : cost
-val linear : per_party:float -> cost
-
 val theorem6 : Payoff.t -> n:int -> cost
 (** The optimal cost of Theorem 6: c(t) = û(ΠOpt-nSFE, A_t) − s(t), where
     s(t) is the ideal-protocol payoff {!Bounds.ideal_utility}. *)

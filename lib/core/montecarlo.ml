@@ -365,6 +365,3 @@ let best_response ?(overrides = Events.no_overrides) ?(jobs = Parallel.default_j
       List.fold_left
         (fun (ba, be) (a, e) -> if e.utility > be.utility then (a, e) else (ba, be))
         (List.hd scored) (List.tl scored)
-
-let within_bound e ~bound = e.utility <= bound +. (3.0 *. e.std_err) +. 1e-9
-let attains_bound e ~bound = e.utility >= bound -. (3.0 *. e.std_err) -. 1e-9

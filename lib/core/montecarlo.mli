@@ -212,9 +212,3 @@ val best_response :
     utility, with ties broken by listing order.  The optional arguments
     are passed through to each per-adversary {!estimate}.
     @raise Invalid_argument on an empty zoo. *)
-
-val within_bound : estimate -> bound:float -> bool
-(** [utility <= bound + 3·std_err + 1e-9]. *)
-
-val attains_bound : estimate -> bound:float -> bool
-(** [utility >= bound - 3·std_err - 1e-9]. *)

@@ -9,12 +9,12 @@ type profile = {
   reconstruction_rounds : int;
 }
 
+(* Pr[E10] + Pr[E00] within 3σ of zero. *)
 let round_is_fair (e : Montecarlo.estimate) =
   let d = e.Montecarlo.distribution in
-  let unfair = d.Utility.p10 +. d.Utility.p00 in
   (* Standard error of a probability estimate is at most 1/(2√n). *)
   let sigma = 0.5 /. sqrt (float_of_int e.Montecarlo.trials) in
-  unfair <= (3.0 *. sigma) +. 1e-9
+  Check.holds `At_most (Estimate sigma) ~measured:(d.Utility.p10 +. d.Utility.p00) ~expected:0.0
 
 let analyze ?(jobs = Parallel.default_jobs) ~protocol ~abort_family ~func ~gamma ~env
     ~total_rounds ~trials ~seed () =

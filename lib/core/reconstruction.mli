@@ -34,6 +34,3 @@ val analyze :
 (** Sweep abort rounds 1..[total_rounds] with the given adversary family
     (typically "corrupt a party, run it honestly, go silent from round r,
     claim whatever output the retained machine can extract"). *)
-
-val round_is_fair : Montecarlo.estimate -> bool
-(** Pr[E10] + Pr[E00] within 3σ of zero. *)

@@ -5,12 +5,12 @@ type verdict =
   | Equally_fair
 
 let compare_sup ~(pi : Montecarlo.estimate) ~(pi' : Montecarlo.estimate) =
-  let slack = 3.0 *. (pi.Montecarlo.std_err +. pi'.Montecarlo.std_err) +. 1e-9 in
-  let u = pi.Montecarlo.utility and u' = pi'.Montecarlo.utility in
-  if abs_float (u -. u') <= slack then Equally_fair
-  else if u < u' -. slack then Strictly_fairer
-  else if u <= u' +. slack then At_least_as_fair
-  else Less_fair
+  let evidence = Check.Sum [ pi.std_err; pi'.std_err ] in
+  let holds kind = Check.holds kind evidence ~measured:pi.utility ~expected:pi'.utility in
+  if holds `Equals then Equally_fair
+  else if not (holds `At_most) then Less_fair
+  else if holds `At_least then At_least_as_fair
+  else Strictly_fairer
 
 let pp_verdict fmt v =
   Format.pp_print_string fmt

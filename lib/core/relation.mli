@@ -3,8 +3,8 @@
 
     Π ≼_γ Π' ("Π is at least as γ-fair as Π'") iff
     sup_A u(Π, A) ≤ sup_A u(Π', A) up to negligible slack; empirically the
-    suprema are taken over an adversary zoo and the slack is the combined
-    3σ sampling error. *)
+    suprema are taken over an adversary zoo and the slack is
+    {!Check.Sum} of the two standard errors. *)
 
 type verdict =
   | At_least_as_fair  (** Π ≼ Π' strictly or within noise *)

@@ -45,7 +45,7 @@ let make ~experiment ~seed ~budget ?zoo_best ~bound ~bound_label
     bound;
     bound_label;
     margin = bound -. e.Mc.utility;
-    within_bound = Mc.within_bound e ~bound }
+    within_bound = Fairness.Check.within_bound e ~bound }
 
 let to_json c =
   Json.Obj

@@ -30,7 +30,7 @@ type t = {
   bound : float;  (** the paper's closed-form bound *)
   bound_label : string;
   margin : float;  (** bound − utility *)
-  within_bound : bool;  (** utility ≤ bound + 3·std_err *)
+  within_bound : bool;  (** {!Fairness.Check.within_bound}: utility ≤ bound + 3·std_err *)
 }
 
 val make :

@@ -5,8 +5,7 @@ module Engine = Fair_exec.Engine
 
 let unknown fmt = Printf.ksprintf (fun reason -> Error (Failure.Unknown_query { reason })) fmt
 
-let no_target (spec : E.spec) =
-  unknown "%s has no search target (its number is not a supremum over adversaries)" spec.E.eid
+let no_target spec = unknown "%s" (E.no_target spec)
 
 let resolve (q : Proto.query) =
   match E.find q.Proto.q_experiment with
@@ -29,7 +28,7 @@ let answer ~jobs (q : Proto.query) =
           | exception e when not (Engine.fatal e) ->
               Error (Failure.Query_failed { reason = Printexc.to_string e }))
       | Proto.Run -> (
-          match spec.E.run ~trials:q.Proto.q_budget ~seed:q.Proto.q_seed ~jobs with
+          match E.run spec ~trials:q.Proto.q_budget ~seed:q.Proto.q_seed ~jobs with
           | r -> Ok (Json.to_string (E.result_to_json r) ^ "\n", E.all_ok r)
           | exception e when not (Engine.fatal e) ->
               Error (Failure.Query_failed { reason = Printexc.to_string e })))

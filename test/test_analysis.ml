@@ -43,7 +43,7 @@ let test_find () =
   Alcotest.(check bool) "unknown" true (E.find "E99" = None)
 
 let test_markdown_of_result () =
-  let r = E.e1 ~trials:60 ~seed:1 ~jobs:1 in
+  let r = E.run (Option.get (E.find "E1")) ~trials:60 ~seed:1 ~jobs:1 in
   let md = E.to_markdown r in
   Alcotest.(check bool) "has heading" true (String.length md > 3 && String.sub md 0 3 = "###");
   Alcotest.(check bool) "mentions E1" true
@@ -132,15 +132,15 @@ let experiment_case (s : E.spec) =
   Alcotest.test_case (s.E.eid ^ " passes its paper checks") `Slow (fun () ->
       (* jobs:2 exercises the domain-parallel path; by the determinism
          guarantee the numbers are the same as jobs:1. *)
-      let r = s.E.run ~trials:150 ~seed:2026 ~jobs:2 in
+      let r = E.run s ~trials:150 ~seed:2026 ~jobs:2 in
       List.iter
-        (fun (c : E.check) ->
-          if not c.E.ok then
-            Alcotest.failf "%s / %s: measured %.4f, expected %s %.4f (tol %.4f)" s.E.eid c.E.label
-              c.E.measured
-              (match c.E.kind with `Equals -> "=" | `At_most -> "<=" | `At_least -> ">=")
-              c.E.expected c.E.tolerance)
-        r.E.checks;
+        (fun (c : Fairness.Check.t) ->
+          if not c.ok then
+            Alcotest.failf "%s / %s: measured %.4f, expected %s %.4f (tol %.4f)" s.E.eid c.label
+              c.measured
+              (match c.kind with `Equals -> "=" | `At_most -> "<=" | `At_least -> ">=")
+              c.expected c.tolerance)
+        r.E.outcome.E.checks;
       Alcotest.(check string) (s.E.eid ^ " result bytes") (List.assoc s.E.eid result_digests)
         (Fair_crypto.Sha256.hex_digest (Fairness.Json.to_string (E.result_to_json r))))
 

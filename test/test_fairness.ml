@@ -1,6 +1,7 @@
 (* Tests for the fairness core: payoff vectors, event classification,
    utilities, closed-form bounds, the fairness relation, the RPD game
-   solver, balance/cost machinery, and the Monte-Carlo estimator. *)
+   solver, cost machinery, the verdict rule, and the Monte-Carlo
+   estimator. *)
 
 open Fairness
 module Engine = Fair_exec.Engine
@@ -256,21 +257,23 @@ let test_montecarlo_bound_helpers () =
     Montecarlo.estimate ~protocol:proto ~adversary:Adversary.passive ~func:Func.swap
       ~gamma:Payoff.default ~env:(Montecarlo.uniform_field_inputs ~n:2) ~trials:20 ~seed:5 ()
   in
-  Alcotest.(check bool) "within 0" true (Montecarlo.within_bound e ~bound:0.0);
-  Alcotest.(check bool) "attains 0" true (Montecarlo.attains_bound e ~bound:0.0);
-  Alcotest.(check bool) "not attains 1" false (Montecarlo.attains_bound e ~bound:1.0)
+  Alcotest.(check bool) "within 0" true (Check.within_bound e ~bound:0.0);
+  Alcotest.(check bool) "attains 0" true (Check.attains_bound e ~bound:0.0);
+  Alcotest.(check bool) "not attains 1" false (Check.attains_bound e ~bound:1.0)
+
+(* An estimate that carries only a utility and a standard error. *)
+let estimate_of_pair utility std_err =
+  { Montecarlo.utility;
+    std_err;
+    distribution = { Utility.p00 = 0.; p01 = 1.; p10 = 0.; p11 = 0. };
+    counts = [];
+    corrupted_counts = [];
+    breaches = 0;
+    trials = 100;
+    trial_faults = 0 }
 
 let test_relation_verdicts () =
-  let mk u =
-    { Montecarlo.utility = u;
-      std_err = 0.001;
-      distribution = { Utility.p00 = 0.; p01 = 1.; p10 = 0.; p11 = 0. };
-      counts = [];
-      corrupted_counts = [];
-      breaches = 0;
-      trials = 100;
-      trial_faults = 0 }
-  in
+  let mk u = estimate_of_pair u 0.001 in
   let v = Relation.compare_sup ~pi:(mk 0.5) ~pi':(mk 0.9) in
   Alcotest.(check string) "strictly fairer" "strictly fairer"
     (Format.asprintf "%a" Relation.pp_verdict v);
@@ -279,6 +282,124 @@ let test_relation_verdicts () =
   let v = Relation.compare_sup ~pi:(mk 0.7) ~pi':(mk 0.7005) in
   Alcotest.(check string) "equal within noise" "equally fair"
     (Format.asprintf "%a" Relation.pp_verdict v)
+
+(* ----------------------------- check -------------------------------- *)
+
+(* Each evidence form reproduces, bit for bit, the expression the registry,
+   the certificate and the relation wrote inline before it existed. *)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+let std_err = QCheck.float_bound_inclusive 0.5
+let std_errs = QCheck.(list_of_size Gen.(1 -- 6) std_err)
+
+let prop_estimate_form =
+  qtest "Estimate: 3.0 *. se" 500 std_err (fun se ->
+      same_bits (Check.tolerance (Estimate se)) (3.0 *. se))
+
+let prop_ratio_form =
+  qtest "Ratio: Float.max floor (3.0 *. se)" 500 std_err (fun se ->
+      List.for_all
+        (fun floor ->
+          same_bits
+            (Check.tolerance (Ratio { std_err = se; floor }))
+            (Float.max floor (3.0 *. se)))
+        [ 0.06; 0.15 ])
+
+let prop_sum_form =
+  qtest "Sum: 3.0 *. (a +. b)" 500 (QCheck.pair std_err std_err) (fun (a, b) ->
+      same_bits (Check.tolerance (Sum [ a; b ])) (3.0 *. (a +. b)))
+
+let prop_sum_quadrature_form =
+  qtest "Sum_quadrature: 3.0 *. sqrt (sum of squares)" 500 std_errs (fun ses ->
+      let sq = sqrt (List.fold_left (fun acc s -> acc +. (s *. s)) 0.0 ses) in
+      same_bits (Check.tolerance (Sum_quadrature ses)) (3.0 *. sq))
+
+let prop_proportion_form =
+  qtest "Proportion: 3.0 *. 0.5 /. sqrt n" 500 QCheck.(int_range 1 100_000) (fun n ->
+      same_bits (Check.tolerance (Proportion n)) (3.0 *. 0.5 /. sqrt (float_of_int n)))
+
+let prop_stated_and_exact =
+  qtest "Stated and Exact" 200 std_err (fun s ->
+      same_bits (Check.tolerance (Stated s)) s && same_bits (Check.tolerance Exact) 0.0)
+
+(* E12's (3·0.5)/√n and E13's 3·(0.5/√n) are different floats at tier-1's
+   n = 400, so merging them would move printed bytes. *)
+let test_worst_case_forms_differ () =
+  let g = Printf.sprintf "%.17g" in
+  Alcotest.(check string) "E12's form" "0.074999999999999997"
+    (g (Check.tolerance (Proportion 400)));
+  Alcotest.(check string) "E13's form" "0.075000000000000011"
+    (g (Check.tolerance (Estimate (0.5 /. sqrt 400.0))));
+  Alcotest.(check string) "E12's recorded tolerance" (g ((3.0 *. 0.5 /. sqrt 400.0) +. 1e-9))
+    (g (Check.make ~label:"" ~measured:0.25 ~expected:0.25 `Equals (Proportion 400)).tolerance)
+
+(* The verdicts and the certificate helpers, against the inline
+   comparisons they replaced, on random inputs. *)
+let prop_verdicts_unchanged =
+  qtest "verdicts and bound helpers" 1000
+    QCheck.(quad (float_bound_inclusive 1.0) (float_bound_inclusive 1.0) std_err std_errs)
+    (fun (measured, expected, se, ses) ->
+      let tol = (3.0 *. se) +. 1e-9 in
+      let c kind = Check.make ~label:"" ~measured ~expected kind (Estimate se) in
+      let e = estimate_of_pair measured se in
+      let q = 3.0 *. sqrt (List.fold_left (fun acc s -> acc +. (s *. s)) 0.0 ses) in
+      same_bits (c `Equals).tolerance tol
+      && (c `Equals).ok = (abs_float (measured -. expected) <= tol)
+      && (c `At_most).ok = (measured <= expected +. tol)
+      && (c `At_least).ok = (measured >= expected -. tol)
+      && Check.holds `At_most (Estimate se) ~measured ~expected = (c `At_most).ok
+      && Check.within_bound e ~bound:expected = (measured <= expected +. (3.0 *. se) +. 1e-9)
+      && Check.attains_bound e ~bound:expected = (measured >= expected -. (3.0 *. se) -. 1e-9)
+      && (not (Check.within (Sum_quadrature ses) ~measured ~bound:expected))
+         = (measured > expected +. q +. 1e-9))
+
+(* The 1e-9 slack: a value on the edge passes, the next float past it
+   fails, for each kind and on both sides of [`Equals].  At bound 0.5 the
+   registry's b + (3σ̂ + 1e-9) and the certificate's (b + 3σ̂) + 1e-9 are
+   different floats for σ̂ = 0.021 (and their lower twins for σ̂ = 0.01), so
+   there each edge also pins its order of additions. *)
+let test_slack_edges () =
+  let ok kind measured ~expected ev =
+    (Check.make ~label:"" ~measured ~expected kind ev).ok
+  in
+  List.iter
+    (fun (name, ev, expected) ->
+      let tol = Check.tolerance ev +. 1e-9 in
+      let hi = expected +. tol and lo = expected -. tol in
+      let case what want got = Alcotest.(check bool) (name ^ ": " ^ what) want got in
+      case "at most, on the edge" true (ok `At_most hi ~expected ev);
+      case "at most, past it" false (ok `At_most (Float.succ hi) ~expected ev);
+      case "at least, on the edge" true (ok `At_least lo ~expected ev);
+      case "at least, past it" false (ok `At_least (Float.pred lo) ~expected ev);
+      if expected = 0.0 then begin
+        case "equals, upper edge" true (ok `Equals tol ~expected ev);
+        case "equals, past it" false (ok `Equals (Float.succ tol) ~expected ev);
+        case "equals, lower edge" true (ok `Equals (-.tol) ~expected ev);
+        case "equals, past it below" false (ok `Equals (Float.pred (-.tol)) ~expected ev)
+      end)
+    [ ("exact", Check.Exact, 0.0);
+      ("exact at 0.75", Check.Exact, 0.75);
+      ("estimate", Check.Estimate 0.01, 0.0);
+      ("estimate at 0.5, upper order", Check.Estimate 0.021, 0.5);
+      ("estimate at 0.5, lower order", Check.Estimate 0.01, 0.5);
+      ("stated", Check.Stated 1e-6, 0.0) ];
+  let bound = 0.5 in
+  let registry_hi = bound +. ((3.0 *. 0.021) +. 1e-9) in
+  let edge = bound +. (3.0 *. 0.021) +. 1e-9 in
+  Alcotest.(check bool) "the two upper orders differ" true (edge <> registry_hi);
+  let e = estimate_of_pair 0.0 0.021 in
+  Alcotest.(check bool) "within_bound on the edge" true
+    (Check.within_bound { e with Montecarlo.utility = edge } ~bound);
+  Alcotest.(check bool) "within_bound past it" false
+    (Check.within_bound { e with Montecarlo.utility = Float.succ edge } ~bound);
+  let registry_lo = bound -. ((3.0 *. 0.01) +. 1e-9) in
+  let edge = bound -. (3.0 *. 0.01) -. 1e-9 in
+  Alcotest.(check bool) "the two lower orders differ" true (edge <> registry_lo);
+  let e = estimate_of_pair 0.0 0.01 in
+  Alcotest.(check bool) "attains_bound on the edge" true
+    (Check.attains_bound { e with Montecarlo.utility = edge } ~bound);
+  Alcotest.(check bool) "attains_bound past it" false
+    (Check.attains_bound { e with Montecarlo.utility = Float.pred edge } ~bound)
 
 (* --------------------------- statdist ------------------------------- *)
 
@@ -337,6 +458,17 @@ let () =
       ( "cost",
         [ Alcotest.test_case "dominance" `Quick test_cost_dominance;
           Alcotest.test_case "Theorem 6 cost and Lemma 22" `Quick test_cost_theorem6_values ] );
+      ( "check",
+        [ prop_estimate_form;
+          prop_ratio_form;
+          prop_sum_form;
+          prop_sum_quadrature_form;
+          prop_proportion_form;
+          prop_stated_and_exact;
+          Alcotest.test_case "E12's and E13's worst-case forms differ" `Quick
+            test_worst_case_forms_differ;
+          prop_verdicts_unchanged;
+          Alcotest.test_case "slack edges" `Quick test_slack_edges ] );
       ( "statdist",
         [ Alcotest.test_case "identical samplers" `Quick test_statdist_identical;
           Alcotest.test_case "disjoint supports" `Quick test_statdist_disjoint;

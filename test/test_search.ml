@@ -102,7 +102,7 @@ let test_budget_below_arm_count () =
              least one trial)"
             msg)
 
-(* [Mc.attains_bound] reads only the utility and its standard error. *)
+(* [Check.attains_bound] reads only the utility and its standard error. *)
 let estimate_of (c : Certificate.t) =
   { Mc.utility = c.Certificate.utility;
     std_err = c.Certificate.std_err;
@@ -128,7 +128,7 @@ let paired_halves_executions id ~budget ~value () =
           Alcotest.(check string) "mode recorded in certificate" "paired" c.Certificate.mode;
           Alcotest.(check bool) "within paper bound" true c.Certificate.within_bound;
           Alcotest.(check bool) "spent within budget" true (c.Certificate.spent <= budget);
-          if not (Mc.attains_bound (estimate_of c) ~bound:value) then
+          if not (Fairness.Check.attains_bound (estimate_of c) ~bound:value) then
             Alcotest.failf "%s: %.4f ±%.4f (%s) does not attain the paper's %.4f" id
               c.Certificate.utility c.Certificate.std_err c.Certificate.best_arm value;
           match c.Certificate.zoo_best with
