@@ -1,6 +1,6 @@
 (* `dune build @bench-smoke` — a seconds-scale slice of bench/main.ml's
    sequential-vs-parallel comparison, wired into @repro so every smoke run
-   re-proves four contracts:
+   re-proves five contracts:
 
    1. Determinism: the pooled estimate must be bit-for-bit the sequential
       one (utility, std_err, event tables).
@@ -31,7 +31,13 @@
       every machine afresh ~10.7, and rebuilding the prelude for every
       arm ~30, so a change that silently stops any of them fails here.
       The line before it names the SHA-256 kernel that ran: the block
-      count is the same on every kernel, the time per block is not. *)
+      count is the same on every kernel, the time per block is not.
+   5. Signature hashing: an E5 race (budget 2000, seed 42), warmed once so
+      the Lamport key pool is built, must hash the same SHA-256 blocks at
+      -j 1 and at -j 2, and at most 26 per engine execution (~17.2
+      measured).  The verifier's verdicts live for one prelude, so the
+      count cannot depend on which domain played which chunk before;
+      verifying every announcement afresh costs ~96. *)
 
 module Mc = Fairness.Montecarlo
 module Parallel = Fairness.Parallel
@@ -45,7 +51,7 @@ let check name ok detail =
   if not ok then incr failures
 
 (* Per-trial minor words of a sequential estimate, warmed so one-time setup
-   (the Lamport key pool, the domain-local verifier caches) is excluded —
+   (the Lamport key pool, the verifier's domain-local parsed keys) is excluded —
    the budget is about the steady-state trial loop. *)
 let minor_words_per_trial ~protocol ~adversary ~func ~env ~trials =
   let run seed =
@@ -122,18 +128,25 @@ let () =
   check "opt2 minor words per trial within budget" (opt2_words <= 9_500.0)
     (Printf.sprintf "%.0f <= 9500" opt2_words);
   Printf.printf "bench-smoke: sha256 kernel %s\n" Fair_crypto.Sha256.kernel;
-  let e1 = Option.get (Fair_analysis.Experiments.find "E1") in
-  let race () = ignore (Fair_analysis.Experiments.searched ~budget:2000 ~seed:42 ~jobs:1 e1) in
-  let counter name snap = List.assoc name snap.Fair_obs.Metrics.counters in
-  race ();
-  Fair_obs.Metrics.reset ();
-  Fair_obs.Metrics.enable ();
-  let w0 = Gc.minor_words () in
-  race ();
-  let words = Gc.minor_words () -. w0 in
-  let snap = Fair_obs.Metrics.snapshot () in
-  Fair_obs.Metrics.disable ();
-  let blocks = counter "sha256.blocks" snap and execs = counter "engine.executions" snap in
+  let e1 = Option.get (Fair_analysis.Experiments.find "E1")
+  and e5 = Option.get (Fair_analysis.Experiments.find "E5") in
+  let race spec ~jobs =
+    ignore (Fair_analysis.Experiments.searched ~budget:2000 ~seed:42 ~jobs spec)
+  in
+  (* Minor words, SHA-256 blocks and executions of one race. *)
+  let work spec ~jobs =
+    Fair_obs.Metrics.reset ();
+    Fair_obs.Metrics.enable ();
+    let w0 = Gc.minor_words () in
+    race spec ~jobs;
+    let words = Gc.minor_words () -. w0 in
+    let snap = Fair_obs.Metrics.snapshot () in
+    Fair_obs.Metrics.disable ();
+    let counter name = List.assoc name snap.Fair_obs.Metrics.counters in
+    (words, counter "sha256.blocks", counter "engine.executions")
+  in
+  race e1 ~jobs:1;
+  let words, blocks, execs = work e1 ~jobs:1 in
   let per_exec x = x /. float_of_int (max 1 execs) in
   check "E1 race minor words per execution within budget" (per_exec words <= 2000.0)
     (Printf.sprintf "%.0f words / %d executions = %.0f <= 2000" words execs (per_exec words));
@@ -141,6 +154,14 @@ let () =
     (per_exec (float_of_int blocks) <= 4.0)
     (Printf.sprintf "%d blocks / %d executions = %.2f <= 4" blocks execs
        (per_exec (float_of_int blocks)));
+  race e5 ~jobs:1;
+  let _, blocks1, execs = work e5 ~jobs:1 in
+  let _, blocks2, _ = work e5 ~jobs:2 in
+  let per_exec = float_of_int blocks1 /. float_of_int (max 1 execs) in
+  check "E5 race SHA-256 blocks the same at -j 1 and -j 2" (blocks1 = blocks2)
+    (Printf.sprintf "%d vs %d blocks" blocks1 blocks2);
+  check "E5 race SHA-256 blocks per execution within budget" (per_exec <= 26.0)
+    (Printf.sprintf "%d blocks / %d executions = %.2f <= 26" blocks1 execs per_exec);
   if !failures > 0 then begin
     Printf.eprintf "bench-smoke: %d check(s) FAILED\n" !failures;
     exit 1

@@ -27,7 +27,6 @@ module Func = Fair_mpc.Func
 type event = E00 | E01 | E10 | E11
 
 val pp_event : Format.formatter -> event -> unit
-val event_to_string : event -> string
 
 type trial = {
   outcome : Engine.outcome;

@@ -12,10 +12,6 @@ let in_gamma_fair_plus g = in_gamma_fair g && g.g00 <= g.g11
 let check_fair g =
   if in_gamma_fair g then g else invalid_arg "Payoff.check_fair: vector outside Gamma_fair"
 
-let check_fair_plus g =
-  if in_gamma_fair_plus g then g
-  else invalid_arg "Payoff.check_fair_plus: vector outside Gamma+_fair"
-
 let normalize g =
   { g00 = g.g00 -. g.g01; g01 = 0.0; g10 = g.g10 -. g.g01; g11 = g.g11 -. g.g01 }
 

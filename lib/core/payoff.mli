@@ -20,8 +20,6 @@ val in_gamma_fair_plus : t -> bool
 val check_fair : t -> t
 (** Identity on Γ_fair members. @raise Invalid_argument otherwise. *)
 
-val check_fair_plus : t -> t
-
 val normalize : t -> t
 (** Shift so that γ01 = 0 (the w.l.o.g. normalization of Section 3). *)
 

@@ -18,8 +18,6 @@ let argmax a =
   Array.iteri (fun i v -> if v > a.(!best) then best := i) a;
   (!best, a.(!best))
 
-let best_response_value t ~row = argmax t.utility.(row)
-
 let minimax t =
   let values = Array.map (fun row -> snd (argmax row)) t.utility in
   let best = ref 0 in

@@ -16,9 +16,6 @@ type table = {
 val make : designer:string array -> attacker:string array -> utility:float array array -> table
 (** @raise Invalid_argument on ragged or mismatched dimensions. *)
 
-val best_response_value : table -> row:int -> int * float
-(** Attacker's best response against a fixed protocol: (argmax col, value). *)
-
 val minimax : table -> int * float
 (** Designer's pure minimax: the row minimizing the attacker's best
     response, with its value — the "optimally fair" protocol of

@@ -15,14 +15,11 @@ val count : ?jobs:int -> (int -> string) -> trials:int -> counts
     Samples are drawn in parallel chunks on up to [jobs] domains (default
     {!Parallel.default_jobs}); the result is independent of [jobs]. *)
 
-val total_variation : counts -> counts -> float
-(** Plug-in TV estimate between two empirical distributions (which may have
-    different trial counts). *)
-
 val bias_bound : support:int -> trials:int -> float
 (** A conservative upper bound on the estimator's bias + 3σ fluctuation:
     √(support / trials). *)
 
 val sample_distance :
   ?jobs:int -> a:(int -> string) -> b:(int -> string) -> trials:int -> unit -> float
-(** [total_variation (count a ...) (count b ...)]. *)
+(** Plug-in total-variation distance between the empirical distributions
+    [count a] and [count b]. *)

@@ -60,8 +60,11 @@ module Lamport = struct
      caches change no result and consume no randomness.
 
      Caches are domain-local: trials run on several domains and a shared
-     table would need locking on the hot path.  They are bounded and simply
-     reset when full — correctness never depends on residency. *)
+     table would need locking on the hot path.  The parsed keys are bounded
+     and reset when full.  The verdicts live for one prelude
+     ([clear_verdicts]), so which verifications hash depends on that
+     prelude's plays alone, not on what the domain ran before —
+     correctness never depends on residency. *)
   module Verifier = struct
     type cache = {
       pks : (string, public_key) Hashtbl.t;  (* pk hex -> parsed key *)
@@ -70,8 +73,11 @@ module Lamport = struct
     }
 
     let max_pks = 64
-    let max_verdicts = 128
-    let key = Domain.DLS.new_key (fun () -> { pks = Hashtbl.create max_pks; verdicts = Hashtbl.create max_verdicts })
+    let key =
+      Domain.DLS.new_key (fun () ->
+          { pks = Hashtbl.create max_pks; verdicts = Hashtbl.create 128 })
+
+    let clear_verdicts () = Hashtbl.clear (Domain.DLS.get key).verdicts
 
     let public_key_of_hex hex =
       let c = Domain.DLS.get key in
@@ -97,75 +103,7 @@ module Lamport = struct
             | pk, s -> verify pk msg s
             | exception Invalid_argument _ -> false
           in
-          if Hashtbl.length c.verdicts >= max_verdicts then Hashtbl.reset c.verdicts;
           Hashtbl.add c.verdicts k v;
           v
   end
-end
-
-module Merkle = struct
-  type signer = {
-    keys : (Lamport.secret_key * Lamport.public_key) array;
-    tree : string array array; (* tree.(level).(i); level 0 = leaves *)
-    mutable next : int;
-  }
-
-  type public_key = string (* the root *)
-
-  type signature = {
-    index : int;
-    ots_pk : Lamport.public_key;
-    ots_sig : Lamport.signature;
-    path : string list; (* sibling hashes, leaf to root *)
-  }
-
-  let leaf_hash pk = Sha256.digest ("leaf" ^ Lamport.public_key_to_string pk)
-  let node_hash l r = Sha256.digest ("node" ^ l ^ r)
-
-  let keygen rng ~height =
-    if height < 0 || height > 12 then invalid_arg "Merkle.keygen: height";
-    let n = 1 lsl height in
-    let keys = Array.init n (fun _ -> Lamport.keygen rng) in
-    let leaves = Array.map (fun (_, pk) -> leaf_hash pk) keys in
-    let rec build levels current =
-      if Array.length current = 1 then List.rev (current :: levels)
-      else
-        let next =
-          Array.init
-            (Array.length current / 2)
-            (fun i -> node_hash current.(2 * i) current.((2 * i) + 1))
-        in
-        build (current :: levels) next
-    in
-    let tree = Array.of_list (build [] leaves) in
-    ({ keys; tree; next = 0 }, tree.(Array.length tree - 1).(0))
-
-  let remaining s = Array.length s.keys - s.next
-
-  let auth_path tree index =
-    let rec walk level i acc =
-      if level >= Array.length tree - 1 then List.rev acc
-      else walk (level + 1) (i / 2) (tree.(level).(i lxor 1) :: acc)
-    in
-    walk 0 index []
-
-  let sign s msg =
-    if s.next >= Array.length s.keys then failwith "Merkle.sign: keys exhausted";
-    let index = s.next in
-    s.next <- index + 1;
-    let sk, pk = s.keys.(index) in
-    { index; ots_pk = pk; ots_sig = Lamport.sign sk msg; path = auth_path s.tree index }
-
-  let verify root msg s =
-    Lamport.verify s.ots_pk msg s.ots_sig
-    &&
-    let node =
-      List.fold_left
-        (fun (h, i) sibling ->
-          let h' = if i land 1 = 0 then node_hash h sibling else node_hash sibling h in
-          (h', i / 2))
-        (leaf_hash s.ots_pk, s.index)
-        s.path
-    in
-    String.equal (fst node) root
 end

@@ -2,10 +2,8 @@
 
     {!Lamport} is the classic one-time signature scheme: existentially
     unforgeable under one signing query, from SHA-256 preimage resistance.
-    {!Merkle} lifts it to a stateful many-time scheme by certifying 2^h
-    one-time keys under a Merkle root.  The multi-party protocol ΠOpt-nSFE
-    signs a single value (the output y) per execution, so {!Lamport} is what
-    the protocol layer uses; {!Merkle} is provided for general use. *)
+    The multi-party protocol ΠOpt-nSFE signs a single value (the output y)
+    per execution, so a one-time scheme is all the protocol layer needs. *)
 
 module Lamport : sig
   type secret_key
@@ -16,11 +14,6 @@ module Lamport : sig
   val sign : secret_key -> string -> signature
   val verify : public_key -> string -> signature -> bool
 
-  val verify_digest : public_key -> string -> signature -> bool
-  (** [verify_digest pk d s] is {!verify} with the SHA-256 digest of the
-      message precomputed — for callers that check several candidate
-      signatures against one message. *)
-
   val public_key_to_string : public_key -> string
   val public_key_of_string : string -> public_key
   val signature_to_string : signature -> string
@@ -29,12 +22,13 @@ module Lamport : sig
 
   (** Memoized verification of hex-encoded wire forms.  Parsing a 32 KiB
       public-key hex string and re-hashing 256 preimages are pure functions
-      of the inputs, so their results are cached (per domain, bounded,
-      reset-on-full): repeated verification of the same announcement — by
-      every receiving party in an execution, and across Monte-Carlo trials
-      that draw keys from a small pool — costs one table lookup.  No
-      randomness is consumed and no result ever differs from the uncached
-      path, so estimates are bit-identical with or without the cache. *)
+      of the inputs, so their results are cached per domain: parsed keys
+      bounded and reset when full, verdicts until {!clear_verdicts}.
+      Repeated verification of the same announcement — by every receiving
+      party in an execution, and by every arm played on one prelude —
+      costs one table lookup.  No randomness is consumed and no result ever
+      differs from the uncached path, so estimates are bit-identical with
+      or without the cache. *)
   module Verifier : sig
     val public_key_of_hex : string -> public_key
     (** Cached [public_key_of_string (Sha256.of_hex hex)].
@@ -44,24 +38,10 @@ module Lamport : sig
     (** Cached "decode both wire forms and verify"; malformed input is
         [false] (never raises), matching the protocol-layer convention that
         an unparseable announcement is simply invalid. *)
+
+    val clear_verdicts : unit -> unit
+    (** Forget this domain's verdicts.  [Fair_exec.Engine.prepare] calls
+        it, so a verdict lives for one prelude and the blocks a run hashes
+        are the same at any [-j]. *)
   end
-end
-
-module Merkle : sig
-  type signer
-  (** Stateful: each [sign] consumes the next one-time key. *)
-
-  type public_key
-  type signature
-
-  val keygen : Rng.t -> height:int -> signer * public_key
-  (** 2^height one-time keys; [0 <= height <= 12]. *)
-
-  val remaining : signer -> int
-  (** One-time keys not yet consumed. *)
-
-  val sign : signer -> string -> signature
-  (** @raise Failure when all one-time keys are exhausted. *)
-
-  val verify : public_key -> string -> signature -> bool
 end

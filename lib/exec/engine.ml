@@ -146,6 +146,7 @@ let prepare ~protocol ~inputs ~rng =
     invalid_arg
       (Printf.sprintf "Engine.run: wrong number of inputs (got %d, protocol %S wants %d)"
          (Array.length inputs) protocol.Protocol.name n);
+  Fair_crypto.Signature.Lamport.Verifier.clear_verdicts ();
   let setup =
     match protocol.Protocol.setup with
     | None -> Array.make n ""

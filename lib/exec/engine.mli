@@ -46,8 +46,6 @@ type failure =
 
 exception Fail of failure
 
-val failure_to_string : failure -> string
-
 val fatal : exn -> bool
 (** [Stack_overflow], [Out_of_memory], [Assert_failure]: what no
     containment layer in the repo may swallow. *)
@@ -107,7 +105,11 @@ val prepare : protocol:Protocol.t -> inputs:string array -> rng:Fair_crypto.Rng.
 (** Run the dealer on [rng]'s ["dealer"] split, build party [i]'s machine
     on its ["party-i"] split, and take the ["adversary"] split (and, for a
     hybrid protocol, the ["functionality"] split) that every play starts
-    from.  [rng] itself is only split from, never drawn.
+    from.  [rng] itself is only split from, never drawn.  It also empties
+    the domain's Lamport verdict table
+    ({!Fair_crypto.Signature.Lamport.Verifier.clear_verdicts}): a domain
+    plays only the prelude it prepared last, so a verdict serves that
+    prelude's plays alone.
     @raise Invalid_argument if [inputs] has the wrong length or the dealer
     produces the wrong number of setup values. *)
 

@@ -10,6 +10,21 @@ let dummy_rounds = 5
 let msg_input x = Wire.frame [ "input"; x ]
 let msg_get_output = Wire.frame [ "get-output" ]
 let msg_abort = Wire.frame [ "abort" ]
+let msg_output y = Wire.frame [ "output"; y ]
+let send_input x = [ Machine.Send (Wire.To Wire.functionality_id, msg_input x) ]
+
+type reply = No_reply | Aborted | Output of string
+
+let decode_reply payload =
+  match Wire.unframe payload with
+  | [ "output"; body ] -> Output body
+  | [ "abort" ] -> Aborted
+  | _ | (exception Invalid_argument _) -> No_reply
+
+let rec reply = function
+  | [] -> No_reply
+  | (src, payload) :: rest ->
+      if src = Wire.functionality_id then decode_reply payload else reply rest
 
 type per_party_outputs = Rng.t -> inputs:string array -> string array
 
@@ -63,7 +78,7 @@ let functionality ~(func : Func.t) ~outputs_of ~abort_mode ~release_at rng ~n =
     | Some ys ->
         List.iter
           (fun src ->
-            actions := Machine.Send (Wire.To src, Wire.frame [ "output"; ys.(src - 1) ]) :: !actions)
+            actions := Machine.Send (Wire.To src, msg_output ys.(src - 1)) :: !actions)
           (List.rev st.pending);
         st.pending <- []
     | None -> ());
@@ -79,7 +94,7 @@ let functionality ~(func : Func.t) ~outputs_of ~abort_mode ~release_at rng ~n =
         match !last with
         | Some (b, f) when b == body -> f
         | _ ->
-            let f = Wire.frame [ "output"; body ] in
+            let f = msg_output body in
             last := Some (body, f);
             f
       in
@@ -87,7 +102,7 @@ let functionality ~(func : Func.t) ~outputs_of ~abort_mode ~release_at rng ~n =
         let payload =
           if st.aborted then
             match abort_mode with
-            | Abort_bottom -> Wire.frame [ "abort" ]
+            | Abort_bottom -> msg_abort
             | Abort_ignore -> wrap ys.(i - 1)
             | Abort_resample sample ->
                 let inputs =
@@ -96,7 +111,7 @@ let functionality ~(func : Func.t) ~outputs_of ~abort_mode ~release_at rng ~n =
                       | Some x -> x
                       | None -> func.Func.default_input)
                 in
-                Wire.frame [ "output"; sample rng ~inputs ~honest:i ]
+                msg_output (sample rng ~inputs ~honest:i)
           else wrap ys.(i - 1)
         in
         actions := Machine.Send (Wire.To i, payload) :: !actions
@@ -122,16 +137,17 @@ let sfe_random_abort ~func ~sampler () rng ~n =
 
 let dummy_party ~rng:_ ~id:_ ~n:_ ~input ~setup:_ =
   let step sent ~round:_ ~inbox =
-    if not sent then (true, [ Machine.Send (Wire.To Wire.functionality_id, msg_input input) ])
+    if not sent then (true, send_input input)
     else
+      (* Unlike the hybrid parties, read past an undecodable frame. *)
       let result =
         List.find_map
           (fun (src, payload) ->
             if src = Wire.functionality_id then
-              match Wire.unframe payload with
-              | [ "output"; y ] -> Some (Machine.Output y)
-              | [ "abort" ] -> Some Machine.Abort_self
-              | _ | (exception Invalid_argument _) -> None
+              match decode_reply payload with
+              | Output y -> Some (Machine.Output y)
+              | Aborted -> Some Machine.Abort_self
+              | No_reply -> None
             else None)
           inbox
       in

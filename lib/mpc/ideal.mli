@@ -29,11 +29,36 @@ val release_round : int
 val dummy_rounds : int
 (** Number of rounds a dummy-protocol execution takes (= 5). *)
 
+(** {1 Wire forms}
+
+    Every frame to and from a functionality is encoded and decoded here,
+    for its own machines, the hybrid protocols' parties and the
+    adversaries that talk to it. *)
+
 val msg_input : string -> Fair_exec.Wire.payload
 val msg_get_output : Fair_exec.Wire.payload
 val msg_abort : Fair_exec.Wire.payload
-(** Payload constructors for talking to a functionality (used by protocols
-    and by adversary strategies). *)
+(** Requests to a functionality. *)
+
+val msg_output : string -> Fair_exec.Wire.payload
+(** A functionality's answer carrying one party's output body. *)
+
+val send_input : string -> Machine.action list
+(** A hybrid party's round 1: send its input to the functionality. *)
+
+type reply =
+  | No_reply  (** no frame, or one that does not decode *)
+  | Aborted  (** the functionality's ["abort"] *)
+  | Output of string  (** an output body, still in the protocol's own form *)
+
+val decode_reply : Fair_exec.Wire.payload -> reply
+(** One frame from the functionality.  Total: malformed bytes are
+    [No_reply]. *)
+
+val reply : (Fair_exec.Wire.party_id * Fair_exec.Wire.payload) list -> reply
+(** The functionality's reply in an inbox: the first frame it sent decides,
+    so an undecodable first frame is [No_reply] even when a later one
+    decodes. *)
 
 type per_party_outputs = Rng.t -> inputs:string array -> string array
 (** A (possibly randomized) assignment of one private output per party;

@@ -80,9 +80,6 @@ type stage_plan = stage_index:int -> opened:(Circuit.wire * Field.t) list -> Cir
     when the protocol is finished.  All parties see the same public values,
     so they agree on the (possibly data-dependent) schedule. *)
 
-val single_stage_plan : Circuit.t -> stage_plan
-(** Open every output wire in one stage — the standalone unfair-SFE plan. *)
-
 val protocol :
   name:string ->
   circuit:Circuit.t ->

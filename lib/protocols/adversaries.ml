@@ -3,6 +3,7 @@ module Machine = Fair_exec.Machine
 module Protocol = Fair_exec.Protocol
 module Wire = Fair_exec.Wire
 module Rng = Fair_crypto.Rng
+module Ideal = Fair_mpc.Ideal
 
 type corrupt_spec =
   | Nobody
@@ -238,7 +239,7 @@ let abort_via_functionality ~round spec =
              (abort) message to the trusted party. *)
           match driver.machines with
           | (id, _) :: _ ->
-              { Adversary.send = [ (id, Wire.To Wire.functionality_id, Wire.frame [ "abort" ]) ];
+              { Adversary.send = [ (id, Wire.To Wire.functionality_id, Ideal.msg_abort) ];
                 corrupt = [];
                 claim_learned = None }
           | [] -> Adversary.silent_decision
@@ -339,7 +340,7 @@ let grab_and_abort spec =
         | (first, _) :: _ ->
             if view.Adversary.round = 1 then
               { Adversary.send =
-                  sends @ [ (first, Wire.To Wire.functionality_id, Wire.frame [ "get-output" ]) ];
+                  sends @ [ (first, Wire.To Wire.functionality_id, Ideal.msg_get_output) ];
                 corrupt = [];
                 claim_learned = None }
             else if !claimed then Adversary.silent_decision
@@ -348,18 +349,16 @@ let grab_and_abort spec =
                 List.find_map
                   (fun (env : Wire.envelope) ->
                     if env.Wire.src = Wire.functionality_id then
-                      match Wire.unframe env.Wire.payload with
-                      | [ "output"; y ] -> Some y
-                      | _ -> None
-                      | exception Invalid_argument _ -> None
+                      match Ideal.decode_reply env.Wire.payload with
+                      | Ideal.Output y -> Some y
+                      | Ideal.Aborted | Ideal.No_reply -> None
                     else None)
                   view.Adversary.rushed
               in
               match from_f with
               | Some y ->
                   claimed := true;
-                  { Adversary.send =
-                      [ (first, Wire.To Wire.functionality_id, Wire.frame [ "abort" ]) ];
+                  { Adversary.send = [ (first, Wire.To Wire.functionality_id, Ideal.msg_abort) ];
                     corrupt = [];
                     claim_learned = Some y }
               | None -> { Adversary.send = sends; corrupt = []; claim_learned = None }

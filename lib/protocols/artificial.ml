@@ -30,35 +30,22 @@ let party (_func : Func.t) ~rng ~id ~n ~input ~setup:_ =
     else
       match st.holding with
       | None -> (
-          if round = 1 then
-            (st, [ Machine.Send (Wire.To Wire.functionality_id, Ideal.msg_input input) ])
+          if round = 1 then (st, Ideal.send_input input)
           else
-            match
-              List.find_map
-                (fun (s, payload) -> if s = Wire.functionality_id then Some payload else None)
-                inbox
-            with
-            | Some payload -> (
-                match Wire.unframe payload with
-                | [ "abort" ] -> ({ st with halted = true }, [ Machine.Abort_self ])
-                | [ "output"; body ] -> (
-                    match Wire.unframe body with
-                    | [ "val"; y; signature; vk ] ->
-                        ( { st with
-                            holding = Some (Value (y, signature));
-                            vk;
-                            received_round = round },
-                          List.map
-                            (fun j -> Machine.Send (Wire.To j, Wire.frame [ "bit"; "0" ]))
-                            others )
-                    | [ "none"; vk ] ->
-                        ( { st with holding = Some Nothing; vk; received_round = round },
-                          List.map
-                            (fun j -> Machine.Send (Wire.To j, Wire.frame [ "bit"; "0" ]))
-                            others )
-                    | _ | (exception Invalid_argument _) -> (st, []))
+            match Ideal.reply inbox with
+            | Ideal.Aborted -> ({ st with halted = true }, [ Machine.Abort_self ])
+            | Ideal.Output body -> (
+                match Wire.unframe body with
+                | [ "val"; y; signature; vk ] ->
+                    ( { st with holding = Some (Value (y, signature)); vk; received_round = round },
+                      List.map (fun j -> Machine.Send (Wire.To j, Wire.frame [ "bit"; "0" ])) others
+                    )
+                | [ "none"; vk ] ->
+                    ( { st with holding = Some Nothing; vk; received_round = round },
+                      List.map (fun j -> Machine.Send (Wire.To j, Wire.frame [ "bit"; "0" ])) others
+                    )
                 | _ | (exception Invalid_argument _) -> (st, []))
-            | None -> (st, []))
+            | Ideal.No_reply -> (st, []))
       | Some holding ->
           if round = st.received_round + 1 then
             (* Bit round: only the holder acts. *)
@@ -134,19 +121,12 @@ let lemma18_t1 =
             claim_learned = None }
         else begin
           (* Phase-1 output arriving? *)
-          let from_f =
-            List.find_map
-              (fun (src, payload) ->
-                if src = Wire.functionality_id then Some payload else None)
-              inbox
-          in
-          match from_f with
+          match List.assoc_opt Wire.functionality_id inbox with
           | Some payload -> (
               match
-                match Wire.unframe payload with
-                | [ "output"; body ] -> Wire.unframe body
-                | other -> other
-                | exception Invalid_argument _ -> []
+                match Ideal.decode_reply payload with
+                | Ideal.Output body -> Wire.unframe body
+                | Ideal.Aborted | Ideal.No_reply -> []
               with
               | [ "val"; y; _sig; _vk ] ->
                   (* We are the holder: abort with the value (E10). *)

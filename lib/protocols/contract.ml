@@ -23,6 +23,18 @@ let find_msg ~inbox ~src ~tag =
       else None)
     inbox
 
+(* The message that [src]'s [tag] opening in [inbox] reveals, checked
+   against the [commitment] it sent earlier: [None] when either is missing,
+   or the opening is malformed or opens something else. *)
+let opened ~inbox ~src ~tag commitment =
+  match (find_msg ~inbox ~src ~tag, commitment) with
+  | Some body, Some c -> (
+      match Commit.opening_of_string body with
+      | opening when Commit.verify (Commit.commitment_of_string c) opening ->
+          Some (Commit.message opening)
+      | _ | (exception Invalid_argument _) -> None)
+  | _ -> None
+
 let contract_output ~id ~own ~theirs =
   if id = 1 then Func.eval_exn func [| own; theirs |] else Func.eval_exn func [| theirs; own |]
 
@@ -54,27 +66,17 @@ let pi1_party ~rng ~id ~n:_ ~input ~setup:_ =
               (Wire.To 2, Wire.frame [ "open"; Commit.opening_to_string my_opening ]) ] )
     | 2, 3 -> (
         (* p2 verifies p1's opening; if valid, opens back and outputs *)
-        match (find_msg ~inbox ~src:1 ~tag:"open", st.peer_commitment) with
-        | Some body, Some c -> (
-            match Commit.opening_of_string body with
-            | opening when Commit.verify (Commit.commitment_of_string c) opening ->
-                ( st,
-                  [ Machine.Send
-                      (Wire.To 1, Wire.frame [ "open"; Commit.opening_to_string my_opening ]);
-                    Machine.Output
-                      (contract_output ~id ~own:input ~theirs:(Commit.message opening)) ] )
-            | _ -> (st, [ Machine.Abort_self ])
-            | exception Invalid_argument _ -> (st, [ Machine.Abort_self ]))
-        | _ -> (st, [ Machine.Abort_self ]))
+        match opened ~inbox ~src:1 ~tag:"open" st.peer_commitment with
+        | Some theirs ->
+            ( st,
+              [ Machine.Send
+                  (Wire.To 1, Wire.frame [ "open"; Commit.opening_to_string my_opening ]);
+                Machine.Output (contract_output ~id ~own:input ~theirs) ] )
+        | None -> (st, [ Machine.Abort_self ]))
     | 1, 4 -> (
-        match (find_msg ~inbox ~src:2 ~tag:"open", st.peer_commitment) with
-        | Some body, Some c -> (
-            match Commit.opening_of_string body with
-            | opening when Commit.verify (Commit.commitment_of_string c) opening ->
-                (st, [ Machine.Output (contract_output ~id ~own:input ~theirs:(Commit.message opening)) ])
-            | _ -> (st, [ Machine.Abort_self ])
-            | exception Invalid_argument _ -> (st, [ Machine.Abort_self ]))
-        | _ -> (st, [ Machine.Abort_self ]))
+        match opened ~inbox ~src:2 ~tag:"open" st.peer_commitment with
+        | Some theirs -> (st, [ Machine.Output (contract_output ~id ~own:input ~theirs) ])
+        | None -> (st, [ Machine.Abort_self ]))
     | _ -> (st, [])
   in
   Machine.make { peer_commitment = None } step
@@ -125,57 +127,37 @@ let pi2_party ~rng ~id ~n:_ ~input ~setup:_ =
           ] )
     | 4 -> (
         (* verify peer's coin opening, compute b, maybe open first *)
-        match (find_msg ~inbox ~src:(peer id) ~tag:"dopen", st.peer_dcommit) with
-        | Some body, Some c -> (
-            match Commit.opening_of_string body with
-            | opening
-              when Commit.verify (Commit.commitment_of_string c) opening
-                   && List.mem (Commit.message opening) [ "0"; "1" ] ->
-                let b =
-                  (int_of_string my_bit + int_of_string (Commit.message opening)) mod 2
-                in
-                let first = 1 + b in
-                let st = { st with first_opener = Some first } in
-                if first = id then
-                  ( st,
-                    [ Machine.Send
-                        (Wire.To (peer id), Wire.frame [ "copen"; Commit.opening_to_string my_copen ])
-                    ] )
-                else (st, [])
-            | _ -> (st, [ Machine.Abort_self ])
-            | exception Invalid_argument _ -> (st, [ Machine.Abort_self ]))
+        match opened ~inbox ~src:(peer id) ~tag:"dopen" st.peer_dcommit with
+        | Some their_bit when List.mem their_bit [ "0"; "1" ] ->
+            let b = (int_of_string my_bit + int_of_string their_bit) mod 2 in
+            let first = 1 + b in
+            let st = { st with first_opener = Some first } in
+            if first = id then
+              ( st,
+                [ Machine.Send
+                    (Wire.To (peer id), Wire.frame [ "copen"; Commit.opening_to_string my_copen ])
+                ] )
+            else (st, [])
         | _ -> (st, [ Machine.Abort_self ]))
     | 5 -> (
         match st.first_opener with
         | Some first when first <> id -> (
             (* we are second: verify the first opener's contract opening,
                reply with ours, output *)
-            match (find_msg ~inbox ~src:(peer id) ~tag:"copen", st.peer_ccommit) with
-            | Some body, Some c -> (
-                match Commit.opening_of_string body with
-                | opening when Commit.verify (Commit.commitment_of_string c) opening ->
-                    ( { st with theirs = Some (Commit.message opening) },
-                      [ Machine.Send
-                          (Wire.To (peer id), Wire.frame [ "copen"; Commit.opening_to_string my_copen ]);
-                        Machine.Output
-                          (contract_output ~id ~own:input ~theirs:(Commit.message opening)) ] )
-                | _ -> (st, [ Machine.Abort_self ])
-                | exception Invalid_argument _ -> (st, [ Machine.Abort_self ]))
-            | _ -> (st, [ Machine.Abort_self ]))
+            match opened ~inbox ~src:(peer id) ~tag:"copen" st.peer_ccommit with
+            | Some theirs ->
+                ( { st with theirs = Some theirs },
+                  [ Machine.Send
+                      (Wire.To (peer id), Wire.frame [ "copen"; Commit.opening_to_string my_copen ]);
+                    Machine.Output (contract_output ~id ~own:input ~theirs) ] )
+            | None -> (st, [ Machine.Abort_self ]))
         | _ -> (st, []))
     | 6 -> (
         match st.first_opener with
         | Some first when first = id -> (
-            match (find_msg ~inbox ~src:(peer id) ~tag:"copen", st.peer_ccommit) with
-            | Some body, Some c -> (
-                match Commit.opening_of_string body with
-                | opening when Commit.verify (Commit.commitment_of_string c) opening ->
-                    ( st,
-                      [ Machine.Output
-                          (contract_output ~id ~own:input ~theirs:(Commit.message opening)) ] )
-                | _ -> (st, [ Machine.Abort_self ])
-                | exception Invalid_argument _ -> (st, [ Machine.Abort_self ]))
-            | _ -> (st, [ Machine.Abort_self ]))
+            match opened ~inbox ~src:(peer id) ~tag:"copen" st.peer_ccommit with
+            | Some theirs -> (st, [ Machine.Output (contract_output ~id ~own:input ~theirs) ])
+            | None -> (st, [ Machine.Abort_self ]))
         | _ -> (st, []))
     | _ -> (st, [])
   in

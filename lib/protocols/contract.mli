@@ -24,9 +24,6 @@ val func : Fair_mpc.Func.t
 val pi1 : Protocol.t
 val pi2 : Protocol.t
 
-val pi1_rounds : int
-val pi2_rounds : int
-
 val zoo : Adversary.t list
 (** Strategies relevant to the two protocols: corrupting either side and
     aborting at each round, greedy, plus baselines. *)

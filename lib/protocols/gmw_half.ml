@@ -48,20 +48,13 @@ let party (func : Func.t) ~rng:_ ~id:_ ~n ~input ~setup:_ =
     else
       match st.package with
       | None -> (
-          if round = 1 then
-            (st, [ Machine.Send (Wire.To Wire.functionality_id, Ideal.msg_input input) ])
+          if round = 1 then (st, Ideal.send_input input)
           else
-            match
-              List.find_map
-                (fun (s, payload) -> if s = Wire.functionality_id then Some payload else None)
-                inbox
-            with
-            | Some payload -> (
-                match Wire.unframe payload with
-                | [ "abort" ] -> ({ st with halted = true }, [ Machine.Abort_self ])
-                | [ "output"; body ] -> (
-                    match Wire.unframe body with
-                    | [ "package"; ciphertext; pkg ] -> (
+            match Ideal.reply inbox with
+            | Ideal.Aborted -> ({ st with halted = true }, [ Machine.Abort_self ])
+            | Ideal.Output body -> (
+                match Wire.unframe body with
+                | [ "package"; ciphertext; pkg ] -> (
                     match Vss.package_of_string pkg with
                     | pkg ->
                         ( { st with package = Some (ciphertext, pkg); received_round = round },
@@ -70,11 +63,10 @@ let party (func : Func.t) ~rng:_ ~id:_ ~n ~input ~setup:_ =
                                 Wire.frame
                                   [ "announce"; Vss.announcement_to_string (Vss.announce pkg) ] )
                           ] )
-                        | exception Invalid_argument _ ->
-                            ({ st with halted = true }, [ Machine.Abort_self ]))
-                    | _ | (exception Invalid_argument _) -> (st, []))
+                    | exception Invalid_argument _ ->
+                        ({ st with halted = true }, [ Machine.Abort_self ]))
                 | _ | (exception Invalid_argument _) -> (st, []))
-            | None -> (st, []))
+            | Ideal.No_reply -> (st, []))
       | Some (ciphertext, pkg) ->
           if round = st.received_round + 1 then begin
             let announcements =

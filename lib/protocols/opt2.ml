@@ -38,8 +38,27 @@ type state = {
   halted : bool;
 }
 
-let find_from ~inbox ~src =
-  List.find_map (fun (s, payload) -> if s = src then Some payload else None) inbox
+(* A share opening travels as ["opening"; summand and tag].  [opened] reads
+   the peer's and reconstructs y against our share: [None] when it is
+   missing, malformed or fails its MAC. *)
+let send_opening ~peer share =
+  Machine.Send
+    ( Wire.To peer,
+      Wire.frame [ "opening"; Auth_share.opening_to_string (Auth_share.opening_of_share share) ] )
+
+let opened ~inbox ~peer share =
+  match List.assoc_opt peer inbox with
+  | Some payload -> (
+      match Wire.unframe payload with
+      | [ "opening"; body ] -> (
+          match Auth_share.opening_of_string body with
+          | summand, tag -> (
+              match Auth_share.reconstruct ~mine:share ~theirs_summand:summand ~theirs_tag:tag with
+              | Ok secret -> Some (Field.decode_string secret)
+              | Error _ -> None)
+          | exception Invalid_argument _ -> None)
+      | _ | (exception Invalid_argument _) -> None)
+  | None -> None
 
 let hybrid_party (func : Func.t) ~rng:_ ~id ~n:_ ~input ~setup:_ =
   let peer = 3 - id in
@@ -48,101 +67,42 @@ let hybrid_party (func : Func.t) ~rng:_ ~id ~n:_ ~input ~setup:_ =
     else
       match st.phase2 with
       | None -> (
-          if round = 1 then
-            (st, [ Machine.Send (Wire.To Wire.functionality_id, Ideal.msg_input input) ])
+          if round = 1 then (st, Ideal.send_input input)
           else
-            match find_from ~inbox ~src:Wire.functionality_id with
-            | Some payload -> (
-                match Wire.unframe payload with
-                | [ "abort" ] ->
-                    (* Phase 1 aborted: evaluate locally on the default. *)
-                    ({ st with halted = true },
-                     [ Machine.Output (local_default func ~id ~input) ])
-                | [ "output"; body ] -> (
-                    match Wire.unframe body with
-                    | [ share_s; index_s ] -> (
-                        match int_of_string_opt index_s with
-                        | Some index when index = 1 || index = 2 ->
-                            let share = Auth_share.share_of_string share_s in
-                            let st =
-                              { st with phase2 = Some { share; index; received_round = round } }
-                            in
-                            (* Reconstruction towards p_index happens first:
-                               the other party opens right away. *)
-                            if index <> id then
-                              ( st,
-                                [ Machine.Send
-                                    ( Wire.To peer,
-                                      Wire.frame
-                                        [ "opening";
-                                          Auth_share.opening_to_string
-                                            (Auth_share.opening_of_share share) ] ) ] )
-                            else (st, [])
-                        | _ -> ({ st with halted = true }, [ Machine.Abort_self ]))
-                    | _ | (exception Invalid_argument _) ->
-                        ({ st with halted = true }, [ Machine.Abort_self ]))
-                | _ | (exception Invalid_argument _) -> (st, [])
-                )
-            | None -> (st, []))
+            match Ideal.reply inbox with
+            | Ideal.Aborted ->
+                (* Phase 1 aborted: evaluate locally on the default. *)
+                ({ st with halted = true }, [ Machine.Output (local_default func ~id ~input) ])
+            | Ideal.Output body -> (
+                match Wire.unframe body with
+                | [ share_s; index_s ] -> (
+                    match int_of_string_opt index_s with
+                    | Some index when index = 1 || index = 2 ->
+                        let share = Auth_share.share_of_string share_s in
+                        let st =
+                          { st with phase2 = Some { share; index; received_round = round } }
+                        in
+                        (* Reconstruction towards p_index happens first:
+                           the other party opens right away. *)
+                        if index <> id then (st, [ send_opening ~peer share ]) else (st, [])
+                    | _ -> ({ st with halted = true }, [ Machine.Abort_self ]))
+                | _ | (exception Invalid_argument _) ->
+                    ({ st with halted = true }, [ Machine.Abort_self ]))
+            | Ideal.No_reply -> (st, []))
       | Some ph ->
-          if ph.index = id && round = ph.received_round + 1 then begin
+          if ph.index = id && round = ph.received_round + 1 then
             (* First reconstruction round: we are p_i, expecting the peer's
                opening. *)
-            let opening =
-              match find_from ~inbox ~src:peer with
-              | Some payload -> (
-                  match Wire.unframe payload with
-                  | [ "opening"; body ] -> (
-                      match Auth_share.opening_of_string body with
-                      | o -> Some o
-                      | exception Invalid_argument _ -> None)
-                  | _ | (exception Invalid_argument _) -> None)
-              | None -> None
-            in
-            match opening with
-            | Some (summand, tag) -> (
-                match
-                  Auth_share.reconstruct ~mine:ph.share ~theirs_summand:summand ~theirs_tag:tag
-                with
-                | Ok secret ->
-                    let y = Field.decode_string secret in
-                    ( { st with halted = true },
-                      [ Machine.Send
-                          ( Wire.To peer,
-                            Wire.frame
-                              [ "opening";
-                                Auth_share.opening_to_string (Auth_share.opening_of_share ph.share)
-                              ] );
-                        Machine.Output y ] )
-                | Error _ ->
-                    ({ st with halted = true },
-                     [ Machine.Output (local_default func ~id ~input) ]))
+            match opened ~inbox ~peer ph.share with
+            | Some y ->
+                ({ st with halted = true }, [ send_opening ~peer ph.share; Machine.Output y ])
             | None ->
                 ({ st with halted = true }, [ Machine.Output (local_default func ~id ~input) ])
-          end
-          else if ph.index <> id && round = ph.received_round + 2 then begin
+          else if ph.index <> id && round = ph.received_round + 2 then
             (* Second reconstruction round: we are p_¬i. *)
-            let opening =
-              match find_from ~inbox ~src:peer with
-              | Some payload -> (
-                  match Wire.unframe payload with
-                  | [ "opening"; body ] -> (
-                      match Auth_share.opening_of_string body with
-                      | o -> Some o
-                      | exception Invalid_argument _ -> None)
-                  | _ | (exception Invalid_argument _) -> None)
-              | None -> None
-            in
-            match opening with
-            | Some (summand, tag) -> (
-                match
-                  Auth_share.reconstruct ~mine:ph.share ~theirs_summand:summand ~theirs_tag:tag
-                with
-                | Ok secret ->
-                    ({ st with halted = true }, [ Machine.Output (Field.decode_string secret) ])
-                | Error _ -> ({ st with halted = true }, [ Machine.Abort_self ]))
+            match opened ~inbox ~peer ph.share with
+            | Some y -> ({ st with halted = true }, [ Machine.Output y ])
             | None -> ({ st with halted = true }, [ Machine.Abort_self ])
-          end
           else (st, [])
   in
   Machine.make { phase2 = None; halted = false } step
@@ -169,52 +129,25 @@ let one_round_party (func : Func.t) ~rng:_ ~id ~n:_ ~input ~setup:_ =
     else
       match st.phase2 with
       | None -> (
-          if round = 1 then
-            (st, [ Machine.Send (Wire.To Wire.functionality_id, Ideal.msg_input input) ])
+          if round = 1 then (st, Ideal.send_input input)
           else
-            match find_from ~inbox ~src:Wire.functionality_id with
-            | Some payload -> (
-                match Wire.unframe payload with
-                | [ "abort" ] ->
-                    ({ st with halted = true },
-                     [ Machine.Output (local_default func ~id ~input) ])
-                | [ "output"; body ] -> (
-                    match Wire.unframe body with
-                    | [ share_s; _index ] ->
-                        let share = Auth_share.share_of_string share_s in
-                        (* Both parties open simultaneously. *)
-                        ( { st with phase2 = Some { share; index = id; received_round = round } },
-                          [ Machine.Send
-                              ( Wire.To peer,
-                                Wire.frame
-                                  [ "opening";
-                                    Auth_share.opening_to_string (Auth_share.opening_of_share share)
-                                  ] ) ] )
-                    | _ | (exception Invalid_argument _) ->
-                        ({ st with halted = true }, [ Machine.Abort_self ]))
-                | _ | (exception Invalid_argument _) -> (st, []))
-            | None -> (st, []))
+            match Ideal.reply inbox with
+            | Ideal.Aborted ->
+                ({ st with halted = true }, [ Machine.Output (local_default func ~id ~input) ])
+            | Ideal.Output body -> (
+                match Wire.unframe body with
+                | [ share_s; _index ] ->
+                    let share = Auth_share.share_of_string share_s in
+                    (* Both parties open simultaneously. *)
+                    ( { st with phase2 = Some { share; index = id; received_round = round } },
+                      [ send_opening ~peer share ] )
+                | _ | (exception Invalid_argument _) ->
+                    ({ st with halted = true }, [ Machine.Abort_self ]))
+            | Ideal.No_reply -> (st, []))
       | Some ph ->
           if round = ph.received_round + 1 then
-            let opening =
-              match find_from ~inbox ~src:peer with
-              | Some payload -> (
-                  match Wire.unframe payload with
-                  | [ "opening"; body ] -> (
-                      match Auth_share.opening_of_string body with
-                      | o -> Some o
-                      | exception Invalid_argument _ -> None)
-                  | _ | (exception Invalid_argument _) -> None)
-              | None -> None
-            in
-            match opening with
-            | Some (summand, tag) -> (
-                match
-                  Auth_share.reconstruct ~mine:ph.share ~theirs_summand:summand ~theirs_tag:tag
-                with
-                | Ok secret ->
-                    ({ st with halted = true }, [ Machine.Output (Field.decode_string secret) ])
-                | Error _ -> ({ st with halted = true }, [ Machine.Abort_self ]))
+            match opened ~inbox ~peer ph.share with
+            | Some y -> ({ st with halted = true }, [ Machine.Output y ])
             | None -> ({ st with halted = true }, [ Machine.Abort_self ])
           else (st, [])
   in

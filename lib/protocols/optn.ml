@@ -75,33 +75,20 @@ let optn_party (_func : Func.t) ~rng:_ ~id:_ ~n:_ ~input ~setup:_ =
     else
       match st.holding with
       | None -> (
-          if round = 1 then
-            (st, [ Machine.Send (Wire.To Wire.functionality_id, Ideal.msg_input input) ])
+          if round = 1 then (st, Ideal.send_input input)
           else
-            match
-              List.find_map
-                (fun (s, payload) ->
-                  if s = Wire.functionality_id then Some payload else None)
-                inbox
-            with
-            | Some payload -> (
-                match Wire.unframe payload with
-                | [ "abort" ] -> ({ st with halted = true }, [ Machine.Abort_self ])
-                | [ "output"; body ] -> (
-                    match Wire.unframe body with
-                    | [ "val"; y; signature; vk ] ->
-                        ( { st with
-                            holding = Some (Value (y, signature));
-                            vk;
-                            received_round = round },
-                          [ Machine.Send (Wire.Broadcast, Wire.frame [ "announce"; y; signature ])
-                          ] )
-                    | [ "none"; vk ] ->
-                        ( { st with holding = Some Nothing; vk; received_round = round },
-                          [ Machine.Send (Wire.Broadcast, Wire.frame [ "announce-none" ]) ] )
-                    | _ | (exception Invalid_argument _) -> (st, []))
+            match Ideal.reply inbox with
+            | Ideal.Aborted -> ({ st with halted = true }, [ Machine.Abort_self ])
+            | Ideal.Output body -> (
+                match Wire.unframe body with
+                | [ "val"; y; signature; vk ] ->
+                    ( { st with holding = Some (Value (y, signature)); vk; received_round = round },
+                      [ Machine.Send (Wire.Broadcast, Wire.frame [ "announce"; y; signature ]) ] )
+                | [ "none"; vk ] ->
+                    ( { st with holding = Some Nothing; vk; received_round = round },
+                      [ Machine.Send (Wire.Broadcast, Wire.frame [ "announce-none" ]) ] )
                 | _ | (exception Invalid_argument _) -> (st, []))
-            | None -> (st, []))
+            | Ideal.No_reply -> (st, []))
       | Some holding ->
           if round = st.received_round + 1 then begin
             (* Collect announcements; adopt a validly signed value.  Every

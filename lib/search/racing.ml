@@ -265,10 +265,7 @@ let chunks_per_round = 16
    one trial.  Each observation depends on (arm, trial) alone and lands
    in its own cell, and the chunks depend only on the round's shape, so
    the batches are the same at any [jobs], and so are the executions,
-   the messages and the machine steps a chunk's arms share.  The hashing
-   is not, on the signature targets: [Signature.Lamport.Verifier]'s
-   caches are per domain and bounded, so whether a verdict hits depends
-   on which domain played which chunk before. *)
+   the messages and the machine steps a chunk's arms share. *)
 let race_target ~jobs ~target ~arms ~budget ~seed =
   let { protocol; func; gamma; env; overrides } = target in
   let prefix = Mc.Trial.seed_prefix seed in

@@ -434,26 +434,6 @@ let test_lamport_cross_key () =
   let s = Signature.Lamport.sign sk "m" in
   Alcotest.(check bool) "other key rejects" false (Signature.Lamport.verify pk2 "m" s)
 
-let test_merkle () =
-  let g = Rng.create ~seed:"merkle" in
-  let signer, root = Signature.Merkle.keygen g ~height:3 in
-  Alcotest.(check int) "8 keys" 8 (Signature.Merkle.remaining signer);
-  let sigs = List.init 8 (fun i -> (i, Signature.Merkle.sign signer (Printf.sprintf "m%d" i))) in
-  Alcotest.(check int) "exhausted" 0 (Signature.Merkle.remaining signer);
-  List.iter
-    (fun (i, s) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "sig %d verifies" i)
-        true
-        (Signature.Merkle.verify root (Printf.sprintf "m%d" i) s);
-      Alcotest.(check bool)
-        (Printf.sprintf "sig %d wrong message" i)
-        false
-        (Signature.Merkle.verify root "bogus" s))
-    sigs;
-  Alcotest.check_raises "ninth signature" (Failure "Merkle.sign: keys exhausted") (fun () ->
-      ignore (Signature.Merkle.sign signer "overflow"))
-
 let () =
   Alcotest.run "fair_crypto"
     [ ( "sha256",
@@ -495,5 +475,4 @@ let () =
       ( "signature",
         [ Alcotest.test_case "lamport sign/verify" `Quick test_lamport;
           Alcotest.test_case "lamport wire forms" `Quick test_lamport_wire;
-          Alcotest.test_case "lamport cross-key" `Quick test_lamport_cross_key;
-          Alcotest.test_case "merkle many-time" `Quick test_merkle ] ) ]
+          Alcotest.test_case "lamport cross-key" `Quick test_lamport_cross_key ] ) ]

@@ -195,6 +195,45 @@ let test_input_substitution () =
   | Engine.Honest_output v -> Alcotest.(check string) "substituted" "b,evil" v
   | _ -> Alcotest.fail "should deliver"
 
+(* The functionality's reply as every hybrid party reads it: the first
+   frame from id 0 decides, whatever comes after it or from the peers. *)
+let reply_name = function
+  | Ideal.No_reply -> "No_reply"
+  | Ideal.Aborted -> "Aborted"
+  | Ideal.Output y -> "Output " ^ y
+
+let test_reply_decoder () =
+  let reply = Alcotest.testable (fun fmt r -> Format.pp_print_string fmt (reply_name r)) ( = ) in
+  let output = Ideal.msg_output (Wire.frame [ "share"; "1" ]) in
+  List.iter
+    (fun (label, inbox, want) -> Alcotest.check reply label want (Ideal.reply inbox))
+    [ ("nothing from the functionality", [ (2, output); (1, Ideal.msg_abort) ], Ideal.No_reply);
+      ("an abort", [ (2, output); (0, Ideal.msg_abort) ], Ideal.Aborted);
+      ("an output", [ (0, output) ], Ideal.Output (Wire.frame [ "share"; "1" ]));
+      ("an undecodable frame", [ (0, "output|dangling\\"); (0, output) ], Ideal.No_reply);
+      ("two replies: the first wins", [ (0, output); (0, Ideal.msg_abort) ],
+        Ideal.Output (Wire.frame [ "share"; "1" ])) ]
+
+(* Bytes from a corrupted peer or a faulted channel reach these decoders
+   unchecked: they must answer, never raise.  Fields are drawn from the
+   framing's own alphabet so separators and escapes actually occur. *)
+let prop_decoders_total =
+  let token = QCheck.Gen.oneofl [ "output"; "abort"; "|"; "\\"; "\\p"; "p"; "0"; "ab"; "" ] in
+  let raw =
+    QCheck.Gen.(
+      oneof
+        [ string_size (int_bound 24);
+          map (String.concat "") (list_size (int_bound 8) token) ])
+  in
+  qtest "reply decoder and Lamport verifier total on arbitrary bytes" 500
+    (QCheck.make ~print:QCheck.Print.(triple string string string)
+       QCheck.Gen.(triple raw raw raw))
+    (fun (a, b, c) ->
+      ignore (Ideal.decode_reply a);
+      ignore (Ideal.reply [ (0, a); (0, b) ]);
+      not
+        (Fair_crypto.Signature.Lamport.Verifier.verify_hex ~pk_hex:a ~msg:b ~signature_hex:c))
+
 (* ------------------------------ SPDZ -------------------------------- *)
 
 let spdz_product n =
@@ -394,7 +433,9 @@ let () =
           Alcotest.test_case "abort window of F_sfe^⊥" `Quick test_sfe_abort_window;
           Alcotest.test_case "default inputs" `Quick test_sfe_abort_default_inputs;
           Alcotest.test_case "F_sfe^$ random replacement" `Quick test_sfe_random_abort;
-          Alcotest.test_case "input substitution" `Quick test_input_substitution ] );
+          Alcotest.test_case "input substitution" `Quick test_input_substitution;
+          Alcotest.test_case "reply decoder" `Quick test_reply_decoder;
+          prop_decoders_total ] );
       ( "spdz",
         [ Alcotest.test_case "honest n=2" `Quick test_spdz_honest_2;
           Alcotest.test_case "honest n=3" `Quick test_spdz_honest_3;

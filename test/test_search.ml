@@ -353,9 +353,7 @@ let test_impure_party_flagged () =
 
 (* A race's chunks depend only on each round's shape, and every machine
    value is stepped inside the chunk that built it, so E1's work — its
-   remembered steps and with them its hashes — is the same at any [jobs].
-   Not so on the signature targets: the Lamport verifier's caches are
-   per domain, so their hits depend on which domain played which chunk. *)
+   remembered steps and with them its hashes — is the same at any [jobs]. *)
 let test_work_same_at_any_jobs () =
   let e1 = Option.get (E.find "E1") in
   let work jobs =
@@ -369,6 +367,29 @@ let test_work_same_at_any_jobs () =
       [ "sha256.blocks"; "engine.executions"; "engine.messages" ]
   in
   Alcotest.(check (list (pair string int))) "E1 race work at -j 1 and -j 2" (work 1) (work 2)
+
+(* The same on a signature target, every counter at once: the Lamport
+   verdicts live for one prelude, so whether a verification hashes cannot
+   depend on which domain played which chunk before.  The key pool is
+   built first, since a process hashes it only once. *)
+let test_signature_work_same_at_any_jobs () =
+  let e14 = Option.get (E.find "E14") in
+  ignore
+    (Fair_protocols.Optn.priv_outputs (Fair_mpc.Func.concat ~n:3)
+       (Fair_crypto.Rng.create ~seed:"key pool")
+       ~inputs:[| "a"; "b"; "c" |]);
+  let race jobs =
+    Fair_obs.Metrics.reset ();
+    Fair_obs.Metrics.enable ();
+    let c = E.searched ~budget:1000 ~seed:42 ~jobs e14 in
+    let snap = Fair_obs.Metrics.snapshot () in
+    Fair_obs.Metrics.disable ();
+    (Option.map Certificate.to_string c, snap.Fair_obs.Metrics.counters)
+  in
+  let cert1, work1 = race 1 in
+  let cert2, work2 = race 2 in
+  Alcotest.(check (list (pair string int))) "E14 race work at -j 1 and -j 2" work1 work2;
+  Alcotest.(check (option string)) "E14 certificate at -j 1 and -j 2" cert1 cert2
 
 (* ------------------------------ γ/n grids ----------------------------- *)
 
@@ -501,7 +522,9 @@ let () =
             test_registry_shares_preludes;
           Alcotest.test_case "a party drawing in step is flagged" `Quick test_impure_party_flagged;
           Alcotest.test_case "E1 work counts are the same at -j 1 and -j 2" `Quick
-            test_work_same_at_any_jobs ] );
+            test_work_same_at_any_jobs;
+          Alcotest.test_case "E14 work counts and certificate are the same at -j 1 and -j 2"
+            `Quick test_signature_work_same_at_any_jobs ] );
       ( "landscape",
         [ Alcotest.test_case "n-grid order, mode and -j identity" `Slow test_n_grid;
           Alcotest.test_case "n-grid decay" `Slow test_n_grid_decay;
