@@ -9,10 +9,10 @@
       steady state, so a regression that reintroduces per-envelope or
       per-trial-setup allocation fails loudly here rather than showing up
       as a silent slowdown.  The E1 race of contract 4 must allocate at
-      most 2 000 minor words per engine execution (~1 378 measured, run
-      after an untimed warm-up; the figure repeats exactly): a play that
-      builds per-round hash tables or closures, or re-splits its
-      generators, again costs ~2 250.
+      most 1 200 minor words per play (`mc.trials`; ~961 measured, run
+      after an untimed warm-up; the figure repeats exactly).  Playing
+      every arm's execution again, as before plays were remembered, costs
+      ~1 349; stepping every machine afresh ~1 668.
    3. Pool health: the parallel leg must actually fan out through the pool
       (a batch that silently runs inline would time the sequential path
       and call it "parallel"), and on a multi-core host it must not be
@@ -22,22 +22,27 @@
       single-core host the speedup is noise, the line says so, and only
       the fan-out half is enforced.
    4. Shared work: an E1 race (budget 2000, seed 42, -j 1) must hash at
-      most 4 SHA-256 blocks per engine execution.  The racer builds each
-      trial's inputs, setup, honest machines and per-play generator
-      splits once for all the arms it plays, and a machine value
-      remembers every step taken from it, so arms and probes that repeat
-      a step reuse its result (~3.6 blocks per execution).  Splitting the
-      adversary's generator afresh for every play costs ~4.5, stepping
-      every machine afresh ~10.7, and rebuilding the prelude for every
-      arm ~30, so a change that silently stops any of them fails here.
-      The line before it names the SHA-256 kernel that ran: the block
-      count is the same on every kernel, the time per block is not.
+      most 4 SHA-256 blocks per play and run at most 1 400 engine
+      executions for its 1 998 plays.  The racer builds each trial's
+      inputs, setup, honest machines and per-play generator splits once
+      for all the arms it plays, a machine value remembers every step
+      taken from it, so arms and probes that repeat a step reuse its
+      result, and arms that play the same keyed strategy on the same
+      coalition share one execution (~3.50 blocks per play, 1 290
+      executions).  Splitting the adversary's generator afresh for every
+      play costs ~4.8 blocks per play, stepping every machine afresh ~6.9,
+      and rebuilding the prelude for every arm ~28.6 (and 1 998
+      executions), so a change that silently stops any of them fails
+      here; ignoring the play keys runs 1 998 executions.  The line
+      before it names the SHA-256 kernel that ran: the block count is the
+      same on every kernel, the time per block is not.
    5. Signature hashing: an E5 race (budget 2000, seed 42), warmed once so
       the Lamport key pool is built, must hash the same SHA-256 blocks at
-      -j 1 and at -j 2, and at most 26 per engine execution (~17.2
-      measured).  The verifier's verdicts live for one prelude, so the
-      count cannot depend on which domain played which chunk before;
-      verifying every announcement afresh costs ~96. *)
+      -j 1 and at -j 2, and at most 26 per play (~16.8 measured).  The
+      verifier's verdicts live for one prelude, so the count cannot depend
+      on which domain played which chunk before; verifying every
+      announcement afresh costs ~96 per execution, and rebuilding the
+      prelude for every arm ~169 per play. *)
 
 module Mc = Fairness.Montecarlo
 module Parallel = Fairness.Parallel
@@ -133,7 +138,7 @@ let () =
   let race spec ~jobs =
     ignore (Fair_analysis.Experiments.searched ~budget:2000 ~seed:42 ~jobs spec)
   in
-  (* Minor words, SHA-256 blocks and executions of one race. *)
+  (* Minor words, SHA-256 blocks, plays and executions of one race. *)
   let work spec ~jobs =
     Fair_obs.Metrics.reset ();
     Fair_obs.Metrics.enable ();
@@ -143,25 +148,27 @@ let () =
     let snap = Fair_obs.Metrics.snapshot () in
     Fair_obs.Metrics.disable ();
     let counter name = List.assoc name snap.Fair_obs.Metrics.counters in
-    (words, counter "sha256.blocks", counter "engine.executions")
+    (words, counter "sha256.blocks", counter "mc.trials", counter "engine.executions")
   in
   race e1 ~jobs:1;
-  let words, blocks, execs = work e1 ~jobs:1 in
-  let per_exec x = x /. float_of_int (max 1 execs) in
-  check "E1 race minor words per execution within budget" (per_exec words <= 2000.0)
-    (Printf.sprintf "%.0f words / %d executions = %.0f <= 2000" words execs (per_exec words));
-  check "E1 race SHA-256 blocks per execution within budget"
-    (per_exec (float_of_int blocks) <= 4.0)
-    (Printf.sprintf "%d blocks / %d executions = %.2f <= 4" blocks execs
-       (per_exec (float_of_int blocks)));
+  let words, blocks, plays, execs = work e1 ~jobs:1 in
+  let per_play x = x /. float_of_int (max 1 plays) in
+  check "E1 race minor words per play within budget" (per_play words <= 1200.0)
+    (Printf.sprintf "%.0f words / %d plays = %.0f <= 1200" words plays (per_play words));
+  check "E1 race SHA-256 blocks per play within budget"
+    (per_play (float_of_int blocks) <= 4.0)
+    (Printf.sprintf "%d blocks / %d plays = %.2f <= 4" blocks plays
+       (per_play (float_of_int blocks)));
+  check "E1 race engine executions within budget" (execs <= 1400)
+    (Printf.sprintf "%d executions for %d plays <= 1400" execs plays);
   race e5 ~jobs:1;
-  let _, blocks1, execs = work e5 ~jobs:1 in
-  let _, blocks2, _ = work e5 ~jobs:2 in
-  let per_exec = float_of_int blocks1 /. float_of_int (max 1 execs) in
+  let _, blocks1, plays, _ = work e5 ~jobs:1 in
+  let _, blocks2, _, _ = work e5 ~jobs:2 in
+  let per_play = float_of_int blocks1 /. float_of_int (max 1 plays) in
   check "E5 race SHA-256 blocks the same at -j 1 and -j 2" (blocks1 = blocks2)
     (Printf.sprintf "%d vs %d blocks" blocks1 blocks2);
-  check "E5 race SHA-256 blocks per execution within budget" (per_exec <= 26.0)
-    (Printf.sprintf "%d blocks / %d executions = %.2f <= 26" blocks1 execs per_exec);
+  check "E5 race SHA-256 blocks per play within budget" (per_play <= 26.0)
+    (Printf.sprintf "%d blocks / %d plays = %.2f <= 26" blocks1 plays per_play);
   if !failures > 0 then begin
     Printf.eprintf "bench-smoke: %d check(s) FAILED\n" !failures;
     exit 1

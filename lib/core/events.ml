@@ -52,35 +52,54 @@ let legitimate_outputs trial =
   done;
   List.rev !outputs
 
+(* The never-corrupted parties are read in place from [results], the
+   claims from [claims]: these walks take [legitimate] as an argument, so
+   classifying builds no list and no closure besides [legitimate]. *)
+let rec some_honest = function
+  | [] -> false
+  | (_, Engine.Was_corrupted) :: rest -> some_honest rest
+  | _ -> true
+
+let rec all_output y = function
+  | [] -> true
+  | (_, Engine.Was_corrupted) :: rest -> all_output y rest
+  | (_, Engine.Honest_output v) :: rest -> String.equal v y && all_output y rest
+  | (_, (Engine.Honest_abort | Engine.Honest_no_output)) :: _ -> false
+
+(* Some honest party, and every one output the same legitimate value. *)
+let rec honest_agree legitimate = function
+  | [] -> false
+  | (_, Engine.Was_corrupted) :: rest -> honest_agree legitimate rest
+  | (_, Engine.Honest_output y) :: rest -> List.mem y legitimate && all_output y rest
+  | (_, (Engine.Honest_abort | Engine.Honest_no_output)) :: _ -> false
+
+let rec breached legitimate = function
+  | [] -> false
+  | (_, Engine.Honest_output y) :: rest ->
+      (not (List.mem y legitimate)) || breached legitimate rest
+  | _ :: rest -> breached legitimate rest
+
+let rec claimed_legitimate legitimate = function
+  | [] -> false
+  | (_, v) :: rest -> List.mem v legitimate || claimed_legitimate legitimate rest
+
 let classify ?(overrides = no_overrides) trial =
   let legitimate = legitimate_outputs trial in
-  let honest = Engine.honest_outputs trial.outcome in
+  let results = trial.outcome.Engine.results in
   let learned =
     match overrides.learned with
     | Some f -> f trial
-    | None ->
-        List.exists
-          (fun (_, v) -> List.mem v legitimate)
-          trial.outcome.Engine.claims
+    | None -> claimed_legitimate legitimate trial.outcome.Engine.claims
   in
-  let honest_values = List.map snd honest in
   let honest_got =
     match overrides.honest_got with
     | Some f -> f trial
-    | None ->
-        honest_values <> []
-        && List.for_all
-             (fun v -> match v with Some y -> List.mem y legitimate | None -> false)
-             honest_values
-        && (match honest_values with
-           | Some y0 :: rest -> List.for_all (fun v -> v = Some y0) rest
-           | _ -> true)
+    | None -> honest_agree legitimate results
   in
   (* When every party is corrupted the paper assigns E11 semantics (the
      adversary gains no unfair advantage over anyone). *)
-  let all_corrupted = honest = [] in
   let event =
-    if all_corrupted then E11
+    if not (some_honest results) then E11
     else
       match (learned, honest_got) with
       | false, false -> E00
@@ -88,9 +107,4 @@ let classify ?(overrides = no_overrides) trial =
       | true, false -> E10
       | true, true -> E11
   in
-  let correctness_breach =
-    List.exists
-      (fun v -> match v with Some y -> not (List.mem y legitimate) | None -> false)
-      honest_values
-  in
-  { event; correctness_breach }
+  { event; correctness_breach = breached legitimate results }

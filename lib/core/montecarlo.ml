@@ -174,6 +174,11 @@ type prelude =
       master : Rng.t;  (* only split from: the "faults" split of every play *)
       inputs : string array;
       prepared : Engine.prepared;
+      (* Every outcome classified so far, with its observation ([None]:
+         classifying it raised).  A remembered play returns the very
+         outcome an earlier play of the prelude classified
+         ([Engine.run_prepared]), so the lookup is by physical identity. *)
+      mutable classified : (Engine.outcome * trial_obs option) list;
     }
   | Faulted
 
@@ -183,8 +188,30 @@ let trial_prepare ~protocol ~env ~prefix i =
     let inputs = env (Rng.split master ~label:"env") in
     (inputs, Engine.prepare ~protocol ~inputs ~rng:(Rng.split master ~label:"exec"))
   with
-  | inputs, prepared -> Ready { master; inputs; prepared }
+  | inputs, prepared -> Ready { master; inputs; prepared; classified = [] }
   | exception e when not (Engine.fatal e) -> Faulted
+
+let rec count_corrupted k = function
+  | [] -> k
+  | (_, Engine.Was_corrupted) :: rest -> count_corrupted (k + 1) rest
+  | _ :: rest -> count_corrupted k rest
+
+let classify ~overrides ~func ~gamma ~inputs outcome =
+  match Events.classify ~overrides { Events.outcome; inputs; func } with
+  | cl ->
+      let payoff =
+        match cl.Events.event with
+        | Events.E00 -> gamma.Payoff.g00
+        | Events.E01 -> gamma.Payoff.g01
+        | Events.E10 -> gamma.Payoff.g10
+        | Events.E11 -> gamma.Payoff.g11
+      in
+      Some
+        { t_payoff = payoff;
+          t_event = cl.Events.event;
+          t_corrupted = count_corrupted 0 outcome.Engine.results;
+          t_breach = cl.Events.correctness_breach }
+  | exception e when not (Engine.fatal e) -> None
 
 let trial_play ~overrides ~inject ~adversary ~func ~gamma prelude =
   Metrics.incr c_trials;
@@ -194,29 +221,28 @@ let trial_play ~overrides ~inject ~adversary ~func ~gamma prelude =
   in
   match prelude with
   | Faulted -> fault ()
-  | Ready { master; inputs; prepared } -> (
+  | Ready r -> (
       match
         (* The injector draws only from its own "faults" split —
            [Rng.split] never advances [master] — so the env and exec
            streams are bit-identical to the inject-free path. *)
-        let faults = Option.map (fun mk -> mk (Rng.split master ~label:"faults")) inject in
-        let outcome = Engine.run_prepared ?faults ~adversary prepared in
-        let trial = { Events.outcome; inputs; func } in
-        (Events.classify ~overrides trial, trial)
+        let faults =
+          match inject with
+          | None -> None
+          | Some mk -> Some (mk (Rng.split r.master ~label:"faults"))
+        in
+        Engine.run_prepared ?faults ~adversary r.prepared
       with
-      | cl, trial ->
-          let payoff =
-            match cl.Events.event with
-            | Events.E00 -> gamma.Payoff.g00
-            | Events.E01 -> gamma.Payoff.g01
-            | Events.E10 -> gamma.Payoff.g10
-            | Events.E11 -> gamma.Payoff.g11
+      | outcome -> (
+          let obs =
+            match List.assq_opt outcome r.classified with
+            | Some obs -> obs
+            | None ->
+                let obs = classify ~overrides ~func ~gamma ~inputs:r.inputs outcome in
+                r.classified <- (outcome, obs) :: r.classified;
+                obs
           in
-          Some
-            { t_payoff = payoff;
-              t_event = cl.Events.event;
-              t_corrupted = List.length (Events.corrupted_parties trial);
-              t_breach = cl.Events.correctness_breach }
+          match obs with Some _ -> obs | None -> fault ())
       | exception e when not (Engine.fatal e) -> fault ())
 
 let observe_trial ~overrides ~inject ~protocol ~adversary ~func ~gamma ~env ~prefix i =

@@ -150,7 +150,9 @@ module Trial : sig
   val prepare : protocol:Protocol.t -> env:environment -> prefix:string -> int -> prelude
   (** Draw trial [i]'s inputs and build its prelude.  Never raises a
       non-fatal exception: a raise is kept and faults every {!play} of the
-      prelude.  Counts nothing; the plays do. *)
+      prelude.  Counts nothing; the plays do.  A prelude serves one target:
+      every {!play} of it must pass the same [overrides], [func] and
+      [gamma], because it remembers the observations it classified. *)
 
   val play :
     overrides:Events.overrides ->
@@ -163,9 +165,13 @@ module Trial : sig
       functionality and the adversary instance are built afresh for every
       play, so plays of one prelude are independent as long as the
       protocol's party machines are persistent.  Injects no faults
-      ({!run}'s [?inject] does).  Counts one
-      [mc.trials]; [None] (and one [mc.trial_faults]) when the prelude or
-      the play raised. *)
+      ({!run}'s [?inject] does).  A keyed adversary whose play the prelude
+      has already run gets that outcome back ({!Engine.run_prepared}), and
+      then its observation too: the prelude remembers the observation of
+      every outcome it classified (by physical identity), so the repeat
+      runs neither an execution nor {!Events.classify}.  Counts one
+      [mc.trials] either way; [None] (and one [mc.trial_faults]) when the
+      prelude, the play or its classification raised. *)
 
   val run :
     ?overrides:Events.overrides ->

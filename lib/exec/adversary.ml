@@ -28,17 +28,20 @@ type instance = {
 
 type t = {
   name : string;
+  key : string option;
   make : Fair_crypto.Rng.t -> protocol:Protocol.t -> instance;
 }
 
 let passive =
   { name = "passive";
+    key = Some "passive";
     make = (fun _rng ~protocol:_ -> { initial = []; step = (fun _ -> silent_decision) }) }
 
-let make ~name make = { name; make }
+let make ?key ~name make = { name; key; make }
 
 let static ~name ~corrupt step =
   { name;
+    key = None;
     make =
       (fun rng ~protocol ->
         let initial = corrupt rng ~n:protocol.Protocol.parties in

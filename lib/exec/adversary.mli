@@ -52,14 +52,24 @@ type instance = {
 
 type t = {
   name : string;
+  key : string option;
+      (** The play key.  A keyed adversary draws coins only to choose its
+          initial coalition; after that its behaviour depends only on its
+          key, that coalition and its views.  Two adversaries with equal
+          keys that draw the same coalition therefore play the same
+          execution, and {!Engine.run_prepared} plays it once per prelude.
+          [None] promises nothing. *)
   make : Fair_crypto.Rng.t -> protocol:Protocol.t -> instance;
       (** Called once per execution: fresh coins, fresh mutable state. *)
 }
 
 val passive : t
-(** Corrupts nobody and does nothing: the honest-execution baseline. *)
+(** Corrupts nobody and does nothing: the honest-execution baseline.  Keyed. *)
 
-val make : name:string -> (Fair_crypto.Rng.t -> protocol:Protocol.t -> instance) -> t
+val make :
+  ?key:string -> name:string -> (Fair_crypto.Rng.t -> protocol:Protocol.t -> instance) -> t
+(** [key] (default none) must keep {!t.key}'s contract: give one only to an
+    adversary that draws no coin after choosing its initial coalition. *)
 
 val static :
   name:string ->
@@ -67,4 +77,5 @@ val static :
   (Fair_crypto.Rng.t -> protocol:Protocol.t -> corrupt:Wire.party_id list -> view -> decision) ->
   t
 (** Static corruption pattern plus a per-round step; the step closure may
-    carry state via references created in an enclosing [make]. *)
+    carry state via references created in an enclosing [make].  Unkeyed:
+    the step receives the generator. *)

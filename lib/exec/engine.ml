@@ -126,7 +126,9 @@ let rec iter_round f r = function
    generators.  Built once, it can be played against any number of
    adversaries, because machines are persistent (see [Machine]) and
    everything per-execution — the functionality, the adversary instance,
-   the fault injector, the per-run arrays — is built in [run_exec]. *)
+   the fault injector, the per-run arrays — is built in [run_exec].  It
+   also remembers the fault-free outcome of every keyed play (see
+   [run_prepared]). *)
 type prepared = {
   p_protocol : Protocol.t;
   p_inputs : string array;
@@ -138,6 +140,8 @@ type prepared = {
      play sees the coins a fresh split would give. *)
   p_functionality : ((Rng.t -> n:int -> Machine.t) * Rng.t) option;
   p_adversary_rng : Rng.t;
+  (* (play key, initial coalition as drawn) -> the outcome of that play. *)
+  p_plays : (string * Wire.party_id list, outcome) Hashtbl.t;
 }
 
 let prepare ~protocol ~inputs ~rng =
@@ -170,9 +174,10 @@ let prepare ~protocol ~inputs ~rng =
     p_parties = parties;
     p_functionality =
       Option.map (fun f -> (f, Rng.split rng ~label:"functionality")) protocol.Protocol.functionality;
-    p_adversary_rng = Rng.split rng ~label:"adversary" }
+    p_adversary_rng = Rng.split rng ~label:"adversary";
+    p_plays = Hashtbl.create 16 }
 
-let run_exec ~faults ~adversary p =
+let run_exec ~faults ~adv p =
   let protocol = p.p_protocol in
   let n = protocol.Protocol.parties in
   let msg_limit = (n + 1) * protocol.Protocol.max_rounds * 1024 in
@@ -193,7 +198,6 @@ let run_exec ~faults ~adversary p =
   for i = 1 to n do
     slots.(i) <- Running (p.p_parties.(i - 1), p.p_inputs.(i - 1), p.p_setup.(i - 1))
   done;
-  let adv = adversary.Adversary.make (Rng.copy p.p_adversary_rng) ~protocol in
   let claims = ref [] in
   let claim r = function
     | None -> ()
@@ -439,8 +443,26 @@ let run_exec ~faults ~adversary p =
     trace;
     failures = List.rev !failures }
 
+let exec ~faults ~adv p =
+  Otrace.with_span ~cat:"engine" "engine.run" (fun () -> run_exec ~faults ~adv p)
+
+(* The adversary is instantiated before the functionality; each draws
+   from its own copy, so the order moves no stream.  A keyed adversary
+   draws no coin after choosing its coalition (see [Adversary.t]), so a
+   fault-free play of the same key and coalition is the same execution:
+   it returns the remembered outcome and runs (and counts) nothing. *)
 let run_prepared ?(faults = no_faults) ~adversary p =
-  Otrace.with_span ~cat:"engine" "engine.run" (fun () -> run_exec ~faults ~adversary p)
+  let adv = adversary.Adversary.make (Rng.copy p.p_adversary_rng) ~protocol:p.p_protocol in
+  match adversary.Adversary.key with
+  | Some key when faults == no_faults -> (
+      let play = (key, adv.Adversary.initial) in
+      match Hashtbl.find_opt p.p_plays play with
+      | Some outcome -> outcome
+      | None ->
+          let outcome = exec ~faults ~adv p in
+          Hashtbl.add p.p_plays play outcome;
+          outcome)
+  | _ -> exec ~faults ~adv p
 
 let run ~protocol ~adversary ~inputs ~rng =
   run_prepared ~adversary (prepare ~protocol ~inputs ~rng)

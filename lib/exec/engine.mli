@@ -97,7 +97,16 @@ val claimed : outcome -> truth:Wire.payload -> bool
     a plain value.  The functionality (which may keep per-run state), the
     adversary instance, the fault injector and the per-run arrays are
     built inside every play.  {!run} is [run_prepared (prepare …)], and
-    every play, faulted or not, takes the same path through the engine. *)
+    every play, faulted or not, takes the same path through the engine.
+
+    {b Remembered plays.}  A prelude also remembers the outcome of every
+    fault-free play of a keyed adversary ({!Adversary.t}[.key]), by its key
+    and its initial coalition as drawn.  A keyed adversary draws coins only
+    to choose that coalition, so a later play with the same key that draws
+    the same coalition is the same execution: {!run_prepared} returns the
+    remembered outcome (the same value) without running it.  The table is
+    not synchronised: a prelude is played from one domain at a time, as
+    its machines already require ({!Machine}). *)
 
 type prepared
 
@@ -115,10 +124,14 @@ val prepare : protocol:Protocol.t -> inputs:string array -> rng:Fair_crypto.Rng.
 
 val run_prepared : ?faults:injector -> adversary:Adversary.t -> prepared -> outcome
 (** Play [adversary] against a prelude, under the protocol it was built
-    for.  The functionality and the adversary draw from copies
-    ({!Fair_crypto.Rng.copy}) of the prelude's ["functionality"] and
-    ["adversary"] splits, so every play of one prelude sees the coins a
-    fresh split would give.  [faults] (default
+    for.  The adversary is instantiated first, then the functionality;
+    they draw from copies ({!Fair_crypto.Rng.copy}) of the prelude's
+    ["adversary"] and ["functionality"] splits, so the order moves no
+    stream and every play of one prelude sees the coins a fresh split
+    would give.  Without a fault plan ([faults == no_faults]) a keyed
+    adversary whose (key, initial coalition) the prelude has played before
+    gets that play's outcome back: no execution runs, no [engine.*]
+    counter moves and no [engine.run] span is opened.  [faults] (default
     {!no_faults}) rewrites every envelope — honest and adversarial alike —
     and decides party crash-stops; the trace records envelopes as sent
     (pre-fault), so audit-based event overrides are unaffected by channel

@@ -292,9 +292,12 @@ let instantiate plan ~rng =
 
 (* ------------------------------------------------------------------ *)
 
+(* Unkeyed: the wrapper counts every step it contains, and a remembered
+   play (see [Engine.run_prepared]) would run none of them. *)
 let harden_adversary (a : Adversary.t) =
   { a with
-    Adversary.make =
+    Adversary.key = None;
+    make =
       (fun rng ~protocol ->
         let inst = a.Adversary.make rng ~protocol in
         { inst with

@@ -101,4 +101,4 @@ val harden_adversary : Adversary.t -> Adversary.t
     {!Adversary.silent_decision} instead of killing the run — a crashing
     adversary is an aborting adversary, which the fairness reduction
     already prices.  Fatal exceptions (OOM, stack overflow, assert) still
-    propagate. *)
+    propagate.  The result has no play key ({!Adversary.t}[.key]). *)

@@ -170,8 +170,11 @@ let boring_outputs func =
 (* Strategies                                                             *)
 (* --------------------------------------------------------------------- *)
 
+(* Every strategy below draws coins only in [choose]; its play key names
+   the tactic and its parameters, never the spec (see the interface). *)
 let semi_honest spec =
-  Adversary.make ~name:("semi-honest:" ^ spec_to_string spec) (fun rng ~protocol ->
+  Adversary.make ~key:"semi-honest" ~name:("semi-honest:" ^ spec_to_string spec)
+    (fun rng ~protocol ->
       let initial = choose spec rng ~n:protocol.Protocol.parties in
       let driver = new_driver () in
       let step view =
@@ -184,12 +187,12 @@ let semi_honest spec =
       { Adversary.initial; step })
 
 let silent spec =
-  Adversary.make ~name:("silent:" ^ spec_to_string spec) (fun rng ~protocol ->
+  Adversary.make ~key:"silent" ~name:("silent:" ^ spec_to_string spec) (fun rng ~protocol ->
       let initial = choose spec rng ~n:protocol.Protocol.parties in
       { Adversary.initial; step = (fun _ -> Adversary.silent_decision) })
 
 let abort_at ~round spec =
-  Adversary.make
+  Adversary.make ~key:("abort@" ^ string_of_int round)
     ~name:(Printf.sprintf "abort@%d:%s" round (spec_to_string spec))
     (fun rng ~protocol ->
       let initial = choose spec rng ~n:protocol.Protocol.parties in
@@ -222,7 +225,7 @@ let abort_at ~round spec =
       { Adversary.initial; step })
 
 let abort_via_functionality ~round spec =
-  Adversary.make
+  Adversary.make ~key:("abort-F@" ^ string_of_int round)
     ~name:(Printf.sprintf "abort-F@%d:%s" round (spec_to_string spec))
     (fun rng ~protocol ->
       let initial = choose spec rng ~n:protocol.Protocol.parties in
@@ -247,8 +250,13 @@ let abort_via_functionality ~round spec =
       in
       { Adversary.initial; step })
 
+let greedy_key = function
+  | None -> "greedy"
+  | Some (f : Fair_mpc.Func.t) -> "greedy/" ^ f.Fair_mpc.Func.name
+
 let greedy ?func spec =
-  Adversary.make ~name:("greedy:" ^ spec_to_string spec) (fun rng ~protocol ->
+  Adversary.make ~key:(greedy_key func) ~name:("greedy:" ^ spec_to_string spec)
+    (fun rng ~protocol ->
       let initial = choose spec rng ~n:protocol.Protocol.parties in
       let driver = new_driver () in
       let max_rounds = protocol.Protocol.max_rounds in
@@ -284,9 +292,15 @@ let greedy ?func spec =
    inspecting every new victim's state (input, setup, retained machine) for
    the function output via a coalition probe — the "try to corrupt i*"
    strategy discussed in the proof of Lemma 11.  Claims and aborts exactly
-   like {!greedy} once the coalition holds the output. *)
+   like {!greedy} once the coalition holds the output.  At budget 1 it
+   never corrupts again and never draws after [choose], so it plays
+   [greedy Random_party] and takes its key; a larger budget draws each
+   victim inside [step], so it has no key. *)
 let adaptive_hunter ?func ~budget () =
-  Adversary.make ~name:(Printf.sprintf "adaptive-hunter-%d" budget) (fun rng ~protocol ->
+  Adversary.make
+    ?key:(if budget = 1 then Some (greedy_key func) else None)
+    ~name:(Printf.sprintf "adaptive-hunter-%d" budget)
+    (fun rng ~protocol ->
       let n = protocol.Protocol.parties in
       let initial = choose Random_party rng ~n in
       let driver = new_driver () in
@@ -328,7 +342,8 @@ let adaptive_hunter ?func ~budget () =
    moment a function output reaches the coalition (the optimal attack on
    the dummy unfair-SFE protocol). *)
 let grab_and_abort spec =
-  Adversary.make ~name:("grab-and-abort:" ^ spec_to_string spec) (fun rng ~protocol ->
+  Adversary.make ~key:"grab-and-abort" ~name:("grab-and-abort:" ^ spec_to_string spec)
+    (fun rng ~protocol ->
       let initial = choose spec rng ~n:protocol.Protocol.parties in
       let driver = new_driver () in
       let claimed = ref false in
@@ -366,8 +381,10 @@ let grab_and_abort spec =
       in
       { Adversary.initial; step })
 
+(* [Rng.split] reads only the generator's seed, not how far [choose] drew,
+   so the substituted machines do not depend on the spec. *)
 let substitute_input ~input spec =
-  Adversary.make
+  Adversary.make ~key:("substitute/" ^ input)
     ~name:(Printf.sprintf "substitute(%s):%s" input (spec_to_string spec))
     (fun rng ~protocol ->
       let initial = choose spec rng ~n:protocol.Protocol.parties in

@@ -16,7 +16,12 @@
       runs semi-honestly (exercises the input-substitution power of
       F_sfe^⊥).
 
-    Corruption patterns are expressed with {!corrupt_spec}. *)
+    Corruption patterns are expressed with {!corrupt_spec}.  Every
+    strategy here draws coins only to choose its coalition, so each
+    carries a play key ({!Adversary.t}[.key]) naming its tactic and
+    parameters but not its spec: a random coalition shares its plays with
+    the fixed coalition it drew.  The one exception is
+    {!adaptive_hunter} with [budget > 1]. *)
 
 module Adversary = Fair_exec.Adversary
 module Rng = Fair_crypto.Rng
@@ -55,7 +60,9 @@ val adaptive_hunter : ?func:Fair_mpc.Func.t -> budget:int -> unit -> Adversary.t
     for the output after every step and abort the moment it is held — the
     hunt for i* considered in the proof of Lemma 11.  ΠOpt-nSFE resists it
     because the phase-1 outputs of non-holders carry no information about
-    i*, so adaptivity buys nothing over a static t-coalition. *)
+    i*, so adaptivity buys nothing over a static t-coalition.  At
+    [budget = 1] it plays [greedy ?func Random_party] and shares its key;
+    a larger budget draws its victims as it goes and has no key. *)
 
 val grab_and_abort : corrupt_spec -> Adversary.t
 (** Hybrid-protocol strategy: request the corrupted parties' outputs from

@@ -143,9 +143,11 @@ val race_target :
     trials and of 1) splits a trial's survivors between chunks to stay
     spread over the domains.  Per trial a chunk builds the prelude ({!Mc.Trial.prepare})
     once and plays its survivors on it ({!Mc.Trial.play}), so [mc.trials]
-    and [engine.*] count one per (arm, trial) while the inputs, the
-    dealer's setup and the honest machines are built once per trial and
-    chunk.  The chunks depend only on the round's shape, so the work done
-    (e.g. [sha256.blocks]) is the same at any [jobs].  One [race.pull]
+    counts one per (arm, trial) while the inputs, the dealer's setup and
+    the honest machines are built once per trial and chunk, and arms that
+    play the same keyed strategy on the same coalition share one
+    execution and one classification ([engine.*] counts it once).  The
+    chunks depend only on the round's shape, so the work done (e.g.
+    [sha256.blocks], [engine.executions]) is the same at any [jobs].  One [race.pull]
     span per chunk.  Used by the registry searches and the γ/n grids
     ([Fair_analysis.Experiments.searched], [gamma_grid], [n_grid]). *)

@@ -351,19 +351,161 @@ let test_impure_party_flagged () =
   Alcotest.(check bool) "the comparison flags a machine that draws in step" true
     (both_orders target arms ~prefix > 0)
 
+(* ---------------------------- remembered plays ------------------------ *)
+
+module Engine = Fair_exec.Engine
+module Adv = Fair_protocols.Adversaries
+
+(* Everything a comparison can read of a play. *)
+let full (o : Engine.outcome) =
+  (o.Engine.results, o.Engine.claims, o.Engine.rounds, o.Engine.failures,
+   Fair_exec.Trace.events o.Engine.trace)
+
+(* The initial coalition as drawn: the engine records it as round-0
+   corruptions, in drawing order. *)
+let initial (o : Engine.outcome) =
+  List.filter_map
+    (function Fair_exec.Trace.Corrupted (0, id) -> Some id | _ -> None)
+    (Fair_exec.Trace.events o.Engine.trace)
+
+(* [f ()] with the metrics registry counting, and every counter it moved. *)
+let counting f =
+  Fair_obs.Metrics.reset ();
+  Fair_obs.Metrics.enable ();
+  let r = f () in
+  let snap = Fair_obs.Metrics.snapshot () in
+  Fair_obs.Metrics.disable ();
+  (r, snap.Fair_obs.Metrics.counters)
+
+let executions f =
+  let r, counters = counting f in
+  (r, List.assoc "engine.executions" counters)
+
+(* The play-key contract on trials [0, trials) of [t]'s environment: every
+   arm is played on its own fresh prelude and all of them on one shared
+   prelude.  Arms with equal key and initial coalition must give equal
+   full outcomes on fresh preludes; the shared prelude must run one
+   execution per distinct (key, coalition) plus one per unkeyed arm, and
+   give every arm its fresh full outcome (so its observation too; the
+   [Trial.play] level is checked above).  Returns how many checks fail. *)
+let key_breaks (t : Racing.target) arms ~trials =
+  let breaks = ref 0 in
+  for i = 0 to trials - 1 do
+    let prepare () =
+      let master = Fair_crypto.Rng.create ~seed:("keys:" ^ string_of_int i) in
+      Engine.prepare ~protocol:t.Racing.protocol
+        ~inputs:(t.Racing.env (Fair_crypto.Rng.split master ~label:"env"))
+        ~rng:(Fair_crypto.Rng.split master ~label:"exec")
+    in
+    let fresh = List.map (fun adversary -> Engine.run_prepared ~adversary (prepare ())) arms in
+    let plays = Hashtbl.create 16 and distinct = ref 0 in
+    List.iter2
+      (fun (a : Adversary.t) o ->
+        match a.Adversary.key with
+        | None -> incr distinct
+        | Some key -> (
+            match Hashtbl.find_opt plays (key, initial o) with
+            | None ->
+                incr distinct;
+                Hashtbl.add plays (key, initial o) o
+            | Some o' -> if full o <> full o' then incr breaks))
+      arms fresh;
+    let shared, execs =
+      executions (fun () ->
+          let prepared = prepare () in
+          List.map (fun adversary -> Engine.run_prepared ~adversary prepared) arms)
+    in
+    if execs <> !distinct then incr breaks;
+    List.iter2 (fun o o' -> if full o <> full o' then incr breaks) fresh shared
+  done;
+  !breaks
+
+(* Every registry target with a space, over 8 trials, so that every
+   [random1] arm of a two-party target draws both parties.  Two-party
+   targets play every space arm and their zoo.  A play of an n-party
+   target costs 1–2.5 ms (its functionality signs every output), so there
+   the test keeps the arms that can share a play: the [fixed{1}] and
+   [random1] points, the adaptive hunters among them, with abort rounds
+   cut to the first, and the zoo's copies of them. *)
+let test_play_keys_hold () =
+  List.iter
+    (fun (spec : E.spec) ->
+      match spec.E.target with
+      | None -> ()
+      | Some mk ->
+          let inst = mk () in
+          let two_party = inst.E.target.Racing.protocol.Protocol.parties = 2 in
+          let kept (p : Space.point) =
+            two_party
+            || (p.Space.spec = Adv.Fixed [ 1 ] || p.Space.spec = Adv.Random_party)
+               &&
+               match p.Space.tactic with
+               | Space.Abort_at r | Space.Abort_f r -> r = 1
+               | _ -> true
+          in
+          let space =
+            List.map (Space.compile inst.E.space) (List.filter kept (Space.points inst.E.space))
+          in
+          let copy (z : Adversary.t) =
+            two_party
+            || List.exists (fun (a : Adversary.t) -> a.Adversary.name = z.Adversary.name) space
+          in
+          let n = key_breaks inst.E.target (space @ List.filter copy inst.E.zoo) ~trials:8 in
+          if n > 0 then Alcotest.failf "%s: %d play-key checks fail" spec.E.eid n)
+    E.registry
+
+(* A fault plan's plays are never remembered, and a hardened adversary
+   (which counts the steps it contains) has no key. *)
+let test_faulted_plays_not_remembered () =
+  let inst = (Option.get (Option.get (E.find "E1")).E.target) () in
+  let protocol = inst.E.target.Racing.protocol in
+  let adversary = Adv.greedy (Adv.Fixed [ 1 ]) in
+  let prepared =
+    Engine.prepare ~protocol ~inputs:(inst.E.target.Racing.env (Fair_crypto.Rng.create ~seed:"in"))
+      ~rng:(Fair_crypto.Rng.create ~seed:"exec")
+  in
+  let twice faults =
+    executions (fun () ->
+        let o = Engine.run_prepared ?faults ~adversary prepared in
+        o == Engine.run_prepared ?faults ~adversary prepared)
+  in
+  Alcotest.(check (pair bool int)) "fault-free: one execution, one outcome" (true, 1) (twice None);
+  let faithful = { Engine.no_faults with Engine.crash = (fun ~round:_ _ -> false) } in
+  Alcotest.(check (pair bool int)) "under a fault plan: two executions" (false, 2)
+    (twice (Some faithful));
+  Alcotest.(check (option string)) "hardened adversary has no key" None
+    (Fair_faults.Faults.harden_adversary adversary).Adversary.key
+
+(* Negative control: an adversary that carries a key but draws a coin in
+   [step].  [random1] has drawn one byte more than its [fixed{c}] twin
+   by then, so the two claim different coins on some trial. *)
+let test_keyed_coin_flagged () =
+  let coin_claimer spec =
+    Adversary.make ~key:"coin-claimer" ~name:("coin-claimer:" ^ Adv.spec_to_string spec)
+      (fun rng ~protocol ->
+        let initial = Adv.choose spec rng ~n:protocol.Protocol.parties in
+        let step (view : Adversary.view) =
+          if view.Adversary.round <> 1 then Adversary.silent_decision
+          else
+            { Adversary.silent_decision with
+              claim_learned = Some (if Fair_crypto.Rng.bool rng then "1" else "0") }
+        in
+        { Adversary.initial; step })
+  in
+  let inst = (Option.get (Option.get (E.find "E1")).E.target) () in
+  let arms = List.map coin_claimer [ Adv.Fixed [ 1 ]; Adv.Fixed [ 2 ]; Adv.Random_party ] in
+  Alcotest.(check bool) "the comparison flags a keyed adversary that draws in step" true
+    (key_breaks inst.E.target arms ~trials:8 > 0)
+
 (* A race's chunks depend only on each round's shape, and every machine
    value is stepped inside the chunk that built it, so E1's work — its
    remembered steps and with them its hashes — is the same at any [jobs]. *)
 let test_work_same_at_any_jobs () =
   let e1 = Option.get (E.find "E1") in
   let work jobs =
-    Fair_obs.Metrics.reset ();
-    Fair_obs.Metrics.enable ();
-    ignore (E.searched ~budget:2000 ~seed:42 ~jobs e1);
-    let snap = Fair_obs.Metrics.snapshot () in
-    Fair_obs.Metrics.disable ();
+    let (), counters = counting (fun () -> ignore (E.searched ~budget:2000 ~seed:42 ~jobs e1)) in
     List.map
-      (fun name -> (name, List.assoc name snap.Fair_obs.Metrics.counters))
+      (fun name -> (name, List.assoc name counters))
       [ "sha256.blocks"; "engine.executions"; "engine.messages" ]
   in
   Alcotest.(check (list (pair string int))) "E1 race work at -j 1 and -j 2" (work 1) (work 2)
@@ -379,12 +521,8 @@ let test_signature_work_same_at_any_jobs () =
        (Fair_crypto.Rng.create ~seed:"key pool")
        ~inputs:[| "a"; "b"; "c" |]);
   let race jobs =
-    Fair_obs.Metrics.reset ();
-    Fair_obs.Metrics.enable ();
-    let c = E.searched ~budget:1000 ~seed:42 ~jobs e14 in
-    let snap = Fair_obs.Metrics.snapshot () in
-    Fair_obs.Metrics.disable ();
-    (Option.map Certificate.to_string c, snap.Fair_obs.Metrics.counters)
+    let c, counters = counting (fun () -> E.searched ~budget:1000 ~seed:42 ~jobs e14) in
+    (Option.map Certificate.to_string c, counters)
   in
   let cert1, work1 = race 1 in
   let cert2, work2 = race 2 in
@@ -521,6 +659,11 @@ let () =
         [ Alcotest.test_case "every target's arms share one prelude" `Quick
             test_registry_shares_preludes;
           Alcotest.test_case "a party drawing in step is flagged" `Quick test_impure_party_flagged;
+          Alcotest.test_case "every target's play keys hold" `Quick test_play_keys_hold;
+          Alcotest.test_case "faulted plays are not remembered" `Quick
+            test_faulted_plays_not_remembered;
+          Alcotest.test_case "a keyed adversary drawing in step is flagged" `Quick
+            test_keyed_coin_flagged;
           Alcotest.test_case "E1 work counts are the same at -j 1 and -j 2" `Quick
             test_work_same_at_any_jobs;
           Alcotest.test_case "E14 work counts and certificate are the same at -j 1 and -j 2"
