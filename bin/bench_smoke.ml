@@ -9,10 +9,10 @@
       steady state, so a regression that reintroduces per-envelope or
       per-trial-setup allocation fails loudly here rather than showing up
       as a silent slowdown.  The E1 race of contract 4 must allocate at
-      most 1 200 minor words per play (`mc.trials`; ~961 measured, run
+      most 1 200 minor words per play (`mc.trials`; ~882 measured, run
       after an untimed warm-up; the figure repeats exactly).  Playing
       every arm's execution again, as before plays were remembered, costs
-      ~1 349; stepping every machine afresh ~1 668.
+      ~1 251; stepping every machine afresh ~1 422.
    3. Pool health: the parallel leg must actually fan out through the pool
       (a batch that silently runs inline would time the sequential path
       and call it "parallel"), and on a multi-core host it must not be

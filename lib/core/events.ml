@@ -34,23 +34,50 @@ let corrupted_parties trial =
     (fun (id, r) -> match r with Engine.Was_corrupted -> Some id | _ -> None)
     trial.outcome.Engine.results
 
+let rec count_corrupted k = function
+  | [] -> k
+  | (_, Engine.Was_corrupted) :: rest -> count_corrupted (k + 1) rest
+  | _ :: rest -> count_corrupted k rest
+
+let corrupted_count trial = count_corrupted 0 trial.outcome.Engine.results
+
+(* Patch [xs] for substitution pattern [mask]: bit [k] gives the [k]-th
+   corrupted party of [results] (of the first [t]) the default input, a
+   clear bit its own input back. *)
+let rec patch ~func ~inputs xs ~t mask k = function
+  | [] -> ()
+  | (id, Engine.Was_corrupted) :: rest when k < t ->
+      let i = id - 1 in
+      if i < Array.length xs then
+        xs.(i) <- (if (mask lsr k) land 1 = 1 then func.Func.default_input else inputs.(i));
+      patch ~func ~inputs xs ~t mask (k + 1) rest
+  | _ :: rest -> patch ~func ~inputs xs ~t mask k rest
+
+(* [y] in front of [later], the distinct outputs of the masks above [y]'s in
+   order of first appearance: a copy of [y] among them appeared later, so
+   it moves to the front. *)
+let rec without y = function
+  | [] -> []
+  | x :: rest -> if String.equal x y then rest else x :: without y rest
+
+let in_front y later = y :: (if List.mem y later then without y later else later)
+
 let legitimate_outputs trial =
   let func = trial.func and inputs = trial.inputs in
-  let corrupted = Array.of_list (corrupted_parties trial) in
-  let t = min (Array.length corrupted) 12 in
-  (* Mask 0 substitutes nothing, so it reads the trial's own inputs; every
-     other mask patches a copy at the positions of its corrupted parties. *)
-  let outputs = ref [ Func.eval_exn func inputs ] in
-  for mask = 1 to (1 lsl t) - 1 do
-    let xs = Array.copy inputs in
-    for k = 0 to t - 1 do
-      let i = corrupted.(k) - 1 in
-      if (mask lsr k) land 1 = 1 && i < Array.length xs then xs.(i) <- func.Func.default_input
-    done;
-    let y = Func.eval_exn func xs in
-    if not (List.mem y !outputs) then outputs := y :: !outputs
-  done;
-  List.rev !outputs
+  let results = trial.outcome.Engine.results in
+  let t = min (corrupted_count trial) 12 in
+  (* The masks run downwards, so the list is built front to back without a
+     final reversal.  Mask 0 substitutes nothing, so it reads the trial's
+     own inputs; every other mask patches one scratch copy in place. *)
+  let xs = if t = 0 then inputs else Array.copy inputs in
+  let rec go mask later =
+    if mask = 0 then in_front (Func.eval_exn func inputs) later
+    else begin
+      patch ~func ~inputs xs ~t mask 0 results;
+      go (mask - 1) (in_front (Func.eval_exn func xs) later)
+    end
+  in
+  go ((1 lsl t) - 1) []
 
 (* The never-corrupted parties are read in place from [results], the
    claims from [claims]: these walks take [legitimate] as an argument, so
@@ -83,8 +110,10 @@ let rec claimed_legitimate legitimate = function
   | [] -> false
   | (_, v) :: rest -> List.mem v legitimate || claimed_legitimate legitimate rest
 
-let classify ?(overrides = no_overrides) trial =
-  let legitimate = legitimate_outputs trial in
+let classify ?(overrides = no_overrides) ?legitimate trial =
+  let legitimate =
+    match legitimate with Some l -> l | None -> legitimate_outputs trial
+  in
   let results = trial.outcome.Engine.results in
   let learned =
     match overrides.learned with

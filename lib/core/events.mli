@@ -48,10 +48,20 @@ type classification = {
 }
 
 val legitimate_outputs : trial -> string list
-(** All evaluations over default-substituted corrupted inputs (deduplicated;
-    capped at 2^12 substitution patterns — far above any experiment here). *)
+(** All evaluations over default-substituted corrupted inputs (deduplicated,
+    in order of first appearance, the unsubstituted evaluation first;
+    capped at 2^12 substitution patterns — far above any experiment here).
+    They depend only on [inputs], [func] and the corrupted set, so every
+    outcome with the same corrupted set shares them. *)
 
-val classify : ?overrides:overrides -> trial -> classification
+val classify : ?overrides:overrides -> ?legitimate:string list -> trial -> classification
+(** [legitimate], when given, must be {!legitimate_outputs} of a trial with
+    the same inputs, function and corrupted set: a caller that classifies
+    several outcomes of one prelude evaluates them once per corrupted set
+    ([Montecarlo]'s plays do).  Without it they are evaluated here. *)
 
 val corrupted_parties : trial -> int list
 (** Ids that were corrupted at any point of the execution. *)
+
+val corrupted_count : trial -> int
+(** How many there are, counted without building their list. *)

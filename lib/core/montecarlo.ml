@@ -169,18 +169,22 @@ type trial_obs = {
   t_breach : bool;
 }
 
-type prelude =
-  | Ready of {
-      master : Rng.t;  (* only split from: the "faults" split of every play *)
-      inputs : string array;
-      prepared : Engine.prepared;
-      (* Every outcome classified so far, with its observation ([None]:
-         classifying it raised).  A remembered play returns the very
-         outcome an earlier play of the prelude classified
-         ([Engine.run_prepared]), so the lookup is by physical identity. *)
-      mutable classified : (Engine.outcome * trial_obs option) list;
-    }
-  | Faulted
+type ready = {
+  master : Rng.t;  (* only split from: the "faults" split of every play *)
+  inputs : string array;
+  prepared : Engine.prepared;
+  (* Every outcome classified so far, with its observation ([None]:
+     classifying it raised).  A remembered play returns the very outcome an
+     earlier play of the prelude classified ([Engine.run_prepared]), so the
+     lookup is by physical identity. *)
+  mutable classified : (Engine.outcome * trial_obs option) list;
+  (* The legitimate outputs of every corrupted set classified so far, keyed
+     by its ids in [results] order: they depend only on the inputs, [func]
+     and that set, and a prelude serves one [func]. *)
+  mutable legitimate : (int list * string list) list;
+}
+
+type prelude = Ready of ready | Faulted
 
 let trial_prepare ~protocol ~env ~prefix i =
   let master = Rng.create ~seed:(prefix ^ string_of_int i) in
@@ -188,16 +192,33 @@ let trial_prepare ~protocol ~env ~prefix i =
     let inputs = env (Rng.split master ~label:"env") in
     (inputs, Engine.prepare ~protocol ~inputs ~rng:(Rng.split master ~label:"exec"))
   with
-  | inputs, prepared -> Ready { master; inputs; prepared; classified = [] }
+  | inputs, prepared -> Ready { master; inputs; prepared; classified = []; legitimate = [] }
   | exception e when not (Engine.fatal e) -> Faulted
 
-let rec count_corrupted k = function
-  | [] -> k
-  | (_, Engine.Was_corrupted) :: rest -> count_corrupted (k + 1) rest
-  | _ :: rest -> count_corrupted k rest
+(* [ids] are exactly the parties [results] marks corrupted, in order. *)
+let rec same_corrupted ids = function
+  | [] -> ids = []
+  | (id, Engine.Was_corrupted) :: rest -> (
+      match ids with i :: ids -> i = id && same_corrupted ids rest | [] -> false)
+  | _ :: rest -> same_corrupted ids rest
 
-let classify ~overrides ~func ~gamma ~inputs outcome =
-  match Events.classify ~overrides { Events.outcome; inputs; func } with
+let rec stored results = function
+  | [] -> None
+  | (ids, l) :: rest -> if same_corrupted ids results then Some l else stored results rest
+
+(* The legitimate outputs of [trial]'s corrupted set, evaluated on the
+   first outcome of [r] that has it.  A raise stores nothing. *)
+let legitimate r (trial : Events.trial) =
+  match stored trial.Events.outcome.Engine.results r.legitimate with
+  | Some l -> l
+  | None ->
+      let l = Events.legitimate_outputs trial in
+      r.legitimate <- (Events.corrupted_parties trial, l) :: r.legitimate;
+      l
+
+let classify ~overrides ~func ~gamma r outcome =
+  let trial = { Events.outcome; inputs = r.inputs; func } in
+  match Events.classify ~overrides ~legitimate:(legitimate r trial) trial with
   | cl ->
       let payoff =
         match cl.Events.event with
@@ -209,7 +230,7 @@ let classify ~overrides ~func ~gamma ~inputs outcome =
       Some
         { t_payoff = payoff;
           t_event = cl.Events.event;
-          t_corrupted = count_corrupted 0 outcome.Engine.results;
+          t_corrupted = Events.corrupted_count trial;
           t_breach = cl.Events.correctness_breach }
   | exception e when not (Engine.fatal e) -> None
 
@@ -238,7 +259,7 @@ let trial_play ~overrides ~inject ~adversary ~func ~gamma prelude =
             match List.assq_opt outcome r.classified with
             | Some obs -> obs
             | None ->
-                let obs = classify ~overrides ~func ~gamma ~inputs:r.inputs outcome in
+                let obs = classify ~overrides ~func ~gamma r outcome in
                 r.classified <- (outcome, obs) :: r.classified;
                 obs
           in

@@ -169,9 +169,12 @@ module Trial : sig
       has already run gets that outcome back ({!Engine.run_prepared}), and
       then its observation too: the prelude remembers the observation of
       every outcome it classified (by physical identity), so the repeat
-      runs neither an execution nor {!Events.classify}.  Counts one
-      [mc.trials] either way; [None] (and one [mc.trial_faults]) when the
-      prelude, the play or its classification raised. *)
+      runs neither an execution nor {!Events.classify}.  A new outcome is
+      classified with the legitimate outputs of its corrupted set
+      ({!Events.legitimate_outputs}), which the prelude evaluates once per
+      corrupted set and keeps.  Counts one [mc.trials] either way; [None]
+      (and one [mc.trial_faults]) when the prelude, the play or its
+      classification raised. *)
 
   val run :
     ?overrides:Events.overrides ->

@@ -1,11 +1,12 @@
 (* FIPS 180-4 SHA-256.
 
    The compression function is C ([Sha256_block], sha256_stubs.c): the x86
-   SHA extensions where the CPU has them, else a portable loop.  The
-   chaining words stay in an OCaml [int array] and each block is compressed
-   in place from the caller's bytes, so a block costs one [noalloc] call.
-   A one-shot [digest] borrows a domain-local context, so the only per-call
-   allocation is the 32-byte result itself. *)
+   SHA extensions where the CPU has them, else a portable loop.  A one-shot
+   [digest] is one [noalloc] call that pads and compresses the whole
+   message in C, so its only allocation is the 32-byte result.  The
+   streaming [Ctx] keeps its chaining words in an OCaml [int array] and
+   compresses each block in place from the caller's bytes, one [noalloc]
+   call a block. *)
 
 let iv =
   [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
@@ -20,14 +21,9 @@ type ctx = {
 
 let create () = { h = Array.copy iv; buf = Bytes.create 64; buf_len = 0; total = 0 }
 
-let reset c =
-  Array.blit iv 0 c.h 0 8;
-  c.buf_len <- 0;
-  c.total <- 0
-
 (* Every compression is counted: [sha256.blocks] is the deterministic work
-   count behind a trial's cost (one atomic load per block while metrics
-   are off). *)
+   count behind a trial's cost (one atomic load per block, or per digest,
+   while metrics are off). *)
 let c_blocks = Fair_obs.Metrics.counter "sha256.blocks"
 
 let kernel = Sha256_block.kernel
@@ -99,29 +95,13 @@ let finalize c =
   compress c.h c.buf 0;
   output_digest c.h
 
-(* Domain-local scratch: [digest] is called from every worker domain of the
-   Monte-Carlo pool, so the shared context must be per-domain. *)
-let scratch = Domain.DLS.new_key create
-
+(* The C digest compresses (len + 8) / 64 + 1 blocks: the message and its
+   padding, a 0x80 byte and the 8-byte length. *)
 let digest msg =
-  let c = Domain.DLS.get scratch in
-  let len = String.length msg in
-  if len < 56 then begin
-    (* Single-block fast path (the Lamport / PRG-refill shape): pad in the
-       context buffer and compress once, skipping the streaming bookkeeping. *)
-    Array.blit iv 0 c.h 0 8;
-    Bytes.blit_string msg 0 c.buf 0 len;
-    Bytes.unsafe_set c.buf len '\x80';
-    Bytes.fill c.buf (len + 1) (55 - len) '\000';
-    write_bitlen c.buf len;
-    compress c.h c.buf 0;
-    output_digest c.h
-  end
-  else begin
-    reset c;
-    feed_string c msg;
-    finalize c
-  end
+  Fair_obs.Metrics.add c_blocks (((String.length msg + 8) / 64) + 1);
+  let out = Bytes.create 32 in
+  Sha256_block.digest msg out;
+  Bytes.unsafe_to_string out
 
 module Ctx = struct
   type t = ctx

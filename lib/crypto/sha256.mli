@@ -20,9 +20,10 @@ val kernel : string
     kernel gives the same digests, only the time per block differs. *)
 
 val digest : string -> string
-(** [digest msg] is the 32-byte raw digest of [msg].  Allocation-free apart
-    from the result (the working state is a domain-local scratch context, so
-    concurrent calls from different domains are safe). *)
+(** [digest msg] is the 32-byte raw digest of [msg]: one C call pads and
+    compresses the whole message, so the result is its only allocation and
+    concurrent calls from different domains share nothing.  Counts its
+    [(String.length msg + 8) / 64 + 1] blocks in [sha256.blocks] at once. *)
 
 val hex_digest : string -> string
 (** [hex_digest msg] is the 64-character lowercase hex digest. *)

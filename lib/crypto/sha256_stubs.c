@@ -1,19 +1,24 @@
-/* SHA-256 block compression (FIPS 180-4 section 6.2.2) for
- * Fair_crypto.Sha256_block.
+/* SHA-256 (FIPS 180-4) for Fair_crypto.Sha256_block.
  *
- * Two kernels compress one 64-byte block into eight 32-bit chaining words:
- * a portable C loop, always compiled, and one on the x86 SHA extensions
- * ("SHA-NI"), compiled only for x86-64 with GCC or Clang.  The OCaml side
- * asks fair_sha256_has_sha_ni once, while the module initialises, and calls
- * one kernel from then on; this file keeps no mutable state.
+ * Two kernels compress one 64-byte block into eight 32-bit chaining words
+ * (section 6.2.2): a portable C loop, always compiled, and one on the x86
+ * SHA extensions ("SHA-NI"), compiled only for x86-64 with GCC or Clang.
+ * The OCaml side asks fair_sha256_has_sha_ni once, while the module
+ * initialises, and calls one kernel from then on; this file keeps no
+ * mutable state.
  *
- * The chaining words live in an OCaml int array (tagged immediates, so
- * storing them back needs no write barrier) and the block in an OCaml
- * bytes value.  The OCaml side checks both bounds before every call, so
- * the kernels read exactly 64 bytes and touch exactly 8 words.
+ * Each kernel is reached two ways.  The compress stubs fold one block into
+ * chaining words kept in an OCaml int array (tagged immediates, so storing
+ * them back needs no write barrier), for the streaming context.  The
+ * digest stubs hash a whole OCaml string in one call: full blocks straight
+ * from the string, the padded tail (section 5.1.1) from a stack buffer,
+ * and the 32 big-endian digest bytes into an OCaml bytes value.  The OCaml
+ * side checks every bound first: a compress reads exactly 64 bytes and
+ * touches exactly 8 words, a digest writes exactly 32 bytes.
  */
 
 #include <stdint.h>
+#include <string.h>
 #include <caml/mlvalues.h>
 
 static const uint32_t K[64] = {
@@ -115,8 +120,9 @@ CAMLprim value fair_sha256_has_sha_ni(value unit)
 #endif
 }
 
-static void run(void (*kernel)(uint32_t *, const unsigned char *),
-                value h, value b, value off)
+typedef void (*kernel_t)(uint32_t *, const unsigned char *);
+
+static void run(kernel_t kernel, value h, value b, value off)
 {
   uint32_t s[8];
   for (int i = 0; i < 8; i++) s[i] = (uint32_t)Long_val(Field(h, i));
@@ -137,6 +143,55 @@ CAMLprim value fair_sha256_compress_sha_ni(value h, value b, value off)
   run(compress_sha_ni, h, b, off);
 #else
   run(compress_portable, h, b, off);
+#endif
+  return Val_unit;
+}
+
+/* The padded message is len + 1 + 8 bytes rounded up to whole blocks, so
+ * a tail of up to 55 bytes pads into one block and a longer one into two:
+ * (len + 8) / 64 + 1 compressions in all. */
+static void digest(kernel_t kernel, value msg, value out)
+{
+  static const uint32_t iv[8] = {
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19
+  };
+  uint32_t s[8];
+  unsigned char tail[128];
+  const unsigned char *p = (const unsigned char *)String_val(msg);
+  uint64_t len = caml_string_length(msg);
+  uint64_t full = len & ~(uint64_t)63, rem = len - full;
+  uint64_t last = rem < 56 ? 64 : 128;
+  memcpy(s, iv, sizeof s);
+  for (uint64_t off = 0; off < full; off += 64) kernel(s, p + off);
+  memcpy(tail, p + full, rem);
+  tail[rem] = 0x80;
+  memset(tail + rem + 1, 0, last - 8 - (rem + 1));
+  for (int i = 0; i < 8; i++) tail[last - 1 - i] = (unsigned char)((len << 3) >> (8 * i));
+  kernel(s, tail);
+  if (last == 128) kernel(s, tail + 64);
+  unsigned char *o = Bytes_val(out);
+  for (int i = 0; i < 8; i++) {
+    o[4 * i] = (unsigned char)(s[i] >> 24);
+    o[4 * i + 1] = (unsigned char)(s[i] >> 16);
+    o[4 * i + 2] = (unsigned char)(s[i] >> 8);
+    o[4 * i + 3] = (unsigned char)s[i];
+  }
+}
+
+CAMLprim value fair_sha256_digest_portable(value msg, value out)
+{
+  digest(compress_portable, msg, out);
+  return Val_unit;
+}
+
+/* Only called when fair_sha256_has_sha_ni said yes. */
+CAMLprim value fair_sha256_digest_sha_ni(value msg, value out)
+{
+#ifdef HAVE_SHA_NI
+  digest(compress_sha_ni, msg, out);
+#else
+  digest(compress_portable, msg, out);
 #endif
   return Val_unit;
 }

@@ -21,10 +21,11 @@ let pp_envelope fmt e =
    between escapes rather than character by character.  The wire format is
    unchanged. *)
 
-let needs_escape s =
-  let n = String.length s in
-  let rec go i = i < n && (match s.[i] with '\\' | '|' -> true | _ -> go (i + 1)) in
-  go 0
+(* A top-level loop: no closure to allocate on every frame and tag read. *)
+let rec needs_escape_from s i =
+  i < String.length s && (match s.[i] with '\\' | '|' -> true | _ -> needs_escape_from s (i + 1))
+
+let needs_escape s = needs_escape_from s 0
 
 let escape s =
   if not (needs_escape s) then s
@@ -87,3 +88,46 @@ let unframe payload =
     go 0 0;
     List.rev !fields
   end
+
+(* [tag] is a prefix of [payload] (checked from [i]); a top-level loop,
+   so that it allocates no closure, unlike [String.starts_with]. *)
+let rec has_prefix tag payload i =
+  i = String.length tag || (payload.[i] = tag.[i] && has_prefix tag payload (i + 1))
+
+(* The first '|' or '\' at or after [i], or the length. *)
+let rec special s i =
+  if i >= String.length s then i
+  else match String.unsafe_get s i with '|' | '\\' -> i | _ -> special s (i + 1)
+
+(* Unescape [payload] from [i] into [b] from [j], copying each run between
+   escapes whole; [None] at a raw '|' or a bad or dangling escape. *)
+let rec unescape_rest payload i b j =
+  let n = String.length payload in
+  let e = special payload i in
+  Bytes.blit_string payload i b j (e - i);
+  let j = j + (e - i) in
+  if e = n then Some (if j = Bytes.length b then Bytes.unsafe_to_string b else Bytes.sub_string b 0 j)
+  else if payload.[e] = '\\' && e + 1 < n && (payload.[e + 1] = '\\' || payload.[e + 1] = 'p') then begin
+    Bytes.unsafe_set b j (if payload.[e + 1] = 'p' then '|' else '\\');
+    unescape_rest payload (e + 2) b (j + 1)
+  end
+  else None
+
+(* A reader that wants one tag scans in place: a payload whose first field
+   is not [tag] costs a prefix compare and allocates nothing.  For a tag
+   with nothing to escape, the first field is [tag] exactly when the raw
+   payload starts with [tag ^ "|"]: an escape in the raw first field would
+   put a '|' or '\' into the field.  The rest must then be one well-formed
+   field, as [unframe] reads it: no raw '|' (a third field) and every '\'
+   followed by '\' or 'p'.  One pass checks and unescapes it, jumping from
+   one '|' or '\' to the next, since a body can be a 48 KiB signed value
+   with three escapes. *)
+let tagged ~tag payload =
+  if needs_escape tag then
+    match unframe payload with
+    | [ t; body ] when String.equal t tag -> Some body
+    | _ | (exception Invalid_argument _) -> None
+  else
+    let k = String.length tag and n = String.length payload in
+    if n <= k || payload.[k] <> '|' || not (has_prefix tag payload 0) then None
+    else unescape_rest payload (k + 1) (Bytes.create (n - k - 1)) 0

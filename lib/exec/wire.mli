@@ -31,3 +31,10 @@ val frame : string list -> payload
 
 val unframe : payload -> string list
 (** Inverse of {!frame}. @raise Invalid_argument on malformed input. *)
+
+val tagged : tag:string -> payload -> string option
+(** [tagged ~tag p] is [Some body] exactly when [unframe p = [tag; body]],
+    else [None]; it never raises.  The reader for a frame of one tag and one
+    body: a payload with another first field is rejected by a prefix compare
+    that allocates nothing, and a match copies out only the body.  Readers
+    of three or more fields use {!unframe}. *)

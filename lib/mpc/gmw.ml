@@ -165,11 +165,7 @@ let protocol ~name ~circuit ~encode_input ~decode_output =
     let find_peer_msg ~inbox ~tag =
       List.find_map
         (fun (src, payload) ->
-          if src = peer then
-            match Wire.unframe payload with
-            | [ t; body ] when String.equal t tag -> Some body
-            | _ | (exception Invalid_argument _) -> None
-          else None)
+          if src = peer then Wire.tagged ~tag payload else None)
         inbox
     in
     (* Evaluate all local gates whose operands are known (AND gates are

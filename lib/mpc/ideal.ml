@@ -15,11 +15,13 @@ let send_input x = [ Machine.Send (Wire.To Wire.functionality_id, msg_input x) ]
 
 type reply = No_reply | Aborted | Output of string
 
+(* [unframe payload = ["abort"]] exactly when [payload] is [msg_abort]'s
+   five bytes: a '|' would make a second field, and an escape would put a
+   '|' or '\' into the first. *)
 let decode_reply payload =
-  match Wire.unframe payload with
-  | [ "output"; body ] -> Output body
-  | [ "abort" ] -> Aborted
-  | _ | (exception Invalid_argument _) -> No_reply
+  match Wire.tagged ~tag:"output" payload with
+  | Some body -> Output body
+  | None -> if String.equal payload msg_abort then Aborted else No_reply
 
 let rec reply = function
   | [] -> No_reply

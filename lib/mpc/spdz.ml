@@ -242,9 +242,9 @@ let protocol ~name ~circuit ~n ~encode_input ~reveal_to ~plan ~output_of ~on_abo
       List.iter
         (fun (src, payload) ->
           if src >= 1 && src <= n && src <> id && not (Hashtbl.mem found src) then
-            match Wire.unframe payload with
-            | [ k; body ] when String.equal k kind -> Hashtbl.add found src body
-            | _ | (exception Invalid_argument _) -> ())
+            match Wire.tagged ~tag:kind payload with
+            | Some body -> Hashtbl.add found src body
+            | None -> ())
         inbox;
       if Hashtbl.length found = n - 1 then
         Some

@@ -22,11 +22,7 @@ let party ~rng ~id ~n:_ ~input:_ ~setup:_ =
         match
           List.find_map
             (fun (src, payload) ->
-              if src = peer then
-                match Wire.unframe payload with
-                | [ "commit"; c ] -> Some c
-                | _ | (exception Invalid_argument _) -> None
-              else None)
+              if src = peer then Wire.tagged ~tag:"commit" payload else None)
             inbox
         with
         | Some c -> { st with peer_commitment = Some c }
@@ -47,12 +43,12 @@ let party ~rng ~id ~n:_ ~input:_ ~setup:_ =
             List.find_map
               (fun (src, payload) ->
                 if src = peer then
-                  match Wire.unframe payload with
-                  | [ "open"; body ] -> (
+                  match Wire.tagged ~tag:"open" payload with
+                  | Some body -> (
                       match Commit.opening_of_string body with
                       | o -> Some o
                       | exception Invalid_argument _ -> None)
-                  | _ | (exception Invalid_argument _) -> None
+                  | None -> None
                 else None)
               inbox
           in
@@ -106,17 +102,13 @@ let veto_adversary ~target ~want =
               let my_bit =
                 List.find_map
                   (fun (_, _, payload) ->
-                    match Wire.unframe payload with
-                    | [ "open"; body ] -> bit_of_opening body
-                    | _ | (exception Invalid_argument _) -> None)
+                    Option.bind (Wire.tagged ~tag:"open" payload) bit_of_opening)
                   sends
               in
               let peer_bit =
                 List.find_map
                   (fun (env : Wire.envelope) ->
-                    match Wire.unframe env.Wire.payload with
-                    | [ "open"; body ] -> bit_of_opening body
-                    | _ | (exception Invalid_argument _) -> None)
+                    Option.bind (Wire.tagged ~tag:"open" env.Wire.payload) bit_of_opening)
                   view.Adversary.rushed
               in
               match (my_bit, peer_bit) with

@@ -14,14 +14,7 @@ let pi2_rounds = 6
 let peer id = 3 - id
 
 let find_msg ~inbox ~src ~tag =
-  List.find_map
-    (fun (s, payload) ->
-      if s = src then
-        match Wire.unframe payload with
-        | [ t; body ] when String.equal t tag -> Some body
-        | _ | (exception Invalid_argument _) -> None
-      else None)
-    inbox
+  List.find_map (fun (s, payload) -> if s = src then Wire.tagged ~tag payload else None) inbox
 
 (* The message that [src]'s [tag] opening in [inbox] reveals, checked
    against the [commitment] it sent earlier: [None] when either is missing,

@@ -72,12 +72,12 @@ let party (func : Func.t) ~rng:_ ~id:_ ~n ~input ~setup:_ =
             let announcements =
               List.filter_map
                 (fun (_, payload) ->
-                  match Wire.unframe payload with
-                  | [ "announce"; body ] -> (
+                  match Wire.tagged ~tag:"announce" payload with
+                  | Some body -> (
                       match Vss.announcement_of_string body with
                       | a -> Some a
                       | exception Invalid_argument _ -> None)
-                  | _ | (exception Invalid_argument _) -> None)
+                  | None -> None)
                 inbox
             in
             match

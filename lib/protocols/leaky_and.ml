@@ -101,12 +101,7 @@ let leak_adversary =
               else
                 List.find_map
                   (fun (src, payload) ->
-                    if src = 1 then
-                      match Wire.unframe payload with
-                      | [ "leak"; x1 ] -> Some x1
-                      | _ -> None
-                      | exception Invalid_argument _ -> None
-                    else None)
+                    if src = 1 then Wire.tagged ~tag:"leak" payload else None)
                   inbox
             in
             if leak <> None then claimed := true;

@@ -49,15 +49,15 @@ let send_opening ~peer share =
 let opened ~inbox ~peer share =
   match List.assoc_opt peer inbox with
   | Some payload -> (
-      match Wire.unframe payload with
-      | [ "opening"; body ] -> (
+      match Wire.tagged ~tag:"opening" payload with
+      | Some body -> (
           match Auth_share.opening_of_string body with
           | summand, tag -> (
               match Auth_share.reconstruct ~mine:share ~theirs_summand:summand ~theirs_tag:tag with
               | Ok secret -> Some (Field.decode_string secret)
               | Error _ -> None)
           | exception Invalid_argument _ -> None)
-      | _ | (exception Invalid_argument _) -> None)
+      | None -> None)
   | None -> None
 
 let hybrid_party (func : Func.t) ~rng:_ ~id ~n:_ ~input ~setup:_ =

@@ -187,6 +187,84 @@ let test_block_bounds () =
       Alcotest.(check bool) (name ^ ": last block accepted") true (h <> Array.make 8 1))
     (("compress", Block.compress) :: Block.kernels)
 
+(* SHA-256 in OCaml from [reference_compress] and the padding of FIPS
+   180-4 section 5.1.1: the message, 0x80, zeros, and the 64-bit bit
+   length, in (len + 8) / 64 + 1 blocks. *)
+let reference_digest msg =
+  let len = String.length msg in
+  let blocks = ((len + 8) / 64) + 1 in
+  let b = Bytes.make (64 * blocks) '\000' in
+  Bytes.blit_string msg 0 b 0 len;
+  Bytes.set b len '\x80';
+  Bytes.set_int64_be b ((64 * blocks) - 8) (Int64.of_int (8 * len));
+  let h =
+    [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
+  in
+  for k = 0 to blocks - 1 do
+    reference_compress h b (64 * k)
+  done;
+  String.init 32 (fun i -> Char.chr ((h.(i / 4) lsr (8 * (3 - (i mod 4)))) land 0xff))
+
+let sha256_blocks () =
+  Option.value ~default:0
+    (List.assoc_opt "sha256.blocks" (Fair_obs.Metrics.snapshot ()).Fair_obs.Metrics.counters)
+
+(* The one-call digest of every kernel the CPU runs equals the streaming
+   [Ctx] digest and the OCaml reference on the FIPS vectors and on random
+   bytes of every length 0-300, which covers each padding edge (55/56,
+   63/64, 119/120); [Sha256.digest] counts its (len + 8) / 64 + 1 blocks,
+   as many as [Ctx] compresses. *)
+let test_one_call_digest () =
+  List.iter
+    (fun (msg, expect) ->
+      Alcotest.(check string) "the reference meets the FIPS vector" expect
+        (Sha256.to_hex (reference_digest msg)))
+    fips_vectors;
+  let rs = Random.State.make [| 256 |] in
+  let msgs =
+    List.map fst fips_vectors
+    @ List.init 301 (fun len -> String.init len (fun _ -> Char.chr (Random.State.int rs 256)))
+  in
+  Alcotest.(check (list string)) "digest kernels, by name" (List.map fst Block.kernels)
+    (List.map fst Block.digests);
+  let differ (name, digest) =
+    List.filter_map
+      (fun msg ->
+        let out = Bytes.create 32 in
+        digest msg out;
+        let c = Sha256.Ctx.create () in
+        Sha256.Ctx.feed c msg;
+        let got = Bytes.to_string out in
+        if String.equal got (reference_digest msg) && String.equal got (Sha256.Ctx.digest c) then None
+        else Some (Printf.sprintf "%s: %d bytes" name (String.length msg)))
+      msgs
+  in
+  Alcotest.(check (list string)) "digests that differ from the reference or Ctx" []
+    (List.concat_map differ (("digest", Block.digest) :: Block.digests));
+  Alcotest.check_raises "a 31-byte output" (Invalid_argument "Sha256_block.digest") (fun () ->
+      Block.digest "abc" (Bytes.create 31));
+  let counted f =
+    let before = sha256_blocks () in
+    f ();
+    sha256_blocks () - before
+  in
+  Fair_obs.Metrics.enable ();
+  let wrong =
+    List.filter
+      (fun msg ->
+        let len = String.length msg in
+        let ctx () =
+          let c = Sha256.Ctx.create () in
+          Sha256.Ctx.feed c msg;
+          ignore (Sha256.Ctx.digest c)
+        in
+        counted (fun () -> ignore (Sha256.digest msg)) <> ((len + 8) / 64) + 1
+        || counted ctx <> ((len + 8) / 64) + 1)
+      msgs
+  in
+  Fair_obs.Metrics.disable ();
+  Alcotest.(check (list int)) "lengths whose blocks are miscounted" [] (List.map String.length wrong)
+
 (* --------------------------- HMAC ---------------------------------- *)
 
 (* RFC 4231 test cases 1, 2 and 3. *)
@@ -443,7 +521,9 @@ let () =
           Alcotest.test_case "feed_bytes slice" `Quick test_sha256_feed_bytes;
           Alcotest.test_case "hex roundtrip" `Quick test_hex_roundtrip;
           Alcotest.test_case "block kernels = FIPS reference" `Quick test_block_kernels;
-          Alcotest.test_case "block bounds" `Quick test_block_bounds ] );
+          Alcotest.test_case "block bounds" `Quick test_block_bounds;
+          Alcotest.test_case "one-call digest = reference and Ctx, blocks counted" `Quick
+            test_one_call_digest ] );
       ( "hmac",
         [ Alcotest.test_case "RFC 4231 vectors" `Quick test_hmac_rfc4231;
           Alcotest.test_case "long key" `Quick test_hmac_long_key;

@@ -35,6 +35,24 @@ let test_unframe_rejects () =
   Alcotest.check_raises "bad escape" (Invalid_argument "Wire.unframe: bad escape") (fun () ->
       ignore (Wire.unframe "\\q"))
 
+(* A tag read that misses runs once per other message in an inbox on every
+   protocol step, so it must allocate nothing: 10 000 misses, on a short
+   frame and on one whose body holds escapes, stay under 100 minor words
+   (the two readings of the counter box a float each). *)
+let test_tagged_miss_allocates_nothing () =
+  let frames = [ Wire.frame [ "ccommit"; String.make 32 'a' ]; Wire.frame [ "val"; "x|y"; "z" ] ] in
+  List.iter
+    (fun frame ->
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 10_000 do
+        ignore (Sys.opaque_identity (Wire.tagged ~tag:"dcommit" frame))
+      done;
+      let words = Gc.minor_words () -. w0 in
+      if words >= 100. then Alcotest.failf "%.0f minor words for 10 000 misses on %S" words frame)
+    frames;
+  Alcotest.(check (option string)) "the hit still reads" (Some (String.make 32 'a'))
+    (Wire.tagged ~tag:"ccommit" (List.hd frames))
+
 (* ---------------------------- machine ------------------------------- *)
 
 let counter_machine () =
@@ -483,7 +501,9 @@ let () =
         [ prop_frame_roundtrip;
           Alcotest.test_case "escaping" `Quick test_frame_escaping;
           Alcotest.test_case "empty field list rejected" `Quick test_frame_empty_rejected;
-          Alcotest.test_case "malformed rejected" `Quick test_unframe_rejects ] );
+          Alcotest.test_case "malformed rejected" `Quick test_unframe_rejects;
+          Alcotest.test_case "a tag read that misses allocates nothing" `Quick
+            test_tagged_miss_allocates_nothing ] );
       ( "machine",
         [ Alcotest.test_case "persistence and probing" `Quick test_machine_persistent ] );
       ( "engine",

@@ -124,6 +124,31 @@ let test_classify_default_substitution () =
   Alcotest.check event "default-substituted output is honest-got" Events.E01 (classify trial);
   Alcotest.(check (list string)) "legitimate set" [ "b,a"; "b,_" ] (Events.legitimate_outputs trial)
 
+(* Corrupted parties 1 and 3 of 3, read in place around the honest party
+   2, and an f whose substitutions give "c", "A", "_", "A" for masks 0-3:
+   the set keeps the order of first appearance, not of last ("c", "_",
+   "A"). *)
+let test_legitimate_order () =
+  let proto =
+    Protocol.make ~name:"s3" ~parties:3 ~max_rounds:2 (fun ~rng:_ ~id:_ ~n:_ ~input:_ ~setup:_ ->
+        Machine.make () (fun () ~round:_ ~inbox:_ -> ((), [ Machine.Abort_self ])))
+  in
+  let adv =
+    Adversary.make ~name:"c13" (fun _rng ~protocol:_ ->
+        { Adversary.initial = [ 1; 3 ]; step = (fun _ -> Adversary.silent_decision) })
+  in
+  let inputs = [| "a"; "m"; "c" |] in
+  let func =
+    { Func.name = "first-or-third";
+      arity = 3;
+      eval = (fun xs -> if xs.(0) = "_" then "A" else xs.(2));
+      default_input = "_" }
+  in
+  let outcome = Engine.run ~protocol:proto ~adversary:adv ~inputs ~rng:(Rng.create ~seed:"o") in
+  Alcotest.(check (list string)) "first appearance" [ "c"; "A"; "_" ]
+    (Events.legitimate_outputs { Events.outcome; inputs; func });
+  Alcotest.(check (array string)) "inputs untouched" [| "a"; "m"; "c" |] inputs
+
 (* --------------------------- utility -------------------------------- *)
 
 let test_utility_expected () =
@@ -443,7 +468,9 @@ let () =
           Alcotest.test_case "disagreeing honest outputs" `Quick test_classify_disagreeing_honest;
           Alcotest.test_case "correctness breach flagged" `Quick test_classify_breach;
           Alcotest.test_case "default substitution legitimate" `Quick
-            test_classify_default_substitution ] );
+            test_classify_default_substitution;
+          Alcotest.test_case "legitimate set in order of first appearance" `Quick
+            test_legitimate_order ] );
       ( "utility",
         [ Alcotest.test_case "expected payoff" `Quick test_utility_expected;
           Alcotest.test_case "empirical distribution" `Quick test_utility_of_counts;

@@ -153,6 +153,42 @@ let prop_unframe_refames =
       | fields -> Wire.unframe (Wire.frame fields) = fields
       | exception Invalid_argument _ -> true)
 
+(* [tagged ~tag p] is the two-field reading of [unframe p], and never
+   raises.  Payloads are arbitrary bytes, or frames of 1, 2 or 3 fields
+   (the first often the tag) rich in '|', '\\' and 'p', some then broken
+   by a dangling escape or a bad one; tags come with and without bytes
+   that need escaping. *)
+let escapy = QCheck.Gen.(string_size ~gen:(oneof [ char; oneofl [ '|'; '\\'; 'p'; 'a' ] ]) (int_range 0 12))
+
+let gen_tagged_case =
+  let open QCheck.Gen in
+  let* tag =
+    oneof
+      [ oneofl [ "output"; "open"; "opening"; ""; "a|b"; "x\\y"; "|"; "\\"; "\\p" ]; escapy ]
+  in
+  let framed =
+    let* k = int_range 1 3 in
+    let* first = oneof [ return tag; escapy ] in
+    let* rest = list_repeat (k - 1) escapy in
+    let p = Wire.frame (first :: rest) in
+    let* at = int_range 0 (String.length p) in
+    oneofl
+      [ p; p ^ "\\"; String.sub p 0 at ^ "\\q" ^ String.sub p at (String.length p - at) ]
+  in
+  let* payload = oneof [ string_size ~gen:char (int_range 0 64); framed ] in
+  return (tag, payload)
+
+let prop_tagged_is_two_field_unframe =
+  qtest "tagged ~tag p = the two-field reading of unframe p" 5000
+    (QCheck.make ~print:QCheck.Print.(pair string string) gen_tagged_case)
+    (fun (tag, p) ->
+      let expect =
+        match Wire.unframe p with
+        | [ t; body ] when String.equal t tag -> Some body
+        | _ | (exception Invalid_argument _) -> None
+      in
+      match Wire.tagged ~tag p with got -> got = expect | exception _ -> false)
+
 (* ----------------------- JSON-parser fuzz --------------------------- *)
 (* [Fairness.Json] is the service's wire format, so its parser is a
    security boundary: any byte string — hostile framing, deep nesting,
@@ -253,7 +289,10 @@ let fuzz_case ~adversary ~adversary_name (name, proto, func, env, check_breach) 
 let () =
   Alcotest.run "fair_fuzz"
     [ ( "wire-framing",
-        [ prop_unframe_inverts_frame; prop_unframe_total; prop_unframe_refames ] );
+        [ prop_unframe_inverts_frame;
+          prop_unframe_total;
+          prop_unframe_refames;
+          prop_tagged_is_two_field_unframe ] );
       ( "json-parser",
         [ prop_json_total_on_bytes;
           prop_json_total_on_jsonish;

@@ -497,6 +497,71 @@ let test_keyed_coin_flagged () =
   Alcotest.(check bool) "the comparison flags a keyed adversary that draws in step" true
     (key_breaks inst.E.target arms ~trials:8 > 0)
 
+(* A prelude evaluates each corrupted set's legitimate outputs once.  On
+   fresh preludes of E1's, E5's and E14's targets, every arm (a 1-in-12
+   stride of E14's) is played with a [func] that counts its evaluations,
+   which only classification calls: they must number 2^t for each distinct
+   corrupted set of t parties among the arms' outcomes, one
+   [Events.legitimate_outputs] each.  Every observation must equal what
+   [Events.classify] reads, without stored sets, from the arm's own outcome
+   on an engine prelude of the same trial. *)
+let test_legitimate_once_per_coalition () =
+  let module Events = Fairness.Events in
+  let module Func = Fair_mpc.Func in
+  let module Rng = Fair_crypto.Rng in
+  let prefix = Mc.Trial.seed_prefix 7 in
+  List.iter
+    (fun eid ->
+      let inst = (Option.get (Option.get (E.find eid)).E.target) () in
+      let { Racing.protocol; func; gamma; env; overrides } = inst.E.target in
+      let evals = ref 0 in
+      let counting = { func with Func.eval = (fun xs -> incr evals; func.Func.eval xs) } in
+      let stride = if protocol.Protocol.parties = 2 then 1 else 12 in
+      let arms =
+        List.map (Space.compile inst.E.space) (Space.points inst.E.space) @ inst.E.zoo
+        |> List.filteri (fun j _ -> j mod stride = 0)
+      in
+      for i = 0 to 7 do
+        evals := 0;
+        let prelude = Mc.Trial.prepare ~protocol ~env ~prefix i in
+        let shared =
+          List.map
+            (fun adversary -> Mc.Trial.play ~overrides ~adversary ~func:counting ~gamma prelude)
+            arms
+        in
+        let master = Rng.create ~seed:(prefix ^ string_of_int i) in
+        let inputs = env (Rng.split master ~label:"env") in
+        let trial adversary =
+          let prepared = Engine.prepare ~protocol ~inputs ~rng:(Rng.split master ~label:"exec") in
+          { Events.outcome = Engine.run_prepared ~adversary prepared; inputs; func }
+        in
+        let own = List.map trial arms in
+        let sets = List.sort_uniq compare (List.map Events.corrupted_parties own) in
+        let expect = List.fold_left (fun n s -> n + (1 lsl min (List.length s) 12)) 0 sets in
+        if !evals <> expect then
+          Alcotest.failf "%s trial %d: %d evaluations of f for %d corrupted sets (%d expected)" eid
+            i !evals (List.length sets) expect;
+        List.iter2
+          (fun obs (t : Events.trial) ->
+            let cl = Events.classify ~overrides t in
+            let payoff =
+              match cl.Events.event with
+              | Events.E00 -> gamma.Payoff.g00
+              | Events.E01 -> gamma.Payoff.g01
+              | Events.E10 -> gamma.Payoff.g10
+              | Events.E11 -> gamma.Payoff.g11
+            in
+            let alone =
+              { Mc.Trial.t_payoff = payoff;
+                t_event = cl.Events.event;
+                t_corrupted = List.length (Events.corrupted_parties t);
+                t_breach = cl.Events.correctness_breach }
+            in
+            if obs <> Some alone then Alcotest.failf "%s trial %d: an observation differs" eid i)
+          shared own
+      done)
+    [ "E1"; "E5"; "E14" ]
+
 (* A race's chunks depend only on each round's shape, and every machine
    value is stepped inside the chunk that built it, so E1's work — its
    remembered steps and with them its hashes — is the same at any [jobs]. *)
@@ -667,7 +732,9 @@ let () =
           Alcotest.test_case "E1 work counts are the same at -j 1 and -j 2" `Quick
             test_work_same_at_any_jobs;
           Alcotest.test_case "E14 work counts and certificate are the same at -j 1 and -j 2"
-            `Quick test_signature_work_same_at_any_jobs ] );
+            `Quick test_signature_work_same_at_any_jobs;
+          Alcotest.test_case "legitimate outputs once per corrupted set" `Quick
+            test_legitimate_once_per_coalition ] );
       ( "landscape",
         [ Alcotest.test_case "n-grid order, mode and -j identity" `Slow test_n_grid;
           Alcotest.test_case "n-grid decay" `Slow test_n_grid_decay;
