@@ -1,6 +1,6 @@
 (* `dune build @bench-smoke` — a seconds-scale slice of bench/main.ml's
    sequential-vs-parallel comparison, wired into @repro so every smoke run
-   re-proves five contracts:
+   re-proves six contracts:
 
    1. Determinism: the pooled estimate must be bit-for-bit the sequential
       one (utility, std_err, event tables).
@@ -42,7 +42,12 @@
       verifier's verdicts live for one prelude, so the count cannot depend
       on which domain played which chunk before; verifying every
       announcement afresh costs ~96 per execution, and rebuilding the
-      prelude for every arm ~169 per play. *)
+      prelude for every arm ~169 per play.
+   6. Registry sharing: E2's registry run (trials 150, seed 42, -j 1),
+      whose suprema play every zoo member on one prelude per trial, must
+      hash at most 4 SHA-256 blocks per play (~2.76 measured); building
+      the prelude once per zoo member again, as each member's own
+      estimate did, costs ~9.56. *)
 
 module Mc = Fairness.Montecarlo
 module Parallel = Fairness.Parallel
@@ -138,12 +143,12 @@ let () =
   let race spec ~jobs =
     ignore (Fair_analysis.Experiments.searched ~budget:2000 ~seed:42 ~jobs spec)
   in
-  (* Minor words, SHA-256 blocks, plays and executions of one race. *)
-  let work spec ~jobs =
+  (* Minor words, SHA-256 blocks, plays and executions of one run. *)
+  let work run ~jobs =
     Fair_obs.Metrics.reset ();
     Fair_obs.Metrics.enable ();
     let w0 = Gc.minor_words () in
-    race spec ~jobs;
+    run ~jobs;
     let words = Gc.minor_words () -. w0 in
     let snap = Fair_obs.Metrics.snapshot () in
     Fair_obs.Metrics.disable ();
@@ -151,7 +156,7 @@ let () =
     (words, counter "sha256.blocks", counter "mc.trials", counter "engine.executions")
   in
   race e1 ~jobs:1;
-  let words, blocks, plays, execs = work e1 ~jobs:1 in
+  let words, blocks, plays, execs = work (race e1) ~jobs:1 in
   let per_play x = x /. float_of_int (max 1 plays) in
   check "E1 race minor words per play within budget" (per_play words <= 1200.0)
     (Printf.sprintf "%.0f words / %d plays = %.0f <= 1200" words plays (per_play words));
@@ -162,13 +167,21 @@ let () =
   check "E1 race engine executions within budget" (execs <= 1400)
     (Printf.sprintf "%d executions for %d plays <= 1400" execs plays);
   race e5 ~jobs:1;
-  let _, blocks1, plays, _ = work e5 ~jobs:1 in
-  let _, blocks2, _, _ = work e5 ~jobs:2 in
+  let _, blocks1, plays, _ = work (race e5) ~jobs:1 in
+  let _, blocks2, _, _ = work (race e5) ~jobs:2 in
   let per_play = float_of_int blocks1 /. float_of_int (max 1 plays) in
   check "E5 race SHA-256 blocks the same at -j 1 and -j 2" (blocks1 = blocks2)
     (Printf.sprintf "%d vs %d blocks" blocks1 blocks2);
   check "E5 race SHA-256 blocks per play within budget" (per_play <= 26.0)
     (Printf.sprintf "%d blocks / %d plays = %.2f <= 26" blocks1 plays per_play);
+  let e2 = Option.get (Fair_analysis.Experiments.find "E2") in
+  let _, blocks, plays, _ =
+    work (fun ~jobs -> ignore (Fair_analysis.Experiments.run e2 ~trials:150 ~seed:42 ~jobs))
+      ~jobs:1
+  in
+  let per_play = float_of_int blocks /. float_of_int (max 1 plays) in
+  check "E2 registry SHA-256 blocks per play within budget" (per_play <= 4.0)
+    (Printf.sprintf "%d blocks / %d plays = %.2f <= 4" blocks plays per_play);
   if !failures > 0 then begin
     Printf.eprintf "bench-smoke: %d check(s) FAILED\n" !failures;
     exit 1

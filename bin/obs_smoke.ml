@@ -70,7 +70,7 @@ let () =
       List.iter
         (fun required ->
           if not (List.mem required names) then fail "trace has no %S span" required)
-        [ "engine.run"; "engine.round"; "mc.range"; "mc.chunk" ]);
+        [ "engine.run"; "engine.round"; "mc.plays" ]);
   (* Metrics JSON: the registry must have counted every trial exactly once. *)
   let m = parse "obs_metrics.json" in
   (match get "obs_metrics.json" m "schema" with

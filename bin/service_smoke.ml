@@ -18,9 +18,10 @@
         metrics and the query log switched ON; afterwards the exported
         Chrome trace must contain client.query, service.queue and
         service.exec spans all tagged with the cold query's trace id (one
-        lane set per query in Perfetto), and race.pull spans tagged with
-        it on more than one domain (the server runs -j 2, so the request
-        scope must follow the racer onto pool domains); the qlog JSONL
+        lane set per query in Perfetto), and mc.plays spans (the trial
+        loop's pool tasks) tagged with it on more than one domain (the
+        server runs -j 2, so the request scope must follow the racer onto
+        pool domains); the qlog JSONL
         must hold a "cold" line with queue latency, the request's own
         engine counters and a trial count equal to the certificate's
         spent budget, plus a "mem" line for the warm hit; and a final
@@ -230,20 +231,20 @@ let () =
       if not (tagged name) then
         fail "trace export has no %S span carrying trace id %s" name tid)
     [ "client.query"; "service.queue"; "service.exec" ];
-  let pull_domains =
+  let play_domains =
     List.sort_uniq compare
       (List.filter_map
          (fun (e : Fair_obs.Trace.event) ->
            if
-             e.Fair_obs.Trace.name = "race.pull"
+             e.Fair_obs.Trace.name = "mc.plays"
              && List.assoc_opt "trace_id" e.Fair_obs.Trace.args = Some tid
            then Some e.Fair_obs.Trace.tid
            else None)
          events)
   in
-  if List.length pull_domains < 2 then
-    fail "race.pull spans carry trace id %s on %d domain(s); the -j 2 pool must give 2"
-      tid (List.length pull_domains);
+  if List.length play_domains < 2 then
+    fail "mc.plays spans carry trace id %s on %d domain(s); the -j 2 pool must give 2"
+      tid (List.length play_domains);
   (match Fairness.Json.of_string (In_channel.with_open_bin trace_path In_channel.input_all) with
   | Ok _ -> ()
   | Result.Error e -> fail "written trace file does not parse: %s" e);
@@ -301,7 +302,7 @@ let () =
     "service-smoke: OK — cold compute streamed %d progress frames; warm query was a cache hit \
      (+%d hits, pool frozen) with byte-identical certificate; inline bytes match at -j 1 and \
      -j 2; truncated frame and mid-frame client death stayed isolated to their connections; \
-     trace %s carries client/queue/exec lanes for trace id %s and its race.pull spans on %d \
+     trace %s carries client/queue/exec lanes for trace id %s and its mc.plays spans on %d \
      domains; qlog %s has cold+mem lines with queue latency, counters and %d trials (= spent); \
      obs-off recompute byte-identical\n"
-    !progress hits_delta trace_path tid (List.length pull_domains) qlog_path spent
+    !progress hits_delta trace_path tid (List.length play_domains) qlog_path spent

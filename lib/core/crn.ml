@@ -23,11 +23,12 @@ let c_pair_faults = Metrics.counter "crn.pair_faults"
    The estimator is a bivariate extension of {!Montecarlo}'s accumulator:
    Welford within a chunk, Chan et al. pairwise merge between chunks, with
    the co-moment C = Σ (x - x̄)(y - ȳ) carried alongside the two M2s.
-   Chunk boundaries are the same fixed 64-trial grid, merged in chunk
-   order, so paired estimates inherit the bit-identical-at-any-[jobs]
-   contract.  Leg [a]'s marginal recurrence is exactly the univariate one,
-   so [mean_a]/[std_err_a] are bit-identical to what [Montecarlo.estimate]
-   reports for the same (configuration, trials, seed). *)
+   The chunks are {!Montecarlo.fold_chunks}' fixed 64-trial grid, merged
+   in chunk order, so paired estimates inherit the
+   bit-identical-at-any-[jobs] contract.  Leg [a]'s marginal recurrence is
+   exactly the univariate one, so [mean_a]/[std_err_a] are bit-identical
+   to what [Montecarlo.estimate] reports for the same (configuration,
+   trials, seed) when no pair is voided. *)
 
 type bacc = {
   mutable count : int;
@@ -104,8 +105,8 @@ let finalize c =
     trials = c.count;
     pair_faults = c.faulted }
 
-(* Exposed for callers that drive their own trial loops (the paired racer
-   in [Fair_search.Racing] feeds arm histories through this directly). *)
+(* Exposed for callers that fold their own pairs (the paired racer in
+   [Fair_search.Racing] feeds arm histories through this directly). *)
 module Bacc = struct
   type t = bacc
 
@@ -117,44 +118,33 @@ end
 
 type leg = { protocol : Protocol.t; adversary : Adversary.t; gamma : Payoff.t }
 
-let paired ?(overrides = Events.no_overrides) ?(jobs = Parallel.default_jobs) ?inject
-    ?(fault_budget = 0.1) ~a:(la : leg) ~b:(lb : leg) ~func ~env ~trials ~seed () =
+let paired ?(overrides = Events.no_overrides) ?jobs ?inject ?(fault_budget = 0.1) ~a:(la : leg)
+    ~b:(lb : leg) ~func ~env ~trials ~seed () =
   if trials < 1 then invalid_arg "Crn.paired: trials < 1";
   if fault_budget < 0.0 || fault_budget > 1.0 then
     invalid_arg "Crn.paired: fault_budget outside [0,1]";
-  let prefix = Montecarlo.Trial.seed_prefix seed in
-  let run_leg (l : leg) i =
-    Montecarlo.Trial.run ~overrides ?inject ~protocol:l.protocol ~adversary:l.adversary ~func
-      ~gamma:l.gamma ~env ~prefix i
+  (* One loop call per leg: the legs' protocols and payoff vectors may
+     differ, and a prelude serves one target. *)
+  let leg (l : leg) =
+    (Montecarlo.Trial.plays ?inject ?jobs ~overrides ~protocol:l.protocol ~func ~gamma:l.gamma
+       ~env ~seed [| l.adversary |] ~lo:0 ~hi:trials).(0)
   in
-  let chunks =
-    (* Same fixed chunk grid as Montecarlo: boundaries depend only on the
-       trial range, so the merge tree — and the numbers — are
-       jobs-invariant. *)
-    Parallel.map_range ~jobs ~chunk_size:64 ~lo:0 ~hi:trials (fun ~lo ~hi ->
-        let c = bacc_create () in
-        for i = lo to hi - 1 do
-          Metrics.incr c_pairs;
-          match (run_leg la i, run_leg lb i) with
-          | Some oa, Some ob ->
-              bacc_observe c oa.Montecarlo.Trial.t_payoff ob.Montecarlo.Trial.t_payoff
-          | _ ->
-              (* Either leg faulting voids the pair: keeping the surviving
-                 leg would unbalance the marginals against the unpaired
-                 estimator. *)
-              c.faulted <- c.faulted + 1;
-              Metrics.incr c_pair_faults
-        done;
-        c)
+  let oa = leg la in
+  let ob = leg lb in
+  let c =
+    Montecarlo.fold_chunks ~create:bacc_create ~merge:bacc_merge trials (fun c i ->
+        match (oa.(i), ob.(i)) with
+        | Some xa, Some xb ->
+            bacc_observe c xa.Montecarlo.Trial.t_payoff xb.Montecarlo.Trial.t_payoff
+        | _ ->
+            (* Either leg faulting voids the pair: keeping the surviving
+               leg would unbalance the marginals against the unpaired
+               estimator. *)
+            c.faulted <- c.faulted + 1)
   in
-  let c = List.fold_left bacc_merge (bacc_create ()) chunks in
-  if c.faulted > 0 then begin
-    let attempted = c.count + c.faulted in
-    if c.count = 0 || float_of_int c.faulted > fault_budget *. float_of_int attempted then
-      raise
-        (Montecarlo.Fault_budget_exceeded
-           { faulted = c.faulted; attempted; budget = fault_budget })
-  end;
+  Metrics.add c_pairs trials;
+  Metrics.add c_pair_faults c.faulted;
+  Montecarlo.check_fault_budget ~fault_budget ~completed:c.count ~faulted:c.faulted;
   finalize c
 
 (* Delta method for the ratio r = ā/b̄ of two correlated means:

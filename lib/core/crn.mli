@@ -15,14 +15,16 @@
     reaches a given 3σ tolerance on the difference (or ratio, via the
     delta method in {!ratio}) at several-fold fewer trials.
 
-    {b Determinism.}  Trials are driven through {!Montecarlo.Trial.run}
-    on the same fixed 64-trial chunk grid as {!Montecarlo.estimate}, with
+    {b Determinism.}  Each leg's trials are played by the one trial loop
+    ({!Montecarlo.Trial.plays}, one call per leg, so each leg builds its
+    own preludes), and the pairs are folded on the same fixed 64-trial
+    chunk grid as {!Montecarlo.estimate} ({!Montecarlo.fold_chunks}), with
     per-chunk bivariate accumulators merged in chunk order — paired
     results are bit-identical at any [jobs] value.  Moreover each leg's
     marginal recurrence is exactly the univariate Welford/Chan one, so
     [p.a.mean]/[p.a.std_err] equal (bitwise) the [utility]/[std_err] of a
     plain [Montecarlo.estimate] of that configuration with the same
-    [trials] and [seed].
+    [trials] and [seed] when no pair is voided.
 
     {b Stratification.}  {!stratified} recombines per-stratum estimates of
     a known mixture (e.g. a uniformly random corruption target over two
@@ -52,7 +54,7 @@ type paired = {
 }
 
 (** The bivariate Welford/Chan accumulator behind {!paired}, exposed for
-    callers that drive their own trial loops — notably the paired racer in
+    callers that fold their own pairs — notably the paired racer in
     [Fair_search.Racing], which replays per-arm payoff histories against
     the incumbent's.  Observations must be fed in trial order for results
     to be deterministic. *)

@@ -35,21 +35,15 @@ let () =
              faulted attempted budget)
     | _ -> None)
 
-(* Observability: range/chunk accounting and spans.  Everything here is
-   derived from the deterministic accumulator state — no RNG is consulted
-   and no scheduling decision depends on it, so estimates are bit-identical
-   with the registry/tracer enabled or disabled (test_obs locks this). *)
+(* Observability: trial counts and one span per pool task.  Nothing here
+   consults an RNG or decides any scheduling, so estimates are
+   bit-identical with the registry/tracer enabled or disabled (test_obs
+   locks this). *)
 module Metrics = Fair_obs.Metrics
 module Otrace = Fair_obs.Trace
 
 let c_trials = Metrics.counter "mc.trials"
 let c_trial_faults = Metrics.counter "mc.trial_faults"
-let c_chunks = Metrics.counter "mc.chunks"
-let c_ranges = Metrics.counter "mc.ranges"
-
-let h_range_trials =
-  Metrics.histogram "mc.range_trials"
-    ~buckets:[| 64.; 256.; 1024.; 4096.; 16384.; 65536. |]
 
 (* ------------------------------------------------------------------ *)
 (* Streaming accumulator: Welford within a chunk, Chan et al. between
@@ -131,37 +125,27 @@ let acc_finalize a =
 (* ------------------------------------------------------------------ *)
 
 (* Per-trial seeding: trial [i] depends only on (seed, i), so trials are
-   embarrassingly parallel and a range [lo, hi) can run on any domain.
-   The seed string is ["mc:" ^ seed ^ ":" ^ i] — built from a per-range
-   hoisted prefix and [string_of_int] rather than [Printf.sprintf] (format
+   embarrassingly parallel and any trial can run on any domain.  The seed
+   string is ["mc:" ^ seed ^ ":" ^ i] — built from a per-call hoisted
+   prefix and [string_of_int] rather than [Printf.sprintf] (format
    interpretation is measurable at millions of trials), byte-identical to
    the historical [sprintf "mc:%d:%d"] encoding so every recorded stream,
    table and certificate is preserved. *)
 let trial_seed_prefix seed = "mc:" ^ string_of_int seed ^ ":"
 
-(* Progress goes to the current scope's sink once the trials have been
-   merged: the sink never touches an RNG or influences chunking, so
-   estimates are bit-identical with or without one.  A raising sink is
-   contained (fatal exceptions still propagate) so telemetry can never
-   kill an estimate. *)
-let fire_progress p = try Fair_obs.Scope.progress p with e when not (Engine.fatal e) -> ()
-
-(* One classified trial, decoupled from any accumulator so paired designs
-   ({!Crn}) can observe the same (seed, i) stream under several
-   configurations, split in two: [trial_prepare] builds the
+(* One classified trial, split in two: [trial_prepare] builds the
    adversary-independent prelude (env inputs, dealer setup, honest
    machines) and [trial_play] plays one adversary against it and
-   classifies the outcome, so the racer can play every arm against one
-   prelude.  A play returns [None] when its trial raised (trial-level
-   isolation): a raising trial (engine violation, machine bug surfacing
-   through classification, fault-plan fallout) is excluded from the mean
-   instead of aborting the whole estimate; callers count it and
-   {!estimate} enforces the fault budget on the total.  A prelude that
-   raised faults every play of it.  The classification is deterministic
-   per (seed, i), so which trials fault — and hence the estimate — is
-   still jobs-invariant.  Every play (estimate, CRN pair leg, racer arm)
-   passes through [trial_play], so this is where [mc.trials] counts
-   them. *)
+   classifies the outcome, so the trial loop below plays every arm of a
+   call on one prelude.  A play returns [None] when its trial raised
+   (trial-level isolation): a raising trial (engine violation, machine bug
+   surfacing through classification, fault-plan fallout) is excluded from
+   the mean instead of aborting the whole estimate; the folds count it and
+   enforce the fault budget on the total.  A prelude that raised faults
+   every play of it.  The classification is deterministic per (seed, i),
+   so which trials fault — and hence the estimate — is still
+   jobs-invariant.  Every play (estimate arm, CRN leg, racer arm) passes
+   through [trial_play], so this is where [mc.trials] counts them. *)
 type trial_obs = {
   t_payoff : float;
   t_event : Events.event;
@@ -266,74 +250,125 @@ let trial_play ~overrides ~inject ~adversary ~func ~gamma prelude =
           match obs with Some _ -> obs | None -> fault ())
       | exception e when not (Engine.fatal e) -> fault ())
 
-let observe_trial ~overrides ~inject ~protocol ~adversary ~func ~gamma ~env ~prefix i =
-  trial_play ~overrides ~inject ~adversary ~func ~gamma
-    (trial_prepare ~protocol ~env ~prefix i)
+(* ------------------------------------------------------------------ *)
+(* The trial loop: every estimate, zoo supremum, CRN leg and racing round
+   plays its arms here.  Pool tasks per call: at budget 2000 the n-party
+   targets race ~200 arms on a round of 10 trials and then one of 1, so
+   chunks of trials alone would give those rounds 10 uneven tasks and then
+   1; chunks of (trial, arm) cells give every call about this many. *)
+let tasks_per_call = 16
 
-let run_trial ~overrides ~inject ~protocol ~adversary ~func ~gamma ~env ~prefix a i =
-  match observe_trial ~overrides ~inject ~protocol ~adversary ~func ~gamma ~env ~prefix i with
-  | Some o ->
-      acc_observe a ~payoff:o.t_payoff ~event:o.t_event ~n_corrupted:o.t_corrupted
-        ~breach:o.t_breach
-  | None -> a.faulted <- a.faulted + 1
+(* Cell [c] is arm [c mod k] on trial [lo + c / k]; a chunk holding at
+   least one trial is cut at whole trials, so each prelude is built once.
+   A chunk builds each of its trials' prelude when it reaches it and plays
+   its arms on it, so only the preludes of chunks in flight are alive.
+   Each observation depends on (arm, trial) alone and lands in its own
+   cell, and the chunks depend only on the call's shape, so the result is
+   the same at any [jobs], and so are the executions, the messages and the
+   machine steps a chunk's arms share. *)
+let plays ?inject ?(jobs = Parallel.default_jobs) ~overrides ~protocol ~func ~gamma ~env ~seed
+    arms ~lo ~hi =
+  let prefix = trial_seed_prefix seed in
+  let k = Array.length arms and b = hi - lo in
+  let chunk = max 1 (b * k / tasks_per_call) in
+  let chunk = if chunk >= k then chunk / k * k else chunk in
+  let out = Array.make_matrix k b None in
+  let trial c = lo + (c / k) in
+  ignore
+    (Parallel.map_range ~jobs ~chunk_size:chunk ~lo:0 ~hi:(b * k) (fun ~lo:c0 ~hi:c1 ->
+         Otrace.with_span ~cat:"mc"
+           ~args:[ ("lo", string_of_int (trial c0)); ("hi", string_of_int (trial (c1 - 1) + 1));
+                   ("plays", string_of_int (c1 - c0)) ]
+           "mc.plays"
+           (fun () ->
+             let prelude = ref (trial_prepare ~protocol ~env ~prefix (trial c0)) in
+             for c = c0 to c1 - 1 do
+               if c > c0 && c mod k = 0 then
+                 prelude := trial_prepare ~protocol ~env ~prefix (trial c);
+               out.(c mod k).(c / k) <-
+                 trial_play ~overrides ~inject ~adversary:arms.(c mod k) ~func ~gamma !prelude
+             done)));
+  out
 
-(* Chunk size is a fixed constant (never derived from the job count): chunk
-   boundaries, and hence the merge tree, depend only on the trial range, so
-   the final numbers are bit-identical for any [jobs]. *)
+(* Chunk size is a fixed constant, never derived from the job count or
+   from where the loop cut its tasks: chunk boundaries, and hence the
+   merge tree, depend only on the number of observations, so the final
+   numbers are bit-identical for any [jobs]. *)
 let chunk_size = 64
 
-let run_range ~overrides ~inject ~protocol ~adversary ~func ~gamma ~env ~seed ~jobs ~lo ~hi =
-  Metrics.incr c_ranges;
-  Metrics.observe h_range_trials (float_of_int (hi - lo));
-  Otrace.with_span ~cat:"mc"
-    ~args:[ ("lo", string_of_int lo); ("hi", string_of_int hi) ]
-    "mc.range"
-    (fun () ->
-      let prefix = trial_seed_prefix seed in
-      let chunks =
-        Parallel.map_range ~jobs ~chunk_size ~lo ~hi (fun ~lo ~hi ->
-            Otrace.with_span ~cat:"mc" "mc.chunk" (fun () ->
-                Metrics.incr c_chunks;
-                let a = acc_create () in
-                for i = lo to hi - 1 do
-                  run_trial ~overrides ~inject ~protocol ~adversary ~func ~gamma ~env ~prefix
-                    a i
-                done;
-                a))
-      in
-      List.fold_left acc_merge (acc_create ()) chunks)
+let fold_chunks ~create ~merge n add =
+  let rec go acc lo =
+    if lo >= n then acc
+    else begin
+      let c = create () in
+      for i = lo to min n (lo + chunk_size) - 1 do
+        add c i
+      done;
+      go (merge acc c) (lo + chunk_size)
+    end
+  in
+  go (create ()) 0
 
 (* The fault budget is a loudness guard, not smoothing: excluding trials
    conditions the estimator on "the trial completed", which is sound only
    while faults are rare.  Past [budget] (a fraction of attempted trials)
    the estimate is refused outright. *)
-let check_budget ~fault_budget a =
-  if a.faulted > 0 then begin
-    let attempted = a.count + a.faulted in
+let check_fault_budget ~fault_budget ~completed ~faulted =
+  if faulted > 0 then begin
+    let attempted = completed + faulted in
     (* Zero completed trials means there is no mean to report, so even a
        budget of 1.0 cannot save the estimate. *)
-    if
-      a.count = 0
-      || float_of_int a.faulted > fault_budget *. float_of_int attempted
-    then raise (Fault_budget_exceeded { faulted = a.faulted; attempted; budget = fault_budget })
+    if completed = 0 || float_of_int faulted > fault_budget *. float_of_int attempted then
+      raise (Fault_budget_exceeded { faulted; attempted; budget = fault_budget })
   end
 
-let estimate ?(overrides = Events.no_overrides) ?(jobs = Parallel.default_jobs) ?inject
-    ?(fault_budget = 0.1) ~protocol ~adversary ~func ~gamma ~env ~trials ~seed () =
+let observe a o =
+  acc_observe a ~payoff:o.t_payoff ~event:o.t_event ~n_corrupted:o.t_corrupted
+    ~breach:o.t_breach
+
+(* One arm's observations of trials [0, n): folded in 64-trial chunks,
+   held to the fault budget, then one progress point to the current
+   scope's sink.  The sink never touches an RNG or the loop, and a raising
+   sink is contained (fatal exceptions still propagate), so telemetry can
+   never change or kill an estimate. *)
+let arm_estimate ~fault_budget obs =
+  let a =
+    fold_chunks ~create:acc_create ~merge:acc_merge (Array.length obs) (fun a i ->
+        match obs.(i) with Some o -> observe a o | None -> a.faulted <- a.faulted + 1)
+  in
+  check_fault_budget ~fault_budget ~completed:a.count ~faulted:a.faulted;
+  (try
+     Fair_obs.Scope.progress
+       { Fair_obs.Scope.after = a.count;
+         batch = a.count;
+         running_mean = a.mean;
+         running_std_err = acc_std_err a }
+   with e when not (Engine.fatal e) -> ());
+  acc_finalize a
+
+(* The zoo plays on one prelude per trial, as a racing round's survivors
+   do; the members are then folded, budget-checked and reported in zoo
+   order.  An estimate is the supremum of a one-member zoo. *)
+let best_response ?(overrides = Events.no_overrides) ?jobs ?inject ?(fault_budget = 0.1)
+    ~protocol ~adversaries ~func ~gamma ~env ~trials ~seed () =
+  if adversaries = [] then invalid_arg "Montecarlo.best_response: empty zoo";
   if trials < 1 then invalid_arg "Montecarlo.estimate: trials < 1";
   if fault_budget < 0.0 || fault_budget > 1.0 then
     invalid_arg "Montecarlo.estimate: fault_budget outside [0,1]";
-  let a =
-    run_range ~overrides ~inject ~protocol ~adversary ~func ~gamma ~env ~seed ~jobs ~lo:0
-      ~hi:trials
+  let arms = Array.of_list adversaries in
+  let obs =
+    plays ?inject ?jobs ~overrides ~protocol ~func ~gamma ~env ~seed arms ~lo:0 ~hi:trials
   in
-  check_budget ~fault_budget a;
-  fire_progress
-    { Fair_obs.Scope.after = a.count;
-      batch = a.count;
-      running_mean = a.mean;
-      running_std_err = acc_std_err a };
-  acc_finalize a
+  let scored = Array.mapi (fun j a -> (a, arm_estimate ~fault_budget obs.(j))) arms in
+  Array.fold_left
+    (fun (ba, be) (a, e) -> if e.utility > be.utility then (a, e) else (ba, be))
+    scored.(0) scored
+
+let estimate ?overrides ?jobs ?inject ?fault_budget ~protocol ~adversary ~func ~gamma ~env
+    ~trials ~seed () =
+  snd
+    (best_response ?overrides ?jobs ?inject ?fault_budget ~protocol ~adversaries:[ adversary ]
+       ~func ~gamma ~env ~trials ~seed ())
 
 (* ------------------------------------------------------------------ *)
 (* Public incremental accumulation: the racer (Fair_search) grows per-arm
@@ -348,14 +383,13 @@ module Acc = struct
   let std_err = acc_std_err
   let finalize = acc_finalize
 
-  (* Same bookkeeping [estimate]'s inner loop applies to a faulted trial:
-     callers that drive trials themselves (the paired racer) use this so
+  (* Same bookkeeping [estimate]'s fold applies to a faulted trial:
+     callers that fold trials themselves (the paired racer) use this so
      their finalized estimates carry honest [trial_faults]. *)
   let record_fault a = a.faulted <- a.faulted + 1
 end
 
-(* Public face of the trial hook, used by {!Crn} to drive paired designs
-   through the exact per-trial stream [estimate] uses. *)
+(* Public face of the trial loop, used by {!Crn} and the racer. *)
 module Trial = struct
   type obs = trial_obs = {
     t_payoff : float;
@@ -372,16 +406,8 @@ module Trial = struct
   let play ~overrides ~adversary ~func ~gamma prelude =
     trial_play ~overrides ~inject:None ~adversary ~func ~gamma prelude
 
-  let run ?(overrides = Events.no_overrides) ?inject ~protocol ~adversary ~func ~gamma ~env
-      ~prefix i =
-    observe_trial ~overrides ~inject ~protocol ~adversary ~func ~gamma ~env ~prefix i
-
-  (* Fold one observation into an accumulator with the full event
-     bookkeeping [estimate]'s inner loop applies — so an accumulator grown
-     trial-by-trial finalizes to the same estimate a batched run yields. *)
-  let observe a (o : obs) =
-    acc_observe a ~payoff:o.t_payoff ~event:o.t_event ~n_corrupted:o.t_corrupted
-      ~breach:o.t_breach
+  let plays = plays
+  let observe = observe
 end
 
 let estimate_with_cost e ~cost =
@@ -391,24 +417,3 @@ let estimate_with_cost e ~cost =
       0.0 e.corrupted_counts
   in
   e.utility -. penalty
-
-let best_response ?(overrides = Events.no_overrides) ?(jobs = Parallel.default_jobs) ?inject
-    ?fault_budget ~protocol ~adversaries ~func ~gamma ~env ~trials ~seed () =
-  match adversaries with
-  | [] -> invalid_arg "Montecarlo.best_response: empty zoo"
-  | _ ->
-      (* Zoo members race on worker slots: each estimate is itself
-         jobs-invariant, so scoring them through the pool returns the same
-         numbers as the sequential scan (inner estimates degrade to the
-         caller's domain while the pool is busy with the zoo). *)
-      let scored =
-        Parallel.map_list ~jobs
-          (fun adversary ->
-            ( adversary,
-              estimate ~overrides ~jobs ?inject ?fault_budget ~protocol ~adversary ~func ~gamma
-                ~env ~trials ~seed () ))
-          adversaries
-      in
-      List.fold_left
-        (fun (ba, be) (a, e) -> if e.utility > be.utility then (a, e) else (ba, be))
-        (List.hd scored) (List.tl scored)

@@ -5,11 +5,15 @@
     Each trial derives an independent generator from the master seed
     ([mc:<seed>:<i>]), draws environment inputs, runs the engine, classifies
     the execution, and accumulates per-event counts.  Because trial [i]
-    depends only on [(seed, i)], trials are embarrassingly parallel: the
-    range is split into fixed-size chunks executed across up to [jobs]
-    domains (see {!Parallel}), and the per-chunk accumulators are merged in
-    chunk-index order.  {b Determinism guarantee:} the same [seed] and trial
-    schedule produce bit-identical estimates for every value of [jobs].
+    depends only on [(seed, i)], trials are embarrassingly parallel.  One
+    loop plays them all ({!Trial.plays}): every estimate, zoo supremum,
+    paired leg ({!Crn}) and racing round cuts its (trial, arm) cells into
+    about 16 pool tasks (see {!Parallel}) and builds each trial's prelude
+    once for the arms it plays.  Each arm's observations are then folded
+    in fixed 64-trial chunks, merged in chunk order ({!fold_chunks}), so no
+    number depends on where the pool cut its tasks.  {b Determinism
+    guarantee:} the same [seed] and trial schedule produce bit-identical
+    estimates for every value of [jobs].
 
     Estimates carry the standard error of the utility so bound checks can be
     phrased as "≤ bound + 3σ" — the finite-sample reading of the paper's
@@ -84,7 +88,7 @@ val estimate :
     the mean rather than aborting the estimate; which trials fault is a
     deterministic function of (seed, i), so faulted estimates remain
     jobs-invariant.  [fault_budget] (default [0.1]) is the tolerated
-    faulted fraction of attempted trials.  Once the trials are merged, one
+    faulted fraction of attempted trials.  Once the trials are folded, one
     {!Fair_obs.Scope.progress} point goes to the current scope's sink; a
     non-fatal raise there is ignored.
 
@@ -92,12 +96,24 @@ val estimate :
     [0,1].
     @raise Fault_budget_exceeded past the budget. *)
 
+(** {2 Folding observations} *)
+
+val fold_chunks : create:(unit -> 'a) -> merge:('a -> 'a -> 'a) -> int -> ('a -> int -> unit) -> 'a
+(** [fold_chunks ~create ~merge n add] is how every estimate (and
+    {!Crn.paired}) folds observations [0 .. n-1]: [add c i] into a fresh
+    [c = create ()] per chunk [\[64j, 64j + 64)], then the chunks merged
+    left to right into [create ()].  The merge tree depends only on [n]. *)
+
+val check_fault_budget : fault_budget:float -> completed:int -> faulted:int -> unit
+(** The fault-budget rule of {!estimate}: raises {!Fault_budget_exceeded}
+    when [faulted > fault_budget · (completed + faulted)], or when some
+    trial faulted and none completed. *)
+
 (** {2 Incremental accumulation}
 
-    The best-response racer ([Fair_search.Racing]) grows per-arm
-    estimates trial by trial.  {!Acc.t} is the same Welford/Chan
-    accumulator {!estimate} uses internally; {!Trial.observe} folds one
-    trial into it. *)
+    The racer ([Fair_search.Racing]) grows per-arm estimates trial by
+    trial in {!Acc.t}, the accumulator {!estimate} folds its chunks into,
+    through {!Trial.observe}. *)
 
 module Acc : sig
   type t
@@ -111,23 +127,18 @@ module Acc : sig
       observations). *)
 
   val record_fault : t -> unit
-  (** Count one faulted (excluded) trial, as {!estimate}'s inner loop does
-      — callers that drive trials themselves keep [trial_faults] honest. *)
+  (** Count one faulted (excluded) trial, as {!estimate}'s fold does —
+      callers that fold trials themselves keep [trial_faults] honest. *)
 
   val finalize : t -> estimate
 end
 
-(** {2 Single-trial hook}
+(** {2 The trial loop}
 
-    {!Crn} (common-random-numbers pairing) and the paired racer need to
-    observe the {e same} (seed, i) trial stream under several
-    configurations.  [Trial.run] executes exactly the trial {!estimate}
-    would run for index [i] — same seeding, same env/exec/faults splits,
-    same classification — and returns the observation instead of folding
-    it into an accumulator.  It is [play (prepare …)]: {!Trial.prepare}
-    builds the adversary-independent half of trial [i] once, and
-    {!Trial.play} runs one adversary against it, so several adversaries
-    can share one prelude (see {!Engine.prepare} for what that asks of a
+    {!Trial.plays} plays the arms of every estimate, zoo supremum, CRN leg
+    and racing round on one (seed, i) trial stream: per (arm, trial) it is
+    [play (prepare …)], with each trial's prelude shared by the arms
+    played on it (see {!Engine.prepare} for what that asks of a
     protocol). *)
 
 module Trial : sig
@@ -165,7 +176,7 @@ module Trial : sig
       functionality and the adversary instance are built afresh for every
       play, so plays of one prelude are independent as long as the
       protocol's party machines are persistent.  Injects no faults
-      ({!run}'s [?inject] does).  A keyed adversary whose play the prelude
+      ({!plays}' [?inject] does).  A keyed adversary whose play the prelude
       has already run gets that outcome back ({!Engine.run_prepared}), and
       then its observation too: the prelude remembers the observation of
       every outcome it classified (by physical identity), so the repeat
@@ -176,28 +187,44 @@ module Trial : sig
       (and one [mc.trial_faults]) when the prelude, the play or its
       classification raised. *)
 
-  val run :
-    ?overrides:Events.overrides ->
+  val plays :
     ?inject:(Rng.t -> Engine.injector) ->
+    ?jobs:int ->
+    overrides:Events.overrides ->
     protocol:Protocol.t ->
-    adversary:Adversary.t ->
     func:Func.t ->
     gamma:Payoff.t ->
     env:environment ->
-    prefix:string ->
-    int ->
-    obs option
-  (** [play (prepare ~protocol ~env ~prefix i)].  [None] when the trial
-      raised (trial-level isolation; metric [mc.trial_faults] is bumped).
-      Callers own fault accounting and budgets.  Every trial, here or in
-      {!estimate}, counts one [mc.trials]. *)
+    seed:int ->
+    Adversary.t array ->
+    lo:int ->
+    hi:int ->
+    obs option array array
+  (** [plays ~seed arms ~lo ~hi] is one array per arm, in arm order: the
+      arm's observations of trials [\[lo, hi)] of the grid [seed_prefix
+      seed], in trial order ([None]: the trial faulted; callers own fault
+      budgets).  Arm [a]'s trial [t] is [play (prepare … t)], with faults
+      injected from the trial's ["faults"] split when [inject] is given.
+      Every arm of a call must serve one target (see {!prepare}).
+
+      The (trial, arm) cells are walked trial-major in about 16 chunks on
+      {!Parallel.map_range} (up to [jobs] domains, default
+      {!Parallel.default_jobs}): whole trials when a
+      chunk holds at least one, so a call of 16 trials or more builds each
+      prelude once; a shorter call (at budget 2000, the n-party targets'
+      racing rounds of 10 trials and of 1) splits a trial's arms between
+      chunks.  Keyed arms that play the same coalition on one prelude
+      share one execution and classification (never under [inject]).  The
+      chunks depend only on the call's shape, so the observations and the
+      work done (e.g. [sha256.blocks], [engine.executions]) are the same
+      at any [jobs].  One [mc.plays] span per chunk. *)
 
   val observe : Acc.t -> obs -> unit
   (** Fold one observation into an accumulator with the full event
-      bookkeeping {!estimate}'s inner loop applies, so an accumulator grown
-      trial-by-trial finalizes to the same estimate a batched run yields
-      (observations must be fed in trial order for bit-identical
-      results). *)
+      bookkeeping {!estimate}'s fold applies.  Grown trial by trial, an
+      accumulator is Welford over every observation, not {!estimate}'s
+      merged 64-trial chunks: the two agree bit for bit only up to 64
+      observations.  Racer standings and certificates are in this form. *)
 end
 
 val estimate_with_cost : estimate -> cost:(int -> float) -> float
@@ -218,6 +245,9 @@ val best_response :
   unit ->
   Adversary.t * estimate
 (** sup over a finite adversary zoo: the strategy with the highest measured
-    utility, with ties broken by listing order.  The optional arguments
-    are passed through to each per-adversary {!estimate}.
-    @raise Invalid_argument on an empty zoo. *)
+    utility, with ties broken by listing order.  The zoo plays in one
+    {!Trial.plays} call, one prelude per trial, and each member's estimate
+    is its own {!estimate}, bit for bit.  The members are budget-checked
+    and report one progress point each in zoo order, so the first member
+    past its budget raises.  The optional arguments are {!estimate}'s.
+    @raise Invalid_argument on an empty zoo, or as {!estimate} does. *)

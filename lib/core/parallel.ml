@@ -6,12 +6,13 @@ let default_jobs = max 1 (Domain.recommended_domain_count ())
 (* ------------------------------------------------------------------ *)
 (* Persistent worker pool.
 
-   [Domain.spawn] costs tens of microseconds — more than a whole 64-trial
-   Monte-Carlo chunk — and the racing scheduler calls [run_tasks] once per
-   round, many times per race.  So worker domains are spawned once,
-   lazily, on the first parallel call that wants them, then parked on a
-   condition variable between calls and fed subsequent task batches
-   through a shared job box.  They are joined at process exit.
+   [Domain.spawn] costs tens of microseconds — more than a whole
+   Monte-Carlo task — and the trial loop calls [run_tasks] once per call,
+   which is once per racing round, many times per race.  So worker
+   domains are spawned once, lazily, on the first parallel call that wants
+   them, then parked on a condition variable between calls and fed
+   subsequent task batches through a shared job box.  They are joined at
+   process exit.
 
    Scheduling is unchanged from the spawn-per-call implementation: each
    participant (the caller plus the workers) repeatedly claims the next
@@ -19,11 +20,12 @@ let default_jobs = max 1 (Domain.recommended_domain_count ())
    slot array indexed by task — output order is task order no matter which
    domain ran what, so the determinism contract of [map_range] holds.
 
-   The pool serves one [run_tasks] at a time.  A nested or concurrent call
-   (a task that itself calls [run_tasks], or an estimate running inside a
-   racing arm) detects that the pool is busy with a non-blocking try-lock
-   and simply runs inline on the calling domain — nesting can never
-   deadlock, it just degrades to sequential at the inner level. *)
+   The pool serves one [run_tasks] at a time.  A concurrent call (two
+   service workers computing at once) or a nested one (a task that itself
+   calls [run_tasks]; nothing in the library does) detects that the pool
+   is busy with a non-blocking try-lock and simply runs inline on the
+   calling domain — it can never deadlock, it just degrades to
+   sequential. *)
 
 type job = {
   run : int -> unit;       (* execute task [i] and record its result *)
@@ -32,11 +34,15 @@ type job = {
 }
 
 (* Per-participant accounting.  Each worker owns one [wstat] and is its
-   only writer: tasks/busy are stored after each drain (and made visible to
-   the caller by the job's completion atomics), idle is stored around the
-   park.  The caller slot is owned by whichever domain holds [pool_busy],
-   which serializes its writers.  Reads ([pool_stats]) therefore see exact
-   values at quiescent points and monotone approximations mid-batch. *)
+   only writer.  A task is counted when it is claimed, before it runs, so
+   the completion that ends a batch (the [pending] decrement the caller
+   waits on) publishes every claim of the batch.  Busy time is stored
+   after each drain, which can end after the caller has already woken, and
+   idle time around the park.  The caller slot is owned by whichever
+   domain holds [pool_busy], which serializes its writers.  Reads
+   ([pool_stats]) therefore see exact task counts once a batch has
+   returned, and times that are exact at quiescent points and monotone
+   approximations mid-batch. *)
 type wstat = {
   mutable s_tasks : int;
   mutable s_busy_ns : int;
@@ -64,16 +70,15 @@ let pool_busy = Mutex.create ()
 
 let drain ws (j : job) =
   let t0 = Clock.now_ns () in
-  let rec go k =
+  let rec go () =
     let i = Atomic.fetch_and_add j.next 1 in
     if i < j.n then begin
+      ws.s_tasks <- ws.s_tasks + 1;
       j.run i;
-      go (k + 1)
+      go ()
     end
-    else k
   in
-  let claimed = go 0 in
-  ws.s_tasks <- ws.s_tasks + claimed;
+  go ();
   ws.s_busy_ns <- ws.s_busy_ns + (Clock.now_ns () - t0)
 
 let rec worker_loop ws last_gen =
@@ -225,7 +230,3 @@ let map_range ~jobs ~chunk_size ~lo ~hi f =
     run_tasks ~jobs ~n (fun k ->
         let clo = lo + (k * chunk_size) in
         f ~lo:clo ~hi:(min (clo + chunk_size) hi))
-
-let map_list ~jobs f xs =
-  let arr = Array.of_list xs in
-  run_tasks ~jobs ~n:(Array.length arr) (fun i -> f arr.(i))

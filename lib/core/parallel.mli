@@ -4,9 +4,10 @@
     Worker domains are spawned lazily on the first call that wants them,
     parked on a condition variable between calls, fed later task batches
     through a shared atomic queue, and joined at process exit — so the
-    per-call cost of [map_range]/[map_list] is a broadcast, not a
-    [Domain.spawn]/[join] round trip.  This matters because the racing
-    scheduler issues one small batch per round, many per race.
+    per-call cost of [map_range] is a broadcast, not a
+    [Domain.spawn]/[join] round trip.  This matters because the trial loop
+    ({!Montecarlo.Trial.plays}) issues one small batch per call, and the
+    racer one call per round, many per race.
 
     The contract that makes Monte-Carlo results bit-identical at any
     parallelism: work is split into {e fixed-size chunks whose boundaries
@@ -17,9 +18,10 @@
     count only decides which domain computes a chunk, not the shape of the
     reduction.
 
-    The pool serves one call at a time: a nested or concurrent call
-    (e.g. an estimate running inside a racing arm) runs inline on the
-    calling domain instead of waiting, so nesting can never deadlock.
+    The pool serves one call at a time: a concurrent call (e.g. two
+    service workers computing at once) or a nested one (a task that itself
+    calls [map_range]; the library makes none) runs inline on the calling
+    domain instead of waiting, so it can never deadlock.
 
     The pool is instrumented: per-participant task/busy/idle accounting is
     always on (a handful of monotonic-clock reads per batch — see
@@ -47,15 +49,12 @@ val map_range :
     pool, once the batch has completed).
     @raise Invalid_argument if [chunk_size < 1]. *)
 
-val map_list : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map_list ~jobs f xs] is [List.map f xs] computed on up to [jobs]
-    domains, results in input order.  Same exception semantics as
-    {!map_range}. *)
-
 (** {2 Pool observability} *)
 
 type worker_stats = {
-  tasks : int;  (** tasks claimed from the shared counter *)
+  tasks : int;
+      (** tasks claimed from the shared counter, counted at the claim:
+          exact as soon as the batch has returned *)
   busy_ns : int;  (** monotonic ns spent inside [drain] (executing tasks) *)
   idle_ns : int;
       (** workers: ns parked between jobs; caller: ns waiting for
@@ -72,7 +71,8 @@ type stats = {
       (** parallel [run_tasks] calls ([jobs > 1], [n > 1]) that degraded
           to the calling domain because the pool was busy serving another
           batch.  A persistently non-zero value on a multi-core host means
-          the outer parallelism is swallowing the inner fan-out. *)
+          concurrent computations (the service's workers) are contending
+          for the pool. *)
   caller : worker_stats;
       (** aggregated over every domain that led a pooled batch *)
   workers : worker_stats list;  (** in spawn order *)

@@ -38,11 +38,3 @@ let passive =
     make = (fun _rng ~protocol:_ -> { initial = []; step = (fun _ -> silent_decision) }) }
 
 let make ?key ~name make = { name; key; make }
-
-let static ~name ~corrupt step =
-  { name;
-    key = None;
-    make =
-      (fun rng ~protocol ->
-        let initial = corrupt rng ~n:protocol.Protocol.parties in
-        { initial; step = step rng ~protocol ~corrupt:initial }) }

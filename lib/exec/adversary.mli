@@ -70,12 +70,3 @@ val make :
   ?key:string -> name:string -> (Fair_crypto.Rng.t -> protocol:Protocol.t -> instance) -> t
 (** [key] (default none) must keep {!t.key}'s contract: give one only to an
     adversary that draws no coin after choosing its initial coalition. *)
-
-val static :
-  name:string ->
-  corrupt:(Fair_crypto.Rng.t -> n:int -> Wire.party_id list) ->
-  (Fair_crypto.Rng.t -> protocol:Protocol.t -> corrupt:Wire.party_id list -> view -> decision) ->
-  t
-(** Static corruption pattern plus a per-round step; the step closure may
-    carry state via references created in an enclosing [make].  Unkeyed:
-    the step receives the generator. *)

@@ -34,7 +34,8 @@ type buf = {
 
 let lock = Mutex.create ()
 let bufs : buf list ref = ref []
-let max_events = Atomic.make 4_000_000
+let default_max_events = 4_000_000
+let max_events = Atomic.make default_max_events
 
 let buf_key =
   Dls.new_key (fun () ->
@@ -50,10 +51,8 @@ let buf_key =
       Mutex.unlock lock;
       b)
 
-let enable ?max_events_per_domain () =
-  (match max_events_per_domain with
-  | Some m -> Atomic.set max_events (max 1 m)
-  | None -> ());
+let enable ?(max_events_per_domain = default_max_events) () =
+  Atomic.set max_events (max 1 max_events_per_domain);
   Atomic.set on true
 
 let disable () = Atomic.set on false

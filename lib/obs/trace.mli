@@ -44,8 +44,10 @@ type event = {
 val enabled : unit -> bool
 
 val enable : ?max_events_per_domain:int -> unit -> unit
-(** Start recording.  Previously recorded events are kept; call {!clear}
-    first for a fresh trace. *)
+(** Start recording, with each domain's buffer bounded at
+    [max_events_per_domain] (default 4M; an earlier call's bound does not
+    carry over).  Previously recorded events are kept; call {!clear} first
+    for a fresh trace. *)
 
 val disable : unit -> unit
 (** Stop recording; buffered events stay available to {!export}. *)

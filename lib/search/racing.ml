@@ -1,6 +1,5 @@
 module Mc = Fairness.Montecarlo
 module Crn = Fairness.Crn
-module Parallel = Fairness.Parallel
 
 (* Observability: the round log and the metrics/span hooks below read only
    the deterministically-merged accumulators — no RNG, no scheduling input —
@@ -146,8 +145,9 @@ let race_paired ~arms ~pull ~budget () =
           covered := hi;
           spent := !spent + (b * survivors);
           (* The incumbent is the best marginal lower bound (ties to the
-             lower index); marginals are bit-identical to a plain estimate
-             of the arm over the same trial indices. *)
+             lower index).  A marginal is Welford over the arm's trials in
+             order, not [Mc.estimate]'s 64-trial chunks merged: the two
+             agree bit for bit only up to 64 trials. *)
           let incumbent =
             List.fold_left
               (fun best i -> if lcb i > lcb best then i else best)
@@ -246,49 +246,13 @@ type target = {
   overrides : Fairness.Events.overrides;
 }
 
-(* Pool tasks per round.  At budget 2000 the n-party targets race ~200
-   arms on a round of 10 trials and then one of 1, so chunks of trials
-   alone would give those rounds 10 uneven tasks and then 1; chunks of
-   (trial, arm) cells give every round about this many.  A round of at
-   least this many trials — every round the remaining budget does not
-   cut short — is cut into whole trials, so each prelude is built once. *)
-let chunks_per_round = 16
-
-(* One seed prefix for the whole race: trial [t] of every arm shares its
+(* One seed grid for the whole race: trial [t] of every arm shares its
    environment draws and per-trial randomness, which is the grid contract
-   [race_paired] needs — and because the adversary-independent half of a
-   trial does not depend on the arm, a chunk builds it once per trial
-   ([Mc.Trial.prepare]) and shares it among the arms it plays, so only
-   the preludes of chunks in flight are alive.  A round's cells are
-   walked trial-major (cell [c] is survivor [c mod k] on trial
-   [lo + c / k]), in chunks of whole trials when a chunk holds at least
-   one trial.  Each observation depends on (arm, trial) alone and lands
-   in its own cell, and the chunks depend only on the round's shape, so
-   the batches are the same at any [jobs], and so are the executions,
-   the messages and the machine steps a chunk's arms share. *)
+   [race_paired] needs, and each round's survivors are played by the one
+   trial loop, which builds each trial's prelude once for the arms it
+   plays. *)
 let race_target ~jobs ~target ~arms ~budget ~seed =
   let { protocol; func; gamma; env; overrides } = target in
-  let prefix = Mc.Trial.seed_prefix seed in
-  let pull survivors ~lo ~hi =
-    let k = Array.length survivors and b = hi - lo in
-    let chunk = max 1 (b * k / chunks_per_round) in
-    let chunk = if chunk >= k then chunk / k * k else chunk in
-    let out = Array.make_matrix k b None in
-    let trial c = lo + (c / k) in
-    ignore
-      (Parallel.map_range ~jobs ~chunk_size:chunk ~lo:0 ~hi:(b * k) (fun ~lo:c0 ~hi:c1 ->
-           Otrace.with_span ~cat:"race"
-             ~args:[ ("lo", string_of_int (trial c0)); ("hi", string_of_int (trial (c1 - 1) + 1));
-                     ("plays", string_of_int (c1 - c0)) ]
-             "race.pull"
-             (fun () ->
-               let prelude = ref (Mc.Trial.prepare ~protocol ~env ~prefix (trial c0)) in
-               for c = c0 to c1 - 1 do
-                 if c > c0 && c mod k = 0 then
-                   prelude := Mc.Trial.prepare ~protocol ~env ~prefix (trial c);
-                 out.(c mod k).(c / k) <-
-                   Mc.Trial.play ~overrides ~adversary:survivors.(c mod k) ~func ~gamma !prelude
-               done)));
-    out
-  in
-  race_paired ~arms ~pull ~budget ()
+  race_paired ~arms ~budget ()
+    ~pull:(fun survivors ~lo ~hi ->
+      Mc.Trial.plays ~jobs ~overrides ~protocol ~func ~gamma ~env ~seed survivors ~lo ~hi)

@@ -22,11 +22,10 @@
     batches are merged in arm order on the scheduling domain, and every
     decision reads the merged accumulators — so the whole race (and any
     certificate derived from it) is bit-identical for every [jobs] value.
-    {!race_target} pulls trial-major: chunks of a round's (trial, arm)
-    cells run on the pool ({!Fairness.Parallel.map_range}), and a chunk
-    builds each of its trials' adversary-independent prelude once and
-    plays its arms on it; parallelism only decides which domain evaluates
-    which chunk. *)
+    {!race_target} pulls each round through the one trial loop
+    ({!Mc.Trial.plays}), which builds each trial's adversary-independent
+    prelude once and plays the survivors on it; parallelism only decides
+    which domain evaluates which cells. *)
 
 module Mc = Fairness.Montecarlo
 
@@ -78,13 +77,16 @@ val race_paired :
     arms in arm order, and must return one array per survivor, in the
     same order: the observations of trials [\[lo, hi)] of the {e shared}
     grid under that arm ([None] = the trial faulted, as from
-    {!Mc.Trial.run}).  Trial [t] must derive its environment and per-trial
-    randomness from [t] alone — identical across arms — which is exactly
-    what driving {!Mc.Trial.run} with one [seed_prefix] for every arm
-    gives, and an arm's observation must not depend on which other arms
-    were pulled with it.  Ranges are contiguous and increasing; all live
-    histories cover the same grid prefix.  Parallelism, if any, is the
-    pull's business.
+    {!Mc.Trial.plays}).  Trial [t] must derive its environment and
+    per-trial randomness from [t] alone — identical across arms — which is
+    exactly what {!Mc.Trial.plays} on one [seed] gives, and an arm's
+    observation must not depend on which other arms were pulled with it.
+    Ranges are contiguous and increasing; all live histories cover the
+    same grid prefix.  Parallelism, if any, is the pull's business.
+
+    Each arm's standing is its observations folded trial by trial
+    ({!Mc.Trial.observe}), which equals {!Mc.estimate} over the same
+    trials bit for bit only up to 64 of them (see {!Mc.Trial.observe}).
 
     Scheduling: doubling batches from a first batch of
     [min 64 (max 16 (budget / 4k))] for [k] arms (shrunk so wide spaces get
@@ -133,21 +135,13 @@ val race_target :
   seed:int ->
   Fair_exec.Adversary.t outcome
 (** {!race_paired} of [arms] against [target] on the shared grid
-    [Mc.Trial.seed_prefix seed]: arm [a]'s trial [t] equals
-    [Mc.Trial.run ~adversary:a ~prefix t], so the race is reproducible from
-    [seed] alone.  A round's (trial, survivor) cells are walked
-    trial-major in about 16 chunks on {!Fairness.Parallel.map_range} (up
-    to [jobs] domains): whole trials when a chunk holds at least one, so
-    a round of 16 trials or more builds each prelude once, while a
-    shorter round (at budget 2000, the n-party targets' rounds of 10
-    trials and of 1) splits a trial's survivors between chunks to stay
-    spread over the domains.  Per trial a chunk builds the prelude ({!Mc.Trial.prepare})
-    once and plays its survivors on it ({!Mc.Trial.play}), so [mc.trials]
-    counts one per (arm, trial) while the inputs, the dealer's setup and
-    the honest machines are built once per trial and chunk, and arms that
+    [Mc.Trial.seed_prefix seed]: each round plays its survivors on trials
+    [\[lo, hi)] with one {!Mc.Trial.plays} call (up to [jobs] domains), so
+    the race is reproducible from [seed] alone.  The loop builds each
+    trial's prelude once per chunk of cells and plays the chunk's
+    survivors on it: [mc.trials] counts one per (arm, trial), arms that
     play the same keyed strategy on the same coalition share one
-    execution and one classification ([engine.*] counts it once).  The
-    chunks depend only on the round's shape, so the work done (e.g.
-    [sha256.blocks], [engine.executions]) is the same at any [jobs].  One [race.pull]
-    span per chunk.  Used by the registry searches and the γ/n grids
-    ([Fair_analysis.Experiments.searched], [gamma_grid], [n_grid]). *)
+    execution, and the work done (e.g. [sha256.blocks],
+    [engine.executions]) is the same at any [jobs].  Used by the registry
+    searches and the γ/n grids ([Fair_analysis.Experiments.searched],
+    [gamma_grid], [n_grid]). *)

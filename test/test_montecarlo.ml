@@ -93,6 +93,31 @@ let test_best_response_jobs_invariance () =
   Alcotest.(check string) "same winning strategy" a1.Adversary.name a4.Adversary.name;
   check_identical "best_response jobs 1 vs 4" e1 e4
 
+(* The zoo plays on one prelude per trial, yet every member's estimate is
+   its own: the progress points (one per member, in zoo order) carry each
+   member's solo utility, and the winner's estimate is its solo estimate
+   bit for bit.  [greedy] (a random party) shares its plays with the fixed
+   coalition it draws. *)
+let test_best_response_members_are_solo () =
+  let fixed c = Adv.greedy ~func:swap (Adv.Fixed [ c ]) in
+  let zoo = [ fixed 1; greedy; fixed 2 ] in
+  let env = Mc.uniform_field_inputs ~n:2 in
+  let solo adversary =
+    Mc.estimate ~jobs:2 ~protocol:proto ~adversary ~func:swap ~gamma:Payoff.default ~env
+      ~trials:150 ~seed:31 ()
+  in
+  let points = ref [] in
+  let scope = Fair_obs.Scope.create ~args:[] ~sink:(fun p -> points := p :: !points) in
+  let best, e =
+    Fair_obs.Scope.within (Some scope) (fun () ->
+        Mc.best_response ~jobs:2 ~protocol:proto ~adversaries:zoo ~func:swap
+          ~gamma:Payoff.default ~env ~trials:150 ~seed:31 ())
+  in
+  check_identical "winner = its solo estimate" (solo best) e;
+  Alcotest.(check (list (float 0.0))) "one progress point per member, in zoo order"
+    (List.map (fun a -> (solo a).Mc.utility) zoo)
+    (List.rev_map (fun p -> p.Fair_obs.Scope.running_mean) !points)
+
 let test_parallel_map_range () =
   let squares = Parallel.map_range ~jobs:3 ~chunk_size:4 ~lo:0 ~hi:10 (fun ~lo ~hi ->
       List.init (hi - lo) (fun i -> (lo + i) * (lo + i)))
@@ -100,8 +125,8 @@ let test_parallel_map_range () =
   Alcotest.(check (list int)) "chunk-ordered results" (List.init 10 (fun i -> i * i))
     (List.concat squares);
   Alcotest.(check bool) "empty range" true (Parallel.map_range ~jobs:2 ~chunk_size:8 ~lo:5 ~hi:5 (fun ~lo:_ ~hi:_ -> ()) = []);
-  Alcotest.(check (list int)) "map_list order" [ 2; 4; 6 ]
-    (Parallel.map_list ~jobs:2 (fun x -> 2 * x) [ 1; 2; 3 ])
+  Alcotest.(check (list int)) "one-element chunks in order" [ 2; 4; 6 ]
+    (Parallel.map_range ~jobs:2 ~chunk_size:1 ~lo:1 ~hi:4 (fun ~lo ~hi:_ -> 2 * lo))
 
 let test_parallel_exception () =
   match
@@ -120,6 +145,8 @@ let () =
         [ Alcotest.test_case "estimate is jobs-invariant" `Slow test_jobs_invariance;
           Alcotest.test_case "best_response is jobs-invariant" `Slow
             test_best_response_jobs_invariance;
+          Alcotest.test_case "best_response members are solo estimates" `Quick
+            test_best_response_members_are_solo;
           Alcotest.test_case "count lists are sorted" `Quick test_counts_sorted ] );
       ( "variance",
         [ Alcotest.test_case "Bessel-corrected std_err" `Quick test_bessel_corrected_std_err;

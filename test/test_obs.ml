@@ -452,7 +452,7 @@ let test_scope_follows_pool_tasks () =
     Scope.create ~args:[ ("trace_id", "pooled") ] ~sink:(fun _ -> Atomic.incr points)
   in
   let started = Atomic.make 0 in
-  let task _ =
+  let task () =
     Atomic.incr started;
     let t0 = Clock.now_ns () in
     while Atomic.get started < 2 && Clock.now_ns () - t0 < 10_000_000_000 do
@@ -461,13 +461,18 @@ let test_scope_follows_pool_tasks () =
     Trace.with_span ~cat:"t" "scoped-task" (fun () -> Metrics.incr c_items);
     Scope.progress { Scope.after = 1; batch = 1; running_mean = 0.; running_std_err = 0. }
   in
-  Scope.within (Some scope) (fun () -> ignore (Parallel.map_list ~jobs:2 task [ 0; 1 ]));
+  let two_tasks () =
+    ignore (Parallel.map_range ~jobs:2 ~chunk_size:1 ~lo:0 ~hi:2 (fun ~lo:_ ~hi:_ -> task ()))
+  in
+  Scope.within (Some scope) two_tasks;
   let in_scope = Metrics.scoped scope in
   (* the same work again, after the scope ended *)
   Atomic.set started 0;
-  ignore (Parallel.map_list ~jobs:2 task [ 0; 1 ]);
-  let evs = Trace.export () in
+  two_tasks ();
+  let evs = Trace.export () and dropped = Trace.dropped () in
   quiesce ();
+  (* A cap left by an earlier test would truncate the spans counted below. *)
+  Alcotest.(check int) "no span dropped" 0 dropped;
   let tasks = List.filter (fun (e : Trace.event) -> e.Trace.name = "scoped-task") evs in
   let scoped, unscoped =
     List.partition (fun (e : Trace.event) -> List.mem_assoc "trace_id" e.Trace.args) tasks
@@ -543,7 +548,7 @@ let test_racing_round_log () =
 
 let test_pool_stats () =
   let before = Parallel.pool_stats () in
-  ignore (Parallel.map_list ~jobs:4 (fun i -> i * i) (List.init 256 (fun i -> i)));
+  ignore (Parallel.map_range ~jobs:4 ~chunk_size:1 ~lo:0 ~hi:256 (fun ~lo ~hi:_ -> lo * lo));
   let after = Parallel.pool_stats () in
   Alcotest.(check bool) "batch counted" true
     (after.Parallel.pooled_batches > before.Parallel.pooled_batches);
@@ -573,11 +578,9 @@ let test_raising_task_counts_once () =
   let scope = Scope.create ~args:[] ~sink:ignore in
   (match
      Scope.within (Some scope) (fun () ->
-         Parallel.map_list ~jobs:2
-           (fun i ->
+         Parallel.map_range ~jobs:2 ~chunk_size:1 ~lo:0 ~hi:4 (fun ~lo ~hi:_ ->
              Metrics.incr c_items;
-             if i = 1 then raise Task_failed)
-           [ 0; 1; 2; 3 ])
+             if lo = 1 then raise Task_failed))
    with
   | _ -> Alcotest.fail "expected the task's exception"
   | exception Task_failed -> ());

@@ -10,6 +10,12 @@ module Adv = Fair_protocols.Adversaries
 
 (* ------------------------- basic semantics -------------------------- *)
 
+(* One pool task per element: [map_range] with chunks of one. *)
+let map_tasks ~jobs f xs =
+  let arr = Array.of_list xs in
+  Parallel.map_range ~jobs ~chunk_size:1 ~lo:0 ~hi:(Array.length arr) (fun ~lo ~hi:_ ->
+      f arr.(lo))
+
 let test_map_range_order () =
   let chunks = Parallel.map_range ~jobs:4 ~chunk_size:10 ~lo:3 ~hi:47 (fun ~lo ~hi -> (lo, hi)) in
   Alcotest.(check (list (pair int int)))
@@ -21,23 +27,23 @@ let test_map_range_order () =
     (Invalid_argument "Parallel.map_range: chunk_size < 1") (fun () ->
       ignore (Parallel.map_range ~jobs:2 ~chunk_size:0 ~lo:0 ~hi:1 (fun ~lo:_ ~hi:_ -> ())))
 
-let test_map_list_order () =
+let test_task_order () =
   let xs = List.init 100 (fun i -> i) in
   Alcotest.(check (list int)) "input order at jobs=4"
     (List.map (fun i -> i * i) xs)
-    (Parallel.map_list ~jobs:4 (fun i -> i * i) xs);
-  Alcotest.(check (list int)) "zero tasks" [] (Parallel.map_list ~jobs:4 (fun i -> i) [])
+    (map_tasks ~jobs:4 (fun i -> i * i) xs);
+  Alcotest.(check (list int)) "zero tasks" [] (map_tasks ~jobs:4 (fun i -> i) [])
 
 let test_jobs_agree () =
   let f i = (i * 7919) mod 101 in
   let xs = List.init 257 (fun i -> i) in
-  let seq = Parallel.map_list ~jobs:1 f xs in
+  let seq = map_tasks ~jobs:1 f xs in
   List.iter
     (fun jobs ->
       Alcotest.(check (list int))
         (Printf.sprintf "jobs=%d" jobs)
         seq
-        (Parallel.map_list ~jobs f xs))
+        (map_tasks ~jobs f xs))
     [ 2; 4; 16 ]
 
 (* ------------------------- pool lifecycle --------------------------- *)
@@ -45,7 +51,7 @@ let test_jobs_agree () =
 let test_pool_reuse () =
   (* Force a parallel call so workers exist, then check repeated calls do
      not spawn more: domains are pooled, not per-call. *)
-  ignore (Parallel.map_list ~jobs:4 (fun i -> i) (List.init 32 (fun i -> i)));
+  ignore (map_tasks ~jobs:4 (fun i -> i) (List.init 32 (fun i -> i)));
   let after_first = (Parallel.pool_stats ()).Parallel.spawned in
   (* Earlier tests may already have grown the pool (spawns are cumulative
      and monotone), so only a lower bound is meaningful here. *)
@@ -53,7 +59,7 @@ let test_pool_reuse () =
     (Printf.sprintf "at least one worker spawned (%d)" after_first)
     true (after_first >= 1);
   for _ = 1 to 50 do
-    ignore (Parallel.map_list ~jobs:4 (fun i -> i + 1) (List.init 32 (fun i -> i)))
+    ignore (map_tasks ~jobs:4 (fun i -> i + 1) (List.init 32 (fun i -> i)))
   done;
   Alcotest.(check int) "50 more calls spawn nothing" after_first
     (Parallel.pool_stats ()).Parallel.spawned
@@ -65,14 +71,14 @@ let test_exception_propagates () =
      serve later calls. *)
   (try
      ignore
-       (Parallel.map_list ~jobs:4
+       (map_tasks ~jobs:4
           (fun i -> if i mod 3 = 1 then raise (Boom i) else i)
           (List.init 64 (fun i -> i)));
      Alcotest.fail "expected Boom"
    with Boom i -> Alcotest.(check int) "first failing task" 1 i);
   Alcotest.(check (list int)) "pool usable after failure"
     [ 0; 2; 4 ]
-    (Parallel.map_list ~jobs:4 (fun i -> 2 * i) [ 0; 1; 2 ])
+    (map_tasks ~jobs:4 (fun i -> 2 * i) [ 0; 1; 2 ])
 
 let test_failing_task_runs_once () =
   (* Tasks are deterministic, so a raising task is never re-run: the batch
@@ -80,7 +86,7 @@ let test_failing_task_runs_once () =
   let n = 8 in
   let runs = Array.init n (fun _ -> Atomic.make 0) in
   (match
-     Parallel.map_list ~jobs:4
+     map_tasks ~jobs:4
        (fun i ->
          Atomic.incr runs.(i);
          if i = 3 then raise (Boom i) else i)
@@ -92,12 +98,12 @@ let test_failing_task_runs_once () =
     (Array.to_list (Array.map Atomic.get runs))
 
 let test_nested_no_deadlock () =
-  (* A task that itself calls [map_list] must not wait on the pool it is
+  (* A task that itself calls [map_range] must not wait on the pool it is
      running inside — the inner call degrades to the calling domain. *)
   let r =
-    Parallel.map_list ~jobs:4
+    map_tasks ~jobs:4
       (fun i ->
-        List.fold_left ( + ) 0 (Parallel.map_list ~jobs:4 (fun j -> (i * 10) + j) [ 0; 1; 2 ]))
+        List.fold_left ( + ) 0 (map_tasks ~jobs:4 (fun j -> (i * 10) + j) [ 0; 1; 2 ]))
       (List.init 16 (fun i -> i))
   in
   Alcotest.(check (list int)) "nested results"
@@ -152,7 +158,7 @@ let () =
   Alcotest.run "fair_parallel"
     [ ( "semantics",
         [ Alcotest.test_case "map_range chunking + order" `Quick test_map_range_order;
-          Alcotest.test_case "map_list order" `Quick test_map_list_order;
+          Alcotest.test_case "single-task chunks keep task order" `Quick test_task_order;
           Alcotest.test_case "all job counts agree" `Quick test_jobs_agree ] );
       ( "pool",
         [ Alcotest.test_case "workers reused across calls" `Quick test_pool_reuse;

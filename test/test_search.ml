@@ -271,9 +271,9 @@ module Machine = Fair_exec.Machine
 module Protocol = Fair_exec.Protocol
 module Wire = Fair_exec.Wire
 
-(* The racer's sharing contract: every arm played on one prelude of trial
-   [i], in arm order or in reverse, gives what [Trial.run] gives that arm
-   alone.  Returns how many plays differ. *)
+(* The trial loop's sharing contract: every arm played on one prelude of
+   trial [i], in arm order or in reverse, gives what that arm gives alone
+   on a fresh prelude of the trial.  Returns how many plays differ. *)
 let sharing_breaks ~reverse (t : Racing.target) arms ~prefix i =
   let { Racing.protocol; func; gamma; env; overrides } = t in
   let prelude = Mc.Trial.prepare ~protocol ~env ~prefix i in
@@ -286,7 +286,8 @@ let sharing_breaks ~reverse (t : Racing.target) arms ~prefix i =
   in
   let alone =
     List.map
-      (fun adversary -> Mc.Trial.run ~overrides ~protocol ~adversary ~func ~gamma ~env ~prefix i)
+      (fun adversary ->
+        Mc.Trial.play ~overrides ~adversary ~func ~gamma (Mc.Trial.prepare ~protocol ~env ~prefix i))
       arms
   in
   List.fold_left2 (fun n a b -> if a = b then n else n + 1) 0 alone shared
@@ -314,7 +315,7 @@ let test_registry_shares_preludes () =
           in
           let n = both_orders inst.E.target arms ~prefix in
           if n > 0 then
-            Alcotest.failf "%s: %d plays of a shared prelude differ from Trial.run" spec.E.eid n)
+            Alcotest.failf "%s: %d plays of a shared prelude differ from plays alone" spec.E.eid n)
     E.registry
 
 (* Negative control: a party machine that draws from its captured
@@ -562,6 +563,38 @@ let test_legitimate_once_per_coalition () =
       done)
     [ "E1"; "E5"; "E14" ]
 
+(* A race's standings are folded trial by trial ([Mc.Trial.observe]), not
+   in [Mc.estimate]'s 64-trial chunks merged: every E1 arm that pulled more
+   than 64 trials equals, bit for bit, an accumulator grown by
+   [Trial.observe] over its observations from the trial loop.  A replay of
+   a certificate has to reproduce exactly this arithmetic. *)
+let test_standing_is_trial_by_trial () =
+  let inst = (Option.get (Option.get (E.find "E1")).E.target) () in
+  let { Racing.protocol; func; gamma; env; overrides } = inst.E.target in
+  let arms = List.map (Space.compile inst.E.space) (Space.points inst.E.space) in
+  let o = Racing.race_target ~jobs:2 ~target:inst.E.target ~arms ~budget:2000 ~seed:42 in
+  let pulls (s : _ Racing.standing) =
+    s.Racing.estimate.Mc.trials + s.Racing.estimate.Mc.trial_faults
+  in
+  let long = List.filter (fun s -> pulls s > 64) o.Racing.standings in
+  if long = [] then Alcotest.fail "no arm pulled more than 64 trials";
+  List.iter
+    (fun (s : _ Racing.standing) ->
+      let acc = Mc.Acc.create () in
+      Array.iter
+        (function Some ob -> Mc.Trial.observe acc ob | None -> Mc.Acc.record_fault acc)
+        (Mc.Trial.plays ~jobs:1 ~overrides ~protocol ~func ~gamma ~env ~seed:42
+           [| s.Racing.arm |] ~lo:0 ~hi:(pulls s)).(0);
+      let e = Mc.Acc.finalize acc and r = s.Racing.estimate in
+      let bits x = Int64.bits_of_float x in
+      if
+        not (e = r && bits e.Mc.utility = bits r.Mc.utility && bits e.Mc.std_err = bits r.Mc.std_err)
+      then
+        Alcotest.failf "%s (%d pulls): standing %.17g ± %.17g, trial-by-trial %.17g ± %.17g"
+          s.Racing.arm.Fair_exec.Adversary.name (pulls s) r.Mc.utility r.Mc.std_err e.Mc.utility
+          e.Mc.std_err)
+    long
+
 (* A race's chunks depend only on each round's shape, and every machine
    value is stepped inside the chunk that built it, so E1's work — its
    remembered steps and with them its hashes — is the same at any [jobs]. *)
@@ -733,6 +766,8 @@ let () =
             test_work_same_at_any_jobs;
           Alcotest.test_case "E14 work counts and certificate are the same at -j 1 and -j 2"
             `Quick test_signature_work_same_at_any_jobs;
+          Alcotest.test_case "standings are folded trial by trial" `Quick
+            test_standing_is_trial_by_trial;
           Alcotest.test_case "legitimate outputs once per corrupted set" `Quick
             test_legitimate_once_per_coalition ] );
       ( "landscape",
