@@ -1,6 +1,6 @@
 (* `dune build @bench-smoke` — a seconds-scale slice of bench/main.ml's
    sequential-vs-parallel comparison, wired into @repro so every smoke run
-   re-proves six contracts:
+   re-proves seven contracts:
 
    1. Determinism: the pooled estimate must be bit-for-bit the sequential
       one (utility, std_err, event tables).
@@ -47,7 +47,14 @@
       whose suprema play every zoo member on one prelude per trial, must
       hash at most 4 SHA-256 blocks per play (~2.76 measured); building
       the prelude once per zoo member again, as each member's own
-      estimate did, costs ~9.56. *)
+      estimate did, costs ~9.56.
+   7. Cache hits: the reader's whole path for a hit (`Server.hit`: decode,
+      resolve, key, probe and the frame it writes), on a perfbench-shaped
+      E1 query whose certificate the executor's own `Server.remember`
+      stored, must allocate at most 700 minor words per hit (~505
+      measured: ~280 decode, 75 key, 24 probe, 82 the stored frame's
+      copy; the figure repeats exactly).  Storing the bare body and
+      encoding the result on every hit, as before, reads ~1 549. *)
 
 module Mc = Fairness.Montecarlo
 module Parallel = Fairness.Parallel
@@ -182,6 +189,27 @@ let () =
   let per_play = float_of_int blocks /. float_of_int (max 1 plays) in
   check "E2 registry SHA-256 blocks per play within budget" (per_play <= 4.0)
     (Printf.sprintf "%d blocks / %d plays = %.2f <= 4" blocks plays per_play);
+  let module Proto = Fair_service.Proto in
+  let q =
+    { Proto.q_kind = Proto.Search; q_experiment = "E1"; q_budget = 2000; q_seed = 123456789;
+      q_zoo = false; q_fresh = false; q_trace_id = ""; q_span_id = ""; q_deadline = 0.;
+      q_attempt = 0 }
+  in
+  let key = Proto.cache_key q and cache = Fair_service.Cache.create () in
+  (match Fair_service.Handlers.answer ~jobs:1 q with
+  | Ok answer -> Fair_service.Server.remember cache ~key answer
+  | Error f -> check "E1 certificate for the cache" false (Fair_service.Failure.to_string f));
+  let payload = Proto.encode_request (Proto.Query q) in
+  let hit () = Fair_service.Server.hit cache payload in
+  let served = hit () <> None in
+  for _ = 1 to 100 do ignore (hit ()) done;
+  let hits = 1000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to hits do ignore (Sys.opaque_identity (hit ())) done;
+  let per_hit = (Gc.minor_words () -. w0) /. float_of_int hits in
+  check "cache hit minor words within budget" (served && per_hit <= 700.0)
+    (Printf.sprintf "%.0f words per hit <= 700%s" per_hit
+       (if served then "" else ", but the query missed"));
   if !failures > 0 then begin
     Printf.eprintf "bench-smoke: %d check(s) FAILED\n" !failures;
     exit 1

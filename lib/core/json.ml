@@ -91,110 +91,136 @@ let of_string s =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Parse (!pos, msg)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
   let skip_ws () =
     while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      advance ()
+      incr pos
     done
   in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
+  let at c = !pos < n && s.[!pos] = c in
+  let expect c = if at c then incr pos else fail (Printf.sprintf "expected %C" c) in
+  let rec matches word i =
+    i = String.length word || (s.[!pos + i] = word.[i] && matches word (i + 1))
   in
   let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
+    if !pos + String.length word <= n && matches word 0 then begin
+      pos := !pos + String.length word;
       v
     end
     else fail ("expected " ^ word)
   in
+  (* After an escape the rest of the string is copied through a buffer;
+     a string without one is cut out of [s] in one piece. *)
+  let rec escaped b =
+    if !pos >= n then fail "unterminated string"
+    else
+      let c = s.[!pos] in
+      incr pos;
+      match c with
+      | '"' -> Buffer.contents b
+      | '\\' -> (
+          if !pos >= n then fail "unterminated escape";
+          let e = s.[!pos] in
+          incr pos;
+          match e with
+          | '"' | '\\' | '/' -> Buffer.add_char b e; escaped b
+          | 'n' -> Buffer.add_char b '\n'; escaped b
+          | 'r' -> Buffer.add_char b '\r'; escaped b
+          | 't' -> Buffer.add_char b '\t'; escaped b
+          | 'b' -> Buffer.add_char b '\b'; escaped b
+          | 'f' -> Buffer.add_char b '\012'; escaped b
+          | 'u' ->
+              if !pos + 4 > n then fail "truncated \\u escape";
+              let hex = String.sub s !pos 4 in
+              pos := !pos + 4;
+              let code =
+                try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
+              in
+              (* Our own emitter only escapes control bytes; decode the
+                 BMP code point as UTF-8 for foreign input. *)
+              if code < 0x80 then Buffer.add_char b (Char.chr code)
+              else if code < 0x800 then begin
+                Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
+                Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
+              end
+              else begin
+                Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
+                Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+                Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
+              end;
+              escaped b
+          | _ -> fail "bad escape")
+      | c -> Buffer.add_char b c; escaped b
+  in
   let parse_string () =
     expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        let c = s.[!pos] in
-        advance ();
-        match c with
-        | '"' -> Buffer.contents b
-        | '\\' -> (
-            if !pos >= n then fail "unterminated escape";
-            let e = s.[!pos] in
-            advance ();
-            match e with
-            | '"' | '\\' | '/' -> Buffer.add_char b e; go ()
-            | 'n' -> Buffer.add_char b '\n'; go ()
-            | 'r' -> Buffer.add_char b '\r'; go ()
-            | 't' -> Buffer.add_char b '\t'; go ()
-            | 'b' -> Buffer.add_char b '\b'; go ()
-            | 'f' -> Buffer.add_char b '\012'; go ()
-            | 'u' ->
-                if !pos + 4 > n then fail "truncated \\u escape";
-                let hex = String.sub s !pos 4 in
-                pos := !pos + 4;
-                let code =
-                  try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
-                in
-                (* Our own emitter only escapes control bytes; decode the
-                   BMP code point as UTF-8 for foreign input. *)
-                if code < 0x80 then Buffer.add_char b (Char.chr code)
-                else if code < 0x800 then begin
-                  Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-                  Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-                end
-                else begin
-                  Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-                  Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                  Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-                end;
-                go ()
-            | _ -> fail "bad escape")
-        | c -> Buffer.add_char b c; go ()
-    in
-    go ()
+    let start = !pos in
+    while !pos < n && s.[!pos] <> '"' && s.[!pos] <> '\\' do
+      incr pos
+    done;
+    if !pos >= n then fail "unterminated string"
+    else if s.[!pos] = '"' then begin
+      incr pos;
+      String.sub s start (!pos - 1 - start)
+    end
+    else begin
+      let b = Buffer.create (!pos - start + 16) in
+      Buffer.add_substring b s start (!pos - start);
+      escaped b
+    end
+  in
+  (* The value of the decimal digits s.[i .. stop), or -1 if another byte
+     is among them. *)
+  let rec digits i stop acc =
+    if i = stop then acc
+    else
+      match s.[i] with
+      | '0' .. '9' as c -> digits (i + 1) stop ((10 * acc) + Char.code c - 48)
+      | _ -> -1
   in
   let parse_number () =
     let start = !pos in
     let numchar c =
       match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
     in
-    while !pos < n && numchar s.[!pos] do advance () done;
+    while !pos < n && numchar s.[!pos] do incr pos done;
     if !pos = start then fail "expected number";
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "malformed number"
+    (* [-]d+ with at most 15 digits is below 2^53, so its float is exact:
+       read it in place.  Anything else goes to [float_of_string_opt]. *)
+    let neg = s.[start] = '-' in
+    let first = if neg then start + 1 else start in
+    let v = if !pos > first && !pos - first <= 15 then digits first !pos 0 else -1 in
+    if v >= 0 then if neg then -.float_of_int v else float_of_int v
+    else
+      match float_of_string_opt (String.sub s start (!pos - start)) with
+      | Some f -> f
+      | None -> fail "malformed number"
   in
   let rec parse_value depth =
     if depth > max_depth then fail "nesting too deep";
     skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some '[' ->
-        advance ();
+    if !pos >= n then fail "unexpected end of input";
+    match s.[!pos] with
+    | '"' -> Str (parse_string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | '[' ->
+        incr pos;
         skip_ws ();
-        if peek () = Some ']' then begin advance (); List [] end
+        if at ']' then begin incr pos; List [] end
         else
           let rec items acc =
             let v = parse_value (depth + 1) in
             skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); items (v :: acc)
-            | Some ']' -> advance (); List (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
+            if at ',' then begin incr pos; items (v :: acc) end
+            else if at ']' then begin incr pos; List (List.rev (v :: acc)) end
+            else fail "expected ',' or ']'"
           in
           items []
-    | Some '{' ->
-        advance ();
+    | '{' ->
+        incr pos;
         skip_ws ();
-        if peek () = Some '}' then begin advance (); Obj [] end
+        if at '}' then begin incr pos; Obj [] end
         else
           let pair () =
             skip_ws ();
@@ -206,13 +232,12 @@ let of_string s =
           let rec items acc =
             let kv = pair () in
             skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); items (kv :: acc)
-            | Some '}' -> advance (); Obj (List.rev (kv :: acc))
-            | _ -> fail "expected ',' or '}'"
+            if at ',' then begin incr pos; items (kv :: acc) end
+            else if at '}' then begin incr pos; Obj (List.rev (kv :: acc)) end
+            else fail "expected ',' or '}'"
           in
           items []
-    | Some _ -> Num (parse_number ())
+    | _ -> Num (parse_number ())
   in
   match
     let v = parse_value 0 in
@@ -233,12 +258,20 @@ let kind = function
   | List _ -> "array"
   | Obj _ -> "object"
 
+(* [List.assoc_opt] with string equality instead of polymorphic compare. *)
+let rec assoc k = function
+  | [] -> None
+  | (k', v) :: rest ->
+      if String.length k = String.length k' && String.equal k k' then Some v else assoc k rest
+
 let member k = function
   | Obj kvs -> (
-      match List.assoc_opt k kvs with
+      match assoc k kvs with
       | Some v -> Ok v
       | None -> Error (Printf.sprintf "missing key %S" k))
   | v -> Error (Printf.sprintf "expected object with key %S, got %s" k (kind v))
+
+let member_opt k = function Obj kvs -> assoc k kvs | _ -> None
 
 let to_float = function Num x -> Ok x | v -> Error ("expected number, got " ^ kind v)
 

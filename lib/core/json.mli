@@ -42,5 +42,9 @@ val to_bool : t -> (bool, string) result
 val to_str : t -> (string, string) result
 val to_list : t -> (t list, string) result
 
+val member_opt : string -> t -> t option
+(** {!member} for an optional key: [None] when the key is absent or the
+    value is not an object, without building an error text. *)
+
 val ( let* ) : ('a, 'e) result -> ('a -> ('b, 'e) result) -> ('b, 'e) result
 (** Result bind, exposed so decoders read linearly. *)

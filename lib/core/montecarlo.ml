@@ -6,8 +6,6 @@ module Func = Fair_mpc.Func
 
 type environment = Rng.t -> string array
 
-let fixed_inputs xs _rng = Array.copy xs
-
 let uniform_field_inputs ~n rng =
   Array.init n (fun _ -> string_of_int (Fair_field.Field.to_int (Rng.field rng)))
 

@@ -30,7 +30,6 @@ module Func = Fair_mpc.Func
 type environment = Rng.t -> string array
 (** The environment: draws the parties' inputs for one trial. *)
 
-val fixed_inputs : string array -> environment
 val uniform_field_inputs : n:int -> environment
 (** Independent uniform field elements (as decimal strings) — exponential-
     size domains, as required by the lower-bound experiments. *)

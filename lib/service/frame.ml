@@ -38,8 +38,11 @@ module Decoder = struct
 
   let available d = d.fill - d.start
 
-  let compact d =
-    if d.start > 0 && (d.start = d.fill || d.start > 65536) then begin
+  (* Consumed bytes are dropped when nothing is live (no copy), past
+     64 KiB, or when [extra] more bytes would not fit otherwise. *)
+  let compact d ~extra =
+    if d.start > 0 && (d.start = d.fill || d.start > 65536 || d.fill + extra > Bytes.length d.data)
+    then begin
       let live = available d in
       Bytes.blit d.data d.start d.data 0 live;
       d.start <- 0;
@@ -47,7 +50,7 @@ module Decoder = struct
     end
 
   let ensure d extra =
-    compact d;
+    compact d ~extra;
     let need = d.fill + extra in
     if need > Bytes.length d.data then begin
       let cap = ref (max 4096 (Bytes.length d.data)) in
@@ -58,12 +61,6 @@ module Decoder = struct
       Bytes.blit d.data 0 bigger 0 d.fill;
       d.data <- bigger
     end
-
-  let feed d b ~pos ~len =
-    if pos < 0 || len < 0 || pos + len > Bytes.length b then invalid_arg "Frame.Decoder.feed";
-    ensure d len;
-    Bytes.blit b pos d.data d.fill len;
-    d.fill <- d.fill + len
 
   let feed_string d s =
     ensure d (String.length s);
@@ -90,7 +87,7 @@ module Decoder = struct
           else begin
             let payload = Bytes.sub_string d.data (d.start + 4) len in
             d.start <- d.start + 4 + len;
-            compact d;
+            compact d ~extra:0;
             Ok (Some payload)
           end
         end
@@ -98,14 +95,16 @@ module Decoder = struct
   let buffered = available
 end
 
-let read fd dec =
-  let buf = Bytes.create 4096 in
+(* The socket is read straight into the decoder's spare capacity, at least
+   4 KiB of it: a read allocates nothing unless the decoder must grow. *)
+let read fd (dec : Decoder.t) =
   let rec go () =
     match Decoder.next dec with
     | Error _ as e -> e
     | Ok (Some payload) -> Ok (Some payload)
     | Ok None -> (
-        match Unix.read fd buf 0 (Bytes.length buf) with
+        Decoder.ensure dec 4096;
+        match Unix.read fd dec.data dec.fill (Bytes.length dec.data - dec.fill) with
         | 0 ->
             if Decoder.buffered dec > 0 then
               Error
@@ -113,7 +112,7 @@ let read fd dec =
                    (Decoder.buffered dec))
             else Ok None
         | n ->
-            Decoder.feed dec buf ~pos:0 ~len:n;
+            dec.fill <- dec.fill + n;
             go ()
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
         | exception Unix.Unix_error (e, _, _) -> Error ("read: " ^ Unix.error_message e))

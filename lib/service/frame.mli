@@ -30,11 +30,9 @@ module Decoder : sig
 
   val create : unit -> t
 
-  val feed : t -> bytes -> pos:int -> len:int -> unit
-  (** Append a fragment of the byte stream (any split is legal).
-      @raise Invalid_argument if the range is out of bounds. *)
-
   val feed_string : t -> string -> unit
+  (** Append a fragment of the byte stream (any split is legal).  [read]
+      reads a socket straight into the decoder instead. *)
 
   val next : t -> (string option, string) result
   (** [Ok (Some payload)] — one complete frame was reassembled (call again:

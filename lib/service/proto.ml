@@ -117,6 +117,16 @@ let encode_response = function
   | Stats_reply j -> msg "stats" j
   | Pong -> msg "pong" (Json.Obj [])
 
+(* An untraced result's JSON ends with the object's closing brace, and the
+   traced one differs only by the member before it; the wire escape maps
+   each byte on its own, so the member can be escaped apart and appended. *)
+let with_trace_id frame tid =
+  if tid = "" then frame
+  else
+    let member = compact (Json.Obj (trace_fields tid "")) in
+    String.sub frame 0 (String.length frame - 1)
+    ^ Wire.frame [ "," ^ String.sub member 1 (String.length member - 1) ]
+
 (* ------------------------------ decoding ----------------------------- *)
 
 (* Both decoders are total: the peer controls every byte, so a failure at
@@ -129,20 +139,12 @@ let split payload =
   | fields -> Result.Error (Printf.sprintf "expected 2 wire fields, got %d" (List.length fields))
   | exception Invalid_argument m -> Result.Error m
 
-let parse_body body =
-  match Json.of_string body with Ok j -> Ok j | Result.Error e -> Result.Error e
-
 (* Trace context decodes tolerantly in both directions: a frame without the
    fields (an old client or server) reads as "no trace", and a malformed or
    wrong-width id reads the same way — observability metadata must never be
    able to fail a request that is otherwise well-formed. *)
 let trace_of ~valid key j =
-  match Json.member key j with
-  | Result.Error _ -> ""
-  | Ok v -> (
-      match Json.to_str v with
-      | Ok s when valid s -> s
-      | Ok _ | Result.Error _ -> "")
+  match Json.member_opt key j with Some (Json.Str s) when valid s -> s | _ -> ""
 
 let trace_id_of j = trace_of ~valid:Fair_obs.Ids.valid_trace_id "trace_id" j
 let span_id_of j = trace_of ~valid:Fair_obs.Ids.valid_span_id "span_id" j
@@ -152,94 +154,84 @@ let span_id_of j = trace_of ~valid:Fair_obs.Ids.valid_span_id "span_id" j
    an old peer must keep interoperating, and a hostile peer must not be
    able to smuggle NaN deadlines into scheduler arithmetic. *)
 let deadline_of j =
-  match Json.member "deadline" j with
-  | Result.Error _ -> 0.
-  | Ok v -> (
-      match Json.to_float v with
-      | Ok d when Float.is_finite d && d > 0. -> d
-      | Ok _ | Result.Error _ -> 0.)
+  match Json.member_opt "deadline" j with
+  | Some (Json.Num d) when Float.is_finite d && d > 0. -> d
+  | _ -> 0.
 
 let attempt_of j =
-  match Json.member "attempt" j with
-  | Result.Error _ -> 0
-  | Ok v -> (
-      match Json.to_int v with Ok a when a > 0 -> a | Ok _ | Result.Error _ -> 0)
+  match Option.map Json.to_int (Json.member_opt "attempt" j) with
+  | Some (Ok a) when a > 0 -> a
+  | _ -> 0
+
+let ( let* ) = Json.( let* )
+
+(* A required member through its converter; [Bad] carries the error text,
+   so a decoder reads its members in order without a closure per member. *)
+exception Bad of string
+
+let required conv k j =
+  match Result.bind (Json.member k j) conv with Ok x -> x | Result.Error e -> raise (Bad e)
+
+let kind_of_json v = Result.bind (Json.to_str v) kind_of_string
+
+let decode_body body decode =
+  match Json.of_string body with
+  | Result.Error e -> Result.Error e
+  | Ok j -> ( try decode j with Bad e -> Result.Error e)
 
 let decode_request payload =
-  let open Json in
   let* tag, body = split payload in
   match tag with
   | "stats" -> Ok Stats
   | "ping" -> Ok Ping
   | "query" ->
-      let* j = parse_body body in
-      let* kind = member "kind" j in
-      let* kind = to_str kind in
-      let* kind = kind_of_string kind in
-      let* experiment = member "experiment" j in
-      let* experiment = to_str experiment in
-      let* budget = member "budget" j in
-      let* budget = to_int budget in
-      let* seed = member "seed" j in
-      let* seed = to_int seed in
-      let* zoo = member "zoo" j in
-      let* zoo = to_bool zoo in
-      let* fresh = member "fresh" j in
-      let* fresh = to_bool fresh in
-      if budget < 1 then Result.Error "budget < 1"
-      else
-        Ok
-          (Query
-             { q_kind = kind;
-               q_experiment = experiment;
-               q_budget = budget;
-               q_seed = seed;
-               q_zoo = zoo;
-               q_fresh = fresh;
-               q_trace_id = trace_id_of j;
-               q_span_id = span_id_of j;
-               q_deadline = deadline_of j;
-               q_attempt = attempt_of j })
+      decode_body body (fun j ->
+          let kind = required kind_of_json "kind" j in
+          let experiment = required Json.to_str "experiment" j in
+          let budget = required Json.to_int "budget" j in
+          let seed = required Json.to_int "seed" j in
+          let zoo = required Json.to_bool "zoo" j in
+          let fresh = required Json.to_bool "fresh" j in
+          if budget < 1 then Result.Error "budget < 1"
+          else
+            Ok
+              (Query
+                 { q_kind = kind;
+                   q_experiment = experiment;
+                   q_budget = budget;
+                   q_seed = seed;
+                   q_zoo = zoo;
+                   q_fresh = fresh;
+                   q_trace_id = trace_id_of j;
+                   q_span_id = span_id_of j;
+                   q_deadline = deadline_of j;
+                   q_attempt = attempt_of j }))
   | other -> Result.Error (Printf.sprintf "unknown request tag %S" other)
 
 let decode_response payload =
-  let open Json in
   let* tag, body = split payload in
   match tag with
   | "pong" -> Ok Pong
-  | "stats" ->
-      let* j = parse_body body in
-      Ok (Stats_reply j)
+  | "stats" -> decode_body body (fun j -> Ok (Stats_reply j))
   | "progress" ->
-      let* j = parse_body body in
-      let* after = member "after" j in
-      let* after = to_int after in
-      let* batch = member "batch" j in
-      let* batch = to_int batch in
-      let* mean = member "mean" j in
-      let* mean = to_float mean in
-      let* std_err = member "std_err" j in
-      let* std_err = to_float std_err in
-      Ok (Progress { p_after = after; p_batch = batch; p_mean = mean; p_std_err = std_err })
+      decode_body body (fun j ->
+          let after = required Json.to_int "after" j in
+          let batch = required Json.to_int "batch" j in
+          let mean = required Json.to_float "mean" j in
+          let std_err = required Json.to_float "std_err" j in
+          Ok (Progress { p_after = after; p_batch = batch; p_mean = mean; p_std_err = std_err }))
   | "result" ->
-      let* j = parse_body body in
-      let* cached = member "cached" j in
-      let* cached = to_bool cached in
-      let* key = member "key" j in
-      let* key = to_str key in
-      let* ok = member "ok" j in
-      let* ok = to_bool ok in
-      let* bbody = member "body" j in
-      let* bbody = to_str bbody in
-      Ok
-        (Result
-           { r_cached = cached;
-             r_key = key;
-             r_ok = ok;
-             r_body = bbody;
-             r_trace_id = trace_id_of j })
-  | "error" ->
-      let* j = parse_body body in
-      let* f = Failure.of_json j in
-      Ok (Error f)
+      decode_body body (fun j ->
+          let cached = required Json.to_bool "cached" j in
+          let key = required Json.to_str "key" j in
+          let ok = required Json.to_bool "ok" j in
+          let bbody = required Json.to_str "body" j in
+          Ok
+            (Result
+               { r_cached = cached;
+                 r_key = key;
+                 r_ok = ok;
+                 r_body = bbody;
+                 r_trace_id = trace_id_of j }))
+  | "error" -> decode_body body (fun j -> Result.map (fun f -> Error f) (Failure.of_json j))
   | other -> Result.Error (Printf.sprintf "unknown response tag %S" other)

@@ -87,4 +87,11 @@ val kind_to_string : kind -> string
 val encode_request : request -> string
 val decode_request : string -> (request, string) Stdlib.result
 val encode_response : response -> string
+
+val with_trace_id : string -> string -> string
+(** [with_trace_id frame tid] is [frame], an {!encode_response} of a
+    [Result] whose [r_trace_id] is [""], with [r_trace_id = tid]: the same
+    bytes as encoding the traced result, without encoding the body again.
+    [tid = ""] returns [frame] itself. *)
+
 val decode_response : string -> (response, string) Stdlib.result

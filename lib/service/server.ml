@@ -7,17 +7,19 @@ module Qlog = Fair_obs.Qlog
 
 let c_accepted = Metrics.counter "service.conns.accepted"
 
-(* Cache entries carry the verdict alongside the body so a hit can be
-   served without re-parsing certificate JSON: one verdict byte, then the
-   exact bytes the handler produced. *)
-let entry_encode ~ok body = (if ok then "1" else "0") ^ body
+(* A cache entry is the frame a hit writes, encoded once when the answer
+   is computed: the marker byte 'F', the verdict byte, then the
+   [cached = true] result without a trace id.  Entries of the older form,
+   a verdict byte and then the bare body, start with '0' or '1': they read
+   as misses, and the recompute stores the frame in their place. *)
+let entry_encode ~ok frame = (if ok then "F1" else "F0") ^ frame
 
 let entry_decode entry =
-  if String.length entry = 0 then None
+  if String.length entry < 2 || entry.[0] <> 'F' then None
   else
-    match entry.[0] with
-    | '1' -> Some (String.sub entry 1 (String.length entry - 1), true)
-    | '0' -> Some (String.sub entry 1 (String.length entry - 1), false)
+    match entry.[1] with
+    | '1' -> Some (String.sub entry 2 (String.length entry - 2), true)
+    | '0' -> Some (String.sub entry 2 (String.length entry - 2), false)
     | _ -> None
 
 type conn = {
@@ -108,13 +110,13 @@ let stats_json t =
 (* Whether the frame was written.  A write failure means the peer is gone:
    mark the connection dead so the executor stops streaming to it; the
    reader notices on its next read. *)
-let send_response conn resp =
+let send conn payload =
   Mutex.lock conn.wlock;
   let sent =
     conn.alive
     &&
     try
-      Frame.write conn.fd (Proto.encode_response resp);
+      Frame.write conn.fd payload;
       true
     with Unix.Unix_error _ | Invalid_argument _ ->
       conn.alive <- false;
@@ -122,6 +124,8 @@ let send_response conn resp =
   in
   Mutex.unlock conn.wlock;
   sent
+
+let send_response conn resp = send conn (Proto.encode_response resp)
 
 let teardown t conn =
   Mutex.lock t.lock;
@@ -148,9 +152,9 @@ let dump_on t reason =
   match t.recorder with Some r -> Recorder.dump r ~reason | None -> ()
 
 (* Every answer that ends a request goes through here: write the final
-   frame if the peer is still there, then record the request's one wide
-   query-log event.  The outcome follows from the reply — a written
-   result's verdict; ["retried_by_client"] for a result whose peer was
+   frame (a result's encoded frame and verdict, or a failure) if the peer
+   is still there, then record the request's one wide query-log event.
+   The outcome follows from the reply — a written result's verdict; ["retried_by_client"] for a result whose peer was
    gone (the answer is content-addressed, so a retrying client re-asks
    safely); a failure's code — unless the caller names a resilience
    verdict (["shed"], ["drained"]).  [q] is absent only for a frame that
@@ -160,7 +164,10 @@ let dump_on t reason =
 let finish ?q ?outcome ?(key = "") ?(tier = "") ?(worker = -1) ?(queue_ns = 0) ?(trials = 0)
     ?(counters = []) conn ~recv_ns reply =
   let sent =
-    send_response conn (match reply with Ok r -> Proto.Result r | Error f -> Proto.Error f)
+    send conn
+      (match reply with
+      | Ok (frame, _) -> frame
+      | Error f -> Proto.encode_response (Proto.Error f))
   in
   if Qlog.enabled () then
     let field f default = match q with Some q -> f q | None -> default in
@@ -185,7 +192,7 @@ let finish ?q ?outcome ?(key = "") ?(tier = "") ?(worker = -1) ?(queue_ns = 0) ?
           (match (outcome, reply) with
           | Some o, _ -> o
           | None, Ok _ when not sent -> "retried_by_client"
-          | None, Ok r -> if r.Proto.r_ok then "ok" else "bound-violation"
+          | None, Ok (_, ok) -> if ok then "ok" else "bound-violation"
           | None, Error f -> Failure.code f);
       }
 
@@ -196,31 +203,51 @@ let finish_job ?outcome ?tier ?trials ?counters (j : pending Sched.job) reply =
   finish ~q:p.pq ?outcome ~key:j.Sched.j_key ?tier ~worker:(Fair_obs.Domain_id.get ())
     ~queue_ns:j.Sched.j_queue_ns ?trials ?counters p.pconn ~recv_ns:p.p_recv_ns reply
 
-(* A stored or computed (body, verdict) as [q]'s result frame, echoing
-   the requester's own trace id. *)
-let result (q : Proto.query) ~key ~cached (body, ok) =
-  Ok
-    {
-      Proto.r_cached = cached;
-      r_key = key;
-      r_ok = ok;
-      r_body = body;
-      r_trace_id = q.Proto.q_trace_id;
-    }
+(* A computed (body, verdict) as its untraced result frame and verdict. *)
+let result_frame ~key ~cached (body, ok) =
+  ( Proto.encode_response
+      (Proto.Result
+         { Proto.r_cached = cached; r_key = key; r_ok = ok; r_body = body; r_trace_id = "" }),
+    ok )
 
-(* The cache as an answer: the stored (body, verdict) and the tier that
-   held it.  A [q_fresh] query never probes; an undecodable entry reads
+(* A result frame as [q]'s reply, echoing the requester's own trace id. *)
+let reply (q : Proto.query) (frame, ok) = (Proto.with_trace_id frame q.Proto.q_trace_id, ok)
+
+let remember cch ~key answer =
+  let frame, ok = result_frame ~key ~cached:true answer in
+  Cache.store cch ~key (entry_encode ~ok frame)
+
+(* The cache as an answer: the stored frame and verdict, and the tier that
+   held them.  A [q_fresh] query never probes; an undecodable entry reads
    as a miss, and the recompute heals it. *)
-let probe t (q : Proto.query) ~key =
+let probe cch (q : Proto.query) ~key =
   if q.Proto.q_fresh then None
   else
     Option.bind
       (Trace.with_span ~cat:"service" ~args:(trace_args q) "service.cache.probe" (fun () ->
-           Cache.find t.cch key))
+           Cache.find cch key))
       (fun (entry, tier) ->
         Option.map
-          (fun verdict -> (verdict, match tier with `Mem -> "mem" | `Disk -> "disk"))
+          (fun hit -> (hit, match tier with `Mem -> "mem" | `Disk -> "disk"))
           (entry_decode entry))
+
+(* What the reader answers itself, before any queue: a usage error, or a
+   hit as [q]'s reply frame with its key and tier; a miss leaves its key
+   for the scheduler. *)
+let lookup cch (q : Proto.query) =
+  match Handlers.resolve q with
+  | Error f -> `Refused f
+  | Ok _ -> (
+      let key = Proto.cache_key q in
+      match probe cch q ~key with
+      | Some (hit, tier) -> `Hit (key, tier, reply q hit)
+      | None -> `Miss key)
+
+let hit cch payload =
+  match Proto.decode_request payload with
+  | Ok (Proto.Query q) -> (
+      match lookup cch q with `Hit (_, _, (frame, _)) -> Some frame | `Refused _ | `Miss _ -> None)
+  | Ok (Proto.Stats | Proto.Ping) | Error _ -> None
 
 (* The counters a qlog line carries from its request's scope. *)
 let interesting (name, _) =
@@ -251,7 +278,7 @@ let exec t (leader : pending Sched.job) ~followers =
      longer wants (the result itself is still cached — the client's re-ask
      with a fresh budget is a hit).  The leader's line names the tier that
      answered; its followers' read "coalesced". *)
-  let answer_all ~cached ~tier ?trials ?counters answer =
+  let answer_all ~tier ?trials ?counters answer =
     List.iteri
       (fun i (j : pending Sched.job) ->
         let p = j.Sched.j_payload in
@@ -264,14 +291,14 @@ let exec t (leader : pending Sched.job) ~followers =
                      waited_s = float_of_int (Clock.now_ns () - p.p_recv_ns) /. 1e9;
                      deadline_s = p.pq.Proto.q_deadline;
                    })
-          | Ok verdict -> result p.pq ~key ~cached verdict
+          | Ok frame -> Ok (reply p.pq frame)
           | Error f -> Error f))
       jobs
   in
   (* Single-flight double-check: an identical query may have been computed
      and stored while this one sat in the queue. *)
-  match probe t q ~key with
-  | Some (verdict, tier) -> answer_all ~cached:true ~tier (Ok verdict)
+  match probe t.cch q ~key with
+  | Some (hit, tier) -> answer_all ~tier (Ok hit)
   | None ->
       (* The request scope: the computation's spans, counters and progress,
          on any domain, are this request's and this batch's alone.
@@ -317,8 +344,9 @@ let exec t (leader : pending Sched.job) ~followers =
                 if Qlog.enabled () then List.filter interesting (Metrics.scoped scope) else []
               in
               let trials = Option.value ~default:0 (List.assoc_opt "mc.trials" counters) in
-              Result.iter (fun (body, ok) -> Cache.store t.cch ~key (entry_encode ~ok body)) answer;
-              answer_all ~cached:false ~tier:"cold" ~trials ~counters answer;
+              Result.iter (remember t.cch ~key) answer;
+              answer_all ~tier:"cold" ~trials ~counters
+                (Result.map (result_frame ~key ~cached:false) answer);
               match answer with
               | Error (Failure.Query_failed { reason }) -> dump_on t ("query-failed: " ^ reason)
               | _ -> ()))
@@ -332,37 +360,34 @@ let handle_query t conn ~recv_ns (q : Proto.query) =
       (Error (Failure.Draining { reason = "server is draining; not accepting work" }))
   else
     (* Usage errors answer immediately and never occupy a queue slot. *)
-    match Handlers.resolve q with
-    | Error f -> finish ~q conn ~recv_ns (Error f)
-    | Ok _ -> (
-        let key = Proto.cache_key q in
-        match probe t q ~key with
-        | Some (verdict, tier) ->
-            (* The fast path: answered right here in the reader thread —
-               the scheduler and the domain pool never hear about it. *)
-            finish ~q ~key ~tier conn ~recv_ns (result q ~key ~cached:true verdict)
-        | None -> (
-            match
-              Sched.submit t.sched
-                {
-                  Sched.j_client = conn.cid;
-                  j_key = key;
-                  j_attrs = trace_args q;
-                  j_cost_s =
-                    Costmodel.estimate t.costs
-                      ~kind:(Proto.kind_to_string q.Proto.q_kind)
-                      ~experiment:q.Proto.q_experiment;
-                  j_deadline_ns =
-                    (if q.Proto.q_deadline > 0. then
-                       recv_ns + int_of_float (q.Proto.q_deadline *. 1e9)
-                     else 0);
-                  j_queue_ns = 0;
-                  j_payload = { pq = q; pconn = conn; p_recv_ns = recv_ns };
-                }
-            with
-            | `Admitted -> ()
-            | `Rejected (depth, limit) ->
-                finish ~q ~key conn ~recv_ns (Error (Failure.Overloaded { depth; limit }))))
+    match lookup t.cch q with
+    | `Refused f -> finish ~q conn ~recv_ns (Error f)
+    | `Hit (key, tier, hit) ->
+        (* The fast path: answered right here in the reader thread — the
+           scheduler and the domain pool never hear about it. *)
+        finish ~q ~key ~tier conn ~recv_ns (Ok hit)
+    | `Miss key -> (
+        match
+          Sched.submit t.sched
+            {
+              Sched.j_client = conn.cid;
+              j_key = key;
+              j_attrs = trace_args q;
+              j_cost_s =
+                Costmodel.estimate t.costs
+                  ~kind:(Proto.kind_to_string q.Proto.q_kind)
+                  ~experiment:q.Proto.q_experiment;
+              j_deadline_ns =
+                (if q.Proto.q_deadline > 0. then
+                   recv_ns + int_of_float (q.Proto.q_deadline *. 1e9)
+                 else 0);
+              j_queue_ns = 0;
+              j_payload = { pq = q; pconn = conn; p_recv_ns = recv_ns };
+            }
+        with
+        | `Admitted -> ()
+        | `Rejected (depth, limit) ->
+            finish ~q ~key conn ~recv_ns (Error (Failure.Overloaded { depth; limit })))
 
 let serve_conn t conn =
   let dec = Frame.Decoder.create () in

@@ -13,8 +13,9 @@
     Monte-Carlo progress frames to every connection waiting on that
     computation (coalesced same-key requests share one compute; each
     computation runs under its own {!Fair_obs.Scope}, so concurrent
-    computations stream only their own frames), stores the bytes in the
-    content-addressed cache ({!Cache}) and delivers the result.
+    computations stream only their own frames), stores in the
+    content-addressed cache ({!Cache}) the frame a later hit writes, and
+    delivers the result.
 
     Failure isolation: a usage error ({!Handlers.resolve}) is answered by
     the reader and never takes a queue slot; anything that goes wrong on
@@ -103,3 +104,20 @@ val stats_json : t -> Fairness.Json.t
     snapshot, per-histogram p50/p90/p99 ({!Fairness.Obs_json.percentiles})
     and the observability switchboard (tracing/qlog state, flight-recorder
     path) that [fairness stat --watch] renders. *)
+
+(** {2 The cache path}
+
+    The functions the server itself runs for a cached answer, exposed so a
+    test or a gate can drive that path without a socket. *)
+
+val remember : Cache.t -> key:string -> string * bool -> unit
+(** What the executor does with a computed [(body, verdict)]: store under
+    [key] the frame a hit writes, the {!Proto.encode_response} of its
+    [cached = true] result without a trace id, with the verdict. *)
+
+val hit : Cache.t -> string -> string option
+(** The reader's work for one request payload that the cache answers:
+    decode, resolve, key, probe, and the frame a hit writes (the stored
+    frame itself, or with the query's trace id spliced in by
+    {!Proto.with_trace_id}).  [None] for anything else: a payload that is
+    not a query, a usage error, a [q_fresh] query or a miss. *)

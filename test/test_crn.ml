@@ -108,7 +108,7 @@ let test_degenerate_leg () =
       ~a:(leg pi1 (Adv.greedy ~func:Func.contract (Adv.Fixed [ 2 ])) Payoff.default)
       ~b:(leg pi2 (Adv.greedy ~func:Func.contract (Adv.Fixed [ 2 ])) Payoff.default)
       ~func:Func.contract
-      ~env:(Montecarlo.fixed_inputs [| "sigA"; "sigB" |])
+      ~env:(fun _rng -> [| "sigA"; "sigB" |])
       ~trials:200 ~seed:5 ()
   in
   Alcotest.(check (float 0.0)) "pi1 leg deterministic" 1.0 p.Crn.a.Crn.mean;

@@ -133,12 +133,15 @@ let oversized_is_sticky () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "decoder recovered from an unrecoverable stream"
 
+(* The fixtures, then a frame larger than the decoder's first buffer, which
+   [Frame.read] must grow while it reads into it. *)
 let write_read_roundtrip () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let payloads = payload_fixtures @ [ String.init 100_000 (fun i -> Char.chr (i land 0xff)) ] in
   let writer =
     Thread.create
       (fun () ->
-        List.iter (Frame.write a) payload_fixtures;
+        List.iter (Frame.write a) payloads;
         Unix.close a)
       ()
   in
@@ -152,7 +155,7 @@ let write_read_roundtrip () =
   let got = read_all [] in
   Thread.join writer;
   Unix.close b;
-  Alcotest.(check (list string)) "frames across a real socket" payload_fixtures got
+  Alcotest.(check (list string)) "frames across a real socket" payloads got
 
 let eof_mid_frame_is_error () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -314,6 +317,118 @@ let prop_decode_response_total =
   qtest "decode_response: arbitrary bytes never raise" 2000 arb_bytes (fun s ->
       match Proto.decode_response s with Ok _ | Error _ -> true | exception _ -> false)
 
+(* decode_request pinned on a corpus: each payload's decoded fields, or its
+   exact error text (JSON errors carry the byte offset a client sees in
+   Malformed_frame). *)
+let show_request = function
+  | Ok (Proto.Query q) ->
+      Printf.sprintf "%s %S budget=%d seed=%d zoo=%b fresh=%b trace=%S span=%S deadline=%g attempt=%d"
+        (Proto.kind_to_string q.Proto.q_kind) q.Proto.q_experiment q.Proto.q_budget q.Proto.q_seed
+        q.Proto.q_zoo q.Proto.q_fresh q.Proto.q_trace_id q.Proto.q_span_id q.Proto.q_deadline
+        q.Proto.q_attempt
+  | Ok Proto.Stats -> "stats"
+  | Ok Proto.Ping -> "ping"
+  | Error e -> "error: " ^ e
+
+let decode_request_corpus () =
+  let base = {|"kind":"search","experiment":"E1","budget":2000,"seed":42,"zoo":false,"fresh":false|} in
+  let query body = Fair_exec.Wire.frame [ "query"; body ] in
+  let q members = query ("{" ^ members ^ "}") in
+  let with_base fields = q (base ^ "," ^ fields) in
+  let e1 ?(budget = 2000) ?(seed = 42) ?(trace = "") ?(span = "") ?(deadline = "0")
+      ?(attempt = 0) () =
+    Printf.sprintf "search \"E1\" budget=%d seed=%d zoo=false fresh=false trace=%S span=%S deadline=%s attempt=%d"
+      budget seed trace span deadline attempt
+  in
+  let tid = traced_query.Proto.q_trace_id and sid = traced_query.Proto.q_span_id in
+  List.iter
+    (fun (label, payload, expected) ->
+      Alcotest.(check string) label expected (show_request (Proto.decode_request payload)))
+    [ ("canonical", q ({|"v":"fair-service/1",|} ^ base), e1 ());
+      ( "members reordered",
+        q {|"fresh":true,"zoo":true,"seed":7,"budget":500,"experiment":"e2","kind":"run","v":"fair-service/1"|},
+        "run \"e2\" budget=500 seed=7 zoo=true fresh=true trace=\"\" span=\"\" deadline=0 attempt=0" );
+      ( "duplicate member: the first wins",
+        q ({|"kind":"run",|} ^ base),
+        "run \"E1\" budget=2000 seed=42 zoo=false fresh=false trace=\"\" span=\"\" deadline=0 attempt=0" );
+      ( "whitespace",
+        query
+          " \n{ \"kind\" :\t\"search\" ,\r\n \"experiment\":\"E1\", \"budget\" : 2000 ,\"seed\":42,\"zoo\":false,\"fresh\":false }\n ",
+        e1 () );
+      ( "\\u escapes",
+        q {|"kind":"se\u0061rch","experiment":"\u0045\u0031\u00e9\u20ac","budget":2000,"seed":42,"zoo":false,"fresh":false|},
+        "search \"E1\\195\\169\\226\\130\\172\" budget=2000 seed=42 zoo=false fresh=false trace=\"\" span=\"\" deadline=0 attempt=0"
+      );
+      ( "\\/ escape",
+        q {|"kind":"search","experiment":"E1\/x","budget":2000,"seed":42,"zoo":false,"fresh":false|},
+        "search \"E1/x\" budget=2000 seed=42 zoo=false fresh=false trace=\"\" span=\"\" deadline=0 attempt=0" );
+      ("budget 2e3", q {|"kind":"search","experiment":"E1","budget":2e3,"seed":42,"zoo":false,"fresh":false|}, e1 ());
+      ( "budget 2000.0",
+        q {|"kind":"search","experiment":"E1","budget":2000.0,"seed":42,"zoo":false,"fresh":false|},
+        e1 () );
+      ( "seed -0",
+        q {|"kind":"search","experiment":"E1","budget":2000,"seed":-0,"zoo":false,"fresh":false|},
+        e1 ~seed:0 () );
+      ( "budget -0",
+        q {|"kind":"search","experiment":"E1","budget":-0,"seed":42,"zoo":false,"fresh":false|},
+        "error: budget < 1" );
+      ( "budget 2000.5",
+        q {|"kind":"search","experiment":"E1","budget":2000.5,"seed":42,"zoo":false,"fresh":false|},
+        "error: expected integer, got number" );
+      ( "budget 007, seed +5",
+        q {|"kind":"search","experiment":"E1","budget":007,"seed":+5,"zoo":false,"fresh":false|},
+        e1 ~budget:7 ~seed:5 () );
+      ( "seed 1e400",
+        q {|"kind":"search","experiment":"E1","budget":2000,"seed":1e400,"zoo":false,"fresh":false|},
+        "error: expected integer, got number" );
+      ( "seed -",
+        q {|"kind":"search","experiment":"E1","budget":2000,"seed":-,"zoo":false,"fresh":false|},
+        "error: json: malformed number at byte 57" );
+      ( "optional members valid",
+        with_base
+          (Printf.sprintf {|"trace_id":"%s","span_id":"%s","deadline":1.5,"attempt":3|} tid sid),
+        e1 ~trace:tid ~span:sid ~deadline:"1.5" ~attempt:3 () );
+      ( "optional members of the wrong type",
+        with_base {|"trace_id":"ABC","span_id":5,"deadline":"soon","attempt":2.5|},
+        e1 () );
+      ( "optional members out of range",
+        with_base
+          (Printf.sprintf {|"trace_id":"%s","span_id":"0123456789abcdeg","deadline":-1,"attempt":-3|}
+             (String.uppercase_ascii tid)),
+        e1 () );
+      ("deadline 1e400, attempt null", with_base {|"deadline":1e400,"attempt":null|}, e1 ());
+      ( "missing seed",
+        q {|"kind":"search","experiment":"E1","budget":2000,"zoo":false,"fresh":false|},
+        "error: missing key \"seed\"" );
+      ( "zoo a string",
+        q {|"kind":"search","experiment":"E1","budget":2000,"seed":42,"zoo":"no","fresh":false|},
+        "error: expected bool, got string" );
+      ( "unknown kind",
+        q {|"kind":"walk","experiment":"E1","budget":2000,"seed":42,"zoo":false,"fresh":false|},
+        "error: unknown query kind \"walk\" (expected search|run)" );
+      ( "budget 0",
+        q {|"kind":"search","experiment":"E1","budget":0,"seed":42,"zoo":false,"fresh":false|},
+        "error: budget < 1" );
+      ("body an array", query "[1]", "error: expected object with key \"kind\", got array");
+      ( "truncated in a number",
+        query {|{"kind":"search","budget":20|},
+        "error: json: expected ',' or '}' at byte 28" );
+      ("truncated in a string", query {|{"kind":"sea|}, "error: json: unterminated string at byte 12");
+      ("truncated in a literal", query {|{"zoo":fal|}, "error: json: expected false at byte 7");
+      ("truncated in an escape", query {|{"kind":"s\|}, "error: json: unterminated escape at byte 11");
+      ( "truncated \\u escape",
+        query {|{"kind":"\u00|},
+        "error: json: truncated \\u escape at byte 11" );
+      ("empty body", query "", "error: json: unexpected end of input at byte 0");
+      ("trailing input", query ("{" ^ base ^ "} x"), "error: json: trailing garbage at byte 86");
+      ("two objects", query ("{" ^ base ^ "}{}"), "error: json: trailing garbage at byte 85");
+      ("one wire field", "query", "error: expected 2 wire fields, got 1");
+      ("three wire fields", "query|{}|{}", "error: expected 2 wire fields, got 3");
+      ("dangling wire escape", "query|{}\\", "error: Wire.unframe: dangling escape");
+      ("unknown tag", "nope|{}", "error: unknown request tag \"nope\"");
+      ("ping", "ping|{\"v\":\"fair-service/1\"}", "ping");
+      ("stats with any body", "stats|not json", "stats") ]
+
 let cache_key_semantics () =
   let q = List.hd sample_queries in
   let k = Proto.cache_key q in
@@ -345,6 +460,36 @@ let failure_json_roundtrip () =
       | Ok _ -> Alcotest.fail "failure changed across JSON"
       | Error e -> Alcotest.failf "failure did not decode: %s" e)
     sample_failures
+
+(* A hit writes the frame stored when its answer was computed, with the
+   asker's trace id spliced in: the bytes must be those of encoding the
+   cached result afresh, for any body bytes, either verdict, and an empty
+   or a valid trace id.  The cold path splices the same way. *)
+let prop_hit_frame =
+  let byte =
+    QCheck.Gen.(
+      frequency
+        [ (1, oneofl [ '|'; '\\'; '"'; '\000'; '\n'; '\r'; '\t'; '\031'; '\127'; '\255' ]);
+          (3, map Char.chr (int_range 0 255)) ])
+  in
+  let trace_id =
+    QCheck.Gen.(
+      oneof [ return ""; string_size ~gen:(oneofl (String.to_seq "0123456789abcdef" |> List.of_seq)) (return 32) ])
+  in
+  qtest "a hit writes the encoded cached result, trace id spliced" 300
+    (QCheck.make
+       ~print:QCheck.Print.(quad string bool string int)
+       QCheck.Gen.(quad (string_size ~gen:byte (int_range 0 600)) bool trace_id (int_range 0 1_000_000)))
+    (fun (body, ok, tid, seed) ->
+      let q = { (List.hd sample_queries) with Proto.q_seed = seed; q_trace_id = tid } in
+      let key = Proto.cache_key q and cache = Cache.create () in
+      let frame ~cached r_trace_id =
+        Proto.encode_response
+          (Proto.Result { Proto.r_cached = cached; r_key = key; r_ok = ok; r_body = body; r_trace_id })
+      in
+      S.Server.remember cache ~key (body, ok);
+      S.Server.hit cache (Proto.encode_request (Proto.Query q)) = Some (frame ~cached:true tid)
+      && Proto.with_trace_id (frame ~cached:false "") tid = frame ~cached:false tid)
 
 (* ---------------------------- cache --------------------------------- *)
 
@@ -1107,6 +1252,46 @@ let server_hostile_length_prefix () =
   | Error e -> Alcotest.failf "read: %s" e);
   Unix.close fd
 
+(* A spill directory written before entries held frames: under a live key,
+   the old form (a verdict byte, then the bare body) reads as a miss, is
+   recomputed and re-spilled as a frame, and is never served itself. *)
+let server_old_entry_recomputed () =
+  let dir = fresh_dir () in
+  let q = { (List.hd sample_queries) with Proto.q_budget = 300 } in
+  let key = Proto.cache_key q and payload = Proto.encode_request (Proto.Query q) in
+  let body, ok =
+    match S.Handlers.answer ~jobs:1 q with
+    | Ok answer -> answer
+    | Error f -> Alcotest.failf "inline answer: %s" (Failure.to_string f)
+  in
+  Cache.store (Cache.create ~dir ()) ~key ((if ok then "1" else "0") ^ body);
+  Alcotest.(check (option string)) "an old entry is no hit" None
+    (S.Server.hit (Cache.create ~dir ()) payload);
+  let socket = Printf.sprintf "test-svc-old-%d.sock" (Unix.getpid ()) in
+  let server = S.Server.start ~socket ~cache:(Cache.create ~dir ()) ~jobs:1 ~workers:1 () in
+  let answers =
+    Fun.protect
+      ~finally:(fun () -> S.Server.stop server)
+      (fun () ->
+        let c = connect socket in
+        let ask () =
+          match S.Client.query c q with
+          | Ok r -> (r.Proto.r_cached, r.Proto.r_body)
+          | Error f -> Alcotest.failf "query: %s" (Failure.to_string f)
+        in
+        let first = ask () in
+        let second = ask () in
+        S.Client.close c;
+        [ first; second ])
+  in
+  Alcotest.(check (list (pair bool string))) "recomputed, then a hit"
+    [ (false, body); (true, body) ] answers;
+  Alcotest.(check (option string)) "re-spilled as the frame a hit writes"
+    (Some
+       (Proto.encode_response
+          (Proto.Result { Proto.r_cached = true; r_key = key; r_ok = ok; r_body = body; r_trace_id = "" })))
+    (S.Server.hit (Cache.create ~dir ()) payload)
+
 (* Every way a query can end, through a real server with the query log
    on: the reply the client gets, and the outcome, cache tier and
    answering thread (an executor domain or the connection's reader) of the
@@ -1554,10 +1739,13 @@ let () =
             trace_tolerant_decode;
           prop_decode_request_total;
           prop_decode_response_total;
+          Alcotest.test_case "decode_request corpus: values and error texts" `Quick
+            decode_request_corpus;
           Alcotest.test_case "cache key semantics" `Quick cache_key_semantics;
           Alcotest.test_case "deadline/attempt: tolerant decode, byte-stable, key-neutral" `Quick
             resilience_tolerant_decode;
-          Alcotest.test_case "failure taxonomy JSON round trip" `Quick failure_json_roundtrip ] );
+          Alcotest.test_case "failure taxonomy JSON round trip" `Quick failure_json_roundtrip;
+          prop_hit_frame ] );
       ( "cache",
         [ Alcotest.test_case "memory round trip and stats" `Quick cache_memory_roundtrip;
           Alcotest.test_case "LRU eviction respects recency" `Quick cache_lru_eviction;
@@ -1615,6 +1803,8 @@ let () =
           Alcotest.test_case "malformed frame: structured error, then close" `Quick
             server_malformed_frame_closes;
           Alcotest.test_case "hostile length prefix refused" `Quick server_hostile_length_prefix;
+          Alcotest.test_case "an entry spilled before frames: recomputed, re-spilled" `Quick
+            server_old_entry_recomputed;
           Alcotest.test_case "every ending: reply and qlog line" `Quick server_outcome_table ] );
       ( "observability",
         [ Alcotest.test_case "certificates bit-identical with obs on/off, -j1/-j4" `Quick
