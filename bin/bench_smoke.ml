@@ -9,7 +9,7 @@
       steady state, so a regression that reintroduces per-envelope or
       per-trial-setup allocation fails loudly here rather than showing up
       as a silent slowdown.  The E1 race of contract 4 must allocate at
-      most 1 200 minor words per play (`mc.trials`; ~882 measured, run
+      most 1 200 minor words per play (`mc.trials`; ~881 measured, run
       after an untimed warm-up; the figure repeats exactly).  Playing
       every arm's execution again, as before plays were remembered, costs
       ~1 251; stepping every machine afresh ~1 422.
@@ -127,8 +127,8 @@ let () =
   else
     check "pooled leg not slower than sequential" (t_par <= t_seq)
       (Printf.sprintf "seq %.3fs, pool %.3fs" t_seq t_par);
-  (* Allocation budgets: measured (see DESIGN.md §10) at ~12.2k words/trial
-     for optn-n5/t4 and ~5.6k for opt2; ~1.5x headroom tolerates
+  (* Allocation budgets: measured (see DESIGN.md §10) at ~11.7k words/trial
+     for optn-n5/t4 and ~5.3k for opt2; ~1.7x headroom tolerates
      compiler/stdlib drift but not a reintroduced per-envelope allocation
      path (which costs several multiples). *)
   let optn_words =

@@ -118,16 +118,13 @@ end
 
 type leg = { protocol : Protocol.t; adversary : Adversary.t; gamma : Payoff.t }
 
-let paired ?(overrides = Events.no_overrides) ?jobs ?inject ?(fault_budget = 0.1) ~a:(la : leg)
-    ~b:(lb : leg) ~func ~env ~trials ~seed () =
+let paired ?jobs ~a:(la : leg) ~b:(lb : leg) ~func ~env ~trials ~seed () =
   if trials < 1 then invalid_arg "Crn.paired: trials < 1";
-  if fault_budget < 0.0 || fault_budget > 1.0 then
-    invalid_arg "Crn.paired: fault_budget outside [0,1]";
   (* One loop call per leg: the legs' protocols and payoff vectors may
      differ, and a prelude serves one target. *)
   let leg (l : leg) =
-    (Montecarlo.Trial.plays ?inject ?jobs ~overrides ~protocol:l.protocol ~func ~gamma:l.gamma
-       ~env ~seed [| l.adversary |] ~lo:0 ~hi:trials).(0)
+    (Montecarlo.Trial.plays ?jobs ~overrides:Events.no_overrides ~protocol:l.protocol ~func
+       ~gamma:l.gamma ~env ~seed [| l.adversary |] ~lo:0 ~hi:trials).(0)
   in
   let oa = leg la in
   let ob = leg lb in
@@ -144,7 +141,7 @@ let paired ?(overrides = Events.no_overrides) ?jobs ?inject ?(fault_budget = 0.1
   in
   Metrics.add c_pairs trials;
   Metrics.add c_pair_faults c.faulted;
-  Montecarlo.check_fault_budget ~fault_budget ~completed:c.count ~faulted:c.faulted;
+  Montecarlo.check_fault_budget ~fault_budget:0.1 ~completed:c.count ~faulted:c.faulted;
   finalize c
 
 (* Delta method for the ratio r = ā/b̄ of two correlated means:

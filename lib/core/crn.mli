@@ -73,10 +73,7 @@ module Bacc : sig
 end
 
 val paired :
-  ?overrides:Events.overrides ->
   ?jobs:int ->
-  ?inject:(Fair_crypto.Rng.t -> Fair_exec.Engine.injector) ->
-  ?fault_budget:float ->
   a:leg ->
   b:leg ->
   func:Func.t ->
@@ -85,14 +82,14 @@ val paired :
   seed:int ->
   unit ->
   paired
-(** Run [trials] paired trials.  Trial [i] of each leg is seeded exactly
-    like trial [i] of [Montecarlo.estimate ~seed], so both legs see the
-    same environment draws and per-trial randomness.  A pair where either
-    leg raises is voided (both marginals drop it) and counted in
-    [pair_faults]; [fault_budget] (default 0.1) is enforced as in
-    {!Montecarlo.estimate}.
-    @raise Invalid_argument if [trials < 1] or [fault_budget] is outside
-    [0,1].
+(** Run [trials] paired trials, with the standard event accounting and
+    no injected faults.  Trial [i] of each leg is seeded exactly like
+    trial [i] of [Montecarlo.estimate ~seed], so both legs see the same
+    environment draws and per-trial randomness.  A pair where either leg
+    raises is voided (both marginals drop it) and counted in
+    [pair_faults]; more than a tenth of the pairs voided is over
+    {!Montecarlo.estimate}'s default fault budget.
+    @raise Invalid_argument if [trials < 1].
     @raise Montecarlo.Fault_budget_exceeded past the budget. *)
 
 val ratio : paired -> float * float

@@ -7,18 +7,9 @@ let normalize_key key =
 let xor_pad key pad =
   String.init block_size (fun i -> Char.chr (Char.code key.[i] lxor pad))
 
-(* Incremental contexts instead of [digest (opad ^ digest (ipad ^ msg))]:
-   same bytes absorbed, but no concatenation copy of the message. *)
 let mac ~key msg =
   let key = normalize_key key in
-  let c = Sha256.Ctx.create () in
-  Sha256.Ctx.feed c (xor_pad key 0x36);
-  Sha256.Ctx.feed c msg;
-  let inner = Sha256.Ctx.digest c in
-  let c = Sha256.Ctx.create () in
-  Sha256.Ctx.feed c (xor_pad key 0x5c);
-  Sha256.Ctx.feed c inner;
-  Sha256.Ctx.digest c
+  Sha256.digest (xor_pad key 0x5c ^ Sha256.digest (xor_pad key 0x36 ^ msg))
 
 let hex_mac ~key msg = Sha256.to_hex (mac ~key msg)
 

@@ -1,20 +1,12 @@
 (* SHA-256 in C (sha256_stubs.c): one kernel on the x86 SHA extensions, one
-   portable loop, each reached as a block compression and as a whole
-   digest.  Which kernel runs is decided here, once, while the module
-   initialises (before any domain exists), from what the CPU reports;
-   nothing changes it afterwards.
+   portable loop, each reached as a whole digest.  Which kernel runs is
+   decided here, once, while the module initialises (before any domain
+   exists), from what the CPU reports; nothing changes it afterwards.
 
    The C stubs trust their arguments, so every call goes through a check: a
-   bad offset, state or output buffer would otherwise read or write outside
-   the buffers. *)
+   bad output buffer would otherwise be written outside its bounds. *)
 
 external has_sha_ni : unit -> bool = "fair_sha256_has_sha_ni"
-
-external portable : int array -> Bytes.t -> int -> unit = "fair_sha256_compress_portable"
-[@@noalloc]
-
-external sha_ni : int array -> Bytes.t -> int -> unit = "fair_sha256_compress_sha_ni"
-[@@noalloc]
 
 external digest_portable : string -> Bytes.t -> unit = "fair_sha256_digest_portable"
 [@@noalloc]
@@ -22,26 +14,14 @@ external digest_portable : string -> Bytes.t -> unit = "fair_sha256_digest_porta
 external digest_sha_ni : string -> Bytes.t -> unit = "fair_sha256_digest_sha_ni"
 [@@noalloc]
 
-let check h b off =
-  if Array.length h <> 8 || off < 0 || off > Bytes.length b - 64 then
-    invalid_arg "Sha256_block.compress"
-
 let check_out out = if Bytes.length out <> 32 then invalid_arg "Sha256_block.digest"
 
 let sha_ni_ok = has_sha_ni ()
 let kernel = if sha_ni_ok then "sha-ni" else "portable"
 
-let compress h b off =
-  check h b off;
-  if sha_ni_ok then sha_ni h b off else portable h b off
-
 let digest msg out =
   check_out out;
   if sha_ni_ok then digest_sha_ni msg out else digest_portable msg out
-
-let kernels =
-  let checked k h b off = check h b off; k h b off in
-  ("portable", checked portable) :: (if sha_ni_ok then [ ("sha-ni", checked sha_ni) ] else [])
 
 let digests =
   let checked k msg out = check_out out; k msg out in

@@ -7,14 +7,11 @@
  * initialises, and calls one kernel from then on; this file keeps no
  * mutable state.
  *
- * Each kernel is reached two ways.  The compress stubs fold one block into
- * chaining words kept in an OCaml int array (tagged immediates, so storing
- * them back needs no write barrier), for the streaming context.  The
- * digest stubs hash a whole OCaml string in one call: full blocks straight
- * from the string, the padded tail (section 5.1.1) from a stack buffer,
- * and the 32 big-endian digest bytes into an OCaml bytes value.  The OCaml
- * side checks every bound first: a compress reads exactly 64 bytes and
- * touches exactly 8 words, a digest writes exactly 32 bytes.
+ * Each kernel is reached through a digest stub that hashes a whole OCaml
+ * string in one call: full blocks straight from the string, the padded
+ * tail (section 5.1.1) from a stack buffer, and the 32 big-endian digest
+ * bytes into an OCaml bytes value.  The OCaml side checks the bound first:
+ * a digest writes exactly 32 bytes.
  */
 
 #include <stdint.h>
@@ -121,31 +118,6 @@ CAMLprim value fair_sha256_has_sha_ni(value unit)
 }
 
 typedef void (*kernel_t)(uint32_t *, const unsigned char *);
-
-static void run(kernel_t kernel, value h, value b, value off)
-{
-  uint32_t s[8];
-  for (int i = 0; i < 8; i++) s[i] = (uint32_t)Long_val(Field(h, i));
-  kernel(s, Bytes_val(b) + Long_val(off));
-  for (int i = 0; i < 8; i++) Field(h, i) = Val_long(s[i]);
-}
-
-CAMLprim value fair_sha256_compress_portable(value h, value b, value off)
-{
-  run(compress_portable, h, b, off);
-  return Val_unit;
-}
-
-/* Only called when fair_sha256_has_sha_ni said yes. */
-CAMLprim value fair_sha256_compress_sha_ni(value h, value b, value off)
-{
-#ifdef HAVE_SHA_NI
-  run(compress_sha_ni, h, b, off);
-#else
-  run(compress_portable, h, b, off);
-#endif
-  return Val_unit;
-}
 
 /* The padded message is len + 1 + 8 bytes rounded up to whole blocks, so
  * a tail of up to 55 bytes pads into one block and a longer one into two:

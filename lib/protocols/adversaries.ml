@@ -43,20 +43,18 @@ type driver = {
   mutable done_ids : int list; (* machines that output or aborted *)
 }
 
-let new_driver () = { machines = []; done_ids = [] }
+let machines driver = driver.machines
 
-(* Adopt machines freshly handed over by the engine. *)
-let adopt driver (view : Adversary.view) =
+(* Adopt the machines the engine just handed over, then step every live
+   one on its inbox; returns the send actions (as decision sends) and any
+   outputs the machines produced. *)
+let step_machines driver (view : Adversary.view) =
   List.iter
     (fun (c : Adversary.corrupted) ->
       if (not (List.mem_assoc c.Adversary.id driver.machines))
          && not (List.mem c.Adversary.id driver.done_ids)
       then driver.machines <- (c.Adversary.id, c.Adversary.machine) :: driver.machines)
-    view.Adversary.corrupted
-
-(* Step every live corrupted machine on its inbox; returns the send actions
-   (as decision sends) and any outputs the machines produced. *)
-let step_machines driver (view : Adversary.view) =
+    view.Adversary.corrupted;
   let sends = ref [] and outputs = ref [] in
   driver.machines <-
     List.filter_map
@@ -80,6 +78,11 @@ let step_machines driver (view : Adversary.view) =
         else Some (id, m'))
       driver.machines;
   (List.rev !sends, List.rev !outputs)
+
+let driven ?key ~name spec tactic =
+  Adversary.make ?key ~name (fun rng ~protocol ->
+      let initial = choose spec rng ~n:protocol.Protocol.parties in
+      { Adversary.initial; step = tactic rng ~protocol { machines = []; done_ids = [] } })
 
 (* Member [id]'s inbox from one round's traffic, in arrival order and ahead
    of [rest]: the messages addressed to it and every broadcast.  The
@@ -171,20 +174,21 @@ let boring_outputs func =
 (* --------------------------------------------------------------------- *)
 
 (* Every strategy below draws coins only in [choose]; its play key names
-   the tactic and its parameters, never the spec (see the interface). *)
+   the tactic and its parameters, never the spec (see the interface).  The
+   one exception is a hunter with budget > 1. *)
+
+(* Pass the honest code's round on: its sends, and its first output as the
+   claim. *)
+let as_honest sends outputs =
+  { Adversary.send = sends;
+    corrupt = [];
+    claim_learned = (match outputs with v :: _ -> Some v | [] -> None) }
+
 let semi_honest spec =
-  Adversary.make ~key:"semi-honest" ~name:("semi-honest:" ^ spec_to_string spec)
-    (fun rng ~protocol ->
-      let initial = choose spec rng ~n:protocol.Protocol.parties in
-      let driver = new_driver () in
-      let step view =
-        adopt driver view;
-        let sends, outputs = step_machines driver view in
-        { Adversary.send = sends;
-          corrupt = [];
-          claim_learned = (match outputs with v :: _ -> Some v | [] -> None) }
-      in
-      { Adversary.initial; step })
+  driven ~key:"semi-honest" ~name:("semi-honest:" ^ spec_to_string spec) spec
+    (fun _rng ~protocol:_ driver view ->
+      let sends, outputs = step_machines driver view in
+      as_honest sends outputs)
 
 let silent spec =
   Adversary.make ~key:"silent" ~name:("silent:" ^ spec_to_string spec) (fun rng ~protocol ->
@@ -192,20 +196,15 @@ let silent spec =
       { Adversary.initial; step = (fun _ -> Adversary.silent_decision) })
 
 let abort_at ~round spec =
-  Adversary.make ~key:("abort@" ^ string_of_int round)
+  driven ~key:("abort@" ^ string_of_int round)
     ~name:(Printf.sprintf "abort@%d:%s" round (spec_to_string spec))
-    (fun rng ~protocol ->
-      let initial = choose spec rng ~n:protocol.Protocol.parties in
-      let driver = new_driver () in
+    spec
+    (fun _rng ~protocol driver ->
       let max_rounds = protocol.Protocol.max_rounds in
       let claimed = ref false in
-      let step (view : Adversary.view) =
-        adopt driver view;
+      fun (view : Adversary.view) ->
         let sends, outputs = step_machines driver view in
-        if view.Adversary.round < round then
-          { Adversary.send = sends;
-            corrupt = [];
-            claim_learned = (match outputs with v :: _ -> Some v | [] -> None) }
+        if view.Adversary.round < round then as_honest sends outputs
         else begin
           (* Gone silent: see what the retained machines can still extract
              from everything received so far (including this round's rushed
@@ -220,135 +219,87 @@ let abort_at ~round spec =
           in
           if claim <> None then claimed := true;
           { Adversary.send = []; corrupt = []; claim_learned = claim }
-        end
-      in
-      { Adversary.initial; step })
+        end)
 
 let abort_via_functionality ~round spec =
-  Adversary.make ~key:("abort-F@" ^ string_of_int round)
+  driven ~key:("abort-F@" ^ string_of_int round)
     ~name:(Printf.sprintf "abort-F@%d:%s" round (spec_to_string spec))
-    (fun rng ~protocol ->
-      let initial = choose spec rng ~n:protocol.Protocol.parties in
-      let driver = new_driver () in
-      let step (view : Adversary.view) =
-        adopt driver view;
-        let sends, outputs = step_machines driver view in
-        if view.Adversary.round < round then
-          { Adversary.send = sends;
-            corrupt = [];
-            claim_learned = (match outputs with v :: _ -> Some v | [] -> None) }
-        else if view.Adversary.round = round then
-          (* Abort the phase-1 subprotocol: in the hybrid model that is the
-             (abort) message to the trusted party. *)
-          match driver.machines with
-          | (id, _) :: _ ->
-              { Adversary.send = [ (id, Wire.To Wire.functionality_id, Ideal.msg_abort) ];
-                corrupt = [];
-                claim_learned = None }
-          | [] -> Adversary.silent_decision
-        else Adversary.silent_decision
-      in
-      { Adversary.initial; step })
+    spec
+    (fun _rng ~protocol:_ driver (view : Adversary.view) ->
+      let sends, outputs = step_machines driver view in
+      if view.Adversary.round < round then as_honest sends outputs
+      else if view.Adversary.round = round then
+        (* Abort the phase-1 subprotocol: in the hybrid model that is the
+           (abort) message to the trusted party. *)
+        match driver.machines with
+        | (id, _) :: _ ->
+            { Adversary.send = [ (id, Wire.To Wire.functionality_id, Ideal.msg_abort) ];
+              corrupt = [];
+              claim_learned = None }
+        | [] -> Adversary.silent_decision
+      else Adversary.silent_decision)
 
 let greedy_key = function
   | None -> "greedy"
   | Some (f : Fair_mpc.Func.t) -> "greedy/" ^ f.Fair_mpc.Func.name
 
-let greedy ?func spec =
-  Adversary.make ~key:(greedy_key func) ~name:("greedy:" ^ spec_to_string spec)
-    (fun rng ~protocol ->
-      let initial = choose spec rng ~n:protocol.Protocol.parties in
-      let driver = new_driver () in
-      let max_rounds = protocol.Protocol.max_rounds in
+(* Greedy with a corruption budget.  Run the coalition honestly; the
+   moment a corrupted machine outputs, or a probe shows the coalition
+   already holds the output, claim it and abort before releasing the
+   round's messages (Lemma 7's strategy).  While the coalition is smaller
+   than [budget], each round also corrupts one more uniform honest party,
+   drawn before the checks: the "try to corrupt i*" hunt of Lemma 11's
+   proof, whose probes inspect every new victim's state (input, setup,
+   retained machine).  Budget 0 is {!greedy} and budget 1 never corrupts
+   again: neither draws after [choose], so both take greedy's key; a larger
+   budget draws its victims inside [step] and has no key. *)
+let hunt ?func ~budget ~name spec =
+  driven ?key:(if budget <= 1 then Some (greedy_key func) else None) ~name spec
+    (fun rng ~protocol driver ->
+      let n = protocol.Protocol.parties and max_rounds = protocol.Protocol.max_rounds in
       let aborted = ref false in
       let boring_of = boring_outputs func in
-      let step (view : Adversary.view) =
-        adopt driver view;
+      fun (view : Adversary.view) ->
         if !aborted then Adversary.silent_decision
         else begin
           let boring = boring_of view in
           let sends, outputs = step_machines driver view in
-          match List.filter (fun v -> not (List.mem v boring)) outputs with
-          | v :: _ ->
-              (* A corrupted machine terminated with the output in hand:
-                 claim it and stop cooperating. *)
-              aborted := true;
-              { Adversary.send = []; corrupt = []; claim_learned = Some v }
-          | [] -> (
-              match coalition_probe ~boring driver.machines view sends ~max_rounds with
-              | Some v ->
-                  (* The coalition already holds the output: abort before
-                     releasing this round's messages (Lemma 7's strategy). *)
-                  aborted := true;
-                  { Adversary.send = []; corrupt = []; claim_learned = Some v }
-              | None ->
-                  { Adversary.send = sends; corrupt = []; claim_learned = None })
-        end
-      in
-      { Adversary.initial; step })
-
-(* Adaptive corruption: start with one uniformly chosen party and corrupt a
-   further uniform honest party each round until the budget is spent,
-   inspecting every new victim's state (input, setup, retained machine) for
-   the function output via a coalition probe — the "try to corrupt i*"
-   strategy discussed in the proof of Lemma 11.  Claims and aborts exactly
-   like {!greedy} once the coalition holds the output.  At budget 1 it
-   never corrupts again and never draws after [choose], so it plays
-   [greedy Random_party] and takes its key; a larger budget draws each
-   victim inside [step], so it has no key. *)
-let adaptive_hunter ?func ~budget () =
-  Adversary.make
-    ?key:(if budget = 1 then Some (greedy_key func) else None)
-    ~name:(Printf.sprintf "adaptive-hunter-%d" budget)
-    (fun rng ~protocol ->
-      let n = protocol.Protocol.parties in
-      let initial = choose Random_party rng ~n in
-      let driver = new_driver () in
-      let max_rounds = protocol.Protocol.max_rounds in
-      let aborted = ref false in
-      let boring_of = boring_outputs func in
-      let step (view : Adversary.view) =
-        adopt driver view;
-        if !aborted then Adversary.silent_decision
-        else begin
-          let boring = boring_of view in
-          let sends, outputs = step_machines driver view in
-          let corrupted_now = List.map (fun (c : Adversary.corrupted) -> c.Adversary.id) view.Adversary.corrupted in
           let next_victim =
-            if List.length corrupted_now >= budget then []
+            if List.compare_length_with view.Adversary.corrupted budget >= 0 then []
             else
-              match
-                List.filter (fun j -> not (List.mem j corrupted_now)) (List.init n (fun j -> j + 1))
-              with
+              let ids =
+                List.map (fun (c : Adversary.corrupted) -> c.Adversary.id) view.Adversary.corrupted
+              in
+              match List.filter (fun j -> not (List.mem j ids)) (List.init n (fun j -> j + 1)) with
               | [] -> []
               | honest -> [ Rng.pick rng honest ]
           in
-          match List.filter (fun v -> not (List.mem v boring)) outputs with
-          | v :: _ ->
-              aborted := true;
-              { Adversary.send = []; corrupt = []; claim_learned = Some v }
-          | [] -> (
-              match coalition_probe ~boring driver.machines view sends ~max_rounds with
-              | Some v ->
-                  aborted := true;
-                  { Adversary.send = []; corrupt = []; claim_learned = Some v }
-              | None -> { Adversary.send = sends; corrupt = next_victim; claim_learned = None })
-        end
-      in
-      { Adversary.initial; step })
+          let held =
+            match List.filter (fun v -> not (List.mem v boring)) outputs with
+            | v :: _ -> Some v
+            | [] -> coalition_probe ~boring driver.machines view sends ~max_rounds
+          in
+          if held <> None then begin
+            aborted := true;
+            { Adversary.send = []; corrupt = []; claim_learned = held }
+          end
+          else { Adversary.send = sends; corrupt = next_victim; claim_learned = None }
+        end)
+
+let greedy ?func spec = hunt ?func ~budget:0 ~name:("greedy:" ^ spec_to_string spec) spec
+
+let adaptive_hunter ?func ~budget () =
+  hunt ?func ~budget ~name:(Printf.sprintf "adaptive-hunter-%d" budget) Random_party
 
 (* Hybrid-protocol strategy: use the trusted party's interfaces directly —
    request the corrupted parties' outputs, and abort the functionality the
    moment a function output reaches the coalition (the optimal attack on
    the dummy unfair-SFE protocol). *)
 let grab_and_abort spec =
-  Adversary.make ~key:"grab-and-abort" ~name:("grab-and-abort:" ^ spec_to_string spec)
-    (fun rng ~protocol ->
-      let initial = choose spec rng ~n:protocol.Protocol.parties in
-      let driver = new_driver () in
+  driven ~key:"grab-and-abort" ~name:("grab-and-abort:" ^ spec_to_string spec) spec
+    (fun _rng ~protocol:_ driver ->
       let claimed = ref false in
-      let step (view : Adversary.view) =
-        adopt driver view;
+      fun (view : Adversary.view) ->
         let sends, _ = step_machines driver view in
         match driver.machines with
         | [] -> Adversary.silent_decision
@@ -377,21 +328,17 @@ let grab_and_abort spec =
                     corrupt = [];
                     claim_learned = Some y }
               | None -> { Adversary.send = sends; corrupt = []; claim_learned = None }
-            end
-      in
-      { Adversary.initial; step })
+            end)
 
 (* [Rng.split] reads only the generator's seed, not how far [choose] drew,
    so the substituted machines do not depend on the spec. *)
 let substitute_input ~input spec =
-  Adversary.make ~key:("substitute/" ^ input)
+  driven ~key:("substitute/" ^ input)
     ~name:(Printf.sprintf "substitute(%s):%s" input (spec_to_string spec))
-    (fun rng ~protocol ->
-      let initial = choose spec rng ~n:protocol.Protocol.parties in
-      let driver = new_driver () in
+    spec
+    (fun rng ~protocol driver ->
       let substituted = ref false in
-      let step (view : Adversary.view) =
-        adopt driver view;
+      fun (view : Adversary.view) ->
         (* Rebuild the corrupted machines with the substituted input on
            first contact: run the protocol's honest code on a lie. *)
         if not !substituted then begin
@@ -407,21 +354,15 @@ let substitute_input ~input spec =
               view.Adversary.corrupted
         end;
         let sends, outputs = step_machines driver view in
-        { Adversary.send = sends;
-          corrupt = [];
-          claim_learned = (match outputs with v :: _ -> Some v | [] -> None) }
-      in
-      { Adversary.initial; step })
+        as_honest sends outputs)
+
+let zoo_grid ~n ~max_round =
+  ( (Random_party :: List.init (max 1 (n - 1)) (fun t -> Random_subset (t + 1))) @ [ Everyone ],
+    List.sort_uniq compare
+      (List.filter (fun r -> r >= 1 && r <= max_round) [ 1; 2; 3; 4; 5; 6; 7; max_round ]) )
 
 let standard_zoo ?func ~n ~max_round () =
-  let sizes = List.init (max 1 (n - 1)) (fun t -> t + 1) in
-  let specs =
-    Random_party :: (List.map (fun t -> Random_subset t) sizes @ [ Everyone ])
-  in
-  let rounds =
-    List.sort_uniq compare
-      (List.filter (fun r -> r >= 1 && r <= max_round) [ 1; 2; 3; 4; 5; 6; 7; max_round ])
-  in
+  let specs, rounds = zoo_grid ~n ~max_round in
   Adversary.passive
   :: List.concat_map
        (fun spec ->

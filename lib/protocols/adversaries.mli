@@ -1,6 +1,12 @@
-(** The generic adversary-strategy zoo.
+(** The generic adversary-strategy zoo, and the skeleton it is built on.
 
-    These are the protocol-independent strategies the paper's proofs use:
+    Every attacker in the paper's proofs runs its corrupted parties'
+    honest machines and deviates only by stopping, claiming an output or
+    rewriting a message.  {!driven} is that shape: it draws the coalition,
+    and a {e tactic} turns each round's view into a decision, stepping the
+    coalition's honest code through one {!driver}.  Every strategy here but
+    {!silent}, and the protocol-specific ones of [Gordon_katz],
+    [Leaky_and] and [Coin_toss], is a tactic over it:
 
     - {!semi_honest} runs the corrupted parties' honest machines and merely
       records what they learn — the E11 baseline;
@@ -11,6 +17,7 @@
       each round's messages *probe* — by simulating the coalition forward
       against a silent residual network — whether the coalition already
       holds the evaluation's output; the moment it does, abort and claim it;
+    - {!adaptive_hunter} is greedy with a corruption budget (greedy's is 0);
     - {!silent} corrupts and never speaks (crash-at-start);
     - {!substitute_input} replaces a corrupted party's input and otherwise
       runs semi-honestly (exercises the input-substitution power of
@@ -37,6 +44,42 @@ type corrupt_spec =
 val spec_to_string : corrupt_spec -> string
 
 val choose : corrupt_spec -> Rng.t -> n:int -> int list
+
+(** {1 The skeleton} *)
+
+type driver
+(** The coalition's honest machines in one execution: every machine the
+    engine has handed over and that has not yet output or aborted. *)
+
+val driven :
+  ?key:string ->
+  name:string ->
+  corrupt_spec ->
+  (Rng.t -> protocol:Fair_exec.Protocol.t -> driver -> Adversary.view -> Adversary.decision) ->
+  Adversary.t
+(** [driven ?key ~name spec tactic] draws its initial coalition with
+    {!choose}, then applies [tactic rng ~protocol driver] once per
+    execution, to the generator [choose] drew from and a fresh driver, to
+    get the instance's step.  Per-execution state belongs between the
+    driver and the view argument ([fun rng ~protocol driver -> let s = …
+    in fun view -> …]).  [key] keeps {!Adversary.make}'s contract: give
+    one only to a tactic that draws no coin from [rng]. *)
+
+val step_machines :
+  driver ->
+  Adversary.view ->
+  (Fair_exec.Wire.party_id * Fair_exec.Wire.dest * Fair_exec.Wire.payload) list
+  * Fair_exec.Wire.payload list
+(** Adopt the machines the engine has just handed over, then step every
+    live machine on its inbox of [view].  Returns their sends, as decision
+    sends in machine order, and their outputs.  A machine that outputs or
+    aborts is retired. *)
+
+val machines : driver -> (int * Fair_exec.Machine.t) list
+(** The live machines after the last {!step_machines}: what a probe
+    resumes. *)
+
+(** {1 Strategies} *)
 
 val semi_honest : corrupt_spec -> Adversary.t
 val silent : corrupt_spec -> Adversary.t
@@ -71,6 +114,12 @@ val grab_and_abort : corrupt_spec -> Adversary.t
     F_sfe^⊥ protocol. *)
 
 val substitute_input : input:string -> corrupt_spec -> Adversary.t
+
+val zoo_grid : n:int -> max_round:int -> corrupt_spec list * int list
+(** {!standard_zoo}'s grid: its corruption patterns (the uniform party, a
+    uniform coalition of each size from 1 to n−1, or of size 1 when n = 1,
+    and everyone) and its abort rounds (those of 1..7 and [max_round] that
+    lie within 1..[max_round], ascending). *)
 
 val standard_zoo : ?func:Fair_mpc.Func.t -> n:int -> max_round:int -> unit -> Adversary.t list
 (** A broad pile of strategies for best-response sweeps: passive, silent,

@@ -65,59 +65,37 @@ let party ~rng ~id ~n:_ ~input:_ ~setup:_ =
 
 let protocol = Protocol.make ~name:"blum-coin-toss" ~parties:2 ~max_rounds:rounds party
 
-let bit_of_opening body =
-  match Commit.opening_of_string body with
-  | o -> int_of_string_opt (Commit.message o)
-  | exception Invalid_argument _ -> None
+(* The bit a well-formed "open" frame reveals. *)
+let opened_bit payload =
+  match Wire.tagged ~tag:"open" payload with
+  | None -> None
+  | Some body -> (
+      match Commit.opening_of_string body with
+      | o -> int_of_string_opt (Commit.message o)
+      | exception Invalid_argument _ -> None)
 
 let veto_adversary ~target ~want =
-  Adversary.make ~name:(Printf.sprintf "coin-veto(%s):p%d" want target) (fun _rng ~protocol:_ ->
-      let machine = ref None in
-      let step (view : Adversary.view) =
-        (match !machine with
-        | None ->
-            List.iter
-              (fun (c : Adversary.corrupted) ->
-                if c.Adversary.id = target then machine := Some c.Adversary.machine)
-              view.Adversary.corrupted
-        | Some _ -> ());
-        match !machine with
-        | None -> Adversary.silent_decision
-        | Some m ->
-            let inbox = try List.assoc target view.Adversary.inbox with Not_found -> [] in
-            let m', actions = m.Machine.step ~round:view.Adversary.round ~inbox in
-            machine := Some m';
-            let sends =
-              List.filter_map
-                (function
-                  | Machine.Send (dst, payload) -> Some (target, dst, payload)
-                  | Machine.Output _ | Machine.Abort_self -> None)
-                actions
-            in
-            if view.Adversary.round <> 2 then
-              { Adversary.send = sends; corrupt = []; claim_learned = None }
-            else begin
-              (* Rushing: the honest opening is already visible; veto the
-                 toss if it would come out wrong. *)
-              let my_bit =
-                List.find_map
-                  (fun (_, _, payload) ->
-                    Option.bind (Wire.tagged ~tag:"open" payload) bit_of_opening)
-                  sends
-              in
-              let peer_bit =
-                List.find_map
-                  (fun (env : Wire.envelope) ->
-                    Option.bind (Wire.tagged ~tag:"open" env.Wire.payload) bit_of_opening)
-                  view.Adversary.rushed
-              in
-              match (my_bit, peer_bit) with
-              | Some a, Some b when string_of_int ((a + b) mod 2) <> want ->
-                  { Adversary.send = []; corrupt = []; claim_learned = None }
-              | _ -> { Adversary.send = sends; corrupt = []; claim_learned = None }
-            end
+  Adversaries.driven
+    ~name:(Printf.sprintf "coin-veto(%s):p%d" want target)
+    (Adversaries.Fixed [ target ])
+    (fun _rng ~protocol:_ driver (view : Adversary.view) ->
+      let sends, _ = Adversaries.step_machines driver view in
+      (* Rushing: in round 2 the honest opening is already visible; veto
+         the toss if it would come out wrong. *)
+      let veto =
+        view.Adversary.round = 2
+        &&
+        let mine = List.find_map (fun (_, _, payload) -> opened_bit payload) sends
+        and theirs =
+          List.find_map
+            (fun (env : Wire.envelope) -> opened_bit env.Wire.payload)
+            view.Adversary.rushed
+        in
+        match (mine, theirs) with
+        | Some a, Some b -> string_of_int ((a + b) mod 2) <> want
+        | _ -> false
       in
-      { Adversary.initial = [ target ]; step })
+      { Adversary.send = (if veto then [] else sends); corrupt = []; claim_learned = None })
 
 type bias_stats = {
   trials : int;

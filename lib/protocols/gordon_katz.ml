@@ -325,58 +325,32 @@ let probe_machine m ~start_round ~max_rounds =
 (* Drive the corrupted party honestly; after each round probe the held
    fallback value; abort (and claim) once [decide history] fires. *)
 let value_adversary ~name ~target ~decide =
-  Adversary.make ~name (fun _rng ~protocol ->
-      let machine = ref None in
+  Adversaries.driven ~name (Adversaries.Fixed [ target ]) (fun _rng ~protocol driver ->
       let history = ref [] in
       let aborted = ref false in
       let max_rounds = protocol.Protocol.max_rounds in
-      let step (view : Adversary.view) =
+      fun (view : Adversary.view) ->
         if !aborted then Adversary.silent_decision
         else begin
-          (match !machine with
-          | None ->
-              List.iter
-                (fun (c : Adversary.corrupted) ->
-                  if c.Adversary.id = target then machine := Some c.Adversary.machine)
-                view.Adversary.corrupted
-          | Some _ -> ());
-          match !machine with
-          | None -> Adversary.silent_decision
-          | Some m ->
-              let inbox = try List.assoc target view.Adversary.inbox with Not_found -> [] in
-              let m', actions = m.Machine.step ~round:view.Adversary.round ~inbox in
-              machine := Some m';
-              let sends =
-                List.filter_map
-                  (function
-                    | Machine.Send (dst, payload) -> Some (target, dst, payload)
-                    | Machine.Output _ | Machine.Abort_self -> None)
-                  actions
-              in
-              let finished =
-                List.find_map
-                  (function Machine.Output v -> Some v | _ -> None)
-                  actions
-              in
-              let held =
-                match finished with
-                | Some v -> Some v
-                | None ->
-                    probe_machine m' ~start_round:(view.Adversary.round + 1) ~max_rounds
-              in
-              (match held with Some v -> history := v :: !history | None -> ());
-              if finished <> None then begin
-                aborted := true;
-                { Adversary.send = sends; corrupt = []; claim_learned = finished }
-              end
-              else if held <> None && decide (List.rev !history) then begin
-                aborted := true;
-                { Adversary.send = []; corrupt = []; claim_learned = held }
-              end
-              else { Adversary.send = sends; corrupt = []; claim_learned = None }
-        end
-      in
-      { Adversary.initial = [ target ]; step })
+          let sends, outputs = Adversaries.step_machines driver view in
+          let finished = match outputs with v :: _ -> Some v | [] -> None in
+          let held =
+            match (finished, Adversaries.machines driver) with
+            | None, [ (_, m) ] ->
+                probe_machine m ~start_round:(view.Adversary.round + 1) ~max_rounds
+            | _ -> finished
+          in
+          (match held with Some v -> history := v :: !history | None -> ());
+          if finished <> None then begin
+            aborted := true;
+            { Adversary.send = sends; corrupt = []; claim_learned = finished }
+          end
+          else if held <> None && decide (List.rev !history) then begin
+            aborted := true;
+            { Adversary.send = []; corrupt = []; claim_learned = held }
+          end
+          else { Adversary.send = sends; corrupt = []; claim_learned = None }
+        end)
 
 let rec last_k k = function
   | [] -> []

@@ -65,49 +65,28 @@ let protocol =
 
 (* Corrupt p2: send the 1-bit, run the rest honestly, claim a leaked x1. *)
 let leak_adversary =
-  Adversary.make ~name:"leaky-and-p2" (fun _rng ~protocol:_ ->
-      let machine = ref None in
+  Adversaries.driven ~name:"leaky-and-p2" (Adversaries.Fixed [ 2 ]) (fun _rng ~protocol:_ driver ->
       let claimed = ref false in
-      let step (view : Adversary.view) =
-        (match !machine with
-        | None ->
-            List.iter
-              (fun (c : Adversary.corrupted) ->
-                if c.Adversary.id = 2 then machine := Some c.Adversary.machine)
-              view.Adversary.corrupted
-        | Some _ -> ());
-        match !machine with
-        | None -> Adversary.silent_decision
-        | Some m ->
-            let inbox = try List.assoc 2 view.Adversary.inbox with Not_found -> [] in
-            let m', actions = m.Machine.step ~round:view.Adversary.round ~inbox in
-            machine := Some m';
-            let sends =
-              List.filter_map
-                (function
-                  | Machine.Send (dst, payload) ->
-                      let payload =
-                        match Wire.unframe payload with
-                        | [ "bit"; "0" ] -> Wire.frame [ "bit"; "1" ]
-                        | _ -> payload
-                        | exception Invalid_argument _ -> payload
-                      in
-                      Some (2, dst, payload)
-                  | Machine.Output _ | Machine.Abort_self -> None)
-                actions
-            in
-            let leak =
-              if !claimed then None
-              else
-                List.find_map
-                  (fun (src, payload) ->
-                    if src = 1 then Wire.tagged ~tag:"leak" payload else None)
-                  inbox
-            in
-            if leak <> None then claimed := true;
-            { Adversary.send = sends; corrupt = []; claim_learned = leak }
-      in
-      { Adversary.initial = [ 2 ]; step })
+      fun (view : Adversary.view) ->
+        let sends, _ = Adversaries.step_machines driver view in
+        let send =
+          List.map
+            (fun ((src, dst, payload) as sent) ->
+              match Wire.unframe payload with
+              | [ "bit"; "0" ] -> (src, dst, Wire.frame [ "bit"; "1" ])
+              | _ -> sent
+              | exception Invalid_argument _ -> sent)
+            sends
+        in
+        let leak =
+          if !claimed then None
+          else
+            List.find_map
+              (fun (src, payload) -> if src = 1 then Wire.tagged ~tag:"leak" payload else None)
+              (try List.assoc 2 view.Adversary.inbox with Not_found -> [])
+        in
+        if leak <> None then claimed := true;
+        { Adversary.send; corrupt = []; claim_learned = leak })
 
 type z_result = { z1_accepts : bool; z2_accepts : bool }
 

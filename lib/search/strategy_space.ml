@@ -43,21 +43,12 @@ let default_specs ~n =
   let subsets = List.init (max 0 (n - 2)) (fun t -> Adv.Random_subset (t + 2)) in
   singles @ (Adv.Random_party :: subsets) @ [ Adv.Everyone ]
 
-let make ?specs ?rounds ?substitutions ?adaptive_budgets ?(hybrid = false) ?func ~n
-    ~max_round () =
+let make ?adaptive_budgets ?(hybrid = false) ?func ~n ~max_round () =
   if n < 1 then invalid_arg "Strategy_space.make: n < 1";
   if max_round < 1 then invalid_arg "Strategy_space.make: max_round < 1";
-  let specs = match specs with Some s -> s | None -> default_specs ~n in
-  let rounds =
-    match rounds with
-    | Some r -> List.filter (fun r -> r >= 1 && r <= max_round) r
-    | None -> default_rounds ~max_round
-  in
-  let substitutions =
-    match substitutions with
-    | Some s -> s
-    | None -> ( match func with Some f -> [ f.Func.default_input ] | None -> [])
-  in
+  let specs = default_specs ~n in
+  let rounds = default_rounds ~max_round in
+  let substitutions = match func with Some f -> [ f.Func.default_input ] | None -> [] in
   let adaptive_budgets =
     match adaptive_budgets with
     | Some b -> b
@@ -106,14 +97,7 @@ let equiv_spec a b =
   | _ -> a = b
 
 let contains_zoo s =
-  let zoo_specs =
-    (Adv.Random_party :: List.init (max 1 (s.n - 1)) (fun t -> Adv.Random_subset (t + 1)))
-    @ [ Adv.Everyone ]
-  in
-  let zoo_rounds =
-    List.sort_uniq compare
-      (List.filter (fun r -> r >= 1 && r <= s.max_round) [ 1; 2; 3; 4; 5; 6; 7; s.max_round ])
-  in
+  let zoo_specs, zoo_rounds = Adv.zoo_grid ~n:s.n ~max_round:s.max_round in
   s.hybrid
   && List.for_all (fun spec -> List.exists (equiv_spec spec) s.specs) zoo_specs
   && List.for_all (fun r -> List.mem r s.rounds) zoo_rounds

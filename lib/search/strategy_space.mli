@@ -35,9 +35,6 @@ type point = { spec : Adv.corrupt_spec; tactic : tactic }
 type space
 
 val make :
-  ?specs:Adv.corrupt_spec list ->
-  ?rounds:int list ->
-  ?substitutions:string list ->
   ?adaptive_budgets:int list ->
   ?hybrid:bool ->
   ?func:Func.t ->
@@ -45,13 +42,14 @@ val make :
   max_round:int ->
   unit ->
   space
-(** Defaults: [specs] is every fixed singleton (n ≤ 6), the uniform party,
-    every uniform coalition size 2..n−1, and everyone; [rounds] covers
-    1..[max_round], strided down to ≤ 12 values when the protocol is long;
-    [substitutions] is the function's default input (when [func] is given);
-    [adaptive_budgets] is 1..n−1 capped at 3; [hybrid] (default false)
-    gates the trusted-party tactics.  [func] is forwarded to the greedy /
-    adaptive probes so they can discount default-fallback evaluations.
+(** The corruption patterns are every fixed singleton (n ≤ 6), the uniform
+    party, every uniform coalition size 2..n−1, and everyone; the abort
+    rounds cover 1..[max_round], strided down to ≤ 12 values when the
+    protocol is long; the substituted input is the function's default
+    input (when [func] is given).  [adaptive_budgets] defaults to 1..n−1
+    capped at 3; [hybrid] (default false) gates the trusted-party tactics.
+    [func] is forwarded to the greedy / adaptive probes so they can
+    discount default-fallback evaluations.
     @raise Invalid_argument if [n < 1] or [max_round < 1]. *)
 
 val points : space -> point list
@@ -71,4 +69,4 @@ val compile : space -> point -> Adversary.t
 val contains_zoo : space -> bool
 (** True when the space's tactic set covers [Adversaries.standard_zoo]'s
     generators (passive, silent, semi-honest, greedy, grab-and-abort,
-    abort-at) for its spec list. *)
+    abort-at) over its grid ([Adversaries.zoo_grid]). *)

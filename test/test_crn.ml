@@ -158,12 +158,7 @@ let test_stratified () =
 (* (g) input validation on paired. *)
 let test_paired_validation () =
   Alcotest.check_raises "trials < 1" (Invalid_argument "Crn.paired: trials < 1") (fun () ->
-      ignore (paired ~trials:0 ~seed:1 ()));
-  Alcotest.check_raises "fault_budget outside [0,1]"
-    (Invalid_argument "Crn.paired: fault_budget outside [0,1]") (fun () ->
-      ignore
-        (Crn.paired ~fault_budget:1.5 ~a:leg_a ~b:leg_b ~func:swap ~env:env2 ~trials:10
-           ~seed:1 ()))
+      ignore (paired ~trials:0 ~seed:1 ()))
 
 let () =
   Alcotest.run "fair_crn"

@@ -1,5 +1,5 @@
-(* Tests for the crypto substrate: SHA-256 (FIPS vectors, and every block
-   kernel the CPU can run against a reference compression), HMAC (RFC 4231),
+(* Tests for the crypto substrate: SHA-256 (FIPS vectors, and every kernel
+   the CPU can run against a reference digest), HMAC (RFC 4231),
    the deterministic RNG, commitments, the polynomial MAC, and the
    hash-based signatures. *)
 
@@ -48,49 +48,12 @@ let test_hex_roundtrip () =
   Alcotest.check_raises "bad char" (Invalid_argument "Sha256.of_hex: bad character") (fun () ->
       ignore (Sha256.of_hex "zz"))
 
-(* The incremental API must agree with the one-shot digest for every way
-   of slicing the message, including slices that straddle the 64-byte
-   block boundary and the 56-byte padding threshold. *)
-let test_sha256_incremental () =
-  let msg = String.init 1000 (fun i -> Char.chr ((i * 7 + 13) land 0xff)) in
-  let expect = Sha256.digest msg in
-  List.iter
-    (fun sizes ->
-      let c = Sha256.Ctx.create () in
-      let pos = ref 0 in
-      let rec go = function
-        | [] -> ()
-        | k :: rest when !pos + k <= String.length msg ->
-            Sha256.Ctx.feed c (String.sub msg !pos k);
-            pos := !pos + k;
-            go rest
-        | _ :: rest -> go rest
-      in
-      go sizes;
-      Sha256.Ctx.feed c (String.sub msg !pos (String.length msg - !pos));
-      Alcotest.(check string)
-        (Printf.sprintf "chunks [%s]" (String.concat ";" (List.map string_of_int sizes)))
-        (Sha256.to_hex expect)
-        (Sha256.to_hex (Sha256.Ctx.digest c)))
-    [ [ 0 ]; [ 1; 1; 1 ]; [ 55; 1 ]; [ 56 ]; [ 63; 2 ]; [ 64 ]; [ 65; 64 ];
-      [ 127; 1 ]; [ 128; 128; 128 ]; [ 3; 61; 64; 100 ] ]
-
-let test_sha256_feed_bytes () =
-  let b = Bytes.of_string "xxabcyy" in
-  let c = Sha256.Ctx.create () in
-  Sha256.Ctx.feed_bytes c b ~pos:2 ~len:3;
-  Alcotest.(check string) "feed_bytes slice"
-    "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-    (Sha256.to_hex (Sha256.Ctx.digest c));
-  Alcotest.check_raises "bad range" (Invalid_argument "Sha256.feed: range out of bounds")
-    (fun () -> Sha256.Ctx.feed_bytes (Sha256.Ctx.create ()) b ~pos:5 ~len:3)
-
-(* ---------------------- SHA-256 block kernels ---------------------- *)
+(* ---------------------- SHA-256 kernels ---------------------------- *)
 
 module Block = Fair_crypto.Sha256_block
 
 (* FIPS 180-4 section 6.2.2 written loop by loop over native ints: the
-   reference every C kernel must match block for block. *)
+   compression behind the reference every C kernel must match. *)
 let fips_k =
   [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1; 0x923f82a4; 0xab1c5ed5;
      0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3; 0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174;
@@ -127,66 +90,6 @@ let reference_compress h b off =
   done;
   Array.iteri (fun i x -> h.(i) <- h.(i) +% x) v
 
-(* 10 000 random (state, buffer, offset) cases per kernel.  Buffers run
-   from 64 to 191 bytes; a quarter of the offsets are 0, a quarter the last
-   64 bytes, and the rest anywhere in between (mostly unaligned).  The
-   kernel must also leave the buffer as it found it. *)
-let test_block_kernels () =
-  let rs = Random.State.make [| 180 |] in
-  let word () = Random.State.full_int rs 0x1_0000_0000 in
-  let cases =
-    List.init 10_000 (fun i ->
-        let state =
-          match i with
-          | 0 -> Array.make 8 0
-          | 1 -> Array.make 8 0xffffffff
-          | _ -> Array.init 8 (fun _ -> word ())
-        in
-        let len = 64 + Random.State.int rs 128 in
-        let buf = Bytes.init len (fun _ -> Char.chr (Random.State.int rs 256)) in
-        let off = match i mod 4 with 0 -> 0 | 1 -> len - 64 | _ -> Random.State.int rs (len - 63) in
-        (state, buf, off))
-  in
-  Alcotest.(check bool) "the selected kernel is listed" true (List.mem_assoc Block.kernel Block.kernels);
-  Alcotest.(check string) "Sha256.kernel names it" Block.kernel Sha256.kernel;
-  let differ (name, compress) =
-    let mismatches = ref 0 and first = ref "" in
-    List.iteri
-      (fun i (state, buf, off) ->
-        let expect = Array.copy state and got = Array.copy state and before = Bytes.copy buf in
-        reference_compress expect buf off;
-        compress got buf off;
-        if got <> expect || not (Bytes.equal buf before) then begin
-          if !mismatches = 0 then
-            first := Printf.sprintf "case %d, offset %d of %d bytes" i off (Bytes.length buf);
-          incr mismatches
-        end)
-      cases;
-    if !mismatches = 0 then None
-    else Some (Printf.sprintf "%s: %d cases differ, first %s" name !mismatches !first)
-  in
-  Alcotest.(check (list string)) "kernels that differ from the FIPS reference" []
-    (List.filter_map differ (("compress", Block.compress) :: Block.kernels))
-
-(* The C kernels trust their arguments, so the OCaml side must refuse any
-   offset or state that would take them outside their buffers. *)
-let test_block_bounds () =
-  let b = Bytes.make 100 'x' in
-  let bad = Invalid_argument "Sha256_block.compress" in
-  List.iter
-    (fun (name, compress) ->
-      let h = Array.make 8 1 in
-      let raises what f = Alcotest.check_raises (Printf.sprintf "%s: %s" name what) bad f in
-      raises "off < 0" (fun () -> compress h b (-1));
-      raises "off > length - 64" (fun () -> compress h b 37);
-      raises "buffer shorter than a block" (fun () -> compress h (Bytes.make 63 'x') 0);
-      raises "7-word state" (fun () -> compress (Array.make 7 1) b 0);
-      raises "9-word state" (fun () -> compress (Array.make 9 1) b 0);
-      Alcotest.(check (array int)) (name ^ ": state untouched") (Array.make 8 1) h;
-      compress h b 36;
-      Alcotest.(check bool) (name ^ ": last block accepted") true (h <> Array.make 8 1))
-    (("compress", Block.compress) :: Block.kernels)
-
 (* SHA-256 in OCaml from [reference_compress] and the padding of FIPS
    180-4 section 5.1.1: the message, 0x80, zeros, and the 64-bit bit
    length, in (len + 8) / 64 + 1 blocks. *)
@@ -209,11 +112,11 @@ let sha256_blocks () =
   Option.value ~default:0
     (List.assoc_opt "sha256.blocks" (Fair_obs.Metrics.snapshot ()).Fair_obs.Metrics.counters)
 
-(* The one-call digest of every kernel the CPU runs equals the streaming
-   [Ctx] digest and the OCaml reference on the FIPS vectors and on random
-   bytes of every length 0-300, which covers each padding edge (55/56,
-   63/64, 119/120); [Sha256.digest] counts its (len + 8) / 64 + 1 blocks,
-   as many as [Ctx] compresses. *)
+(* The digest of every kernel the CPU runs equals the OCaml reference on
+   the FIPS vectors, on random bytes of every length 0-300, which covers
+   each padding edge (55/56, 63/64, 119/120), and on random messages of a
+   few KiB, whose long block chains the reference compresses one by one;
+   [Sha256.digest] counts its (len + 8) / 64 + 1 blocks. *)
 let test_one_call_digest () =
   List.iter
     (fun (msg, expect) ->
@@ -221,45 +124,35 @@ let test_one_call_digest () =
         (Sha256.to_hex (reference_digest msg)))
     fips_vectors;
   let rs = Random.State.make [| 256 |] in
+  let random len = String.init len (fun _ -> Char.chr (Random.State.int rs 256)) in
   let msgs =
     List.map fst fips_vectors
-    @ List.init 301 (fun len -> String.init len (fun _ -> Char.chr (Random.State.int rs 256)))
+    @ List.init 301 random
+    @ List.map random [ 1024; 2047; 3000; 4096; 5000 ]
   in
-  Alcotest.(check (list string)) "digest kernels, by name" (List.map fst Block.kernels)
-    (List.map fst Block.digests);
+  Alcotest.(check bool) "the selected kernel is listed" true
+    (List.mem_assoc Block.kernel Block.digests);
+  Alcotest.(check string) "Sha256.kernel names it" Block.kernel Sha256.kernel;
   let differ (name, digest) =
     List.filter_map
       (fun msg ->
         let out = Bytes.create 32 in
         digest msg out;
-        let c = Sha256.Ctx.create () in
-        Sha256.Ctx.feed c msg;
-        let got = Bytes.to_string out in
-        if String.equal got (reference_digest msg) && String.equal got (Sha256.Ctx.digest c) then None
+        if String.equal (Bytes.to_string out) (reference_digest msg) then None
         else Some (Printf.sprintf "%s: %d bytes" name (String.length msg)))
       msgs
   in
-  Alcotest.(check (list string)) "digests that differ from the reference or Ctx" []
+  Alcotest.(check (list string)) "digests that differ from the reference" []
     (List.concat_map differ (("digest", Block.digest) :: Block.digests));
   Alcotest.check_raises "a 31-byte output" (Invalid_argument "Sha256_block.digest") (fun () ->
       Block.digest "abc" (Bytes.create 31));
-  let counted f =
-    let before = sha256_blocks () in
-    f ();
-    sha256_blocks () - before
-  in
   Fair_obs.Metrics.enable ();
   let wrong =
     List.filter
       (fun msg ->
-        let len = String.length msg in
-        let ctx () =
-          let c = Sha256.Ctx.create () in
-          Sha256.Ctx.feed c msg;
-          ignore (Sha256.Ctx.digest c)
-        in
-        counted (fun () -> ignore (Sha256.digest msg)) <> ((len + 8) / 64) + 1
-        || counted ctx <> ((len + 8) / 64) + 1)
+        let before = sha256_blocks () in
+        ignore (Sha256.digest msg);
+        sha256_blocks () - before <> ((String.length msg + 8) / 64) + 1)
       msgs
   in
   Fair_obs.Metrics.disable ();
@@ -517,12 +410,8 @@ let () =
     [ ( "sha256",
         [ Alcotest.test_case "FIPS 180-4 vectors" `Quick test_sha256_vectors;
           Alcotest.test_case "million a's" `Slow test_sha256_million_a;
-          Alcotest.test_case "incremental = one-shot" `Quick test_sha256_incremental;
-          Alcotest.test_case "feed_bytes slice" `Quick test_sha256_feed_bytes;
           Alcotest.test_case "hex roundtrip" `Quick test_hex_roundtrip;
-          Alcotest.test_case "block kernels = FIPS reference" `Quick test_block_kernels;
-          Alcotest.test_case "block bounds" `Quick test_block_bounds;
-          Alcotest.test_case "one-call digest = reference and Ctx, blocks counted" `Quick
+          Alcotest.test_case "one-call digest = reference, blocks counted" `Quick
             test_one_call_digest ] );
       ( "hmac",
         [ Alcotest.test_case "RFC 4231 vectors" `Quick test_hmac_rfc4231;

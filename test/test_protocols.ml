@@ -285,6 +285,8 @@ let test_coin_toss_cleve_veto () =
     CT.measure_bias ~adversary:(CT.veto_adversary ~target:2 ~want:"0") ~trials:600 ~seed:2
   in
   Alcotest.(check int) "never outputs 1" 0 stats.CT.honest_one;
+  Alcotest.(check (pair int int)) "exact counts (zero, abort)" (295, 305)
+    (stats.CT.honest_zero, stats.CT.honest_abort);
   let p_abort = float_of_int stats.CT.honest_abort /. float_of_int stats.CT.trials in
   close ~tol:0.07 "vetoes half the tosses" p_abort 0.5;
   close ~tol:0.07 "keeps the other half"

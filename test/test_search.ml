@@ -156,12 +156,18 @@ let searched_beats_zoo id () =
                 Alcotest.failf "searched %.4f (%s) below zoo best %.4f (%s)"
                   c.Certificate.utility c.Certificate.best_arm zoo_u zoo_arm))
 
+(* [contains_zoo] reads the grid [standard_zoo] is built from; every zoo
+   arm's name (tactic and spec) is also the name of a space point's. *)
 let test_space_contains_zoo () =
-  let func = Fair_mpc.Func.swap in
-  let space =
-    Space.make ~hybrid:true ~func ~n:2 ~max_round:Fair_protocols.Opt2.hybrid_rounds ()
-  in
+  let func = Fair_mpc.Func.swap and max_round = Fair_protocols.Opt2.hybrid_rounds in
+  let space = Space.make ~hybrid:true ~func ~n:2 ~max_round () in
   Alcotest.(check bool) "space covers the standard zoo" true (Space.contains_zoo space);
+  let name (a : Fair_exec.Adversary.t) = a.Fair_exec.Adversary.name in
+  let points = List.map (fun p -> name (Space.compile space p)) (Space.points space) in
+  Alcotest.(check (list string)) "zoo arms the space lacks" []
+    (List.filter
+       (fun z -> not (List.mem z points))
+       (List.map name (Fair_protocols.Adversaries.standard_zoo ~func ~n:2 ~max_round ())));
   Alcotest.(check int) "enumeration matches cardinality" (Space.cardinality space)
     (List.length (Space.points space))
 
@@ -299,7 +305,13 @@ let both_orders t arms ~prefix =
 (* Every arm (space points, then the zoo) of the two-party targets, among
    them Gordon–Katz with its stateful ShareGen functionality; a 1-in-12
    stride of the n-party ones, whose plays cost 1–2.5 ms each (their
-   functionality signs every output), so the test stays near a second. *)
+   functionality signs every output), so a test over them stays near a
+   second. *)
+let strided_arms (inst : E.instance) =
+  let stride = if inst.E.target.Racing.protocol.Protocol.parties = 2 then 1 else 12 in
+  List.map (Space.compile inst.E.space) (Space.points inst.E.space) @ inst.E.zoo
+  |> List.filteri (fun j _ -> j mod stride = 0)
+
 let test_registry_shares_preludes () =
   let prefix = Mc.Trial.seed_prefix 42 in
   List.iter
@@ -308,15 +320,64 @@ let test_registry_shares_preludes () =
       | None -> ()
       | Some mk ->
           let inst = mk () in
-          let stride = if inst.E.target.Racing.protocol.Protocol.parties = 2 then 1 else 12 in
-          let arms =
-            List.map (Space.compile inst.E.space) (Space.points inst.E.space) @ inst.E.zoo
-            |> List.filteri (fun j _ -> j mod stride = 0)
-          in
-          let n = both_orders inst.E.target arms ~prefix in
+          let n = both_orders inst.E.target (strided_arms inst) ~prefix in
           if n > 0 then
             Alcotest.failf "%s: %d plays of a shared prelude differ from plays alone" spec.E.eid n)
     E.registry
+
+(* SHA-256 of every strided arm's name and observations (payoff bits,
+   event, corrupted count, breach) on trials 0-3 of the seed-42 grid, per
+   registry target.  The certificate pins above see only the arm that wins
+   a supremum; these see every arm, the zoos' Gordon-Katz value
+   adversaries included. *)
+let obs_digests =
+  [ ("E1", "5d3a2f1b1ceb9d943756ae8be75e8860e11fe5f04521b3548a4b3f594fedc89d");
+    ("E2", "c4582b3873fb63a6d9143b57aab83a1f5769b5b1a68994756f8a4ef7b81dd835");
+    ("E3", "c4582b3873fb63a6d9143b57aab83a1f5769b5b1a68994756f8a4ef7b81dd835");
+    ("E4", "78d9e07412cce46f53d8e21b95c5dbc62e644aaa96d63d1da1c0095bdcb7c2db");
+    ("E5", "50c32afc33404a5a30f6fea6bc39991c17ae41160a7f9e933032fe0775e2a3f0");
+    ("E6", "9340b423c7e682bb95dbe7aae1a4e068f7c58b2511439a585d4afc23f68cb567");
+    ("E7", "a55ef7e957f5b4672c4b5472c49e54c7bca138986ddeaa0f496f3c14c9cacfb8");
+    ("E8", "22df083d20d298dc47ba50d7a2002ccd7febcdf49bf6d4edb46ffe8d13d791d3");
+    ("E9", "f3ff48bb3d37034de8a4275e1e38b04cf26977cf40d90cfbe70b7eb43386f8bd");
+    ("E10", "9340b423c7e682bb95dbe7aae1a4e068f7c58b2511439a585d4afc23f68cb567");
+    ("E11", "84a3a294716b636fac1ac1a49407d7cd3b5261612b24cbaec3fdf7cb26a15115");
+    ("E13", "c4582b3873fb63a6d9143b57aab83a1f5769b5b1a68994756f8a4ef7b81dd835");
+    ("E14", "0595903148df1088a5f80c69790ce7de07afc7825157bbde885b7561ce3544c1") ]
+
+let obs_digest (inst : E.instance) =
+  let { Racing.protocol; func; gamma; env; overrides } = inst.E.target in
+  let arms = Array.of_list (strided_arms inst) in
+  let obs =
+    Mc.Trial.plays ~jobs:1 ~overrides ~protocol ~func ~gamma ~env ~seed:42 arms ~lo:0 ~hi:4
+  in
+  let b = Buffer.create 4096 in
+  Array.iteri
+    (fun j row ->
+      Printf.bprintf b "%s:" arms.(j).Adversary.name;
+      Array.iter
+        (function
+          | None -> Buffer.add_string b " fault"
+          | Some (o : Mc.Trial.obs) ->
+              Printf.bprintf b " %Lx/%s/%d/%b" (Int64.bits_of_float o.Mc.Trial.t_payoff)
+                (match o.Mc.Trial.t_event with
+                | Fairness.Events.E00 -> "00"
+                | E01 -> "01"
+                | E10 -> "10"
+                | E11 -> "11")
+                o.Mc.Trial.t_corrupted o.Mc.Trial.t_breach)
+        row;
+      Buffer.add_char b '\n')
+    obs;
+  Fair_crypto.Sha256.hex_digest (Buffer.contents b)
+
+let test_every_arm_pinned () =
+  let got =
+    List.filter_map
+      (fun (spec : E.spec) -> Option.map (fun mk -> (spec.E.eid, obs_digest (mk ()))) spec.E.target)
+      E.registry
+  in
+  Alcotest.(check (list (pair string string))) "observation digests" obs_digests got
 
 (* Negative control: a party machine that draws from its captured
    generator inside [step] (outputting only on a fresh coin) is not
@@ -517,11 +578,7 @@ let test_legitimate_once_per_coalition () =
       let { Racing.protocol; func; gamma; env; overrides } = inst.E.target in
       let evals = ref 0 in
       let counting = { func with Func.eval = (fun xs -> incr evals; func.Func.eval xs) } in
-      let stride = if protocol.Protocol.parties = 2 then 1 else 12 in
-      let arms =
-        List.map (Space.compile inst.E.space) (Space.points inst.E.space) @ inst.E.zoo
-        |> List.filteri (fun j _ -> j mod stride = 0)
-      in
+      let arms = strided_arms inst in
       for i = 0 to 7 do
         evals := 0;
         let prelude = Mc.Trial.prepare ~protocol ~env ~prefix i in
@@ -756,6 +813,7 @@ let () =
       ( "sharing",
         [ Alcotest.test_case "every target's arms share one prelude" `Quick
             test_registry_shares_preludes;
+          Alcotest.test_case "every arm's observations are pinned" `Quick test_every_arm_pinned;
           Alcotest.test_case "a party drawing in step is flagged" `Quick test_impure_party_flagged;
           Alcotest.test_case "every target's play keys hold" `Quick test_play_keys_hold;
           Alcotest.test_case "faulted plays are not remembered" `Quick
